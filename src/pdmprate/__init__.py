@@ -6,8 +6,8 @@ from .bench import (DiagnosticsReport, ExperimentConfig, ExperimentResult,
                     replicate_seed, run_experiment, run_replicate, rows_to_csv,
                     tail_assumption_ok)
 from .density import DensityFit, contrast, penalty, select_model
-from .errors import (CapExceededError, ChainTooShortError, ConfigError,
-                     EmptyModelSetError, FamilyMismatchError,
+from .errors import (CapExceededError, ChainFormatError, ChainTooShortError,
+                     ConfigError, EmptyModelSetError, FamilyMismatchError,
                      InconsistentChainError, OutOfSupportError, PdmpError,
                      UnreachableStateError)
 from .jumprate import (denominator_at, denominator_grid, l2_risk, make_grid,

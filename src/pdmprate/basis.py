@@ -14,6 +14,12 @@ import numpy as np
 
 from .errors import EmptyModelSetError
 
+# Frequencies per block of the factored phase sum in design_means, and the
+# number of in-window samples whose phases are held in memory at once.  Both
+# are fixed so that coefficient bits do not depend on the dimension asked for.
+PHASE_BLOCK = 16
+SAMPLE_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class Basis:
@@ -92,13 +98,49 @@ def coefficients(samples: np.ndarray, basis: Basis, m: int) -> np.ndarray:
     return design_means(samples, basis, basis.dim(m))
 
 
-def design_means(samples: np.ndarray, basis: Basis, dim: int,
-                 chunk: int = 16384) -> np.ndarray:
-    """Column means of the design matrix, chunked to bound memory."""
+def design_means(samples: np.ndarray, basis: Basis, dim: int) -> np.ndarray:
+    """Column means of the design matrix, computed without forming it.
+
+    With ``theta = 2*pi*x/a_max`` and ``j = a + PHASE_BLOCK*b``, the phase
+    ``e^{ij theta}`` factors into ``e^{ia theta} * e^{i PHASE_BLOCK b theta}``.
+    Per chunk of in-window samples, a table ``low`` (``PHASE_BLOCK`` x chunk)
+    of the low phases and a row ``high`` of the phases of block ``b`` give
+    the phase sums of the frequencies in block ``b`` as ``low @ high``: a
+    sample costs ``PHASE_BLOCK + ceil((m+1)/PHASE_BLOCK)`` complex
+    exponentials instead of ``dim`` cosines and sines.  Every block is a
+    separate product of the same shape whatever ``dim`` is, so the summation
+    order of each entry, and with it the exact prefix nesting across
+    dimensions, does not depend on ``dim``.  A single product over all
+    blocks would not keep it: BLAS sums a one-column product in another
+    order than a wider one.
+    """
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
-    total = np.zeros(dim)
-    for start in range(0, n, chunk):
-        block = samples[start:start + chunk]
-        total += basis.design(block, dim).sum(axis=1)
-    return total / n
+    inside = samples[(samples >= 0.0) & (samples <= basis.a_max)]
+    n_pairs = (dim - 1) // 2
+    n_blocks = -(-(n_pairs + 1) // PHASE_BLOCK)
+    sums = np.zeros(n_blocks * PHASE_BLOCK, dtype=complex)
+    width = min(SAMPLE_CHUNK, len(inside))
+    low = np.empty((PHASE_BLOCK, width), dtype=complex)
+    high = np.empty(width, dtype=complex)
+    for start in range(0, len(inside), SAMPLE_CHUNK):
+        theta = 2.0 * np.pi * inside[start:start + SAMPLE_CHUNK] / basis.a_max
+        k = len(theta)
+        for a in range(PHASE_BLOCK):
+            _phases(a * theta, low[a, :k])
+        for b in range(n_blocks):
+            _phases((PHASE_BLOCK * b) * theta, high[:k])
+            sums[b * PHASE_BLOCK:(b + 1) * PHASE_BLOCK] += low[:, :k] @ high[:k]
+    out = np.empty(dim)
+    out[0] = len(inside) / np.sqrt(basis.a_max) / n
+    amp = np.sqrt(2.0 / basis.a_max)
+    pair_sums = sums[1:n_pairs + 1]
+    out[1::2] = amp * pair_sums.real / n
+    out[2::2] = amp * pair_sums.imag / n
+    return out
+
+
+def _phases(arg: np.ndarray, out: np.ndarray) -> None:
+    """Write ``e^{i arg}`` into ``out``, from one cosine and one sine per entry."""
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=out.imag)

@@ -6,7 +6,7 @@ write the fit record and evaluation grid), ``bench`` (Monte Carlo tables) and
 to stderr, summaries to stdout, and files are the real interface.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 I/O
-error.
+error or malformed chain file.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .basis import Basis
 from .bench import convergence_diagnostics, run_experiment, rows_to_csv
 from .config import RunConfig, dump_config, load_config_file
 from .density import fit_to_text, select_model
-from .errors import (CapExceededError, ChainTooShortError, ConfigError,
-                     EmptyModelSetError, PdmpError)
+from .errors import (CapExceededError, ChainFormatError, ChainTooShortError,
+                     ConfigError, EmptyModelSetError, PdmpError)
 from .jumprate import denominator_grid, make_grid, rate_grid
 from .simulate import (chain_from_text, chain_to_text, reconstruct_times,
                        simulate_chain)
@@ -166,7 +166,7 @@ def main(argv=None) -> int:
     except (CapExceededError, EmptyModelSetError, ChainTooShortError) as exc:
         log.error("numerical failure: %s", exc)
         return EXIT_NUMERIC
-    except OSError as exc:
+    except (OSError, ChainFormatError) as exc:
         log.error("i/o failure: %s", exc)
         return EXIT_IO
     except PdmpError as exc:

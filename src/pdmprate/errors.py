@@ -25,6 +25,10 @@ class InconsistentChainError(PdmpError):
     """Chain states violate the deterministic jump/flow constraints."""
 
 
+class ChainFormatError(PdmpError):
+    """A chain file line that is not a state (and jump time) in the format."""
+
+
 class ChainTooShortError(PdmpError):
     """Not enough observations for the requested estimator."""
 

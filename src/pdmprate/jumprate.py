@@ -29,33 +29,29 @@ def threshold(n: int) -> float:
     return 1.0 / np.log(n)
 
 
-def denominator_grid(chain: JumpChain, model: Optional[Model], ys: np.ndarray,
-                     chunk: int = 64) -> np.ndarray:
+def denominator_grid(chain: JumpChain, model: Optional[Model],
+                     ys: np.ndarray) -> np.ndarray:
     """Empirical denominator at each grid point.
 
     Averages the change-of-variable weight over transitions whose previous
-    state is at most ``y`` and whose next state is at least the jump image of
-    ``y``.  Vectorized over transitions; grid chunked to bound memory.
+    state is at most ``y`` and whose next state is at least the jump image
+    ``f(y)``.  A transition with ``next >= f(prev)`` has ``prev <= y``
+    whenever ``next < f(y)``, so among those transitions the count is the
+    number of previous states up to ``y`` minus the number of next states
+    below ``f(y)``: two binary searches per grid point.  A transition with
+    ``next < f(prev)`` (none in a chain the model can produce) never counts,
+    because ``prev <= y`` would put ``next`` below ``f(y)``; rounding keeps
+    both implications, as ``f`` rounds monotonically.
     """
     model = model or chain.model
     ys = np.asarray(ys, dtype=float)
     prev = chain.z[:-1]
     nxt = chain.z[1:]
-    n = chain.n
-    out = np.empty(len(ys))
-    for s in range(0, len(ys), chunk):
-        yb = ys[s:s + chunk][:, None]
-        fy = model.jump.apply(yb)
-        hit = (prev[None, :] <= yb) & (nxt[None, :] >= fy)
-        if model.flow.variant == "additive":
-            # weight constant: 1/(kappa*c)
-            w = 1.0 / (model.jump.kappa * model.flow.c)
-            out[s:s + chunk] = w * hit.sum(axis=1) / n
-        else:
-            # weight 1/(c*f(y)) depends only on the grid point
-            w = 1.0 / (model.flow.c * fy[:, 0])
-            out[s:s + chunk] = w * hit.sum(axis=1) / n
-    return out
+    fy = model.jump.apply(ys)
+    ok = nxt >= model.jump.apply(prev)
+    count = (np.searchsorted(np.sort(prev[ok]), ys, side="right")
+             - np.searchsorted(np.sort(nxt[ok]), fy, side="left"))
+    return model.transition_weight(ys, fy) * count / chain.n
 
 
 def denominator_at(chain: JumpChain, model: Optional[Model], y: float) -> float:

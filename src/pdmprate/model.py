@@ -213,7 +213,8 @@ class Model:
         """
         xs = np.asarray(x, dtype=float)
         ys = np.asarray(y, dtype=float)
-        if np.any(ys < self.jump.apply(xs) * (1 - 1e-12)):
+        lo = self.jump.apply(xs)
+        if np.any(ys < lo - 1e-12 * np.abs(lo)):
             raise OutOfSupportError("query point below the jump image of x")
         if self.flow.variant == ADDITIVE:
             out = np.broadcast_to(1.0 / (self.jump.kappa * self.flow.c),

@@ -10,13 +10,15 @@ seed record.
 from __future__ import annotations
 
 import bisect
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy import integrate, optimize
 
-from .errors import CapExceededError, FamilyMismatchError, InconsistentChainError
+from .errors import (CapExceededError, ChainFormatError, FamilyMismatchError,
+                     InconsistentChainError)
 from .model import (ADDITIVE, BACTERIAL_POWER, TCP_POWER, TCP_QUADRATIC,
                     Model, PowerRate, ShiftedQuadraticRate, require_family)
 
@@ -288,16 +290,56 @@ def chain_to_text(chain: JumpChain, include_times: bool = False) -> str:
 
 
 def chain_from_text(text: str, model: Model) -> JumpChain:
-    """Parse the columnar format back into a chain (header is informational)."""
-    zs = []
-    ts = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
+    """Parse the columnar format back into a chain (header is informational).
+
+    The first data row holds ``z[0]`` alone; every later row holds ``z[k]``
+    and, in files written with times, the jump time of that state after a
+    tab.  Raises :class:`ChainFormatError` naming the first line that does
+    not fit, or when there is no data row.
+    """
+    lines = text.splitlines()
+    first = next((i for i, line in enumerate(lines) if _is_data(line)), None)
+    if first is None:
+        raise ChainFormatError("chain file has no data rows")
+    z0 = _parse_rows(lines[first:first + 1], first + 1, max_width=1)[0, 0]
+    body = lines[first + 1:]
+    try:
+        with warnings.catch_warnings():
+            # a chain of one state has no rows after z[0]
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(body, delimiter="\t", comments=None, ndmin=2)
+        if table.shape[1] > 2:
+            raise ValueError("too many columns")
+    except ValueError:
+        # the exact reader: finds the offending line, or accepts what the
+        # fast one does not (comment lines, whitespace-only lines)
+        table = _parse_rows(body, first + 2, max_width=2)
+    times = table[:, 1] if table.shape[1] == 2 else None
+    return JumpChain(z=np.concatenate(([z0], table[:, 0])), model=model,
+                     times=times)
+
+
+def _is_data(line: str) -> bool:
+    line = line.strip()
+    return bool(line) and not line.startswith("#")
+
+
+def _parse_rows(lines: list, first_lineno: int, max_width: int) -> np.ndarray:
+    """Data rows of ``lines`` as a table; every row must have the same width."""
+    rows = []
+    width = None
+    for lineno, line in enumerate(lines, start=first_lineno):
+        if not _is_data(line):
             continue
-        parts = line.split("\t")
-        zs.append(float(parts[0]))
-        if len(parts) > 1:
-            ts.append(float(parts[1]))
-    times = np.array(ts) if ts else None
-    return JumpChain(z=np.array(zs), model=model, times=times)
+        parts = line.strip().split("\t")
+        width = width or min(len(parts), max_width)
+        if len(parts) != width:
+            raise ChainFormatError(
+                f"chain line {lineno}: {len(parts)} tab-separated fields, "
+                f"expected {width}: {line!r}")
+        try:
+            rows.append([float(v) for v in parts])
+        except ValueError:
+            raise ChainFormatError(
+                f"chain line {lineno}: not a number: {line!r}") from None
+    return np.array(rows, dtype=float).reshape(len(rows), width or 1)

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
-from pdmprate import Basis, EmptyModelSetError, coefficients
+from oracles import design_means_oracle
+from pdmprate import Basis, EmptyModelSetError, coefficients, select_model
+from pdmprate.basis import SAMPLE_CHUNK, design_means
 
 
 class TestBasisFunctions:
@@ -95,6 +99,37 @@ class TestCoefficients:
         small = coefficients(samples, b, 3)
         large = coefficients(samples, b, 12)
         assert np.array_equal(large[:len(small)], small)
+
+    def test_prefix_nesting_across_blocks(self):
+        # D_max = 99 spans several phase blocks; every prefix must be exact
+        b = Basis()
+        rng = np.random.default_rng(5)
+        samples = rng.gamma(2.0, 1.0, 10_000)
+        fit = select_model(samples, b)
+        assert fit.m_max == 49
+        for m in range(fit.m_max + 1):
+            small = coefficients(samples, b, m)
+            assert np.array_equal(fit.coeffs[:len(small)], small), m
+
+    @given(n=st.integers(1, 3 * SAMPLE_CHUNK), m=st.integers(0, 40),
+           a_max=st.sampled_from([6.0, 4.0, 2.5]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           special=st.lists(st.sampled_from(["zero", "edge", "below", "above"]),
+                            max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_design_matrix_oracle(self, n, m, a_max, seed, special):
+        # window ends and off-window points included; chunk boundaries crossed
+        rng = np.random.default_rng(seed)
+        samples = rng.uniform(-0.5, a_max + 0.5, n)
+        where = {"zero": 0.0, "edge": a_max, "below": -1e-9,
+                 "above": a_max * (1 + 1e-15)}
+        for name in special:
+            samples[rng.integers(n)] = where[name]
+        b = Basis(a_max=a_max)
+        dim = b.dim(m)
+        np.testing.assert_allclose(design_means(samples, b, dim),
+                                   design_means_oracle(samples, b, dim),
+                                   rtol=1e-12, atol=1e-15)
 
     def test_inadmissible_dimension(self):
         b = Basis()

@@ -122,6 +122,17 @@ class TestEstimateCommand:
         chain_file = str(tmp_path / "o" / "chain.tsv")
         assert main(["--config", path, "estimate", "--chain", chain_file]) == 0
 
+    def test_malformed_chain_file_exit_code(self, tmp_path, caplog):
+        path = write_config(tmp_path, out_dir=str(tmp_path / "o"))
+        main(["--config", path, "simulate", "--n", "50"])
+        chain_file = tmp_path / "o" / "chain.tsv"
+        lines = chain_file.read_text().splitlines()
+        lines[20] = "1.0;2.0"
+        chain_file.write_text("\n".join(lines) + "\n")
+        assert main(["--config", path, "estimate", "--chain",
+                     str(chain_file)]) == 4
+        assert "chain line 21:" in caplog.text
+
 
 class TestBenchCommand:
     def test_smoke(self, tmp_path, capsys):

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import denominator_mask_oracle
 from pdmprate import (Basis, JumpChain, bacterial_model, denominator_at,
                       denominator_grid, l2_risk, make_grid, oracle_dimension,
                       rate_at, rate_grid, risk_sweep, select_model,
                       simulate_chain, tcp_model, threshold)
+from pdmprate.model import Flow, JumpMap, Model, PowerRate
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +41,7 @@ class TestDenominator:
         model = tcp_model(kappa=0.5, c=1.0)
         chain = JumpChain(z=np.array([1.0, 3.0]), model=model)
         assert denominator_at(chain, model, 0.5) == 0.0
+        assert denominator_at(chain, model, -1.0) == 0.0
 
     def test_grid_matches_bruteforce(self, tcp_setup):
         model, chain, _, ys = tcp_setup
@@ -63,6 +68,36 @@ class TestDenominator:
             fy = model.jump.apply(y)
             hits = np.sum((chain.z[:-1] <= y) & (chain.z[1:] >= fy))
             assert vals[i] == pytest.approx(hits / chain.n / fy, rel=1e-12)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 400),
+           kappa=st.sampled_from([0.5, 0.2, 0.7, 1.0 / 3.0]),
+           c=st.sampled_from([1.0, 2.5]), exponential=st.booleans(),
+           consistent=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_mask_oracle(self, seed, n, kappa, c, exponential,
+                                 consistent):
+        # consistent chains (next >= kappa*prev) and arbitrary ones; grid
+        # points below zero, equal to states, and with jump images equal to
+        # next states
+        rng = np.random.default_rng(seed)
+        model = Model(Flow("exponential" if exponential else "additive", c),
+                      JumpMap(kappa), PowerRate(1.0, 1.0))
+        z = np.empty(n + 1)
+        z[0] = rng.uniform(0.1, 3.0)
+        for k in range(n):
+            lo = model.jump.apply(z[k]) if consistent else 0.05
+            z[k + 1] = lo + rng.exponential(1.0) * rng.integers(0, 2)
+        ys = np.concatenate([rng.uniform(-0.5, 4.0, 20),
+                             rng.choice(z, 10), rng.choice(z, 10) / kappa])
+        # some next states placed exactly on jump images of grid points
+        hits = rng.integers(1, n + 1, min(n, 5))
+        z[hits] = model.jump.apply(rng.choice(ys[ys > 0], len(hits)))
+        if consistent:
+            for k in range(n):
+                z[k + 1] = max(z[k + 1], model.jump.apply(z[k]))
+        chain = JumpChain(z=z, model=model)
+        assert np.array_equal(denominator_grid(chain, model, ys),
+                              denominator_mask_oracle(chain, model, ys))
 
     def test_montecarlo_agreement(self):
         # long-chain value at y=1 vs an independent much longer run

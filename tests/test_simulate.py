@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
 
-from pdmprate import (CapExceededError, FamilyMismatchError, GenericSampler,
-                      InconsistentChainError, bacterial_model, chain_from_text,
-                      chain_to_text, reconstruct_times, sample_next,
+from pdmprate import (CapExceededError, ChainFormatError, FamilyMismatchError,
+                      GenericSampler, InconsistentChainError, bacterial_model,
+                      chain_from_text, chain_to_text, reconstruct_times,
+                      sample_next,
                       sample_next_bacterial_power, sample_next_generic,
                       sample_next_tcp_power, sample_next_tcp_quadratic,
                       simulate_chain, tcp_model, tcp_quadratic_model)
@@ -238,3 +239,38 @@ class TestSerialization:
         assert np.array_equal(back.z, chain.z)
         assert back.times is not None
         assert np.array_equal(back.times, reconstruct_times(chain))
+
+    @pytest.mark.parametrize("times", [False, True])
+    def test_blank_and_comment_lines_in_body(self, times):
+        # such lines make the fast reader fail; the exact reader skips them
+        m = bacterial_model(delta=2.0)
+        chain = simulate_chain(m, 1.0, 30, 9)
+        lines = chain_to_text(chain, include_times=times).splitlines()
+        lines[10:10] = ["", "   ", "# note"]
+        back = chain_from_text("\n".join(lines), m)
+        assert np.array_equal(back.z, chain.z)
+        assert (back.times is not None) == times
+
+    def test_single_state(self):
+        back = chain_from_text("# columns: z\n1.5\n", tcp_model())
+        assert np.array_equal(back.z, [1.5])
+
+    @pytest.mark.parametrize("bad_line, lineno", [
+        ("0.7x", 6),            # not a number
+        ("0.7\t1.0\t2.0", 6),   # too many columns
+        ("0.7\t1.0", 6),        # time column in a file without times
+    ])
+    def test_malformed_line_named(self, bad_line, lineno):
+        m = tcp_model()
+        lines = chain_to_text(simulate_chain(m, 1.0, 5, 1)).splitlines()
+        lines[lineno - 1] = bad_line
+        with pytest.raises(ChainFormatError, match=f"line {lineno}:"):
+            chain_from_text("\n".join(lines), m)
+
+    def test_no_states_rejected(self):
+        with pytest.raises(ChainFormatError, match="no data rows"):
+            chain_from_text("# columns: z\n\n", tcp_model())
+
+    def test_time_column_on_first_state_rejected(self):
+        with pytest.raises(ChainFormatError, match="line 2:"):
+            chain_from_text("# columns: z\tt\n1.0\t0.0\n0.8\t1.0\n", tcp_model())
