@@ -9,7 +9,7 @@ from .density import DensityFit, contrast, penalty, select_model
 from .errors import (CapExceededError, ChainFormatError, ChainTooShortError,
                      ConfigError, EmptyModelSetError, FamilyMismatchError,
                      InconsistentChainError, OutOfSupportError, PdmpError,
-                     UnreachableStateError)
+                     StateRangeError, UnreachableStateError)
 from .jumprate import (denominator_at, denominator_grid, l2_risk, make_grid,
                        oracle_dimension, rate_at, rate_grid, risk_sweep,
                        threshold)

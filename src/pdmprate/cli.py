@@ -5,8 +5,9 @@ write the fit record and evaluation grid), ``bench`` (Monte Carlo tables) and
 ``diagnose`` (convergence checks).  Flags override the config file; logs go
 to stderr, summaries to stdout, and files are the real interface.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 I/O
-error or malformed chain file.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure (a
+simulated state out of double range, or a chain whose states are not all
+finite and positive), 4 I/O error or malformed chain file.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from .bench import convergence_diagnostics, run_experiment, rows_to_csv
 from .config import RunConfig, dump_config, load_config_file
 from .density import fit_to_text, select_model
 from .errors import (CapExceededError, ChainFormatError, ChainTooShortError,
-                     ConfigError, EmptyModelSetError, PdmpError)
+                     ConfigError, EmptyModelSetError, PdmpError,
+                     StateRangeError)
 from .jumprate import denominator_grid, make_grid, rate_grid
 from .simulate import (chain_from_text, chain_to_text, reconstruct_times,
                        simulate_chain)
@@ -163,7 +165,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         log.error("config: %s", exc)
         return EXIT_CONFIG
-    except (CapExceededError, EmptyModelSetError, ChainTooShortError) as exc:
+    except (CapExceededError, EmptyModelSetError, ChainTooShortError,
+            StateRangeError) as exc:
         log.error("numerical failure: %s", exc)
         return EXIT_NUMERIC
     except (OSError, ChainFormatError) as exc:

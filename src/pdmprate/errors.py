@@ -21,6 +21,10 @@ class CapExceededError(PdmpError):
     """Accumulated hazard failed to reach the target before the state cap."""
 
 
+class StateRangeError(PdmpError):
+    """A simulated state is not a finite positive double (overflow or underflow)."""
+
+
 class InconsistentChainError(PdmpError):
     """Chain states violate the deterministic jump/flow constraints."""
 

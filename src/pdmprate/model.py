@@ -198,8 +198,7 @@ class Model:
             if isinstance(self.rate, ShiftedQuadraticRate):
                 return TCP_QUADRATIC
         elif self.flow.variant == EXPONENTIAL:
-            if (isinstance(self.rate, PowerRate) and self.rate.delta > 0
-                    and self.jump.kappa == 0.5):
+            if isinstance(self.rate, PowerRate) and self.rate.delta > 0:
                 return BACTERIAL_POWER
         return GENERIC
 

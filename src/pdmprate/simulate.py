@@ -3,24 +3,29 @@
 Each closed-form sampler inverts the conditional survival function of the
 next state given the current one, driven by a unit-exponential draw.  A
 numeric fallback handles arbitrary rates by integrating the hazard along the
-support and root-finding.  Chains are reproducible bit-exactly from their
-seed record.
+support and root-finding.  ``simulate_chain`` draws all exponentials first
+and runs its family's chain kernel over them: a linear scan for power rates,
+a plain-float loop for the quadratic rate, numeric draws otherwise.  Chains
+are reproducible bit-exactly from their seed record.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy import integrate, optimize
 
-from .errors import (CapExceededError, ChainFormatError, FamilyMismatchError,
-                     InconsistentChainError)
+from .errors import (CapExceededError, ChainFormatError, InconsistentChainError,
+                     StateRangeError)
 from .model import (ADDITIVE, BACTERIAL_POWER, TCP_POWER, TCP_QUADRATIC,
                     Model, PowerRate, ShiftedQuadraticRate, require_family)
+
+_FLOAT_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -34,8 +39,11 @@ class JumpChain:
     draws: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if np.any(self.z <= 0):
-            raise InconsistentChainError("chain states must be positive")
+        k = _first_bad_state(self.z)
+        if k is not None:
+            raise InconsistentChainError(
+                "chain states must be finite and positive: "
+                f"z[{k}] = {float(self.z[k])!r}")
 
     @property
     def n(self) -> int:
@@ -48,6 +56,34 @@ class JumpChain:
         return self.z[1:]
 
 
+def _first_bad_state(z: np.ndarray) -> Optional[int]:
+    """Index of the first state that is not finite and positive, if any."""
+    good = np.isfinite(z)
+    good &= z > 0
+    return None if good.all() else int(np.argmin(good))
+
+
+def _power_exponent(model: Model) -> float:
+    """Exponent ``p`` in which a power-rate chain is linear: ``w = z**p``.
+
+    The cumulative hazard along the flow from ``z`` to the pre-jump state
+    ``y`` is ``lam/(p*c) * (y**p - z**p)``, with ``p = delta + 1`` under the
+    additive flow and ``p = delta`` under the exponential one.
+    """
+    delta = model.rate.delta
+    return delta + 1.0 if model.flow.variant == ADDITIVE else delta
+
+
+def _power_step(model: Model, z, e):
+    """Next state ``kappa * (z**p + p*c*e/lam)**(1/p)`` of a power-rate chain."""
+    lam, c = model.rate.lam, model.flow.c
+    p = _power_exponent(model)
+    z = np.asarray(z, dtype=float)
+    e = np.asarray(e, dtype=float)
+    out = model.jump.kappa * np.power(np.power(z, p) + p * c * e / lam, 1.0 / p)
+    return out if out.ndim else float(out)
+
+
 def sample_next_tcp_power(model: Model, z, e):
     """Next state for the additive flow / power rate family.
 
@@ -55,13 +91,13 @@ def sample_next_tcp_power(model: Model, z, e):
     or arrays for ``z`` and ``e``.
     """
     require_family(model, TCP_POWER)
-    lam, delta, c = model.rate.lam, model.rate.delta, model.flow.c
-    kappa = model.jump.kappa
-    p = delta + 1.0
-    z = np.asarray(z, dtype=float)
-    e = np.asarray(e, dtype=float)
-    out = kappa * np.power(np.power(z, p) + p * c * e / lam, 1.0 / p)
-    return out if out.ndim else float(out)
+    return _power_step(model, z, e)
+
+
+def sample_next_bacterial_power(model: Model, z, e):
+    """Next state for the exponential flow / power rate family (any kappa)."""
+    require_family(model, BACTERIAL_POWER)
+    return _power_step(model, z, e)
 
 
 def sample_next_tcp_quadratic(model: Model, z, e):
@@ -90,16 +126,6 @@ def sample_next_tcp_quadratic(model: Model, z, e):
                          (q - root) / 2.0)
     t = np.cbrt(plus) + np.cbrt(minus)
     out = kappa * (a + t)
-    return out if out.ndim else float(out)
-
-
-def sample_next_bacterial_power(model: Model, z, e):
-    """Next state for the exponential flow / halving jump / power rate family."""
-    require_family(model, BACTERIAL_POWER)
-    lam, delta, c = model.rate.lam, model.rate.delta, model.flow.c
-    z = np.asarray(z, dtype=float)
-    e = np.asarray(e, dtype=float)
-    out = 0.5 * np.power(delta * c * e / lam + np.power(z, delta), 1.0 / delta)
     return out if out.ndim else float(out)
 
 
@@ -201,16 +227,98 @@ def sample_next_generic(model: Model, z: float, e: float,
     return GenericSampler(model, z, cap=cap).draw(e)
 
 
+def _power_chain(model: Model, z0: float, draws: np.ndarray) -> np.ndarray:
+    """States ``z[0..n]`` of a power-rate chain, by a linear scan.
+
+    In ``w = z**p`` (see :func:`_power_exponent`) one transition is the AR(1)
+    step ``w_k = r * (w_{k-1} + x_k)`` with ``r = kappa**p`` and
+    ``x_k = p*c*e_k/lam``, so ``w_k = sum_i r**(k-i) * v_i`` with
+    ``v = (w_0, r*x_1, ..., r*x_n)``.  Pass ``s = 1, 2, 4, ...`` of the
+    doubling scan adds ``r**s`` times the partial sum ``s`` places back; all
+    terms are positive, so each state carries O(log n) roundings.  The
+    passes stop once ``r**s`` underflows, since the rest would add zeros.
+    """
+    p = _power_exponent(model)
+    r = model.jump.kappa ** p
+    if r < _FLOAT_TINY:
+        raise StateRangeError(
+            f"at transition 0: kappa**p = {model.jump.kappa!r}**{p!r} "
+            "underflows, so the power-rate chain is out of double range")
+    n = len(draws)
+    w = np.empty(n + 1)
+    w[0] = z0
+    with np.errstate(over="ignore"):
+        # an overflow leaves inf states, which simulate_chain reports
+        np.power(w[:1], p, out=w[:1])
+        np.multiply(draws, r * (p * model.flow.c / model.rate.lam), out=w[1:])
+        s = 1
+        while s <= n and r ** s > 0.0:
+            w[s:] += r ** s * w[:-s]
+            s *= 2
+        if p != 1.0:
+            np.power(w, 1.0 / p, out=w)
+    w[0] = z0
+    return w
+
+
+def _quadratic_chain(model: Model, z0: float, draws: np.ndarray) -> np.ndarray:
+    """States ``z[0..n]`` of a quadratic-rate chain, one Cardano step each.
+
+    The step is :func:`sample_next_tcp_quadratic` on plain floats; draws are
+    read and states written through memoryviews, so no per-step array or
+    list is built.  The cube is two products rather than a power, so an
+    overflow gives ``inf`` (reported by :func:`simulate_chain`) instead of
+    an exception.
+    """
+    a, b, c = model.rate.a, model.rate.b, model.flow.c
+    kappa = model.jump.kappa
+    b3 = b ** 3
+    four_b3, two_b3 = 4.0 * b3, 2.0 * b3
+    three_c, three_b = 3.0 * c, 3.0 * b
+    sqrt, cbrt = math.sqrt, math.cbrt
+    z = np.empty(len(draws) + 1)
+    z[0] = x = z0
+    out = memoryview(z)
+    for k, e in enumerate(memoryview(draws), start=1):
+        u = x - a
+        q = three_c * e + u * u * u + three_b * u
+        root = sqrt(four_b3 + q * q)
+        if q >= 0.0:
+            s = q + root
+            plus, minus = s / 2.0, (-two_b3 / s if s > 0.0 else 0.0)
+        else:
+            s = root - q
+            plus, minus = (two_b3 / s if s > 0.0 else 0.0), (q - root) / 2.0
+        x = kappa * (a + (cbrt(plus) + cbrt(minus)))
+        out[k] = x
+    return z
+
+
+def _generic_chain(model: Model, z0: float, draws: np.ndarray) -> np.ndarray:
+    """States ``z[0..n]`` by one numeric draw per transition."""
+    z = np.empty(len(draws) + 1)
+    z[0] = z0
+    try:
+        for k in range(len(draws)):
+            z[k + 1] = sample_next_generic(model, z[k], draws[k])
+    except CapExceededError as exc:
+        raise CapExceededError(f"at transition {k}: {exc}") from exc
+    return z
+
+
+def _family_samplers(model: Model):
+    """The one family dispatch: ``(one-step sampler, chain kernel)``."""
+    family = model.family
+    if family in (TCP_POWER, BACTERIAL_POWER):
+        return _power_step, _power_chain
+    if family == TCP_QUADRATIC:
+        return sample_next_tcp_quadratic, _quadratic_chain
+    return sample_next_generic, _generic_chain
+
+
 def sample_next(model: Model, z: float, e: float) -> float:
     """Family dispatch: closed form when available, numeric otherwise."""
-    fam = model.family
-    if fam == TCP_POWER:
-        return sample_next_tcp_power(model, z, e)
-    if fam == TCP_QUADRATIC:
-        return sample_next_tcp_quadratic(model, z, e)
-    if fam == BACTERIAL_POWER:
-        return sample_next_bacterial_power(model, z, e)
-    return sample_next_generic(model, z, e)
+    return _family_samplers(model)[0](model, z, e)
 
 
 def _seed_record(seed) -> tuple:
@@ -223,34 +331,24 @@ def simulate_chain(model: Model, z0: float, n: int, seed) -> JumpChain:
     """Simulate ``n`` transitions starting from ``z0``.
 
     ``seed`` may be an integer or a ``numpy.random.SeedSequence``; the record
-    stored on the chain allows bit-exact replay.
+    stored on the chain allows bit-exact replay.  Raises
+    :class:`StateRangeError` naming the first transition whose state is not a
+    finite positive float.
     """
-    if not z0 > 0:
-        raise ValueError("initial state must be positive")
+    if not 0.0 < z0 < math.inf:
+        raise ValueError("initial state must be positive and finite")
     if n < 1:
         raise ValueError("need at least one transition")
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     rng = np.random.default_rng(ss)
     draws = rng.exponential(1.0, size=n)
-    z = np.empty(n + 1)
-    z[0] = z0
-    fam = model.family
-    try:
-        if fam == TCP_POWER:
-            for k in range(n):
-                z[k + 1] = sample_next_tcp_power(model, z[k], draws[k])
-        elif fam == TCP_QUADRATIC:
-            for k in range(n):
-                z[k + 1] = sample_next_tcp_quadratic(model, z[k], draws[k])
-        elif fam == BACTERIAL_POWER:
-            for k in range(n):
-                z[k + 1] = sample_next_bacterial_power(model, z[k], draws[k])
-        else:
-            for k in range(n):
-                z[k + 1] = sample_next_generic(model, z[k], draws[k])
-    except (CapExceededError, FamilyMismatchError) as exc:
-        raise type(exc)(f"at transition {k}: {exc}") from exc
+    z = _family_samplers(model)[1](model, float(z0), draws)
+    k = _first_bad_state(z)
+    if k is not None:
+        raise StateRangeError(
+            f"at transition {k - 1}: next state {float(z[k])!r} is not a "
+            "finite positive number (double precision overflow or underflow)")
     return JumpChain(z=z, model=model, seed=_seed_record(ss), draws=draws)
 
 

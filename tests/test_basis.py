@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -117,6 +117,10 @@ class TestCoefficients:
            special=st.lists(st.sampled_from(["zero", "edge", "below", "above"]),
                             max_size=8))
     @settings(max_examples=60, deadline=None)
+    # a lone sample at x = a_max: every sine is sin(2 pi j) = 0, so only the
+    # absolute bound applies, and the error of each kernel there grows with j
+    @example(n=1, m=17, a_max=6.0, seed=0, special=["edge"])
+    @example(n=1, m=40, a_max=6.0, seed=0, special=["edge"])
     def test_matches_design_matrix_oracle(self, n, m, a_max, seed, special):
         # window ends and off-window points included; chunk boundaries crossed
         rng = np.random.default_rng(seed)
@@ -127,9 +131,22 @@ class TestCoefficients:
             samples[rng.integers(n)] = where[name]
         b = Basis(a_max=a_max)
         dim = b.dim(m)
-        np.testing.assert_allclose(design_means(samples, b, dim),
-                                   design_means_oracle(samples, b, dim),
-                                   rtol=1e-12, atol=1e-15)
+        fast = design_means(samples, b, dim)
+        slow = design_means_oracle(samples, b, dim)
+        # Both kernels share theta = 2 pi x / a_max <= 2 pi.  The oracle rounds
+        # the angle j*theta once, the fast kernel rounds a*theta and 16b*theta
+        # (a + 16b = j): each angle is off by at most j*theta*eps/2 <= pi*j*eps,
+        # so the two phases differ by at most 2 pi j eps.  On top of that come
+        # the cosine and sine (one ulp each) and the complex product of the
+        # two factors: at most 8 eps together.  Every sample's term therefore
+        # differs by at most amp*eps*(2 pi j + 8), and so does their mean; the
+        # 1e-15 floor and rtol cover the two summation orders.
+        j = np.concatenate(([0], np.repeat(np.arange(1, dim // 2 + 1), 2)))
+        eps = np.finfo(float).eps
+        atol = np.sqrt(2.0 / a_max) * eps * (2.0 * np.pi * j + 8.0) + 1e-15
+        err = np.abs(fast - slow)
+        assert np.all(err <= 1e-12 * np.abs(slow) + atol), \
+            (err - 1e-12 * np.abs(slow) - atol).max()
 
     def test_inadmissible_dimension(self):
         b = Basis()

@@ -85,6 +85,14 @@ class TestSimulateCommand:
         path = write_config(tmp_path, doc)
         assert main(["--config", path, "simulate"]) == 2
 
+    def test_state_overflow_exit_code(self, tmp_path, caplog):
+        doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
+        doc["model"]["rate"]["delta"] = 200.0
+        doc["model"]["z0"] = 40.0
+        path = write_config(tmp_path, doc, out_dir=str(tmp_path / "o"))
+        assert main(["--config", path, "simulate", "--n", "50"]) == 3
+        assert "at transition 0:" in caplog.text
+
     def test_bacterial_summary(self, tmp_path, capsys):
         doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
         doc["model"]["flow"] = {"variant": "exponential", "c": 1.0}
@@ -132,6 +140,20 @@ class TestEstimateCommand:
         assert main(["--config", path, "estimate", "--chain",
                      str(chain_file)]) == 4
         assert "chain line 21:" in caplog.text
+
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_chain_file_exit_code(self, tmp_path, caplog, bad):
+        # a non-finite state is an inconsistent chain: exit 3, naming it
+        path = write_config(tmp_path, out_dir=str(tmp_path / "o"))
+        main(["--config", path, "simulate", "--n", "50"])
+        chain_file = tmp_path / "o" / "chain.tsv"
+        lines = chain_file.read_text().splitlines()
+        lines[20] = bad
+        chain_file.write_text("\n".join(lines) + "\n")
+        assert main(["--config", path, "estimate", "--chain",
+                     str(chain_file)]) == 3
+        assert "z[17]" in caplog.text
 
 
 class TestBenchCommand:

@@ -163,3 +163,14 @@ class TestFamilies:
         # delta <= 0 has no closed form under the exponential flow
         m = Model(Flow("exponential", 1.0), JumpMap(0.5), PowerRate(1.0, 0.0))
         assert m.family == "generic"
+
+    @pytest.mark.parametrize("kappa", [0.05, 0.3, 0.5, 0.95])
+    def test_exponential_flow_power_rate_any_kappa(self, kappa):
+        # in w = z**delta the exponential-flow chain is linear for every kappa
+        power = Model(Flow("exponential", 2.0), JumpMap(kappa),
+                      PowerRate(1.0, 1.5))
+        assert power.family == "bacterial_power"
+        constant = Model(Flow("exponential", 2.0), JumpMap(kappa),
+                         PowerRate(1.0, 0.0))
+        assert constant.family == "generic"
+        assert tcp_model(kappa=kappa).family == "tcp_power"

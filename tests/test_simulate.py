@@ -4,14 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
 
+from oracles import simulate_chain_oracle
 from pdmprate import (CapExceededError, ChainFormatError, FamilyMismatchError,
-                      GenericSampler, InconsistentChainError, bacterial_model,
+                      GenericSampler, InconsistentChainError, JumpChain,
+                      StateRangeError, bacterial_model,
                       chain_from_text, chain_to_text, reconstruct_times,
                       sample_next,
                       sample_next_bacterial_power, sample_next_generic,
                       sample_next_tcp_power, sample_next_tcp_quadratic,
                       simulate_chain, tcp_model, tcp_quadratic_model)
-from pdmprate.model import CustomRate, Flow, JumpMap, Model
+from pdmprate.model import CustomRate, Flow, JumpMap, Model, PowerRate
 
 
 class TestTcpPowerSampler:
@@ -82,6 +84,17 @@ class TestBacterialSampler:
         assert got == pytest.approx(root, rel=1e-10)
         assert got == pytest.approx(2.0, rel=1e-12)
 
+    def test_any_kappa_against_survival_inversion(self):
+        # survival S(y|z) = exp(-lam/(delta c) ((y/kappa)^delta - z^delta))
+        kappa, c, lam, delta = 0.3, 2.0, 1.5, 1.5
+        m = Model(Flow("exponential", c), JumpMap(kappa), PowerRate(lam, delta))
+        z, e = 1.2, 0.7
+        root = optimize.brentq(
+            lambda y: lam / (delta * c) * ((y / kappa) ** delta - z ** delta)
+            - e, kappa * z, 100.0)
+        assert sample_next_bacterial_power(m, z, e) == \
+            pytest.approx(root, rel=1e-10)
+
     def test_delta_zero_rejected(self):
         m = Model(Flow("exponential", 1.0), JumpMap(0.5), CustomRate(
             rate_fn=lambda x: 1.0, cumulative_fn=lambda x: x))
@@ -122,6 +135,100 @@ class TestGenericSampler:
         stat = stats.ks_2samp(analytic, generic).statistic
         assert stat < 0.05
 
+    def test_ks_vs_analytic_exponential_flow_any_kappa(self):
+        m = Model(Flow("exponential", 2.0), JumpMap(0.3), PowerRate(1.0, 1.5))
+        rng = np.random.default_rng(12)
+        analytic = sample_next(m, np.full(2000, 1.0),
+                               rng.exponential(1.0, 2000))
+        gs = GenericSampler(m, 1.0)
+        generic = np.array([gs.draw(e) for e in rng.exponential(1.0, 2000)])
+        assert stats.ks_2samp(analytic, generic).statistic < 0.05
+
+
+def power_model(exponential, kappa, c, lam, delta):
+    flow = Flow("exponential" if exponential else "additive", c)
+    return Model(flow, JumpMap(kappa), PowerRate(lam, delta))
+
+
+# Chain lengths of one and two transitions and lengths on both sides of powers
+# of two, for the doubling scan of the power chain; the long-chain test adds
+# one past 2**16.
+CHAIN_LENGTHS = st.sampled_from([1, 2, 3, 5, 31, 64, 100, 1000, 1025, 3000])
+
+
+class TestChainKernels:
+    """``simulate_chain`` against the per-step loop in ``tests/oracles.py``."""
+
+    @given(exponential=st.booleans(), kappa=st.floats(0.05, 0.95),
+           c=st.floats(0.5, 2.0), lam=st.floats(0.5, 2.0),
+           delta=st.floats(0.0, 50.0), z0=st.floats(0.1, 3.0),
+           n=CHAIN_LENGTHS, seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_power_matches_step_loop(self, exponential, kappa, c, lam, delta,
+                                     z0, n, seed):
+        # the loop's own roundings are amplified by 1/p in z = w**(1/p); with
+        # p = delta >= 0.5 they stay below the tolerance
+        if exponential:
+            delta = max(delta, 0.5)
+        m = power_model(exponential, kappa, c, lam, delta)
+        fast = simulate_chain(m, z0, n, seed).z
+        slow = simulate_chain_oracle(m, z0, n, seed)
+        np.testing.assert_allclose(fast, slow, rtol=1e-13, atol=0)
+
+    @given(kappa=st.floats(0.05, 0.95), c=st.floats(0.5, 2.0),
+           a=st.floats(0.2, 3.0), b=st.floats(0.0, 3.0),
+           z0=st.floats(0.1, 3.0), n=CHAIN_LENGTHS,
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_quadratic_matches_step_loop(self, kappa, c, a, b, z0, n, seed):
+        # a state is kappa*(a + t) with t the cubic's root; when the pre-jump
+        # state is far below a, t is close to -a and the sum cancels, so one
+        # ulp of a in t (the two kernels' cube roots differ by that much) is
+        # an absolute error of order kappa*a*eps in the state
+        m = tcp_quadratic_model(kappa=kappa, c=c, a=a, b=b)
+        fast = simulate_chain(m, z0, n, seed).z
+        slow = simulate_chain_oracle(m, z0, n, seed)
+        np.testing.assert_allclose(fast, slow, rtol=1e-13,
+                                   atol=1e-13 * kappa * a)
+
+    @pytest.mark.parametrize("model", [
+        tcp_model(kappa=0.9, delta=1.0),
+        power_model(True, 0.3, 2.0, 1.0, 1.5),
+        tcp_quadratic_model(),
+    ], ids=["tcp", "exponential", "quadratic"])
+    def test_long_chain_matches_step_loop(self, model):
+        n = 2 ** 16 + 3
+        np.testing.assert_allclose(simulate_chain(model, 1.0, n, 4).z,
+                                   simulate_chain_oracle(model, 1.0, n, 4),
+                                   rtol=1e-13, atol=0)
+
+    def test_overflow_names_first_transition(self):
+        with pytest.raises(StateRangeError, match="at transition 0:"):
+            simulate_chain(tcp_model(delta=200.0), 40.0, 50, 0)
+
+    def test_overflow_midway_names_first_transition(self):
+        # with lam = 1e-308 the states are 1e308 times those of the lam = 1
+        # chain from the same draws, so the first state past the largest
+        # double is known from the unscaled chain
+        unscaled = simulate_chain(tcp_model(), 1e-300, 200, 6).z
+        first = int(np.argmax(unscaled > np.finfo(float).max / 1e308))
+        assert first > 1
+        with pytest.raises(StateRangeError,
+                           match=f"at transition {first - 1}:"):
+            simulate_chain(tcp_model(lam=1e-308), 1e-300 * 1e308, 200, 6)
+
+    def test_underflowing_recursion_factor_raises(self):
+        # kappa**p = 0.5**1101 is below the smallest double; a scan with it
+        # would emit zero states
+        with pytest.raises(StateRangeError, match="underflows"):
+            simulate_chain(tcp_model(delta=1100.0), 1.0, 10, 0)
+
+    @pytest.mark.parametrize("c, z0", [(1e306, 1.0), (1.0, 1e103)])
+    def test_quadratic_overflow_raises(self, c, z0):
+        m = tcp_quadratic_model(c=c)
+        with pytest.raises(StateRangeError, match="at transition 0:"):
+            simulate_chain(m, z0, 5, 0)
+
 
 class TestSimulateChain:
     def test_deterministic_replay(self):
@@ -157,6 +264,23 @@ class TestSimulateChain:
                   tcp_quadratic_model()):
             chain = simulate_chain(m, 1.0, 500, 9)
             assert np.all(chain.z > 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_chain_rejects_non_finite_and_non_positive(self, bad):
+        with pytest.raises(InconsistentChainError, match=r"z\[1\]"):
+            JumpChain(z=np.array([1.0, bad, 2.0]), model=tcp_model())
+
+    @given(z=st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                      min_size=1, max_size=20))
+    def test_chain_accepts_exactly_finite_positive(self, z):
+        z = np.array(z)
+        ok = bool(np.all(np.isfinite(z) & (z > 0)))
+        try:
+            JumpChain(z=z, model=tcp_model())
+        except InconsistentChainError:
+            assert not ok
+        else:
+            assert ok
 
 
 class TestReconstructTimes:
