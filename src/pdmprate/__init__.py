@@ -5,21 +5,19 @@ from .bench import (DiagnosticsReport, ExperimentConfig, ExperimentResult,
                     ExperimentRow, ReplicateResult, convergence_diagnostics,
                     replicate_seed, run_experiment, run_replicate, rows_to_csv,
                     tail_assumption_ok)
-from .density import DensityFit, contrast, penalty, select_model
+from .density import DensityFit, contrast, select_model
 from .errors import (CapExceededError, ChainFormatError, ChainTooShortError,
                      ConfigError, EmptyModelSetError, FamilyMismatchError,
                      InconsistentChainError, OutOfSupportError, PdmpError,
                      StateRangeError, UnreachableStateError)
-from .jumprate import (denominator_at, denominator_grid, l2_risk, make_grid,
-                       oracle_dimension, rate_at, rate_grid, risk_sweep,
-                       threshold)
+from .jumprate import (denominator_grid, l2_risk, make_grid, rate_grid,
+                       risk_sweep, threshold)
 from .model import (Flow, JumpMap, Model, PowerRate, ShiftedQuadraticRate,
                     CustomRate, bacterial_model, hazard, tcp_model,
                     tcp_quadratic_model)
 from .simulate import (GenericSampler, JumpChain, chain_from_text,
                        chain_to_text, reconstruct_times, sample_next,
-                       sample_next_bacterial_power, sample_next_generic,
-                       sample_next_tcp_power, sample_next_tcp_quadratic,
+                       sample_next_generic, sample_next_tcp_quadratic,
                        simulate_chain)
 
 __version__ = "0.1.0"

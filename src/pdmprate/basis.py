@@ -43,27 +43,6 @@ class Basis:
         # (2m+1)^2 <= n
         return int((np.sqrt(n) - 1.0) // 2)
 
-    def eval_one(self, l: int, x):
-        """Evaluate the l-th basis function (1-based index), 0 off-window."""
-        if l < 1:
-            raise ValueError("basis index starts at 1")
-        x = np.asarray(x, dtype=float)
-        inside = (x >= 0.0) & (x <= self.a_max)
-        if l == 1:
-            vals = np.full_like(x, 1.0 / np.sqrt(self.a_max))
-        else:
-            # same association order as in design() so results are bit-equal
-            j = l // 2
-            arg = j * (2.0 * np.pi * x / self.a_max)
-            amp = np.sqrt(2.0 / self.a_max)
-            vals = amp * (np.cos(arg) if l % 2 == 0 else np.sin(arg))
-        out = np.where(inside, vals, 0.0)
-        return out if out.ndim else float(out)
-
-    def design_row(self, x: float, dim: int) -> np.ndarray:
-        """All basis functions up to ``dim`` at a single point."""
-        return self.design(np.array([x]), dim)[:, 0]
-
     def design(self, x: np.ndarray, dim: int) -> np.ndarray:
         """Matrix of basis values, shape ``(dim, len(x))``."""
         x = np.asarray(x, dtype=float)

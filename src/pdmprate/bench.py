@@ -18,8 +18,8 @@ import numpy as np
 
 from .basis import Basis
 from .density import DEFAULT_SIGMA, DEFAULT_SIGMA_PRIME, select_model
-from .jumprate import (DEFAULT_GRID_POINTS, denominator_at, denominator_grid,
-                       make_grid, risk_sweep)
+from .jumprate import (DEFAULT_GRID_POINTS, denominator_grid, make_grid,
+                       risk_sweep)
 from .model import BACTERIAL_POWER, Model, PowerRate
 from .simulate import simulate_chain
 
@@ -28,7 +28,7 @@ DEFAULT_REPLICATES = 50
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One table's worth of Monte Carlo settings."""
+    """One table's worth of Monte Carlo settings, and where the CLI writes."""
 
     model: Model
     interval: tuple
@@ -40,12 +40,17 @@ class ExperimentConfig:
     base_seed: int = 0
     z0: float = 1.0
     grid_points: int = DEFAULT_GRID_POINTS
+    out_dir: str = "out"
 
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         if list(self.n_values) != sorted(self.n_values):
             raise ValueError("n_values must be sorted increasing")
+
+    def experiment(self) -> ExperimentConfig:
+        """This config; ``perfbench/workloads.py`` calls it on a loaded config."""
+        return self
 
 
 @dataclass(frozen=True)
@@ -240,7 +245,7 @@ def convergence_diagnostics(config: ExperimentConfig,
             for r in range(rate_replicates):
                 ch = simulate_chain(config.model, config.z0, nv,
                                     replicate_seed(config.base_seed + 1, nv, r))
-                vals.append(denominator_at(ch, config.model, mid))
+                vals.append(denominator_grid(ch, config.model, [mid])[0])
             vals = np.array(vals)
             rmses.append(np.sqrt(np.mean((vals - vals.mean()) ** 2)))
         slope = float(np.polyfit(np.log(np.asarray(config.n_values, dtype=float)),

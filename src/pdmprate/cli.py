@@ -5,9 +5,12 @@ write the fit record and evaluation grid), ``bench`` (Monte Carlo tables) and
 ``diagnose`` (convergence checks).  Flags override the config file; logs go
 to stderr, summaries to stdout, and files are the real interface.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure (a
-simulated state out of double range, or a chain whose states are not all
-finite and positive), 4 I/O error or malformed chain file.
+Exit codes: 0 success, 2 configuration error (among them a non-finite
+number, a negative ``estimation.sigma`` or ``sigma_prime``, ``--threads``
+below 1), 3 numerical failure (a simulated state out of double range, a chain
+whose states are not all finite and positive, or a chain file with a state
+below the jump image of the state before it), 4 I/O error or malformed chain
+file.
 """
 
 from __future__ import annotations
@@ -18,11 +21,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .basis import Basis
-from .bench import convergence_diagnostics, run_experiment, rows_to_csv
-from .config import RunConfig, dump_config, load_config_file
+from .bench import (ExperimentConfig, convergence_diagnostics, run_experiment,
+                    rows_to_csv)
+from .config import dump_config, load_config_file
 from .density import fit_to_text, select_model
 from .errors import (CapExceededError, ChainFormatError, ChainTooShortError,
                      ConfigError, EmptyModelSetError, PdmpError,
@@ -71,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _effective_config(args) -> RunConfig:
+def _effective_config(args) -> ExperimentConfig:
     config = load_config_file(args.config)
     if args.seed is not None:
         config = replace(config, base_seed=args.seed)
@@ -81,16 +83,18 @@ def _effective_config(args) -> RunConfig:
         if args.grid_points < 3 or args.grid_points % 2 == 0:
             raise ConfigError("--grid-points: expected an odd integer >= 3")
         config = replace(config, grid_points=args.grid_points)
+    if args.threads < 1:
+        raise ConfigError("--threads: expected an integer >= 1")
     return config
 
 
-def _out_dir(config: RunConfig) -> Path:
+def _out_dir(config: ExperimentConfig) -> Path:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def cmd_simulate(config: RunConfig, args) -> int:
+def cmd_simulate(config: ExperimentConfig, args) -> int:
     n = args.n if args.n is not None else max(config.n_values)
     chain = simulate_chain(config.model, config.z0, n, config.base_seed)
     out = _out_dir(config) / "chain.tsv"
@@ -101,15 +105,12 @@ def cmd_simulate(config: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_estimate(config: RunConfig, args) -> int:
+def cmd_estimate(config: ExperimentConfig, args) -> int:
     if args.chain is not None:
         chain = chain_from_text(Path(args.chain).read_text(), config.model)
     else:
         n = args.n if args.n is not None else max(config.n_values)
         chain = simulate_chain(config.model, config.z0, n, config.base_seed)
-    if chain.n < 9:
-        raise ChainTooShortError(
-            f"chain of n={chain.n} is too small for the threshold; need n >= 9")
     fit = select_model(chain.samples, Basis(a_max=config.a_max),
                        sigma=config.sigma, sigma_prime=config.sigma_prime)
     ys = make_grid(config.interval, config.grid_points)
@@ -126,8 +127,8 @@ def cmd_estimate(config: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(config: RunConfig, args) -> int:
-    result = run_experiment(config.experiment(), threads=args.threads)
+def cmd_bench(config: ExperimentConfig, args) -> int:
+    result = run_experiment(config, threads=args.threads)
     out = _out_dir(config) / "bench.csv"
     out.write_text(rows_to_csv(result.rows))
     for row in result.rows:
@@ -138,8 +139,8 @@ def cmd_bench(config: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_diagnose(config: RunConfig, args) -> int:
-    report = convergence_diagnostics(config.experiment())
+def cmd_diagnose(config: ExperimentConfig, args) -> int:
+    report = convergence_diagnostics(config)
     print(f"half_distance_sq={report.half_distance_sq:.6g} "
           f"null={report.half_distance_null:.6g} "
           f"stationarity_ok={report.stationarity_ok}")

@@ -8,8 +8,7 @@ error names the offending key path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import math
 
 import yaml
 
@@ -34,30 +33,6 @@ DEFAULT_INTERVALS = {
 FALLBACK_INTERVAL = (0.5, 2.5)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated configuration with all defaults materialized."""
-
-    model: Model
-    interval: tuple
-    a_max: float
-    sigma: float
-    sigma_prime: float
-    n_values: tuple
-    replicates: int
-    base_seed: int
-    z0: float
-    out_dir: str
-    grid_points: int
-
-    def experiment(self) -> ExperimentConfig:
-        return ExperimentConfig(
-            model=self.model, interval=self.interval, n_values=self.n_values,
-            a_max=self.a_max, replicates=self.replicates, sigma=self.sigma,
-            sigma_prime=self.sigma_prime, base_seed=self.base_seed,
-            z0=self.z0, grid_points=self.grid_points)
-
-
 def _get(doc: dict, path: str, default=None, required=False):
     node = doc
     for part in path.split("."):
@@ -76,6 +51,8 @@ def _number(doc, path, default=None, required=False, check=None, what=""):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {val!r}")
     val = float(val)
+    if not math.isfinite(val):
+        raise ConfigError(f"{path}: expected a finite number, got {val!r}")
     if check is not None and not check(val):
         raise ConfigError(f"{path}: {what}, got {val!r}")
     return val
@@ -119,7 +96,7 @@ def default_interval(model: Model) -> tuple:
     return DEFAULT_INTERVALS.get(key, FALLBACK_INTERVAL)
 
 
-def load_config(doc: dict) -> RunConfig:
+def load_config(doc: dict) -> ExperimentConfig:
     """Validate a parsed YAML document and fill in defaults."""
     if not isinstance(doc, dict):
         raise ConfigError("top level: expected a mapping")
@@ -131,14 +108,16 @@ def load_config(doc: dict) -> RunConfig:
         if (not isinstance(interval, (list, tuple)) or len(interval) != 2
                 or not all(isinstance(v, (int, float)) for v in interval)):
             raise ConfigError("estimation.interval: expected [lo, hi]")
-        if not 0 < interval[0] < interval[1]:
-            raise ConfigError("estimation.interval: need 0 < lo < hi, "
+        if not 0 < interval[0] < interval[1] < math.inf:
+            raise ConfigError("estimation.interval: need 0 < lo < hi < inf, "
                               f"got {interval!r}")
         interval = (float(interval[0]), float(interval[1]))
     a_max = _number(doc, "estimation.a_max", default=6.0,
                     check=lambda v: v > 0, what="must be positive")
-    sigma = _number(doc, "estimation.sigma", default=2.0)
-    sigma_prime = _number(doc, "estimation.sigma_prime", default=0.0)
+    sigma = _number(doc, "estimation.sigma", default=2.0,
+                    check=lambda v: v >= 0, what="must be nonnegative")
+    sigma_prime = _number(doc, "estimation.sigma_prime", default=0.0,
+                          check=lambda v: v >= 0, what="must be nonnegative")
     n_values = _get(doc, "experiment.n_values", default=[10000])
     if (not isinstance(n_values, (list, tuple)) or not n_values
             or not all(isinstance(v, int) and v >= 9 for v in n_values)):
@@ -164,19 +143,20 @@ def load_config(doc: dict) -> RunConfig:
             or grid_points % 2 == 0):
         raise ConfigError("io.grid_points: expected an odd integer >= 3, "
                           f"got {grid_points!r}")
-    return RunConfig(model=model, interval=interval, a_max=a_max, sigma=sigma,
-                     sigma_prime=sigma_prime, n_values=tuple(n_values),
-                     replicates=replicates, base_seed=base_seed, z0=z0,
-                     out_dir=out_dir, grid_points=grid_points)
+    return ExperimentConfig(model=model, interval=interval, a_max=a_max,
+                            sigma=sigma, sigma_prime=sigma_prime,
+                            n_values=tuple(n_values), replicates=replicates,
+                            base_seed=base_seed, z0=z0, out_dir=out_dir,
+                            grid_points=grid_points)
 
 
-def load_config_file(path: str) -> RunConfig:
+def load_config_file(path: str) -> ExperimentConfig:
     with open(path) as fh:
         doc = yaml.safe_load(fh)
     return load_config(doc)
 
 
-def dump_config(config: RunConfig) -> str:
+def dump_config(config: ExperimentConfig) -> str:
     """Re-emit the effective configuration; loading it back is idempotent."""
     model = config.model
     rate_doc: dict = {}

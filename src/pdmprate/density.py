@@ -62,12 +62,18 @@ def contrast(coeffs: np.ndarray) -> float:
     return -float(np.sum(coeffs ** 2))
 
 
-def penalty(m: int, n: int, sigma: float = DEFAULT_SIGMA,
-            sigma_prime: float = DEFAULT_SIGMA_PRIME) -> float:
-    """Dimension penalty ``sigma*D_m/n + sigma_prime/n``."""
-    if n < 1:
-        raise ValueError("sample size must be positive")
-    return sigma * Basis.dim(m) / n + sigma_prime / n
+def _criterion(coeffs: np.ndarray, basis: Basis, n: int, sigma: float,
+               sigma_prime: float):
+    """Contrasts and penalties ``sigma*D_m/n + sigma_prime/n`` of every model.
+
+    The contrast at model m is minus the sum of squares of the first ``D_m``
+    of ``coeffs``, the coefficients at the largest model.
+    """
+    m_max = (len(coeffs) - 1) // 2
+    dims = np.array([basis.dim(m) for m in range(m_max + 1)])
+    contrasts = -np.cumsum(coeffs ** 2)[dims - 1]
+    penalties = sigma * dims / n + sigma_prime / n
+    return contrasts, penalties
 
 
 def select_model(samples: np.ndarray, basis: Basis,
@@ -82,14 +88,8 @@ def select_model(samples: np.ndarray, basis: Basis,
     n = len(samples)
     if n < 9:
         raise ChainTooShortError(f"need n >= 9 observations, got {n}")
-    m_max = basis.max_model_index(n)
-    coeffs = design_means(samples, basis, basis.dim(m_max))
-    sq = coeffs ** 2
-    # contrast at model m is minus the cumulative sum of squares up to D_m
-    cumsq = np.cumsum(sq)
-    dims = np.array([basis.dim(m) for m in range(m_max + 1)])
-    contrasts = -cumsq[dims - 1]
-    penalties = sigma * dims / n + sigma_prime / n
+    coeffs = design_means(samples, basis, basis.dim(basis.max_model_index(n)))
+    contrasts, penalties = _criterion(coeffs, basis, n, sigma, sigma_prime)
     crit = contrasts + penalties
     m_hat = int(np.argmin(crit))  # argmin returns the first, i.e. smallest m
     return DensityFit(basis=basis, coeffs=coeffs, contrasts=contrasts,
@@ -123,10 +123,7 @@ def fit_from_text(text: str) -> DensityFit:
     n = int(fields["n"][0])
     sigma = float(fields["sigma"][0])
     sigma_prime = float(fields["sigma_prime"][0])
-    m_max = (len(coeffs) - 1) // 2
-    dims = np.array([basis.dim(m) for m in range(m_max + 1)])
-    contrasts = -np.cumsum(coeffs ** 2)[dims - 1]
-    penalties = sigma * dims / n + sigma_prime / n
+    contrasts, penalties = _criterion(coeffs, basis, n, sigma, sigma_prime)
     return DensityFit(basis=basis, coeffs=coeffs, contrasts=contrasts,
                       penalties=penalties, m_hat=int(fields["m_hat"][0]),
                       n=n, sigma=sigma, sigma_prime=sigma_prime)

@@ -8,14 +8,13 @@ density estimate must be nonnegative and the denominator must clear the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from scipy import integrate
 
 from .density import DensityFit
-from .errors import ChainTooShortError, EmptyModelSetError
+from .errors import ChainTooShortError
 from .model import Model
 from .simulate import JumpChain
 
@@ -54,11 +53,6 @@ def denominator_grid(chain: JumpChain, model: Optional[Model],
     return model.transition_weight(ys, fy) * count / chain.n
 
 
-def denominator_at(chain: JumpChain, model: Optional[Model], y: float) -> float:
-    """Scalar version of :func:`denominator_grid`."""
-    return float(denominator_grid(chain, model, np.array([y]))[0])
-
-
 def rate_grid(fit: DensityFit, chain: JumpChain, model: Optional[Model],
               ys: np.ndarray, m: Optional[int] = None,
               denom: Optional[np.ndarray] = None):
@@ -78,12 +72,6 @@ def rate_grid(fit: DensityFit, chain: JumpChain, model: Optional[Model],
     with np.errstate(divide="ignore", invalid="ignore"):
         rate_hat = np.where(fire, nu_f / denom, 0.0)
     return rate_hat, nu_f, denom
-
-
-def rate_at(fit: DensityFit, chain: JumpChain, model: Optional[Model],
-            y: float, m: Optional[int] = None) -> float:
-    """Scalar thresholded quotient estimate."""
-    return float(rate_grid(fit, chain, model, np.array([y]), m=m)[0][0])
 
 
 def l2_risk(ys: np.ndarray, values_hat: np.ndarray, values_true: np.ndarray,
@@ -133,17 +121,6 @@ def risk_sweep(fit: DensityFit, chain: JumpChain, model: Optional[Model],
         rate_hat = np.where(fire, nu_f / np.where(denom_ok, denom, 1.0), 0.0)
         risks[m] = l2_risk(ys, rate_hat, lam_true)
     return risks
-
-
-def oracle_dimension(fit: DensityFit, chain: JumpChain, model: Optional[Model],
-                     ys: np.ndarray, truth: Callable[[np.ndarray], np.ndarray],
-                     denom: Optional[np.ndarray] = None):
-    """Best model index in hindsight and its risk; ties to the smallest index."""
-    risks = risk_sweep(fit, chain, model, ys, truth, denom=denom)
-    if len(risks) == 0:
-        raise EmptyModelSetError("no admissible model index")
-    m_opt = int(np.argmin(risks))
-    return m_opt, float(risks[m_opt])
 
 
 def grid_to_tsv(ys: np.ndarray, rate_hat: np.ndarray, nu_f: np.ndarray,

@@ -19,6 +19,10 @@ from .errors import FamilyMismatchError, OutOfSupportError, UnreachableStateErro
 ADDITIVE = "additive"
 EXPONENTIAL = "exponential"
 
+# Relative distance below the jump image kappa*x that a next state may lie,
+# from rounding alone, and still count as reachable from x.
+SUPPORT_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class Flow:
@@ -82,10 +86,6 @@ class JumpMap:
 
     def invert(self, y):
         return np.asarray(y, dtype=float) / self.kappa if np.ndim(y) else float(y) / self.kappa
-
-    @property
-    def slope(self) -> float:
-        return self.kappa
 
 
 @dataclass(frozen=True)
@@ -202,6 +202,11 @@ class Model:
                 return BACTERIAL_POWER
         return GENERIC
 
+    def below_support(self, x, y):
+        """True where ``y`` is below ``kappa*x`` by more than ``SUPPORT_RTOL``."""
+        lo = self.jump.apply(x)
+        return y < lo - SUPPORT_RTOL * np.abs(lo)
+
     def transition_weight(self, x, y):
         """Change-of-variable weight in the transition density at (x, y).
 
@@ -212,8 +217,7 @@ class Model:
         """
         xs = np.asarray(x, dtype=float)
         ys = np.asarray(y, dtype=float)
-        lo = self.jump.apply(xs)
-        if np.any(ys < lo - 1e-12 * np.abs(lo)):
+        if np.any(self.below_support(xs, ys)):
             raise OutOfSupportError("query point below the jump image of x")
         if self.flow.variant == ADDITIVE:
             out = np.broadcast_to(1.0 / (self.jump.kappa * self.flow.c),
@@ -222,19 +226,6 @@ class Model:
             out = np.broadcast_to(1.0 / (self.flow.c * ys),
                                   np.broadcast_shapes(xs.shape, ys.shape)).copy()
         return out if out.ndim else float(out)
-
-    def transition_weight_numeric(self, x: float, y: float) -> float:
-        """Finite-difference version of :meth:`transition_weight`.
-
-        Central differences of the travel-time map with step
-        ``h = 1e-6 * max(1, y)``; intended as a cross-check, not a hot path.
-        """
-        h = 1e-6 * max(1.0, y)
-
-        def inv_time(v: float) -> float:
-            return self.flow.travel_time(x, self.jump.invert(v))
-
-        return (inv_time(y + h) - inv_time(y - h)) / (2.0 * h)
 
 
 def hazard(rate: RateSpec, x):

@@ -27,15 +27,20 @@ from .model import (ADDITIVE, BACTERIAL_POWER, TCP_POWER, TCP_QUADRATIC,
 
 _FLOAT_TINY = float(np.finfo(float).tiny)
 
+# GenericSampler: relative tolerances of the hazard quadrature and the root,
+# and the state cap, CAP_FACTOR * max(z, 1), at which a draw gives up.
+QUAD_RTOL = 1e-10
+ROOT_RTOL = 1e-12
+CAP_FACTOR = 1e3
+
 
 @dataclass(frozen=True)
 class JumpChain:
-    """Observed chain ``z[0..n]`` with optional jump times and seed record."""
+    """Observed chain ``z[0..n]`` with its optional seed record and draws."""
 
     z: np.ndarray
     model: Model
     seed: Optional[tuple] = None
-    times: Optional[np.ndarray] = None
     draws: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -84,22 +89,6 @@ def _power_step(model: Model, z, e):
     return out if out.ndim else float(out)
 
 
-def sample_next_tcp_power(model: Model, z, e):
-    """Next state for the additive flow / power rate family.
-
-    Inverts the cumulative-hazard recursion in closed form; accepts scalars
-    or arrays for ``z`` and ``e``.
-    """
-    require_family(model, TCP_POWER)
-    return _power_step(model, z, e)
-
-
-def sample_next_bacterial_power(model: Model, z, e):
-    """Next state for the exponential flow / power rate family (any kappa)."""
-    require_family(model, BACTERIAL_POWER)
-    return _power_step(model, z, e)
-
-
 def sample_next_tcp_quadratic(model: Model, z, e):
     """Next state for the additive flow / shifted quadratic rate family.
 
@@ -141,18 +130,18 @@ def _scalar_integrand(model: Model):
     if isinstance(rate, PowerRate):
         lam, delta = rate.lam, rate.delta
         if delta == 0:
-            rate_at = lambda x: lam
+            rate_of = lambda x: lam
         else:
-            rate_at = lambda x: lam * x ** delta
+            rate_of = lambda x: lam * x ** delta
     elif isinstance(rate, ShiftedQuadraticRate):
         a, b = rate.a, rate.b
-        rate_at = lambda x: (x - a) ** 2 + b
+        rate_of = lambda x: (x - a) ** 2 + b
     else:
-        rate_at = rate.rate
+        rate_of = rate.rate
     if model.flow.variant == ADDITIVE:
         w = inv_k / c
-        return lambda u: rate_at(u * inv_k) * w
-    return lambda u: rate_at(u * inv_k) / (c * u)
+        return lambda u: rate_of(u * inv_k) * w
+    return lambda u: rate_of(u * inv_k) / (c * u)
 
 
 class GenericSampler:
@@ -164,14 +153,11 @@ class GenericSampler:
     draws from the same state get cheap.
     """
 
-    def __init__(self, model: Model, z: float, cap: Optional[float] = None,
-                 quad_tol: float = 1e-10, root_rtol: float = 1e-12):
+    def __init__(self, model: Model, z: float):
         self.model = model
         self.z = float(z)
         self.lo = model.jump.apply(self.z)
-        self.cap = cap if cap is not None else 1e3 * max(self.z, 1.0)
-        self.quad_tol = quad_tol
-        self.root_rtol = root_rtol
+        self.cap = CAP_FACTOR * max(self.z, 1.0)
         # sorted breakpoints with their accumulated hazard
         self._ys = [self.lo]
         self._hs = [0.0]
@@ -187,7 +173,7 @@ class GenericSampler:
         if y == start:
             return base
         seg, _ = integrate.quad(self._integrand, start, y,
-                                epsabs=0.0, epsrel=self.quad_tol)
+                                epsabs=0.0, epsrel=QUAD_RTOL)
         h = base + seg
         # keep the breakpoint cache bounded: only store well-separated points
         if y - start > self._min_gap:
@@ -217,14 +203,13 @@ class GenericSampler:
                     raise CapExceededError(
                         f"hazard below target {e:.3g} before cap {self.cap:.3g}")
         y = optimize.brentq(lambda v: self.hazard_to(v) - e, lo, hi,
-                            xtol=1e-300, rtol=self.root_rtol)
+                            xtol=1e-300, rtol=ROOT_RTOL)
         return float(y)
 
 
-def sample_next_generic(model: Model, z: float, e: float,
-                        cap: Optional[float] = None) -> float:
+def sample_next_generic(model: Model, z: float, e: float) -> float:
     """One-shot numeric next-state draw; see :class:`GenericSampler`."""
-    return GenericSampler(model, z, cap=cap).draw(e)
+    return GenericSampler(model, z).draw(e)
 
 
 def _power_chain(model: Model, z0: float, draws: np.ndarray) -> np.ndarray:
@@ -392,8 +377,32 @@ def chain_from_text(text: str, model: Model) -> JumpChain:
 
     The first data row holds ``z[0]`` alone; every later row holds ``z[k]``
     and, in files written with times, the jump time of that state after a
-    tab.  Raises :class:`ChainFormatError` naming the first line that does
-    not fit, or when there is no data row.
+    tab.  Times are checked to be numbers, then dropped: the states imply
+    them (:func:`reconstruct_times`).  Raises :class:`ChainFormatError`
+    naming the first line that does not fit, or when there is no data row,
+    and :class:`InconsistentChainError` naming the first line whose state
+    lies below the jump image of the state before it.
+    """
+    chain = JumpChain(z=_states_from_text(text), model=model)
+    # files are where chains from outside come in; a simulated chain meets
+    # this up to rounding, which the support tolerance allows for
+    below = model.below_support(chain.z[:-1], chain.z[1:])
+    if below.any():
+        k = int(np.argmax(below)) + 1
+        lineno = [i for i, line in enumerate(text.splitlines(), start=1)
+                  if _is_data(line)][k]
+        raise InconsistentChainError(
+            f"chain line {lineno}: z[{k}] = {float(chain.z[k])!r} is below "
+            f"kappa*z[{k - 1}] = {model.jump.apply(chain.z[k - 1])!r}, where "
+            "no jump lands")
+    return chain
+
+
+def _states_from_text(text: str) -> np.ndarray:
+    """States of a chain file, one per data row; see :func:`chain_from_text`.
+
+    A function of its own so that the line list is freed before the
+    consistency check allocates its temporaries.
     """
     lines = text.splitlines()
     first = next((i for i, line in enumerate(lines) if _is_data(line)), None)
@@ -412,9 +421,7 @@ def chain_from_text(text: str, model: Model) -> JumpChain:
         # the exact reader: finds the offending line, or accepts what the
         # fast one does not (comment lines, whitespace-only lines)
         table = _parse_rows(body, first + 2, max_width=2)
-    times = table[:, 1] if table.shape[1] == 2 else None
-    return JumpChain(z=np.concatenate(([z0], table[:, 0])), model=model,
-                     times=times)
+    return np.concatenate(([z0], table[:, 0]))
 
 
 def _is_data(line: str) -> bool:

@@ -66,6 +66,42 @@ class TestConfig:
         assert cfg.interval == (0.1, 2.8)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("model.z0", float("inf")),
+    ("model.flow.c", float("inf")),
+    ("model.rate.lam", float("inf")),
+    ("model.rate.delta", float("inf")),
+    ("estimation.a_max", float("inf")),
+    ("estimation.interval", [0.5, float("inf")]),
+    ("estimation.sigma", float("nan")),
+    ("estimation.sigma", -5.0),
+    ("estimation.sigma_prime", -1.0),
+    ("estimation.sigma_prime", float("-inf")),
+])
+def test_bad_config_value_exit_code(tmp_path, caplog, key, value):
+    doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
+    node = doc
+    *parents, leaf = key.split(".")
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[leaf] = value
+    with pytest.raises(ConfigError, match=key):
+        load_config(doc)
+    path = write_config(tmp_path, doc)
+    assert main(["--config", path, "--out", str(tmp_path / "o"),
+                 "estimate"]) == 2
+    assert key in caplog.text
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_code(tmp_path, caplog, threads):
+    doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
+    doc["experiment"] = {"n_values": [100], "replicates": 1}
+    path = write_config(tmp_path, doc, out_dir=str(tmp_path / "o"))
+    assert main(["--config", path, "--threads", threads, "bench"]) == 2
+    assert "--threads" in caplog.text
+
+
 class TestSimulateCommand:
     def test_writes_replayable_chain(self, tmp_path):
         path = write_config(tmp_path, out_dir=str(tmp_path / "o"))
@@ -154,6 +190,18 @@ class TestEstimateCommand:
         assert main(["--config", path, "estimate", "--chain",
                      str(chain_file)]) == 3
         assert "z[17]" in caplog.text
+
+    def test_state_below_jump_image_exit_code(self, tmp_path, caplog):
+        # z[17], on line 21, shrunk below kappa*z[16]
+        path = write_config(tmp_path, out_dir=str(tmp_path / "o"))
+        main(["--config", path, "simulate", "--n", "50"])
+        chain_file = tmp_path / "o" / "chain.tsv"
+        lines = chain_file.read_text().splitlines()
+        lines[20] = f"{0.4 * float(lines[19]):.17g}"
+        chain_file.write_text("\n".join(lines) + "\n")
+        assert main(["--config", path, "estimate", "--chain",
+                     str(chain_file)]) == 3
+        assert "chain line 21: z[17]" in caplog.text
 
 
 class TestBenchCommand:

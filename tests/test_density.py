@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from pdmprate import (Basis, ChainTooShortError, contrast, penalty,
-                      select_model, simulate_chain, tcp_model)
+from oracles import penalty
+from pdmprate import (Basis, ChainTooShortError, contrast, select_model,
+                      simulate_chain, tcp_model)
 from pdmprate.density import fit_from_text, fit_to_text
 
 
@@ -42,6 +43,11 @@ class TestPenalty:
 
     def test_offset(self):
         assert penalty(2, 10, 3.0, 1.5) == pytest.approx(1.65)
+
+    def test_select_model_penalties(self, chain_samples):
+        fit = select_model(chain_samples, Basis(), sigma=3.0, sigma_prime=1.5)
+        assert np.array_equal(fit.penalties, [penalty(m, fit.n, 3.0, 1.5)
+                                              for m in range(fit.m_max + 1)])
 
 
 class TestSelectModel:
@@ -115,4 +121,5 @@ class TestSerialization:
         assert np.array_equal(back.coeffs, fit.coeffs)
         assert back.m_hat == fit.m_hat
         assert back.n == fit.n
-        assert np.allclose(back.contrasts, fit.contrasts)
+        assert np.array_equal(back.contrasts, fit.contrasts)
+        assert np.array_equal(back.penalties, fit.penalties)

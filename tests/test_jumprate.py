@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import denominator_mask_oracle
-from pdmprate import (Basis, JumpChain, bacterial_model, denominator_at,
-                      denominator_grid, l2_risk, make_grid, oracle_dimension,
-                      rate_at, rate_grid, risk_sweep, select_model,
+from oracles import denominator_mask_oracle, oracle_dimension
+from pdmprate import (Basis, JumpChain, bacterial_model, denominator_grid,
+                      l2_risk, make_grid, rate_grid, risk_sweep, select_model,
                       simulate_chain, tcp_model, threshold)
 from pdmprate.model import Flow, JumpMap, Model, PowerRate
 
@@ -35,13 +34,13 @@ class TestDenominator:
         model = tcp_model(kappa=0.5, c=1.0)
         chain = JumpChain(z=np.array([1.0, 3.0]), model=model)
         # weight is 2, both indicators fire at y = 2
-        assert denominator_at(chain, model, 2.0) == pytest.approx(2.0)
+        assert denominator_grid(chain, model, [2.0])[0] == pytest.approx(2.0)
 
     def test_below_support(self):
         model = tcp_model(kappa=0.5, c=1.0)
         chain = JumpChain(z=np.array([1.0, 3.0]), model=model)
-        assert denominator_at(chain, model, 0.5) == 0.0
-        assert denominator_at(chain, model, -1.0) == 0.0
+        assert denominator_grid(chain, model, [0.5])[0] == 0.0
+        assert denominator_grid(chain, model, [-1.0])[0] == 0.0
 
     def test_grid_matches_bruteforce(self, tcp_setup):
         model, chain, _, ys = tcp_setup
@@ -57,7 +56,7 @@ class TestDenominator:
     def test_zero_beyond_max(self, tcp_setup):
         model, chain, _, _ = tcp_setup
         y_big = model.jump.invert(chain.z[1:].max()) * 1.01
-        assert denominator_at(chain, model, y_big) == 0.0
+        assert denominator_grid(chain, model, [y_big])[0] == 0.0
 
     def test_bacterial_weight_depends_on_grid_point(self):
         model = bacterial_model(c=1.0, delta=2.0)
@@ -104,8 +103,8 @@ class TestDenominator:
         model = tcp_model(kappa=0.5, c=1.0, lam=1.0, delta=0.0)
         chain = simulate_chain(model, 1.0, 100_000, 60)
         big = simulate_chain(model, 1.0, 1_000_000, 61)
-        d_small = denominator_at(chain, model, 1.0)
-        d_big = denominator_at(big, model, 1.0)
+        d_small = denominator_grid(chain, model, [1.0])[0]
+        d_big = denominator_grid(big, model, [1.0])[0]
         # summand is bounded by 2; 3 standard errors of the n=1e5 average
         se = 2.0 * 3.0 / np.sqrt(chain.n)
         assert abs(d_small - d_big) < 3 * se
@@ -138,9 +137,11 @@ class TestRateEstimate:
         assert np.all(rate_hat >= 0.0)
 
     def test_scalar_wrapper(self, tcp_setup):
+        # a one-point grid gives the value of that point on the full grid
         model, chain, fit, ys = tcp_setup
         grid_val = rate_grid(fit, chain, model, ys)[0][0]
-        assert rate_at(fit, chain, model, float(ys[0])) == pytest.approx(grid_val)
+        one_point = rate_grid(fit, chain, model, ys[:1])[0][0]
+        assert one_point == pytest.approx(grid_val)
 
     def test_threshold_zeroset_shrinks_with_n(self, tcp_setup):
         # same chain and denominator, lower threshold => fewer masked points

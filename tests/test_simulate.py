@@ -9,21 +9,21 @@ from pdmprate import (CapExceededError, ChainFormatError, FamilyMismatchError,
                       GenericSampler, InconsistentChainError, JumpChain,
                       StateRangeError, bacterial_model,
                       chain_from_text, chain_to_text, reconstruct_times,
-                      sample_next,
-                      sample_next_bacterial_power, sample_next_generic,
-                      sample_next_tcp_power, sample_next_tcp_quadratic,
-                      simulate_chain, tcp_model, tcp_quadratic_model)
-from pdmprate.model import CustomRate, Flow, JumpMap, Model, PowerRate
+                      sample_next, sample_next_generic,
+                      sample_next_tcp_quadratic, simulate_chain, tcp_model,
+                      tcp_quadratic_model)
+from pdmprate.model import (CustomRate, Flow, JumpMap, Model, PowerRate,
+                            ShiftedQuadraticRate)
 
 
 class TestTcpPowerSampler:
     def test_paper_substitution(self):
         m = tcp_model(kappa=0.5, c=1.0, lam=1.0, delta=0.0)
-        assert sample_next_tcp_power(m, 1.0, 1.0) == pytest.approx(1.0)
+        assert sample_next(m, 1.0, 1.0) == pytest.approx(1.0)
 
     def test_zero_draw(self):
         m = tcp_model(kappa=0.3, c=2.0, lam=0.5, delta=1.0)
-        assert sample_next_tcp_power(m, 2.5, 0.0) == pytest.approx(0.3 * 2.5)
+        assert sample_next(m, 2.5, 0.0) == pytest.approx(0.3 * 2.5)
 
     def test_against_root_finder(self):
         # solve cumulative(Z/kappa) = cumulative(z) + c*e numerically
@@ -32,13 +32,9 @@ class TestTcpPowerSampler:
         target = m.rate.cumulative(z) + m.flow.c * e
         root = optimize.brentq(
             lambda v: m.rate.cumulative(v / m.jump.kappa) - target, 1e-9, 1e6)
-        got = sample_next_tcp_power(m, z, e)
+        got = sample_next(m, z, e)
         assert got == pytest.approx(root, rel=1e-10)
         assert got == pytest.approx(np.sqrt(7.0) / 2.0, rel=1e-12)
-
-    def test_family_mismatch(self):
-        with pytest.raises(FamilyMismatchError):
-            sample_next_tcp_power(bacterial_model(delta=2.0), 1.0, 1.0)
 
 
 class TestTcpQuadraticSampler:
@@ -62,15 +58,19 @@ class TestTcpQuadraticSampler:
         q = 3.0 * c * e + (z - a) ** 3 + 3.0 * b * (z - a)
         assert abs(t ** 3 + 3.0 * b * t - q) < 1e-9 * max(1.0, abs(q))
 
+    def test_family_mismatch(self):
+        with pytest.raises(FamilyMismatchError):
+            sample_next_tcp_quadratic(bacterial_model(delta=2.0), 1.0, 1.0)
+
 
 class TestBacterialSampler:
     def test_paper_substitution(self):
         m = bacterial_model(c=1.0, lam=1.0, delta=1.0)
-        assert sample_next_bacterial_power(m, 1.0, 1.0) == pytest.approx(1.0)
+        assert sample_next(m, 1.0, 1.0) == pytest.approx(1.0)
 
     def test_zero_draw(self):
         m = bacterial_model(c=1.0, lam=2.0, delta=2.0)
-        assert sample_next_bacterial_power(m, 3.0, 0.0) == pytest.approx(1.5)
+        assert sample_next(m, 3.0, 0.0) == pytest.approx(1.5)
 
     def test_against_survival_inversion(self):
         m = bacterial_model(c=1.0, lam=1.0, delta=2.0)
@@ -80,7 +80,7 @@ class TestBacterialSampler:
         root = optimize.brentq(
             lambda y: (m.rate.lam / (m.rate.delta * m.flow.c))
             * ((2 * y) ** m.rate.delta - z ** m.rate.delta) - e, z / 2, 100.0)
-        got = sample_next_bacterial_power(m, z, e)
+        got = sample_next(m, z, e)
         assert got == pytest.approx(root, rel=1e-10)
         assert got == pytest.approx(2.0, rel=1e-12)
 
@@ -92,14 +92,8 @@ class TestBacterialSampler:
         root = optimize.brentq(
             lambda y: lam / (delta * c) * ((y / kappa) ** delta - z ** delta)
             - e, kappa * z, 100.0)
-        assert sample_next_bacterial_power(m, z, e) == \
+        assert sample_next(m, z, e) == \
             pytest.approx(root, rel=1e-10)
-
-    def test_delta_zero_rejected(self):
-        m = Model(Flow("exponential", 1.0), JumpMap(0.5), CustomRate(
-            rate_fn=lambda x: 1.0, cumulative_fn=lambda x: x))
-        with pytest.raises(FamilyMismatchError):
-            sample_next_bacterial_power(m, 1.0, 1.0)
 
 
 class TestGenericSampler:
@@ -123,13 +117,13 @@ class TestGenericSampler:
             rate_fn=lambda x: np.exp(-np.asarray(x) * 5.0),
             cumulative_fn=lambda x: (1 - np.exp(-np.asarray(x) * 5.0)) / 5.0))
         with pytest.raises(CapExceededError):
-            GenericSampler(m, 1.0, cap=50.0).draw(10.0)
+            GenericSampler(m, 1.0).draw(10.0)
 
     def test_ks_vs_analytic_bacterial(self):
         m = bacterial_model(c=1.0, lam=1.0, delta=2.0)
         rng = np.random.default_rng(11)
         es = rng.exponential(1.0, 2000)
-        analytic = sample_next_bacterial_power(m, 1.0, rng.exponential(1.0, 2000))
+        analytic = sample_next(m, 1.0, rng.exponential(1.0, 2000))
         gs = GenericSampler(m, 1.0)
         generic = np.array([gs.draw(e) for e in es])
         stat = stats.ks_2samp(analytic, generic).statistic
@@ -361,8 +355,6 @@ class TestSerialization:
         text = chain_to_text(chain, include_times=True)
         back = chain_from_text(text, m)
         assert np.array_equal(back.z, chain.z)
-        assert back.times is not None
-        assert np.array_equal(back.times, reconstruct_times(chain))
 
     @pytest.mark.parametrize("times", [False, True])
     def test_blank_and_comment_lines_in_body(self, times):
@@ -373,7 +365,6 @@ class TestSerialization:
         lines[10:10] = ["", "   ", "# note"]
         back = chain_from_text("\n".join(lines), m)
         assert np.array_equal(back.z, chain.z)
-        assert (back.times is not None) == times
 
     def test_single_state(self):
         back = chain_from_text("# columns: z\n1.5\n", tcp_model())
@@ -398,3 +389,49 @@ class TestSerialization:
     def test_time_column_on_first_state_rejected(self):
         with pytest.raises(ChainFormatError, match="line 2:"):
             chain_from_text("# columns: z\tt\n1.0\t0.0\n0.8\t1.0\n", tcp_model())
+
+
+class TestChainFileConsistency:
+    """A chain file state below the jump image of the one before is rejected."""
+
+    @given(family=st.sampled_from(["tcp", "exponential", "quadratic",
+                                   "generic"]),
+           kappa=st.floats(0.05, 0.95), n=st.integers(2, 40),
+           times=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_simulated_accepted_shrunk_state_rejected(self, family, kappa, n,
+                                                      times, seed, data):
+        m = {"tcp": tcp_model(kappa=kappa, delta=1.0),
+             "exponential": power_model(True, kappa, 2.0, 1.0, 1.5),
+             "quadratic": tcp_quadratic_model(kappa=kappa),
+             "generic": Model(Flow("exponential", 2.0), JumpMap(kappa),
+                              ShiftedQuadraticRate(1.0, 0.5))}[family]
+        chain = simulate_chain(m, 1.0, n, seed)
+        lines = chain_to_text(chain, include_times=times).splitlines()
+        assert np.array_equal(chain_from_text("\n".join(lines), m).z, chain.z)
+        # z[k] is on line k + 4, after three header lines
+        k = data.draw(st.integers(1, n))
+        image = kappa * chain.z[k - 1]
+        for z_k, ok in ((np.nextafter(image, 0.0), True),
+                        (image * (1.0 - 1e-9), False)):
+            edited = list(lines)
+            edited[k + 3] = "\t".join([f"{z_k:.17g}"]
+                                      + lines[k + 3].split("\t")[1:])
+            if ok:
+                chain_from_text("\n".join(edited), m)
+            else:
+                with pytest.raises(InconsistentChainError,
+                                   match=f"chain line {k + 4}: z\\[{k}\\]"):
+                    chain_from_text("\n".join(edited), m)
+
+    def test_line_named_past_comment_lines(self):
+        # blank and comment lines send the parse through the exact reader;
+        # the line number still counts them
+        m = tcp_model()
+        lines = chain_to_text(simulate_chain(m, 1.0, 10, 3)).splitlines()
+        lines[8] = f"{0.4 * float(lines[7]):.17g}"    # z[5] on line 9
+        lines[5:5] = ["", "# note"]
+        with pytest.raises(InconsistentChainError,
+                           match=r"chain line 11: z\[5\]"):
+            chain_from_text("\n".join(lines), m)
