@@ -13,7 +13,7 @@ from .errors import (CapExceededError, ChainFormatError, ChainTooShortError,
 from .jumprate import (denominator_grid, l2_risk, make_grid, rate_grid,
                        risk_sweep, threshold)
 from .model import (Flow, JumpMap, Model, PowerRate, ShiftedQuadraticRate,
-                    CustomRate, bacterial_model, hazard, tcp_model,
+                    CustomRate, bacterial_model, tcp_model,
                     tcp_quadratic_model)
 from .simulate import (GenericSampler, JumpChain, chain_from_text,
                        chain_to_text, reconstruct_times, sample_next,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyModelSetError
+from .errors import EmptyModelSetError, positive
 
 # Frequencies per block of the factored phase sum in design_means, and the
 # number of in-window samples whose phases are held in memory at once.  Both
@@ -28,8 +28,7 @@ class Basis:
     a_max: float = 6.0
 
     def __post_init__(self):
-        if not self.a_max > 0:
-            raise ValueError("window length must be positive")
+        positive("a_max", self.a_max)
 
     @staticmethod
     def dim(m: int) -> int:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .basis import Basis
 from .density import DEFAULT_SIGMA, DEFAULT_SIGMA_PRIME, select_model
+from .errors import ChainTooShortError, nonnegative, positive, require
 from .jumprate import (DEFAULT_GRID_POINTS, denominator_grid, make_grid,
                        risk_sweep)
 from .model import BACTERIAL_POWER, Model, PowerRate
@@ -43,10 +44,18 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError("need at least one replicate")
-        if list(self.n_values) != sorted(self.n_values):
-            raise ValueError("n_values must be sorted increasing")
+        Basis(self.a_max)
+        make_grid(self.interval, self.grid_points)
+        nonnegative("sigma", self.sigma)
+        nonnegative("sigma_prime", self.sigma_prime)
+        positive("z0", self.z0)
+        n = list(self.n_values)
+        require(n and n == sorted(set(n)) and n[0] >= 9, "n_values",
+                "expected a nonempty increasing list of integers >= 9", n)
+        require(self.replicates >= 1, "replicates", "expected an integer >= 1",
+                self.replicates)
+        require(self.base_seed >= 0, "base_seed", "expected an integer >= 0",
+                self.base_seed)
 
     def experiment(self) -> ExperimentConfig:
         """This config; ``perfbench/workloads.py`` calls it on a loaded config."""
@@ -211,7 +220,8 @@ def convergence_diagnostics(config: ExperimentConfig,
         warnings.append(tail_msg)
     n = max(config.n_values)
     if n < 1000:
-        raise ValueError("diagnostics need a chain of at least 1000 transitions")
+        raise ChainTooShortError(
+            f"diagnostics need a chain of at least 1000 transitions, got {n}")
     chain = simulate_chain(config.model, config.z0, n,
                            replicate_seed(config.base_seed, n, 0))
     basis = Basis(a_max=config.a_max)
@@ -219,19 +229,16 @@ def convergence_diagnostics(config: ExperimentConfig,
     first, second = chain.samples[:half], chain.samples[half:2 * half]
     fit1 = select_model(first, basis, config.sigma, config.sigma_prime)
     fit2 = select_model(second, basis, config.sigma, config.sigma_prime)
-    dim = max(len(fit1.coeffs), len(fit2.coeffs))
-    c1 = np.zeros(dim)
-    c1[:len(fit1.coeffs)] = fit1.coeffs
-    c2 = np.zeros(dim)
-    c2[:len(fit2.coeffs)] = fit2.coeffs
+    # both halves have the same length, so the same largest dimension
+    c1, c2 = fit1.coeffs, fit2.coeffs
     dist_sq = float(np.sum((c1 - c2) ** 2))
-    # expected squared distance if both halves draw from the same law:
-    # per-coefficient sampling variance of each half's empirical mean
-    design = basis.design(first, dim)
-    var1 = design.var(axis=1) / len(first)
-    design = basis.design(second, dim)
-    var2 = design.var(axis=1) / len(second)
-    null_sq = float(np.sum(var1 + var2))
+    # expected squared distance if both halves draw from the same law: the
+    # summed sampling variance of each half's empirical means.  The squared
+    # basis functions sum to dim/a_max on the window (cos^2 + sin^2 = 1), so
+    # the summed variance of the functions is dim*c[0]/sqrt(a_max) - |c|^2.
+    dim = len(c1)
+    null_sq = float(sum(dim * c[0] / np.sqrt(basis.a_max) - c @ c
+                        for c in (c1, c2)) / half)
     stationarity_ok = dist_sq <= 4.0 * null_sq
     if not stationarity_ok:
         warnings.append("half-chain density estimates differ beyond sampling "

@@ -5,12 +5,13 @@ write the fit record and evaluation grid), ``bench`` (Monte Carlo tables) and
 ``diagnose`` (convergence checks).  Flags override the config file; logs go
 to stderr, summaries to stdout, and files are the real interface.
 
-Exit codes: 0 success, 2 configuration error (among them a non-finite
-number, a negative ``estimation.sigma`` or ``sigma_prime``, ``--threads``
-below 1), 3 numerical failure (a simulated state out of double range, a chain
-whose states are not all finite and positive, or a chain file with a state
-below the jump image of the state before it), 4 I/O error or malformed chain
-file.
+Exit codes: 0 success, 2 configuration error naming the key or flag (among
+them a non-finite number, a negative ``estimation.sigma`` or ``sigma_prime``,
+``--seed`` below 0, ``--n`` or ``--threads`` below 1), 3 numerical failure (a
+simulated state out of double range, a chain whose states are not all finite
+and positive, a chain file with a state below the jump image of the state
+before it, or ``diagnose`` with a largest chain length below 1000), 4 I/O
+error or malformed chain file.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .config import dump_config, load_config_file
 from .density import fit_to_text, select_model
 from .errors import (CapExceededError, ChainFormatError, ChainTooShortError,
                      ConfigError, EmptyModelSetError, PdmpError,
-                     StateRangeError)
+                     StateRangeError, require)
 from .jumprate import denominator_grid, make_grid, rate_grid
 from .simulate import (chain_from_text, chain_to_text, reconstruct_times,
                        simulate_chain)
@@ -75,16 +76,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _effective_config(args) -> ExperimentConfig:
     config = load_config_file(args.config)
-    if args.seed is not None:
-        config = replace(config, base_seed=args.seed)
-    if args.out is not None:
-        config = replace(config, out_dir=args.out)
-    if args.grid_points is not None:
-        if args.grid_points < 3 or args.grid_points % 2 == 0:
-            raise ConfigError("--grid-points: expected an odd integer >= 3")
-        config = replace(config, grid_points=args.grid_points)
-    if args.threads < 1:
-        raise ConfigError("--threads: expected an integer >= 1")
+    for flag, field in (("--seed", "base_seed"), ("--out", "out_dir"),
+                        ("--grid-points", "grid_points")):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            try:
+                config = replace(config, **{field: value})
+            except ConfigError as exc:
+                raise ConfigError(flag, exc.reason) from None
+    require(args.threads >= 1, "--threads", "expected an integer >= 1",
+            args.threads)
+    n = getattr(args, "n", None)
+    require(n is None or n >= 1, "--n", "expected an integer >= 1", n)
     return config
 
 

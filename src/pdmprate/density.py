@@ -109,21 +109,3 @@ def fit_to_text(fit: DensityFit) -> str:
     buf.write("coefficients\t" + "\t".join(f"{c:.17g}" for c in fit.coeffs) + "\n")
     return buf.getvalue()
 
-
-def fit_from_text(text: str) -> DensityFit:
-    """Parse the record produced by :func:`fit_to_text`."""
-    fields = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        key, *rest = line.split("\t")
-        fields[key] = rest
-    basis = Basis(a_max=float(fields["a_max"][0]))
-    coeffs = np.array([float(v) for v in fields["coefficients"]])
-    n = int(fields["n"][0])
-    sigma = float(fields["sigma"][0])
-    sigma_prime = float(fields["sigma_prime"][0])
-    contrasts, penalties = _criterion(coeffs, basis, n, sigma, sigma_prime)
-    return DensityFit(basis=basis, coeffs=coeffs, contrasts=contrasts,
-                      penalties=penalties, m_hat=int(fields["m_hat"][0]),
-                      n=n, sigma=sigma, sigma_prime=sigma_prime)

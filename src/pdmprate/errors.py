@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the range checks."""
+
+from math import inf
 
 
 class PdmpError(Exception):
@@ -41,5 +43,27 @@ class EmptyModelSetError(PdmpError):
     """No admissible projection dimension for this sample size."""
 
 
-class ConfigError(PdmpError):
-    """Invalid configuration document; message carries the key path."""
+class ConfigError(PdmpError, ValueError):
+    """An invalid setting; the message starts with the field, key or flag."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(field, reason)
+        self.field = field
+        self.reason = reason
+
+    def __str__(self):
+        return f"{self.field}: {self.reason}"
+
+
+def require(ok: bool, field: str, rule: str, value) -> None:
+    """Raise ``ConfigError`` naming ``field`` unless ``ok``."""
+    if not ok:
+        raise ConfigError(field, f"{rule}, got {value!r}")
+
+
+def positive(field: str, value) -> None:
+    require(0 < value < inf, field, "must be finite and positive", value)
+
+
+def nonnegative(field: str, value) -> None:
+    require(0 <= value < inf, field, "must be finite and nonnegative", value)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import integrate
 
 from .density import DensityFit
-from .errors import ChainTooShortError
+from .errors import ChainTooShortError, require
 from .model import Model
 from .simulate import JumpChain
 
@@ -67,11 +67,14 @@ def rate_grid(fit: DensityFit, chain: JumpChain, model: Optional[Model],
     if denom is None:
         denom = denominator_grid(chain, model, ys)
     nu_f = fit.evaluate(model.jump.apply(ys), m=m)
-    thr = threshold(chain.n)
-    fire = (nu_f >= 0.0) & (denom >= thr)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rate_hat = np.where(fire, nu_f / denom, 0.0)
-    return rate_hat, nu_f, denom
+    return _quotient(nu_f, denom, chain.n), nu_f, denom
+
+
+def _quotient(nu_f: np.ndarray, denom: np.ndarray, n: int) -> np.ndarray:
+    """``nu_f/denom`` where ``nu_f >= 0`` and ``denom`` clears the threshold."""
+    denom_ok = denom >= threshold(n)
+    return np.where((nu_f >= 0.0) & denom_ok,
+                    nu_f / np.where(denom_ok, denom, 1.0), 0.0)
 
 
 def l2_risk(ys: np.ndarray, values_hat: np.ndarray, values_true: np.ndarray,
@@ -87,14 +90,15 @@ def l2_risk(ys: np.ndarray, values_hat: np.ndarray, values_true: np.ndarray,
     return float(integrate.simpson(diff ** 2, x=ys))
 
 
-def make_grid(interval: tuple, points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
+def make_grid(interval: tuple,
+              grid_points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     """Equispaced evaluation grid with an odd point count for Simpson."""
+    require(grid_points >= 3 and grid_points % 2 == 1, "grid_points",
+            "expected an odd integer >= 3", grid_points)
     lo, hi = interval
-    if points < 3 or points % 2 == 0:
-        raise ValueError("grid needs an odd number of points, at least 3")
-    if not 0 < lo < hi:
-        raise ValueError("interval must satisfy 0 < lo < hi")
-    return np.linspace(lo, hi, points)
+    require(0 < lo < hi < np.inf, "interval",
+            "need 0 < lo < hi < inf", interval)
+    return np.linspace(lo, hi, grid_points)
 
 
 def risk_sweep(fit: DensityFit, chain: JumpChain, model: Optional[Model],
@@ -108,18 +112,14 @@ def risk_sweep(fit: DensityFit, chain: JumpChain, model: Optional[Model],
     lam_true = np.asarray(truth(ys), dtype=float)
     dims_max = fit.m_max + 1
     risks = np.empty(dims_max)
-    thr = threshold(chain.n)
     design = fit.basis.design(model.jump.apply(ys), fit.basis.dim(fit.m_max))
     nu_f = np.zeros(len(ys))
     lo_dim = 0
-    denom_ok = denom >= thr
     for m in range(dims_max):
         dim = fit.basis.dim(m)
         nu_f = nu_f + fit.coeffs[lo_dim:dim] @ design[lo_dim:dim]
         lo_dim = dim
-        fire = (nu_f >= 0.0) & denom_ok
-        rate_hat = np.where(fire, nu_f / np.where(denom_ok, denom, 1.0), 0.0)
-        risks[m] = l2_risk(ys, rate_hat, lam_true)
+        risks[m] = l2_risk(ys, _quotient(nu_f, denom, chain.n), lam_true)
     return risks
 
 

@@ -14,7 +14,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import FamilyMismatchError, OutOfSupportError, UnreachableStateError
+from .errors import (FamilyMismatchError, OutOfSupportError,
+                     UnreachableStateError, nonnegative, positive, require)
 
 ADDITIVE = "additive"
 EXPONENTIAL = "exponential"
@@ -29,29 +30,16 @@ class Flow:
     """Deterministic motion between jumps.
 
     ``additive`` moves at constant speed (``x + c*t``), ``exponential`` grows
-    geometrically (``x * exp(c*t)``).  ``c`` must be positive.
+    geometrically (``x * exp(c*t)``).  ``c`` must be finite and positive.
     """
 
     variant: str
     c: float
 
     def __post_init__(self):
-        if self.variant not in (ADDITIVE, EXPONENTIAL):
-            raise ValueError(f"unknown flow variant {self.variant!r}")
-        if not self.c > 0:
-            raise ValueError("flow speed c must be positive")
-
-    def advance(self, x, t):
-        """Position after following the flow from ``x`` for time ``t``."""
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        if np.any(x < 0) or np.any(t < 0):
-            raise ValueError("flow arguments must be nonnegative")
-        if self.variant == ADDITIVE:
-            out = x + self.c * t
-        else:
-            out = x * np.exp(self.c * t)
-        return out if out.ndim else float(out)
+        require(self.variant in (ADDITIVE, EXPONENTIAL), "variant",
+                f"expected {ADDITIVE!r} or {EXPONENTIAL!r}", self.variant)
+        positive("c", self.c)
 
     def travel_time(self, x, y):
         """Time needed to move from ``x`` to ``y`` along the flow.
@@ -78,8 +66,7 @@ class JumpMap:
     kappa: float
 
     def __post_init__(self):
-        if not 0.0 < self.kappa < 1.0:
-            raise ValueError("kappa must lie in (0, 1)")
+        require(0 < self.kappa < 1, "kappa", "must lie in (0, 1)", self.kappa)
 
     def apply(self, x):
         return self.kappa * np.asarray(x, dtype=float) if np.ndim(x) else self.kappa * float(x)
@@ -96,10 +83,9 @@ class PowerRate:
     delta: float
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("rate scale lam must be positive")
-        if not self.delta > -1:
-            raise ValueError("rate exponent delta must exceed -1")
+        positive("lam", self.lam)
+        require(-1 < self.delta < np.inf, "delta",
+                "must be finite and exceed -1", self.delta)
 
     def rate(self, x):
         x = np.asarray(x, dtype=float)
@@ -132,10 +118,8 @@ class ShiftedQuadraticRate:
     b: float
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError("center a must be positive")
-        if self.b < 0:
-            raise ValueError("offset b must be nonnegative")
+        positive("a", self.a)
+        nonnegative("b", self.b)
 
     def rate(self, x):
         x = np.asarray(x, dtype=float)
@@ -226,13 +210,6 @@ class Model:
             out = np.broadcast_to(1.0 / (self.flow.c * ys),
                                   np.broadcast_shapes(xs.shape, ys.shape)).copy()
         return out if out.ndim else float(out)
-
-
-def hazard(rate: RateSpec, x):
-    """Return ``(rate(x), cumulative(x))`` for ``x >= 0``."""
-    if np.any(np.asarray(x, dtype=float) < 0):
-        raise ValueError("hazard argument must be nonnegative")
-    return rate.rate(x), rate.cumulative(x)
 
 
 def tcp_model(kappa: float = 0.5, c: float = 1.0, lam: float = 1.0,

@@ -36,12 +36,11 @@ CAP_FACTOR = 1e3
 
 @dataclass(frozen=True)
 class JumpChain:
-    """Observed chain ``z[0..n]`` with its optional seed record and draws."""
+    """Observed chain ``z[0..n]`` with its optional seed record."""
 
     z: np.ndarray
     model: Model
     seed: Optional[tuple] = None
-    draws: Optional[np.ndarray] = None
 
     def __post_init__(self):
         k = _first_bad_state(self.z)
@@ -334,7 +333,7 @@ def simulate_chain(model: Model, z0: float, n: int, seed) -> JumpChain:
         raise StateRangeError(
             f"at transition {k - 1}: next state {float(z[k])!r} is not a "
             "finite positive number (double precision overflow or underflow)")
-    return JumpChain(z=z, model=model, seed=_seed_record(ss), draws=draws)
+    return JumpChain(z=z, model=model, seed=_seed_record(ss))
 
 
 def reconstruct_times(chain: JumpChain, model: Optional[Model] = None) -> np.ndarray:

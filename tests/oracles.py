@@ -6,12 +6,15 @@ transitions of a ``transitions x grid`` mask, and a chain is stepped one
 sampler call at a time.  The pointwise basis function, the finite-difference
 transition weight, the penalty of one model and the best model in hindsight
 are spelled out one value at a time, for the tests that check the package's
-array versions.
+array versions.  The diagnostics' null distance sums the row variances of the
+two design matrices.  The flow map, the hazard pair and the fit-record reader
+are used only by tests.
 """
 
 import numpy as np
 
 from pdmprate.basis import Basis
+from pdmprate.density import DensityFit, _criterion
 from pdmprate.errors import EmptyModelSetError
 from pdmprate.jumprate import risk_sweep
 from pdmprate.simulate import sample_next
@@ -100,11 +103,62 @@ def simulate_chain_oracle(model, z0, n, seed):
     Each step calls the numpy sampler of the model's family on 0-d arrays,
     from the same draws as ``simulate_chain``.
     """
-    ss = seed if isinstance(seed, np.random.SeedSequence) \
-        else np.random.SeedSequence(seed)
-    draws = np.random.default_rng(ss).exponential(1.0, size=n)
+    draws = chain_draws(seed, n)
     z = np.empty(n + 1)
     z[0] = z0
     for k in range(n):
         z[k + 1] = sample_next(model, z[k], draws[k])
     return z
+
+
+def chain_draws(seed, n):
+    """The ``n`` unit-exponential draws ``simulate_chain`` makes from ``seed``."""
+    ss = seed if isinstance(seed, np.random.SeedSequence) \
+        else np.random.SeedSequence(seed)
+    return np.random.default_rng(ss).exponential(1.0, size=n)
+
+
+def null_distance_oracle(basis, first, second, dim):
+    """Summed sampling variance of both halves' empirical means, from the matrices."""
+    var1 = basis.design(first, dim).var(axis=1) / len(first)
+    var2 = basis.design(second, dim).var(axis=1) / len(second)
+    return float(np.sum(var1 + var2))
+
+
+def advance(flow, x, t):
+    """Position after following ``flow`` from ``x`` for time ``t``."""
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if np.any(x < 0) or np.any(t < 0):
+        raise ValueError("flow arguments must be nonnegative")
+    if flow.variant == "additive":
+        out = x + flow.c * t
+    else:
+        out = x * np.exp(flow.c * t)
+    return out if out.ndim else float(out)
+
+
+def hazard(rate, x):
+    """Return ``(rate(x), cumulative(x))`` for ``x >= 0``."""
+    if np.any(np.asarray(x, dtype=float) < 0):
+        raise ValueError("hazard argument must be nonnegative")
+    return rate.rate(x), rate.cumulative(x)
+
+
+def fit_from_text(text):
+    """Parse the record produced by ``pdmprate.density.fit_to_text``."""
+    fields = {}
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        key, *rest = line.split("\t")
+        fields[key] = rest
+    basis = Basis(a_max=float(fields["a_max"][0]))
+    coeffs = np.array([float(v) for v in fields["coefficients"]])
+    n = int(fields["n"][0])
+    sigma = float(fields["sigma"][0])
+    sigma_prime = float(fields["sigma_prime"][0])
+    contrasts, penalties = _criterion(coeffs, basis, n, sigma, sigma_prime)
+    return DensityFit(basis=basis, coeffs=coeffs, contrasts=contrasts,
+                      penalties=penalties, m_hat=int(fields["m_hat"][0]),
+                      n=n, sigma=sigma, sigma_prime=sigma_prime)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from pdmprate import (ExperimentConfig, bacterial_model, convergence_diagnostics,
-                      replicate_seed, rows_to_csv, run_experiment, run_replicate,
-                      tail_assumption_ok, tcp_model, tcp_quadratic_model)
+from oracles import null_distance_oracle
+from pdmprate import (Basis, ExperimentConfig, bacterial_model,
+                      convergence_diagnostics, replicate_seed, rows_to_csv,
+                      run_experiment, run_replicate, select_model,
+                      simulate_chain, tail_assumption_ok, tcp_model,
+                      tcp_quadratic_model)
 
 
 def small_config(**kwargs):
@@ -151,3 +154,21 @@ class TestDiagnostics:
         null = float(np.sum(basis.design(a, dim).var(axis=1) / len(a)
                             + basis.design(b, dim).var(axis=1) / len(b)))
         assert dist_sq < 4.0 * null
+
+    @pytest.mark.parametrize("model, n, a_max", [
+        (tcp_model(), 1000, 6.0),
+        (tcp_model(delta=1.0), 3001, 3.0),
+        (tcp_quadratic_model(), 2000, 6.0),
+        (bacterial_model(delta=2.0), 1501, 2.5),
+    ])
+    def test_null_distance_matches_design_matrices(self, model, n, a_max):
+        cfg = small_config(model=model, n_values=[n], a_max=a_max)
+        report = convergence_diagnostics(cfg)
+        chain = simulate_chain(model, cfg.z0, n,
+                               replicate_seed(cfg.base_seed, n, 0))
+        half = chain.n // 2
+        first, second = chain.samples[:half], chain.samples[half:2 * half]
+        basis = Basis(a_max)
+        dim = len(select_model(first, basis, cfg.sigma, cfg.sigma_prime).coeffs)
+        assert report.half_distance_null == pytest.approx(
+            null_distance_oracle(basis, first, second, dim), rel=1e-12)

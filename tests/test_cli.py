@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pdmprate import (Basis, ExperimentConfig, Flow, JumpMap, PowerRate,
+                      ShiftedQuadraticRate, make_grid, tcp_model)
 from pdmprate.cli import main
 from pdmprate.config import dump_config, load_config
-from pdmprate.errors import ConfigError
+from pdmprate.errors import ConfigError, PdmpError
 
 
 BASE_DOC = {
@@ -77,9 +83,25 @@ class TestConfig:
     ("estimation.sigma", -5.0),
     ("estimation.sigma_prime", -1.0),
     ("estimation.sigma_prime", float("-inf")),
+    ("model.flow.variant", "linear"),
+    ("model.f.kappa", float("nan")),
+    ("model.rate.a", float("inf")),
+    ("model.rate.b", -0.5),
+    ("model.z0", 0.0),
+    ("estimation.interval", [0.0, 2.0]),
+    ("experiment.n_values", [8, 100]),
+    ("experiment.n_values", [200, 100]),
+    ("experiment.n_values", [100, 100]),
+    ("experiment.n_values", []),
+    ("experiment.replicates", 0),
+    ("experiment.base_seed", -1),
+    ("io.grid_points", 4),
+    ("io.grid_points", 1),
 ])
 def test_bad_config_value_exit_code(tmp_path, caplog, key, value):
     doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
+    if key in ("model.rate.a", "model.rate.b"):
+        doc["model"]["rate"] = {"variant": "quadratic", "a": 1.0, "b": 0.5}
     node = doc
     *parents, leaf = key.split(".")
     for part in parents:
@@ -91,6 +113,98 @@ def test_bad_config_value_exit_code(tmp_path, caplog, key, value):
     assert main(["--config", path, "--out", str(tmp_path / "o"),
                  "estimate"]) == 2
     assert key in caplog.text
+
+
+def _experiment(**fields):
+    return ExperimentConfig(**{"model": tcp_model(), "interval": (0.2, 4.0),
+                               "n_values": [100], **fields})
+
+
+def _finite_positive(v):
+    return math.isfinite(v) and v > 0
+
+
+def _finite_nonnegative(v):
+    return math.isfinite(v) and v >= 0
+
+
+# (field, constructor of a value from one number, the rule on that number)
+FLOAT_RULES = [
+    ("c", lambda v: Flow("additive", v), _finite_positive),
+    ("kappa", JumpMap, lambda v: 0 < v < 1),
+    ("lam", lambda v: PowerRate(v, 0.0), _finite_positive),
+    ("delta", lambda v: PowerRate(1.0, v), lambda v: math.isfinite(v) and v > -1),
+    ("a", lambda v: ShiftedQuadraticRate(v, 0.5), _finite_positive),
+    ("b", lambda v: ShiftedQuadraticRate(1.0, v), _finite_nonnegative),
+    ("a_max", Basis, _finite_positive),
+    ("a_max", lambda v: _experiment(a_max=v), _finite_positive),
+    ("interval", lambda v: make_grid((v, 2.0), 5), lambda v: 0 < v < 2.0),
+    ("interval", lambda v: make_grid((0.5, v), 5),
+     lambda v: math.isfinite(v) and v > 0.5),
+    ("interval", lambda v: _experiment(interval=(0.5, v)),
+     lambda v: math.isfinite(v) and v > 0.5),
+    ("sigma", lambda v: _experiment(sigma=v), _finite_nonnegative),
+    ("sigma_prime", lambda v: _experiment(sigma_prime=v), _finite_nonnegative),
+    ("z0", lambda v: _experiment(z0=v), _finite_positive),
+]
+COUNTS = st.integers(-20, 2000)
+INT_RULES = [
+    ("grid_points", lambda v: make_grid((0.5, 2.0), v),
+     lambda v: v >= 3 and v % 2 == 1, COUNTS),
+    ("grid_points", lambda v: _experiment(grid_points=v),
+     lambda v: v >= 3 and v % 2 == 1, COUNTS),
+    ("replicates", lambda v: _experiment(replicates=v), lambda v: v >= 1,
+     COUNTS),
+    ("base_seed", lambda v: _experiment(base_seed=v), lambda v: v >= 0,
+     COUNTS),
+    ("n_values", lambda v: _experiment(n_values=v),
+     lambda v: len(v) > 0 and v[0] >= 9
+     and all(a < b for a, b in zip(v, v[1:])),
+     st.lists(st.one_of(COUNTS, st.sampled_from([9, 100])), max_size=4)),
+]
+
+
+def _check_rule(field, build, rule, value):
+    if rule(value):
+        build(value)
+    else:
+        with pytest.raises(ConfigError, match=f"^{field}: ") as info:
+            build(value)
+        assert isinstance(info.value, PdmpError)
+        assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("field, build, rule", FLOAT_RULES,
+                         ids=[rule[0] for rule in FLOAT_RULES])
+@given(value=st.one_of(st.floats(), st.floats(-3.0, 3.0),
+                       st.sampled_from([0.0, -1.0, 1.0, 2.0, math.inf])))
+@settings(max_examples=150, deadline=None)
+def test_float_rule(field, build, rule, value):
+    """Non-finite and out-of-range numbers raise ConfigError naming the field."""
+    _check_rule(field, build, rule, value)
+
+
+@pytest.mark.parametrize("field, build, rule, values", INT_RULES,
+                         ids=[rule[0] for rule in INT_RULES])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_int_rule(field, build, rule, values, data):
+    """Out-of-range counts and seeds raise ConfigError naming the field."""
+    _check_rule(field, build, rule, data.draw(values))
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--seed", "-1", "bench"], "--seed"),
+    (["--seed", "-1", "simulate"], "--seed"),
+    (["simulate", "--n", "0"], "--n"),
+    (["simulate", "--n", "-4"], "--n"),
+    (["estimate", "--n", "0"], "--n"),
+    (["--grid-points", "4", "estimate"], "--grid-points"),
+])
+def test_bad_flag_exit_code(tmp_path, caplog, argv, flag):
+    path = write_config(tmp_path, out_dir=str(tmp_path / "o"))
+    assert main(["--config", path] + argv) == 2
+    assert f"config: {flag}: " in caplog.text
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -235,3 +349,9 @@ class TestDiagnoseCommand:
         assert main(["--config", path, "diagnose"]) == 0
         out = capsys.readouterr().out
         assert "tail_ok=True" in out
+
+    def test_short_chain_exit_code(self, tmp_path, caplog):
+        # BASE_DOC's largest chain length, 200, is below the 1000 needed
+        path = write_config(tmp_path, out_dir=str(tmp_path / "o"))
+        assert main(["--config", path, "diagnose"]) == 3
+        assert "at least 1000 transitions" in caplog.text

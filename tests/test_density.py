@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from oracles import penalty
+from oracles import fit_from_text, penalty
 from pdmprate import (Basis, ChainTooShortError, contrast, select_model,
                       simulate_chain, tcp_model)
-from pdmprate.density import fit_from_text, fit_to_text
+from pdmprate.density import fit_to_text
 
 
 @pytest.fixture(scope="module")

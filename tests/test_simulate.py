@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
 
-from oracles import simulate_chain_oracle
+from oracles import advance, chain_draws, simulate_chain_oracle
 from pdmprate import (CapExceededError, ChainFormatError, FamilyMismatchError,
                       GenericSampler, InconsistentChainError, JumpChain,
                       StateRangeError, bacterial_model,
@@ -235,7 +235,7 @@ class TestSimulateChain:
         m = tcp_model()
         chain = simulate_chain(m, 1.0, 1, 5)
         assert len(chain.z) == 2
-        assert chain.z[1] == sample_next(m, 1.0, chain.draws[0])
+        assert chain.z[1] == sample_next(m, 1.0, chain_draws(5, 1)[0])
 
     def test_seed_changes_chain(self):
         m = tcp_model()
@@ -296,14 +296,15 @@ class TestReconstructTimes:
         # exponential draws through the cumulative hazard
         m = tcp_model(kappa=0.5, c=1.0, lam=1.0, delta=0.0)
         chain = simulate_chain(m, 1.0, 200, 77)
+        draws = chain_draws(77, chain.n)
         times = reconstruct_times(chain)
         gaps = np.diff(np.concatenate([[0.0], times]))
         for k in range(chain.n):
             z_prev = chain.z[k]
             # hazard accumulated along the flow over the gap equals the draw
-            upper = m.flow.advance(z_prev, gaps[k])
+            upper = advance(m.flow, z_prev, gaps[k])
             acc = (m.rate.cumulative(upper) - m.rate.cumulative(z_prev)) / m.flow.c
-            assert acc == pytest.approx(chain.draws[k], rel=1e-10, abs=1e-12)
+            assert acc == pytest.approx(draws[k], rel=1e-10, abs=1e-12)
 
     def test_strictly_increasing(self):
         m = bacterial_model(delta=2.0)
