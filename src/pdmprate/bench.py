@@ -18,10 +18,11 @@ import numpy as np
 
 from .basis import Basis
 from .density import DEFAULT_SIGMA, DEFAULT_SIGMA_PRIME, select_model
-from .errors import ChainTooShortError, nonnegative, positive, require
+from .errors import (ChainTooShortError, at_least, is_integer, nonnegative,
+                     positive, require)
 from .jumprate import (DEFAULT_GRID_POINTS, denominator_grid, make_grid,
                        risk_sweep)
-from .model import BACTERIAL_POWER, Model, PowerRate
+from .model import Model
 from .simulate import simulate_chain
 
 DEFAULT_REPLICATES = 50
@@ -50,12 +51,11 @@ class ExperimentConfig:
         nonnegative("sigma_prime", self.sigma_prime)
         positive("z0", self.z0)
         n = list(self.n_values)
-        require(n and n == sorted(set(n)) and n[0] >= 9, "n_values",
+        require(n and all(map(is_integer, n)) and n == sorted(set(n))
+                and n[0] >= 9, "n_values",
                 "expected a nonempty increasing list of integers >= 9", n)
-        require(self.replicates >= 1, "replicates", "expected an integer >= 1",
-                self.replicates)
-        require(self.base_seed >= 0, "base_seed", "expected an integer >= 0",
-                self.base_seed)
+        at_least("replicates", self.replicates, 1)
+        at_least("base_seed", self.base_seed, 0)
 
     def experiment(self) -> ExperimentConfig:
         """This config; ``perfbench/workloads.py`` calls it on a loaded config."""
@@ -169,27 +169,17 @@ def rows_to_csv(rows: Sequence[ExperimentRow]) -> str:
 def tail_assumption_ok(model: Model) -> tuple:
     """Check the tail-growth condition behind convergence of the estimator.
 
-    Power rates need a strictly positive exponent under the additive flow and
-    an exponent above one under the exponential flow; at the boundary the
-    estimator still behaves well empirically, below it the quotient estimate
-    is biased.  Returns ``(ok, message)``.
+    A power rate needs its exponent ``p`` (:attr:`Model.power_exponent`)
+    above one; at ``p = 1`` the estimator still behaves well empirically,
+    below it the quotient estimate is biased.  Returns ``(ok, message)``.
     """
-    if isinstance(model.rate, PowerRate):
-        if model.family == BACTERIAL_POWER or model.flow.variant == "exponential":
-            if model.rate.delta < 1:
-                return False, (
-                    f"rate exponent {model.rate.delta} < 1 under the exponential "
-                    "flow: tail condition fails, the quotient estimator may be "
-                    "biased and a stationary law may not exist")
-            if model.rate.delta == 1:
-                return True, "rate exponent at the boundary value 1; edge case"
-        else:
-            if model.rate.delta < 0:
-                return False, (
-                    f"rate exponent {model.rate.delta} < 0 under the additive "
-                    "flow: tail condition fails")
-            if model.rate.delta == 0:
-                return True, "rate exponent at the boundary value 0; edge case"
+    p = model.power_exponent
+    if p is not None and p < 1:
+        return False, (
+            f"power exponent p = {p} < 1: tail condition fails, the quotient "
+            "estimator may be biased and a stationary law may not exist")
+    if p == 1:
+        return True, "power exponent at the boundary value p = 1; edge case"
     return True, "tail condition satisfied"
 
 

@@ -1,5 +1,6 @@
 """Exception hierarchy shared across the package, and the range checks."""
 
+import operator
 from math import inf
 
 
@@ -67,3 +68,17 @@ def positive(field: str, value) -> None:
 
 def nonnegative(field: str, value) -> None:
     require(0 <= value < inf, field, "must be finite and nonnegative", value)
+
+
+def is_integer(value) -> bool:
+    """True for Python and numpy integers, whatever their value."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
+
+def at_least(field: str, value, least: int) -> None:
+    require(is_integer(value) and value >= least, field,
+            f"expected an integer >= {least}", value)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import integrate
 
 from .density import DensityFit
-from .errors import ChainTooShortError, require
+from .errors import ChainTooShortError, is_integer, require
 from .model import Model
 from .simulate import JumpChain
 
@@ -28,7 +28,7 @@ def threshold(n: int) -> float:
     return 1.0 / np.log(n)
 
 
-def denominator_grid(chain: JumpChain, model: Optional[Model],
+def denominator_grid(chain: JumpChain, model: Model,
                      ys: np.ndarray) -> np.ndarray:
     """Empirical denominator at each grid point.
 
@@ -42,7 +42,6 @@ def denominator_grid(chain: JumpChain, model: Optional[Model],
     because ``prev <= y`` would put ``next`` below ``f(y)``; rounding keeps
     both implications, as ``f`` rounds monotonically.
     """
-    model = model or chain.model
     ys = np.asarray(ys, dtype=float)
     prev = chain.z[:-1]
     nxt = chain.z[1:]
@@ -53,7 +52,7 @@ def denominator_grid(chain: JumpChain, model: Optional[Model],
     return model.transition_weight(ys, fy) * count / chain.n
 
 
-def rate_grid(fit: DensityFit, chain: JumpChain, model: Optional[Model],
+def rate_grid(fit: DensityFit, chain: JumpChain, model: Model,
               ys: np.ndarray, m: Optional[int] = None,
               denom: Optional[np.ndarray] = None):
     """Thresholded quotient estimate of the rate on a grid.
@@ -62,7 +61,6 @@ def rate_grid(fit: DensityFit, chain: JumpChain, model: Optional[Model],
     passed in to reuse a previously computed denominator (it does not depend
     on the model index).
     """
-    model = model or chain.model
     ys = np.asarray(ys, dtype=float)
     if denom is None:
         denom = denominator_grid(chain, model, ys)
@@ -93,7 +91,8 @@ def l2_risk(ys: np.ndarray, values_hat: np.ndarray, values_true: np.ndarray,
 def make_grid(interval: tuple,
               grid_points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     """Equispaced evaluation grid with an odd point count for Simpson."""
-    require(grid_points >= 3 and grid_points % 2 == 1, "grid_points",
+    require(is_integer(grid_points) and grid_points >= 3
+            and grid_points % 2 == 1, "grid_points",
             "expected an odd integer >= 3", grid_points)
     lo, hi = interval
     require(0 < lo < hi < np.inf, "interval",
@@ -101,11 +100,10 @@ def make_grid(interval: tuple,
     return np.linspace(lo, hi, grid_points)
 
 
-def risk_sweep(fit: DensityFit, chain: JumpChain, model: Optional[Model],
+def risk_sweep(fit: DensityFit, chain: JumpChain, model: Model,
                ys: np.ndarray, truth: Callable[[np.ndarray], np.ndarray],
                denom: Optional[np.ndarray] = None) -> np.ndarray:
     """L2 risk of the quotient estimator for every admissible model index."""
-    model = model or chain.model
     ys = np.asarray(ys, dtype=float)
     if denom is None:
         denom = denominator_grid(chain, model, ys)

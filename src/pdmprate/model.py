@@ -2,9 +2,8 @@
 
 A model instance bundles the three ingredients of a piecewise deterministic
 process whose embedded post-jump chain we observe: a one-parameter flow, a
-linear jump map ``x -> kappa*x`` and a state-dependent jump rate with its
-cumulative primitive.  Everything here is analytic and pure; samplers and
-estimators live in the other modules.
+linear jump map ``x -> kappa*x`` and a state-dependent jump rate.  Everything
+here is analytic and pure; samplers and estimators live in the other modules.
 """
 
 from __future__ import annotations
@@ -103,12 +102,6 @@ class PowerRate:
         out = self.lam * np.power(x, p) / p
         return out if out.ndim else float(out)
 
-    def cumulative_inv(self, u):
-        u = np.asarray(u, dtype=float)
-        p = self.delta + 1.0
-        out = np.power(p * u / self.lam, 1.0 / p)
-        return out if out.ndim else float(out)
-
 
 @dataclass(frozen=True)
 class ShiftedQuadraticRate:
@@ -132,27 +125,15 @@ class ShiftedQuadraticRate:
         out = (x - self.a) ** 3 / 3.0 + self.b * x + self.a ** 3 / 3.0
         return out if out.ndim else float(out)
 
-    cumulative_inv = None
-
 
 @dataclass(frozen=True)
 class CustomRate:
-    """User-supplied rate with its primitive and an optional analytic inverse."""
+    """User-supplied rate; the numeric sampler integrates it."""
 
     rate_fn: Callable[[float], float]
-    cumulative_fn: Callable[[float], float]
-    cumulative_inv_fn: Optional[Callable[[float], float]] = None
 
     def rate(self, x):
         return self.rate_fn(x)
-
-    def cumulative(self, x):
-        return self.cumulative_fn(x)
-
-    def cumulative_inv(self, u):
-        if self.cumulative_inv_fn is None:
-            raise NotImplementedError("no analytic inverse supplied")
-        return self.cumulative_inv_fn(u)
 
 
 RateSpec = Union[PowerRate, ShiftedQuadraticRate, CustomRate]
@@ -174,16 +155,28 @@ class Model:
     name: str = ""
 
     @property
+    def power_exponent(self) -> Optional[float]:
+        """Exponent ``p`` of a power rate, ``None`` for any other rate.
+
+        The cumulative hazard along the flow from ``z`` to the pre-jump state
+        ``y`` is ``lam/(p*c) * (y**p - z**p)``, with ``p = delta + 1`` under
+        the additive flow and ``p = delta`` under the exponential one, so the
+        chain is linear in ``w = z**p`` when ``p > 0``.
+        """
+        if not isinstance(self.rate, PowerRate):
+            return None
+        delta = self.rate.delta
+        return delta + 1.0 if self.flow.variant == ADDITIVE else delta
+
+    @property
     def family(self) -> str:
         """Which closed-form sampler applies, if any."""
-        if self.flow.variant == ADDITIVE:
-            if isinstance(self.rate, PowerRate):
-                return TCP_POWER
-            if isinstance(self.rate, ShiftedQuadraticRate):
-                return TCP_QUADRATIC
-        elif self.flow.variant == EXPONENTIAL:
-            if isinstance(self.rate, PowerRate) and self.rate.delta > 0:
-                return BACTERIAL_POWER
+        p = self.power_exponent
+        if p is not None and p > 0:
+            return TCP_POWER if self.flow.variant == ADDITIVE else BACTERIAL_POWER
+        if (self.flow.variant == ADDITIVE
+                and isinstance(self.rate, ShiftedQuadraticRate)):
+            return TCP_QUADRATIC
         return GENERIC
 
     def below_support(self, x, y):

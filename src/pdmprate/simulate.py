@@ -21,7 +21,7 @@ import numpy as np
 from scipy import integrate, optimize
 
 from .errors import (CapExceededError, ChainFormatError, InconsistentChainError,
-                     StateRangeError)
+                     StateRangeError, at_least, positive)
 from .model import (ADDITIVE, BACTERIAL_POWER, TCP_POWER, TCP_QUADRATIC,
                     Model, PowerRate, ShiftedQuadraticRate, require_family)
 
@@ -67,21 +67,10 @@ def _first_bad_state(z: np.ndarray) -> Optional[int]:
     return None if good.all() else int(np.argmin(good))
 
 
-def _power_exponent(model: Model) -> float:
-    """Exponent ``p`` in which a power-rate chain is linear: ``w = z**p``.
-
-    The cumulative hazard along the flow from ``z`` to the pre-jump state
-    ``y`` is ``lam/(p*c) * (y**p - z**p)``, with ``p = delta + 1`` under the
-    additive flow and ``p = delta`` under the exponential one.
-    """
-    delta = model.rate.delta
-    return delta + 1.0 if model.flow.variant == ADDITIVE else delta
-
-
 def _power_step(model: Model, z, e):
     """Next state ``kappa * (z**p + p*c*e/lam)**(1/p)`` of a power-rate chain."""
     lam, c = model.rate.lam, model.flow.c
-    p = _power_exponent(model)
+    p = model.power_exponent
     z = np.asarray(z, dtype=float)
     e = np.asarray(e, dtype=float)
     out = model.jump.kappa * np.power(np.power(z, p) + p * c * e / lam, 1.0 / p)
@@ -153,7 +142,6 @@ class GenericSampler:
     """
 
     def __init__(self, model: Model, z: float):
-        self.model = model
         self.z = float(z)
         self.lo = model.jump.apply(self.z)
         self.cap = CAP_FACTOR * max(self.z, 1.0)
@@ -214,15 +202,15 @@ def sample_next_generic(model: Model, z: float, e: float) -> float:
 def _power_chain(model: Model, z0: float, draws: np.ndarray) -> np.ndarray:
     """States ``z[0..n]`` of a power-rate chain, by a linear scan.
 
-    In ``w = z**p`` (see :func:`_power_exponent`) one transition is the AR(1)
-    step ``w_k = r * (w_{k-1} + x_k)`` with ``r = kappa**p`` and
+    In ``w = z**p`` (``p`` is :attr:`Model.power_exponent`) one transition
+    is the AR(1) step ``w_k = r * (w_{k-1} + x_k)`` with ``r = kappa**p`` and
     ``x_k = p*c*e_k/lam``, so ``w_k = sum_i r**(k-i) * v_i`` with
     ``v = (w_0, r*x_1, ..., r*x_n)``.  Pass ``s = 1, 2, 4, ...`` of the
     doubling scan adds ``r**s`` times the partial sum ``s`` places back; all
     terms are positive, so each state carries O(log n) roundings.  The
     passes stop once ``r**s`` underflows, since the rest would add zeros.
     """
-    p = _power_exponent(model)
+    p = model.power_exponent
     r = model.jump.kappa ** p
     if r < _FLOAT_TINY:
         raise StateRangeError(
@@ -315,14 +303,13 @@ def simulate_chain(model: Model, z0: float, n: int, seed) -> JumpChain:
     """Simulate ``n`` transitions starting from ``z0``.
 
     ``seed`` may be an integer or a ``numpy.random.SeedSequence``; the record
-    stored on the chain allows bit-exact replay.  Raises
-    :class:`StateRangeError` naming the first transition whose state is not a
-    finite positive float.
+    stored on the chain allows bit-exact replay.  Raises :class:`ConfigError`
+    naming ``z0`` or ``n`` unless ``z0`` is finite and positive and ``n`` an
+    integer >= 1, and :class:`StateRangeError` naming the first transition
+    whose state is not a finite positive float.
     """
-    if not 0.0 < z0 < math.inf:
-        raise ValueError("initial state must be positive and finite")
-    if n < 1:
-        raise ValueError("need at least one transition")
+    positive("z0", z0)
+    at_least("n", n, 1)
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     rng = np.random.default_rng(ss)
@@ -336,13 +323,13 @@ def simulate_chain(model: Model, z0: float, n: int, seed) -> JumpChain:
     return JumpChain(z=z, model=model, seed=_seed_record(ss))
 
 
-def reconstruct_times(chain: JumpChain, model: Optional[Model] = None) -> np.ndarray:
+def reconstruct_times(chain: JumpChain) -> np.ndarray:
     """Jump times implied by the states, taking the first jump at time T_1.
 
     Each inter-jump duration is the flow travel time from the previous state
     to the pre-jump position of the next one.
     """
-    model = model or chain.model
+    model = chain.model
     if chain.n < 1:
         raise InconsistentChainError("need at least one transition")
     pre_jump = model.jump.invert(chain.z[1:])

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import null_distance_oracle
-from pdmprate import (Basis, ExperimentConfig, bacterial_model,
+from pdmprate import (Basis, CustomRate, ExperimentConfig, Flow, JumpMap,
+                      Model, PowerRate, bacterial_model,
                       convergence_diagnostics, replicate_seed, rows_to_csv,
                       run_experiment, run_replicate, select_model,
                       simulate_chain, tail_assumption_ok, tcp_model,
@@ -101,6 +102,37 @@ class TestTailAssumption:
 
     def test_quadratic_rate_ok(self):
         assert tail_assumption_ok(tcp_quadratic_model())[0]
+
+    # the per-flow rule in delta: fails below 0 (additive) or 1
+    # (exponential), an edge case at 0 or 1, satisfied above
+    TABLE = {
+        ("additive", -0.5): "fails", ("additive", 0.0): "edge",
+        ("additive", 0.5): "ok", ("additive", 1.0): "ok",
+        ("additive", 2.0): "ok",
+        ("exponential", -0.5): "fails", ("exponential", 0.0): "fails",
+        ("exponential", 0.5): "fails", ("exponential", 1.0): "edge",
+        ("exponential", 2.0): "ok",
+    }
+
+    @pytest.mark.parametrize("flow, delta", sorted(TABLE))
+    def test_matches_per_flow_table(self, flow, delta):
+        model = Model(Flow(flow, 1.0), JumpMap(0.5), PowerRate(1.0, delta))
+        self._check(model, self.TABLE[flow, delta])
+
+    @pytest.mark.parametrize("model", [
+        tcp_quadratic_model(),
+        Model(Flow("exponential", 1.0), JumpMap(0.5), CustomRate(np.sqrt)),
+    ])
+    def test_non_power_rates_ok(self, model):
+        self._check(model, "ok")
+
+    @staticmethod
+    def _check(model, outcome):
+        ok, msg = tail_assumption_ok(model)
+        assert ok == (outcome != "fails")
+        assert ("biased" in msg) == (outcome == "fails")
+        assert ("edge" in msg) == (outcome == "edge")
+        assert (msg == "tail condition satisfied") == (outcome == "ok")
 
 
 class TestDiagnostics:

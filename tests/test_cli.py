@@ -147,18 +147,27 @@ FLOAT_RULES = [
     ("sigma_prime", lambda v: _experiment(sigma_prime=v), _finite_nonnegative),
     ("z0", lambda v: _experiment(z0=v), _finite_positive),
 ]
-COUNTS = st.integers(-20, 2000)
+# Python and numpy integers, and floats, integral ones included
+COUNTS = st.one_of(st.integers(-20, 2000), st.integers(-20, 2000).map(np.int64),
+                   st.integers(-20, 2000).map(float), st.floats(),
+                   st.sampled_from([5.0, 9.0, 100.0]))
+
+
+def _int(v):
+    return isinstance(v, (int, np.integer))
+
+
 INT_RULES = [
     ("grid_points", lambda v: make_grid((0.5, 2.0), v),
-     lambda v: v >= 3 and v % 2 == 1, COUNTS),
+     lambda v: _int(v) and v >= 3 and v % 2 == 1, COUNTS),
     ("grid_points", lambda v: _experiment(grid_points=v),
-     lambda v: v >= 3 and v % 2 == 1, COUNTS),
-    ("replicates", lambda v: _experiment(replicates=v), lambda v: v >= 1,
-     COUNTS),
-    ("base_seed", lambda v: _experiment(base_seed=v), lambda v: v >= 0,
-     COUNTS),
+     lambda v: _int(v) and v >= 3 and v % 2 == 1, COUNTS),
+    ("replicates", lambda v: _experiment(replicates=v),
+     lambda v: _int(v) and v >= 1, COUNTS),
+    ("base_seed", lambda v: _experiment(base_seed=v),
+     lambda v: _int(v) and v >= 0, COUNTS),
     ("n_values", lambda v: _experiment(n_values=v),
-     lambda v: len(v) > 0 and v[0] >= 9
+     lambda v: len(v) > 0 and all(map(_int, v)) and v[0] >= 9
      and all(a < b for a, b in zip(v, v[1:])),
      st.lists(st.one_of(COUNTS, st.sampled_from([9, 100])), max_size=4)),
 ]
@@ -189,7 +198,8 @@ def test_float_rule(field, build, rule, value):
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_int_rule(field, build, rule, values, data):
-    """Out-of-range counts and seeds raise ConfigError naming the field."""
+    """Non-integer and out-of-range counts and seeds raise ConfigError naming
+    the field; Python and numpy integers in range are accepted."""
     _check_rule(field, build, rule, data.draw(values))
 
 

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from oracles import advance, hazard, transition_weight_numeric
-from pdmprate import (Flow, JumpMap, Model, OutOfSupportError, PowerRate,
-                      ShiftedQuadraticRate, UnreachableStateError,
+from pdmprate import (CustomRate, Flow, JumpMap, Model, OutOfSupportError,
+                      PowerRate, ShiftedQuadraticRate, UnreachableStateError,
                       bacterial_model, tcp_model, tcp_quadratic_model)
 
 finite_pos = st.floats(min_value=0.01, max_value=50.0,
@@ -143,11 +143,6 @@ class TestHazard:
         for rate in (PowerRate(1.0, 0.5), ShiftedQuadraticRate(1.5, 0.3)):
             assert rate.cumulative(0.0) == pytest.approx(0.0, abs=1e-15)
 
-    def test_power_inverse(self):
-        rate = PowerRate(1.5, 1.0)
-        for u in (0.1, 1.0, 7.0):
-            assert rate.cumulative(rate.cumulative_inv(u)) == pytest.approx(u, rel=1e-12)
-
     def test_bad_delta(self):
         with pytest.raises(ValueError):
             PowerRate(1.0, -1.0)
@@ -176,3 +171,25 @@ class TestFamilies:
                          PowerRate(1.0, 0.0))
         assert constant.family == "generic"
         assert tcp_model(kappa=kappa).family == "tcp_power"
+
+    @pytest.mark.parametrize("model, p, family", [
+        (tcp_model(delta=-0.5), 0.5, "tcp_power"),
+        (tcp_model(delta=0.0), 1.0, "tcp_power"),
+        (tcp_model(delta=2.0), 3.0, "tcp_power"),
+        (bacterial_model(delta=0.5), 0.5, "bacterial_power"),
+        (bacterial_model(delta=2.0), 2.0, "bacterial_power"),
+        (Model(Flow("exponential", 1.0), JumpMap(0.5), PowerRate(1.0, 0.0)),
+         0.0, "generic"),
+        (Model(Flow("exponential", 1.0), JumpMap(0.5), PowerRate(1.0, -0.5)),
+         -0.5, "generic"),
+        (tcp_quadratic_model(), None, "tcp_quadratic"),
+        (Model(Flow("exponential", 1.0), JumpMap(0.5),
+               ShiftedQuadraticRate(1.0, 0.5)), None, "generic"),
+        (Model(Flow("additive", 1.0), JumpMap(0.5), CustomRate(np.exp)),
+         None, "generic"),
+    ])
+    def test_power_exponent(self, model, p, family):
+        # p = delta + 1 (additive) or delta (exponential); a power family
+        # exactly when p > 0
+        assert model.power_exponent == p
+        assert model.family == family

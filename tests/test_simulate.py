@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 from scipy import optimize, stats
 
 from oracles import advance, chain_draws, simulate_chain_oracle
-from pdmprate import (CapExceededError, ChainFormatError, FamilyMismatchError,
-                      GenericSampler, InconsistentChainError, JumpChain,
+from pdmprate import (CapExceededError, ChainFormatError, ConfigError,
+                      FamilyMismatchError, GenericSampler,
+                      InconsistentChainError, JumpChain,
                       StateRangeError, bacterial_model,
                       chain_from_text, chain_to_text, reconstruct_times,
                       sample_next, sample_next_generic,
@@ -114,8 +115,7 @@ class TestGenericSampler:
     def test_cap_exceeded(self):
         # a rate that dies off: hazard integral converges, cannot reach e
         m = Model(Flow("additive", 1.0), JumpMap(0.5), CustomRate(
-            rate_fn=lambda x: np.exp(-np.asarray(x) * 5.0),
-            cumulative_fn=lambda x: (1 - np.exp(-np.asarray(x) * 5.0)) / 5.0))
+            rate_fn=lambda x: np.exp(-np.asarray(x) * 5.0)))
         with pytest.raises(CapExceededError):
             GenericSampler(m, 1.0).draw(10.0)
 
@@ -241,6 +241,14 @@ class TestSimulateChain:
         m = tcp_model()
         assert not np.array_equal(simulate_chain(m, 1.0, 50, 1).z,
                                   simulate_chain(m, 1.0, 50, 2).z)
+
+    @pytest.mark.parametrize("z0, n, field", [
+        (1.0, 0, "n"), (1.0, -4, "n"), (1.0, 2.5, "n"),
+        (float("nan"), 10, "z0"), (0.0, 10, "z0"), (float("inf"), 10, "z0"),
+    ])
+    def test_bad_start_or_length_names_field(self, z0, n, field):
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            simulate_chain(tcp_model(), z0, n, 0)
 
     def test_stationary_mean(self):
         # stationary mean of the kappa=1/2, c=1, constant-rate chain is
