@@ -83,14 +83,18 @@ def design_means(samples: np.ndarray, basis: Basis, dim: int) -> np.ndarray:
     ``e^{ij theta}`` factors into ``e^{ia theta} * e^{i PHASE_BLOCK b theta}``.
     Per chunk of in-window samples, a table ``low`` (``PHASE_BLOCK`` x chunk)
     of the low phases and a row ``high`` of the phases of block ``b`` give
-    the phase sums of the frequencies in block ``b`` as ``low @ high``: a
-    sample costs ``PHASE_BLOCK + ceil((m+1)/PHASE_BLOCK)`` complex
-    exponentials instead of ``dim`` cosines and sines.  Every block is a
-    separate product of the same shape whatever ``dim`` is, so the summation
-    order of each entry, and with it the exact prefix nesting across
-    dimensions, does not depend on ``dim``.  A single product over all
-    blocks would not keep it: BLAS sums a one-column product in another
-    order than a wider one.
+    the phase sums of the frequencies in block ``b`` as ``low @ high``.  Only
+    ``e^{i theta}`` is taken from a cosine and a sine; every other phase is
+    one complex multiply away (a trigonometric recurrence): low row ``a`` is
+    row ``a-1`` times ``e^{i theta}``, and ``high`` starts at 1 and is
+    multiplied by ``step = e^{i PHASE_BLOCK theta}`` from block to block.
+    Each rounding of a factor reaches the phase once per factor, so the
+    error of ``e^{ij theta}`` grows linearly in ``j``.  Every block is a
+    separate product of the same shape, and the phases are formed in the
+    same order, whatever ``dim`` is, so the summation order of each entry,
+    and with it the exact prefix nesting across dimensions, does not depend
+    on ``dim``.  A single product over all blocks would not keep it: BLAS
+    sums a one-column product in another order than a wider one.
     """
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
@@ -101,14 +105,21 @@ def design_means(samples: np.ndarray, basis: Basis, dim: int) -> np.ndarray:
     width = min(SAMPLE_CHUNK, len(inside))
     low = np.empty((PHASE_BLOCK, width), dtype=complex)
     high = np.empty(width, dtype=complex)
+    step = np.empty(width, dtype=complex)
     for start in range(0, len(inside), SAMPLE_CHUNK):
         theta = 2.0 * np.pi * inside[start:start + SAMPLE_CHUNK] / basis.a_max
         k = len(theta)
-        for a in range(PHASE_BLOCK):
-            _phases(a * theta, low[a, :k])
+        lo, hi, st = low[:, :k], high[:k], step[:k]
+        lo[0] = 1.0
+        _phases(theta, lo[1])
+        for a in range(2, PHASE_BLOCK):
+            np.multiply(lo[a - 1], lo[1], out=lo[a])
+        np.multiply(lo[-1], lo[1], out=st)
+        hi[:] = 1.0
         for b in range(n_blocks):
-            _phases((PHASE_BLOCK * b) * theta, high[:k])
-            sums[b * PHASE_BLOCK:(b + 1) * PHASE_BLOCK] += low[:, :k] @ high[:k]
+            if b:
+                hi *= st
+            sums[b * PHASE_BLOCK:(b + 1) * PHASE_BLOCK] += lo @ hi
     out = np.empty(dim)
     out[0] = len(inside) / np.sqrt(basis.a_max) / n
     amp = np.sqrt(2.0 / basis.a_max)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .density import DensityFit
 from .errors import ChainTooShortError, is_integer, require
@@ -85,7 +84,25 @@ def l2_risk(ys: np.ndarray, values_hat: np.ndarray, values_true: np.ndarray,
             raise ValueError(f"grid [{ys[0]}, {ys[-1]}] does not cover "
                              f"interval [{lo}, {hi}]")
     diff = np.asarray(values_hat, dtype=float) - np.asarray(values_true, dtype=float)
-    return float(integrate.simpson(diff ** 2, x=ys))
+    return float(diff ** 2 @ _simpson_weights(ys))
+
+
+def _simpson_weights(ys: np.ndarray) -> np.ndarray:
+    """Composite Simpson weights ``h/3 * (1, 4, 2, 4, ..., 2, 4, 1)``.
+
+    ``ys`` must be an odd equispaced grid, as :func:`make_grid` builds; the
+    spacing ``h`` is taken from its ends.
+    """
+    g = len(ys)
+    h = (ys[-1] - ys[0]) / (g - 1) if g > 1 else 0.0
+    if g < 3 or g % 2 == 0 or not np.allclose(np.diff(ys), h, rtol=1e-9,
+                                              atol=0.0):
+        raise ValueError(f"Simpson's rule needs an odd equispaced grid of "
+                         f"at least 3 points, got {g} points")
+    w = np.full(g, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return w * (h / 3.0)
 
 
 def make_grid(interval: tuple,
@@ -103,22 +120,26 @@ def make_grid(interval: tuple,
 def risk_sweep(fit: DensityFit, chain: JumpChain, model: Model,
                ys: np.ndarray, truth: Callable[[np.ndarray], np.ndarray],
                denom: Optional[np.ndarray] = None) -> np.ndarray:
-    """L2 risk of the quotient estimator for every admissible model index."""
+    """L2 risk of the quotient estimator for every admissible model index.
+
+    Row ``m`` of ``nu_f`` first holds the terms model ``m`` adds to the
+    density at the jump images (the constant for ``m = 0``, the m-th
+    cosine/sine pair after it); one cumulative sum over the rows then gives
+    the density of every model, and one product with the Simpson weights
+    every risk.
+    """
     ys = np.asarray(ys, dtype=float)
     if denom is None:
         denom = denominator_grid(chain, model, ys)
     lam_true = np.asarray(truth(ys), dtype=float)
-    dims_max = fit.m_max + 1
-    risks = np.empty(dims_max)
-    design = fit.basis.design(model.jump.apply(ys), fit.basis.dim(fit.m_max))
-    nu_f = np.zeros(len(ys))
-    lo_dim = 0
-    for m in range(dims_max):
-        dim = fit.basis.dim(m)
-        nu_f = nu_f + fit.coeffs[lo_dim:dim] @ design[lo_dim:dim]
-        lo_dim = dim
-        risks[m] = l2_risk(ys, _quotient(nu_f, denom, chain.n), lam_true)
-    return risks
+    terms = fit.basis.design(model.jump.apply(ys), fit.basis.dim(fit.m_max))
+    terms *= fit.coeffs[:, None]
+    nu_f = np.empty((fit.m_max + 1, len(ys)))
+    nu_f[0] = terms[0]
+    np.add(terms[1::2], terms[2::2], out=nu_f[1:])
+    np.cumsum(nu_f, axis=0, out=nu_f)
+    sq_err = (_quotient(nu_f, denom, chain.n) - lam_true) ** 2
+    return sq_err @ _simpson_weights(ys)
 
 
 def grid_to_tsv(ys: np.ndarray, rate_hat: np.ndarray, nu_f: np.ndarray,

@@ -178,19 +178,26 @@ class GenericSampler:
         # free once the cache has warmed up
         i = bisect.bisect_right(self._hs, e) - 1
         lo = self._ys[i]
-        if i + 1 < len(self._ys):
-            hi = self._ys[i + 1]
-        else:
-            hi = max(lo, 1e-12)
-            step = max(lo, 1.0)
-            while self.hazard_to(hi) < e:
-                hi = hi + step
-                step *= 2.0
-                if hi > self.cap:
-                    raise CapExceededError(
-                        f"hazard below target {e:.3g} before cap {self.cap:.3g}")
-        y = optimize.brentq(lambda v: self.hazard_to(v) - e, lo, hi,
-                            xtol=1e-300, rtol=ROOT_RTOL)
+        try:
+            if i + 1 < len(self._ys):
+                hi = self._ys[i + 1]
+            else:
+                hi = max(lo, 1e-12)
+                step = max(lo, 1.0)
+                while self.hazard_to(hi) < e:
+                    hi = hi + step
+                    step *= 2.0
+                    if hi > self.cap:
+                        raise CapExceededError(
+                            f"hazard below target {e:.3g} before cap "
+                            f"{self.cap:.3g}")
+            y = optimize.brentq(lambda v: self.hazard_to(v) - e, lo, hi,
+                                xtol=1e-300, rtol=ROOT_RTOL)
+        except OverflowError as exc:
+            # the integrand works in Python floats, which raise on overflow
+            raise StateRangeError(
+                f"the hazard from z = {self.z!r} overflows double precision "
+                "before reaching the draw") from exc
         return float(y)
 
 
@@ -273,8 +280,8 @@ def _generic_chain(model: Model, z0: float, draws: np.ndarray) -> np.ndarray:
     try:
         for k in range(len(draws)):
             z[k + 1] = sample_next_generic(model, z[k], draws[k])
-    except CapExceededError as exc:
-        raise CapExceededError(f"at transition {k}: {exc}") from exc
+    except (CapExceededError, StateRangeError) as exc:
+        raise type(exc)(f"at transition {k}: {exc}") from exc
     return z
 
 

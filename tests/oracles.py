@@ -2,12 +2,13 @@
 
 Each oracle follows the defining formula literally: the coefficients are the
 column means of the full design matrix, the denominator counts the
-transitions of a ``transitions x grid`` mask, and a chain is stepped one
-sampler call at a time.  The pointwise basis function, the finite-difference
-transition weight, the penalty of one model and the best model in hindsight
-are spelled out one value at a time, for the tests that check the package's
-array versions.  The diagnostics' null distance sums the row variances of the
-two design matrices.  The flow map, the hazard pair and the fit-record reader
+transitions of a ``transitions x grid`` mask, the risk sweep evaluates one
+model at a time, and a chain is stepped one sampler call at a time.  The
+pointwise basis function, the finite-difference transition weight, the
+penalty of one model and the best model in hindsight are spelled out one
+value at a time, for the tests that check the package's array versions.  The
+diagnostics' null distance sums the row variances of the two design
+matrices.  The flow map, the hazard pair and the fit-record reader
 are used only by tests.
 """
 
@@ -16,7 +17,8 @@ import numpy as np
 from pdmprate.basis import Basis
 from pdmprate.density import DensityFit, _criterion
 from pdmprate.errors import EmptyModelSetError
-from pdmprate.jumprate import risk_sweep
+from pdmprate.jumprate import (denominator_grid, l2_risk, rate_grid,
+                               risk_sweep)
 from pdmprate.simulate import sample_next
 
 
@@ -66,6 +68,17 @@ def oracle_dimension(fit, chain, model, ys, truth, denom=None):
         raise EmptyModelSetError("no admissible model index")
     m_opt = int(np.argmin(risks))
     return m_opt, float(risks[m_opt])
+
+
+def risk_sweep_oracle(fit, chain, model, ys, truth, denom=None):
+    """L2 risk of every model index, one ``rate_grid`` and ``l2_risk`` each."""
+    if denom is None:
+        denom = denominator_grid(chain, model, ys)
+    lam_true = truth(ys)
+    return np.array([
+        l2_risk(ys, rate_grid(fit, chain, model, ys, m=m, denom=denom)[0],
+                lam_true)
+        for m in range(fit.m_max + 1)])
 
 
 def design_means_oracle(samples, basis, dim, chunk=16384):

@@ -6,7 +6,7 @@ from scipy import integrate
 
 from oracles import design_means_oracle, eval_one
 from pdmprate import Basis, EmptyModelSetError, coefficients, select_model
-from pdmprate.basis import SAMPLE_CHUNK, design_means
+from pdmprate.basis import PHASE_BLOCK, SAMPLE_CHUNK, design_means
 
 
 class TestBasisFunctions:
@@ -111,6 +111,18 @@ class TestCoefficients:
             small = coefficients(samples, b, m)
             assert np.array_equal(fit.coeffs[:len(small)], small), m
 
+    def test_prefix_nesting_beyond_six_blocks(self):
+        # 8 phase blocks and two sample chunks: every prefix is exact, since
+        # the phases of a block are formed in the same order whatever dim is
+        b = Basis()
+        rng = np.random.default_rng(6)
+        samples = rng.uniform(-0.5, 6.5, SAMPLE_CHUNK + 1500)
+        m_big = 8 * PHASE_BLOCK - 1
+        big = design_means(samples, b, b.dim(m_big))
+        for m in range(m_big):
+            small = design_means(samples, b, b.dim(m))
+            assert np.array_equal(big[:len(small)], small), m
+
     @given(n=st.integers(1, 3 * SAMPLE_CHUNK), m=st.integers(0, 40),
            a_max=st.sampled_from([6.0, 4.0, 2.5]),
            seed=st.integers(0, 2 ** 32 - 1),
@@ -123,32 +135,58 @@ class TestCoefficients:
     @example(n=1, m=40, a_max=6.0, seed=0, special=["edge"])
     def test_matches_design_matrix_oracle(self, n, m, a_max, seed, special):
         # window ends and off-window points included; chunk boundaries crossed
-        rng = np.random.default_rng(seed)
-        samples = rng.uniform(-0.5, a_max + 0.5, n)
-        where = {"zero": 0.0, "edge": a_max, "below": -1e-9,
-                 "above": a_max * (1 + 1e-15)}
-        for name in special:
-            samples[rng.integers(n)] = where[name]
-        b = Basis(a_max=a_max)
-        dim = b.dim(m)
-        fast = design_means(samples, b, dim)
-        slow = design_means_oracle(samples, b, dim)
-        # Both kernels share theta = 2 pi x / a_max <= 2 pi.  The oracle rounds
-        # the angle j*theta once, the fast kernel rounds a*theta and 16b*theta
-        # (a + 16b = j): each angle is off by at most j*theta*eps/2 <= pi*j*eps,
-        # so the two phases differ by at most 2 pi j eps.  On top of that come
-        # the cosine and sine (one ulp each) and the complex product of the
-        # two factors: at most 8 eps together.  Every sample's term therefore
-        # differs by at most amp*eps*(2 pi j + 8), and so does their mean; the
-        # 1e-15 floor and rtol cover the two summation orders.
-        j = np.concatenate(([0], np.repeat(np.arange(1, dim // 2 + 1), 2)))
-        eps = np.finfo(float).eps
-        atol = np.sqrt(2.0 / a_max) * eps * (2.0 * np.pi * j + 8.0) + 1e-15
-        err = np.abs(fast - slow)
-        assert np.all(err <= 1e-12 * np.abs(slow) + atol), \
-            (err - 1e-12 * np.abs(slow) - atol).max()
+        _check_against_oracle(n, m, a_max, seed, special)
+
+    @given(n=st.integers(SAMPLE_CHUNK - 50, 2 * SAMPLE_CHUNK + 50),
+           m=st.integers(499, 560), a_max=st.sampled_from([6.0, 2.5]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           special=st.lists(st.sampled_from(["zero", "edge", "below", "above"]),
+                            max_size=4))
+    @settings(max_examples=8, deadline=None)
+    @example(n=SAMPLE_CHUNK + 1, m=499, a_max=6.0, seed=1, special=["edge"])
+    # few samples: the mean does not average the phase errors away
+    @example(n=2, m=560, a_max=6.0, seed=3, special=[])
+    def test_matches_design_matrix_oracle_high_dim(self, n, m, a_max, seed,
+                                                   special):
+        # D >= 999: the recurrence error is largest at the top frequencies
+        _check_against_oracle(n, m, a_max, seed, special, chunk=1024)
 
     def test_inadmissible_dimension(self):
         b = Basis()
         with pytest.raises(EmptyModelSetError):
             coefficients(np.ones(10), b, 2)  # D_2 = 5, 25 > 10
+
+
+def _check_against_oracle(n, m, a_max, seed, special, chunk=16384):
+    rng = np.random.default_rng(seed)
+    samples = rng.uniform(-0.5, a_max + 0.5, n)
+    where = {"zero": 0.0, "edge": a_max, "below": -1e-9,
+             "above": a_max * (1 + 1e-15)}
+    for name in special:
+        samples[rng.integers(n)] = where[name]
+    b = Basis(a_max=a_max)
+    dim = b.dim(m)
+    fast = design_means(samples, b, dim)
+    slow = design_means_oracle(samples, b, dim, chunk=chunk)
+    # Both kernels share theta = 2 pi x / a_max <= 2 pi; eps/2 is the unit
+    # roundoff.  The oracle rounds the angle j*theta once, off by at most
+    # j*theta*eps/2 <= pi*j*eps, then takes its cosine and sine (one ulp,
+    # eps/2, each): its phase is off by at most (pi*j + 1)*eps.  The fast
+    # kernel takes the cosine and sine of theta once, so w ~ e^{i theta} is
+    # off by at most eps/sqrt(2), and builds e^{ij theta} (j = a + 16b) as
+    # a product of j factors w by complex multiplies, each off by at most
+    # sqrt(5)*eps/2 relative (Brent, Percival and Zimmermann, Math. Comp.
+    # 2007).  To first order every factor's error reaches the phase once:
+    # the low row takes a - 1 multiplies, the step w^16 takes 16 and enters
+    # b times, the high row b - 1 and the final product 1, j - 1 in all.
+    # The fast phase is thus off by at most j*(1/sqrt(2) + sqrt(5)/2)*eps
+    # < 1.9*j*eps, and the two phases differ by at most
+    # (pi + 1.9)*j*eps + eps < (2 pi j + 8)*eps.  Every sample's term thus
+    # differs by at most amp*eps*(2 pi j + 8), and so does their mean; the
+    # 1e-15 floor and rtol cover the two summation orders.
+    j = np.concatenate(([0], np.repeat(np.arange(1, dim // 2 + 1), 2)))
+    eps = np.finfo(float).eps
+    atol = np.sqrt(2.0 / a_max) * eps * (2.0 * np.pi * j + 8.0) + 1e-15
+    err = np.abs(fast - slow)
+    assert np.all(err <= 1e-12 * np.abs(slow) + atol), \
+        (err - 1e-12 * np.abs(slow) - atol).max()

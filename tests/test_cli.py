@@ -253,6 +253,17 @@ class TestSimulateCommand:
         assert main(["--config", path, "simulate", "--n", "50"]) == 3
         assert "at transition 0:" in caplog.text
 
+    def test_hazard_overflow_exit_code(self, tmp_path, caplog):
+        # numeric sampler: the hazard integrand overflows in Python floats
+        doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
+        doc["model"]["flow"] = {"variant": "exponential", "c": 1.0}
+        doc["model"]["rate"] = {"variant": "quadratic", "a": 1.0, "b": 0.5}
+        doc["model"]["z0"] = 1.0e+160
+        path = write_config(tmp_path, doc, out_dir=str(tmp_path / "o"))
+        assert main(["--config", path, "simulate", "--n", "5"]) == 3
+        assert "numerical failure: at transition 0:" in caplog.text
+        assert "overflows" in caplog.text
+
     def test_bacterial_summary(self, tmp_path, capsys):
         doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
         doc["model"]["flow"] = {"variant": "exponential", "c": 1.0}

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
-from oracles import denominator_mask_oracle, oracle_dimension
+from oracles import denominator_mask_oracle, oracle_dimension, risk_sweep_oracle
 from pdmprate import (Basis, JumpChain, bacterial_model, denominator_grid,
                       l2_risk, make_grid, rate_grid, risk_sweep, select_model,
-                      simulate_chain, tcp_model, threshold)
+                      simulate_chain, tcp_model, tcp_quadratic_model,
+                      threshold)
 from pdmprate.model import Flow, JumpMap, Model, PowerRate
 
 
@@ -171,6 +173,24 @@ class TestL2Risk:
         exact = (b - a) / 2 - (np.sin(2 * b) - np.sin(2 * a)) / 4
         assert l2_risk(ys, diff, np.zeros_like(ys)) == pytest.approx(exact, abs=1e-8)
 
+    @given(g=st.integers(1, 200).map(lambda k: 2 * k + 1),
+           lo=st.floats(0.01, 5.0), width=st.floats(0.01, 20.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scipy_simpson(self, g, lo, width, seed):
+        ys = make_grid((lo, lo + width), g)
+        vals = np.random.default_rng(seed).normal(size=g)
+        expected = integrate.simpson(vals ** 2, x=ys)
+        assert l2_risk(ys, vals, np.zeros(g)) == pytest.approx(expected,
+                                                               rel=1e-12)
+
+    @pytest.mark.parametrize("ys", [np.linspace(0.2, 4.0, 4),
+                                    np.linspace(0.2, 4.0, 1),
+                                    np.array([0.2, 0.3, 4.0])])
+    def test_rejects_even_or_uneven_grid(self, ys):
+        with pytest.raises(ValueError, match="odd equispaced"):
+            l2_risk(ys, ys, np.zeros_like(ys))
+
     def test_coverage_check(self):
         ys = make_grid((0.5, 2.0))
         with pytest.raises(ValueError):
@@ -197,6 +217,27 @@ class TestOracle:
                                            model.rate.rate)
         assert risk_opt <= risks[fit.m_hat]
         assert np.all(risk_opt <= risks + 1e-18)
+
+    @given(family=st.sampled_from(["tcp", "bacterial", "quadratic"]),
+           n=st.integers(9, 3000), seed=st.integers(0, 2 ** 32 - 1),
+           lo=st.floats(0.01, 1.0), width=st.floats(0.5, 10.0),
+           grid_points=st.sampled_from([3, 5, 33, 129]))
+    @settings(max_examples=40, deadline=None)
+    # both ends fall below the 1/ln(n) threshold here
+    @example(family="tcp", n=400, seed=0, lo=0.02, width=7.98, grid_points=65)
+    @example(family="bacterial", n=50, seed=2, lo=0.02, width=7.98,
+             grid_points=65)
+    def test_sweep_matches_oracle(self, family, n, seed, lo, width,
+                                  grid_points):
+        model = {"tcp": tcp_model(), "bacterial": bacterial_model(delta=1.0),
+                 "quadratic": tcp_quadratic_model()}[family]
+        chain = simulate_chain(model, 1.0, n, seed)
+        fit = select_model(chain.samples, Basis())
+        ys = make_grid((lo, lo + width), grid_points)
+        risks = risk_sweep(fit, chain, model, ys, model.rate.rate)
+        expected = risk_sweep_oracle(fit, chain, model, ys, model.rate.rate)
+        assert risks.shape == (fit.m_max + 1,)
+        np.testing.assert_allclose(risks, expected, rtol=1e-12, atol=0.0)
 
     def test_sweep_matches_individual_models(self, tcp_setup):
         model, chain, fit, ys = tcp_setup

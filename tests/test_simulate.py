@@ -119,6 +119,25 @@ class TestGenericSampler:
         with pytest.raises(CapExceededError):
             GenericSampler(m, 1.0).draw(10.0)
 
+    @pytest.mark.parametrize("model, z", [
+        (tcp_model(delta=200.0), 40.0),
+        (Model(Flow("exponential", 1.0), JumpMap(0.5),
+               ShiftedQuadraticRate(1.0, 0.5)), 1e160),
+    ])
+    def test_hazard_overflow_raises_state_range(self, model, z):
+        # the float integrand overflows on the way to the root
+        with pytest.raises(StateRangeError, match="overflows"):
+            sample_next_generic(model, z, 1.0)
+        with pytest.raises(StateRangeError, match="overflows"):
+            GenericSampler(model, z).draw(1.0)
+
+    def test_hazard_overflow_names_transition(self):
+        m = Model(Flow("exponential", 1.0), JumpMap(0.5),
+                  ShiftedQuadraticRate(1.0, 0.5))
+        with pytest.raises(StateRangeError,
+                           match="at transition 0: the hazard from z = 1e"):
+            simulate_chain(m, 1e160, 3, 0)
+
     def test_ks_vs_analytic_bacterial(self):
         m = bacterial_model(c=1.0, lam=1.0, delta=2.0)
         rng = np.random.default_rng(11)
