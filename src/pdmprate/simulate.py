@@ -2,11 +2,12 @@
 
 Each closed-form sampler inverts the conditional survival function of the
 next state given the current one, driven by a unit-exponential draw.  A
-numeric fallback handles arbitrary rates by integrating the hazard along the
-support and root-finding.  ``simulate_chain`` draws all exponentials first
-and runs its family's chain kernel over them: a linear scan for power rates,
-a plain-float loop for the quadratic rate, numeric draws otherwise.  Chains
-are reproducible bit-exactly from their seed record.
+numeric fallback handles arbitrary rates by inverting a Chebyshev table of
+the cumulative hazard along the flow.  ``simulate_chain`` draws all
+exponentials first and runs its family's chain kernel over them: a linear
+scan for power rates, a plain-float loop for the quadratic rate, numeric
+draws from one table otherwise.  Chains are reproducible bit-exactly from
+their seed record.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import (CapExceededError, ChainFormatError, InconsistentChainError,
                      StateRangeError, at_least, positive)
@@ -27,11 +27,28 @@ from .model import (ADDITIVE, BACTERIAL_POWER, TCP_POWER, TCP_QUADRATIC,
 
 _FLOAT_TINY = float(np.finfo(float).tiny)
 
-# GenericSampler: relative tolerances of the hazard quadrature and the root,
-# and the state cap, CAP_FACTOR * max(z, 1), at which a draw gives up.
-QUAD_RTOL = 1e-10
-ROOT_RTOL = 1e-12
+# GenericSampler: a draw gives up at the state cap CAP_FACTOR * max(z, 1).
+# _fit_panel interpolates the hazard integrand at CHEB_NODES Chebyshev points
+# per sub-panel and halves a sub-panel until its series meets CHEB_RTOL or
+# one of the stops PANEL_FLOOR, MAX_HALVINGS and MAX_LEAVES.  A draw ends when
+# a Newton step is at most ROOT_ULPS ulps, or after NEWTON_STEPS steps.
 CAP_FACTOR = 1e3
+CHEB_NODES = 17
+CHEB_RTOL = 1e-14
+PANEL_FLOOR = 1e-18
+MAX_HALVINGS = 48
+MAX_LEAVES = 256
+NEWTON_STEPS = 100
+ROOT_ULPS = 4.0
+
+# values of g at the Chebyshev points cos(theta_i), ends included, ->
+# coefficients of the interpolating series (a discrete cosine transform)
+_CHEB_THETA = np.arange(CHEB_NODES) * (np.pi / (CHEB_NODES - 1))
+_CHEB_NODES = tuple(np.cos(_CHEB_THETA).tolist())
+_CHEB_MATRIX = (2.0 / (CHEB_NODES - 1)) * np.cos(
+    np.outer(np.arange(CHEB_NODES), _CHEB_THETA))
+_CHEB_MATRIX[:, [0, -1]] *= 0.5
+_CHEB_MATRIX[[0, -1]] *= 0.5
 
 
 @dataclass(frozen=True)
@@ -109,8 +126,9 @@ def sample_next_tcp_quadratic(model: Model, z, e):
 def _scalar_integrand(model: Model):
     """Scalar hazard integrand ``rate(f^{-1}(u)) * weight(u)``.
 
-    Quadrature evaluates this point by point, so the array broadcasting in
-    :meth:`Model.transition_weight` is replaced with plain float arithmetic.
+    The hazard table and Newton's method evaluate this point by point, so the
+    array broadcasting in :meth:`Model.transition_weight` is replaced with
+    plain float arithmetic.
     """
     inv_k = 1.0 / model.jump.kappa
     c = model.flow.c
@@ -133,72 +151,217 @@ def _scalar_integrand(model: Model):
 
 
 class GenericSampler:
-    """Numeric next-state sampler for a fixed starting state.
+    """Numeric next-state sampler, moved from state to state along a chain.
 
-    Accumulates the hazard integral from the jump image of ``z`` and solves
-    ``accumulated_hazard(y) = e`` by bracket expansion plus Brent root
-    finding.  Evaluated integrals are cached at their breakpoints so repeated
-    draws from the same state get cheap.
+    The hazard integrand ``g`` of :func:`_scalar_integrand` does not depend
+    on the state, so one antiderivative ``G`` of it serves every transition:
+    a draw from ``z`` solves ``G(y) = G(kappa*z) + e``.  ``G`` is a table of
+    Chebyshev series on geometric panels (:func:`_fit_panel`), built as the
+    states reach them.  A draw brackets the root by the hazard at panel and
+    sub-panel ends, then runs Newton's method on :meth:`hazard_to` with
+    ``g`` as the derivative, bisecting when a step leaves the bracket.
+    ``G`` is anchored at the lowest panel built, so a hazard difference is
+    exact to about ``eps`` times the hazard from there.
     """
 
     def __init__(self, model: Model, z: float):
-        self.z = float(z)
-        self.lo = model.jump.apply(self.z)
-        self.cap = CAP_FACTOR * max(self.z, 1.0)
-        # sorted breakpoints with their accumulated hazard
-        self._ys = [self.lo]
-        self._hs = [0.0]
-        self._min_gap = max((self.cap - self.lo) / 4096.0, 1e-9)
+        self._kappa = model.jump.kappa
         self._integrand = _scalar_integrand(model)
+        self.move_to(z)
+        # top-level panels k0, k0+1, ...: sub-panel edges, the hazard from
+        # the panel's left edge to each, and a series per sub-panel; and the
+        # hazard from the left edge of panel k0 to the left edge of each
+        # panel and past the last
+        self._k0 = _panel_index(self.lo)
+        self._panels = []
+        self._cum = [0.0]
+
+    def move_to(self, z: float) -> None:
+        """Make ``z`` the current state; the hazard table is kept."""
+        positive("z", z)
+        self.z = float(z)
+        self.lo = self._kappa * self.z
+        if not self.lo > 0.0:
+            raise StateRangeError(
+                f"the jump image of z = {self.z!r} underflows double precision")
+        self.cap = CAP_FACTOR * max(self.z, 1.0)
+        self._g_lo = None   # G(lo), found on first use
+
+    def _build(self, k: int) -> None:
+        """Add panels to the table until it holds panel ``k``."""
+        while k >= self._k0 + len(self._panels):
+            panel = _fit_panel(self._integrand, self._k0 + len(self._panels))
+            self._panels.append(panel)
+            self._cum.append(self._cum[-1] + panel[1][-1])
+        if k < self._k0:
+            # G is anchored at the lowest panel: every stored value moves up
+            below = [_fit_panel(self._integrand, j) for j in range(k, self._k0)]
+            cum = [0.0]
+            for panel in below:
+                cum.append(cum[-1] + panel[1][-1])
+            shift = cum.pop()
+            self._cum = cum + [c + shift for c in self._cum]
+            self._panels = below + self._panels
+            self._k0 = k
+
+    def _antiderivative(self, u: float) -> float:
+        """``G(u)``: the hazard from the lowest panel edge built to ``u``."""
+        k = _panel_index(u)
+        i = k - self._k0
+        if not 0 <= i < len(self._panels):
+            self._build(k)
+            i = k - self._k0
+        edges, bases, series = self._panels[i]
+        j = bisect.bisect_right(edges, u) - 1
+        c0, rest = series[j]
+        # Clenshaw's recurrence at u's position t in [-1, 1] on its sub-panel
+        t = (u - edges[j]) / (0.5 * (edges[j + 1] - edges[j])) - 1.0
+        t2 = t + t
+        b1 = b2 = 0.0
+        for c in rest:
+            b1, b2 = c + t2 * b1 - b2, b1
+        return self._cum[i] + bases[j] + (c0 + t * b1 - b2)
+
+    def _base(self) -> float:
+        """``G`` at the jump image of the current state."""
+        if self._g_lo is None:
+            self._g_lo = self._antiderivative(self.lo)
+        return self._g_lo
 
     def hazard_to(self, y: float) -> float:
         """Accumulated hazard from the jump image of ``z`` up to ``y``."""
         if y <= self.lo:
             return 0.0
-        i = bisect.bisect_right(self._ys, y) - 1
-        base, start = self._hs[i], self._ys[i]
-        if y == start:
-            return base
-        seg, _ = integrate.quad(self._integrand, start, y,
-                                epsabs=0.0, epsrel=QUAD_RTOL)
-        h = base + seg
-        # keep the breakpoint cache bounded: only store well-separated points
-        if y - start > self._min_gap:
-            j = bisect.bisect_right(self._ys, y)
-            self._ys.insert(j, y)
-            self._hs.insert(j, h)
-        return h
+        return self._antiderivative(y) - self._base()
 
     def draw(self, e: float) -> float:
-        if e < 0:
-            raise ValueError("exponential draw must be nonnegative")
+        """Next state for the unit-exponential draw ``e``.
+
+        Raises :class:`CapExceededError` exactly when the hazard up to the
+        cap falls short of ``e``, and :class:`StateRangeError` when the
+        hazard overflows on the way.
+        """
+        if not e >= 0.0:
+            raise ValueError(f"e: the exponential draw must be >= 0, got {e!r}")
         if e == 0.0:
             return self.lo
-        # the cached hazard values are sorted, so they bracket the root for
-        # free once the cache has warmed up
-        i = bisect.bisect_right(self._hs, e) - 1
-        lo = self._ys[i]
         try:
-            if i + 1 < len(self._ys):
-                hi = self._ys[i + 1]
-            else:
-                hi = max(lo, 1e-12)
-                step = max(lo, 1.0)
-                while self.hazard_to(hi) < e:
-                    hi = hi + step
-                    step *= 2.0
-                    if hi > self.cap:
-                        raise CapExceededError(
-                            f"hazard below target {e:.3g} before cap "
-                            f"{self.cap:.3g}")
-            y = optimize.brentq(lambda v: self.hazard_to(v) - e, lo, hi,
-                                xtol=1e-300, rtol=ROOT_RTOL)
+            return self._solve(e)
         except OverflowError as exc:
             # the integrand works in Python floats, which raise on overflow
             raise StateRangeError(
                 f"the hazard from z = {self.z!r} overflows double precision "
                 "before reaching the draw") from exc
-        return float(y)
+
+    def _solve(self, e: float) -> float:
+        target = self._base() + e
+        # panels up to the one holding the target, or to the cap
+        while (self._cum[-1] <= target
+               and _panel_edge(self._k0 + len(self._panels)) <= self.cap):
+            self._build(self._k0 + len(self._panels))
+        # the sub-panel [edges[j-1], edges[j]) of panel i holding the target;
+        # G(lo) may round to below its panel's start, hence the lower bounds
+        i = max(bisect.bisect_right(self._cum, target) - 1, 0)
+        if i == len(self._panels):
+            raise self._cap_error(e)
+        edges, bases, _ = self._panels[i]
+        local = target - self._cum[i]
+        j = min(max(bisect.bisect_right(bases, local), 1), len(edges) - 1)
+        lo, hi = max(edges[j - 1], self.lo), edges[j]
+        if hi > self.cap:
+            if self.hazard_to(self.cap) < e:
+                raise self._cap_error(e)
+            hi = self.cap
+        if hi <= lo:
+            # the root is within rounding of the jump image
+            return lo
+        # start where the hazard, taken as linear across the sub-panel, meets e
+        rise = bases[j] - bases[j - 1]
+        y = (edges[j - 1] + (edges[j] - edges[j - 1])
+             * ((local - bases[j - 1]) / rise)) if rise > 0.0 else lo
+        g = self._integrand
+        for _ in range(NEWTON_STEPS):
+            if not lo < y < hi:
+                y = 0.5 * (lo + hi)
+            r = self.hazard_to(y) - e
+            if r == 0.0:
+                return y
+            if r > 0.0:
+                hi = y
+            else:
+                lo = y
+            tol = ROOT_ULPS * math.ulp(y)
+            if hi - lo <= tol:
+                return y
+            d = g(y)
+            if not d > 0.0:
+                y = lo          # no slope: bisect
+                continue
+            step = r / d
+            if abs(step) <= tol:
+                return y - step
+            y -= step
+        return y
+
+    def _cap_error(self, e: float) -> CapExceededError:
+        return CapExceededError(
+            f"hazard below target {e:.3g} before cap {self.cap:.3g}")
+
+
+def _panel_index(u: float) -> int:
+    """Index ``k`` of the top-level panel ``[edge(k), edge(k+1))`` holding ``u > 0``."""
+    m, ex = math.frexp(u)
+    return 4 * ex + int(8.0 * m) - 4
+
+
+def _panel_edge(k: int) -> float:
+    """Left edge ``2**(k//4) * (4 + k%4) / 8`` of top-level panel ``k``."""
+    return math.ldexp(4 + k % 4, k // 4 - 3)
+
+
+def _fit_panel(g, k: int):
+    """Chebyshev antiderivative of ``g`` on top-level panel ``k``.
+
+    Returns the sub-panel edges, the hazard from the panel's left edge to
+    each sub-panel edge, and per sub-panel the integrated series
+    ``(c0, (c_N, ..., c_1))`` in ``t = -1 ... 1``, which is 0 at ``t = -1``.
+    A sub-panel is halved while its two last coefficients of ``g`` exceed
+    ``CHEB_RTOL`` times the sum of all of them, unless its hazard is below
+    ``PANEL_FLOOR`` (an integrand that underflows never passes the relative
+    test), it has been halved ``MAX_HALVINGS`` times (a kink never passes
+    it) or the panel has ``MAX_LEAVES`` sub-panels (nor does noise).
+    """
+    edges, bases, series = [], [0.0], []
+    todo = [(_panel_edge(k), _panel_edge(k + 1), 0)]
+    while todo:
+        a, b, depth = todo.pop()
+        half = 0.5 * (b - a)
+        mid = a + half
+        values = np.array([float(g(mid + half * t)) for t in _CHEB_NODES])
+        with np.errstate(all="ignore"):
+            # a value that is not finite shows in the total, checked below
+            c = (_CHEB_MATRIX @ values).tolist()
+        # term by term: the integral of T_j is T_{j+1}/(2(j+1)) - T_{j-1}/(2(j-1))
+        c += [0.0, 0.0]
+        ints = [half * (c[0] - 0.5 * c[2])]
+        ints += [half * (c[j - 1] - c[j + 1]) / (2 * j)
+                 for j in range(2, CHEB_NODES + 1)]
+        total = 2.0 * math.fsum(ints[0::2])
+        if not math.isfinite(total):
+            raise OverflowError("the hazard integrand is not finite")
+        tail = abs(c[CHEB_NODES - 2]) + abs(c[CHEB_NODES - 1])
+        if (tail > CHEB_RTOL * sum(map(abs, c)) and abs(total) >= PANEL_FLOOR
+                and depth < MAX_HALVINGS
+                and len(series) + len(todo) < MAX_LEAVES):
+            # left half on top, so sub-panels come off the stack in order
+            todo += [(mid, b, depth + 1), (a, mid, depth + 1)]
+            continue
+        c0 = math.fsum(-v if j % 2 else v for j, v in enumerate(ints))
+        edges.append(a)
+        bases.append(bases[-1] + total)
+        series.append((c0, tuple(reversed(ints))))
+    edges.append(_panel_edge(k + 1))
+    return edges, bases, series
 
 
 def sample_next_generic(model: Model, z: float, e: float) -> float:
@@ -274,14 +437,21 @@ def _quadratic_chain(model: Model, z0: float, draws: np.ndarray) -> np.ndarray:
 
 
 def _generic_chain(model: Model, z0: float, draws: np.ndarray) -> np.ndarray:
-    """States ``z[0..n]`` by one numeric draw per transition."""
+    """States ``z[0..n]`` by numeric draws from one :class:`GenericSampler`.
+
+    The sampler moves from state to state, so the hazard table it builds
+    serves the whole chain.
+    """
     z = np.empty(len(draws) + 1)
     z[0] = z0
+    out = memoryview(z)
+    sampler = GenericSampler(model, z0)
     try:
-        for k in range(len(draws)):
-            z[k + 1] = sample_next_generic(model, z[k], draws[k])
+        for k, e in enumerate(memoryview(draws), start=1):
+            out[k] = x = sampler.draw(e)
+            sampler.move_to(x)
     except (CapExceededError, StateRangeError) as exc:
-        raise type(exc)(f"at transition {k}: {exc}") from exc
+        raise type(exc)(f"at transition {k - 1}: {exc}") from exc
     return z
 
 

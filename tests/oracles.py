@@ -8,18 +8,22 @@ pointwise basis function, the finite-difference transition weight, the
 penalty of one model and the best model in hindsight are spelled out one
 value at a time, for the tests that check the package's array versions.  The
 diagnostics' null distance sums the row variances of the two design
-matrices.  The flow map, the hazard pair and the fit-record reader
-are used only by tests.
+matrices.  A numeric draw integrates the hazard by adaptive quadrature and
+finds its root by Brent's method, one transition at a time.  The flow map,
+the hazard pair and the fit-record reader are used only by tests.
 """
 
+import warnings
+
 import numpy as np
+from scipy import integrate, optimize
 
 from pdmprate.basis import Basis
 from pdmprate.density import DensityFit, _criterion
-from pdmprate.errors import EmptyModelSetError
+from pdmprate.errors import CapExceededError, EmptyModelSetError
 from pdmprate.jumprate import (denominator_grid, l2_risk, rate_grid,
                                risk_sweep)
-from pdmprate.simulate import sample_next
+from pdmprate.simulate import CAP_FACTOR, _scalar_integrand, sample_next
 
 
 def eval_one(basis, l, x):
@@ -122,6 +126,45 @@ def simulate_chain_oracle(model, z0, n, seed):
     for k in range(n):
         z[k + 1] = sample_next(model, z[k], draws[k])
     return z
+
+
+def generic_draw_oracle(model, z, e, kinks=()):
+    """Next state from ``z`` for the draw ``e``, by quadrature and Brent's method.
+
+    Each hazard is a ``quad`` of the integrand from the jump image
+    ``kappa*z`` to within 1e-13 of itself or of ``e``, split where the flow
+    reaches a state in ``kinks``, at which the rate is not smooth.  The root is
+    bracketed by steps that double, up to the cap ``CAP_FACTOR * max(z, 1)``,
+    past which :class:`CapExceededError` is raised as by ``GenericSampler``.
+    """
+    g = _scalar_integrand(model)
+    lo = model.jump.apply(float(z))
+    cap = CAP_FACTOR * max(float(z), 1.0)
+    if e == 0.0:
+        return lo
+    breaks = sorted(model.jump.apply(float(x)) for x in kinks)
+
+    def hazard(y):
+        ends = [lo] + [b for b in breaks if lo < b < y] + [y]
+        total = 0.0
+        for a, b in zip(ends, ends[1:]):
+            with warnings.catch_warnings():
+                # quad warns on intervals a few ulps wide, where it cannot
+                # halve further; its own error estimate is checked instead
+                warnings.simplefilter("ignore", integrate.IntegrationWarning)
+                part, err = integrate.quad(g, a, b, epsabs=1e-13 * e,
+                                           epsrel=1e-13, limit=200)
+            assert err <= 1e-12 * max(part, e), (a, b, part, err)
+            total += part
+        return total
+
+    hi, step = lo, max(lo, 1.0)
+    while hazard(hi) < e:
+        if hi == cap:
+            raise CapExceededError(f"hazard below target {e:.3g} before cap")
+        hi, step = min(hi + step, cap), 2.0 * step
+    return optimize.brentq(lambda y: hazard(y) - e, lo, hi, xtol=1e-300,
+                           rtol=4.0 * np.finfo(float).eps)
 
 
 def chain_draws(seed, n):

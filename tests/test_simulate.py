@@ -1,10 +1,14 @@
+import math
+import time
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
 
-from oracles import advance, chain_draws, simulate_chain_oracle
+from oracles import (advance, chain_draws, generic_draw_oracle,
+                     simulate_chain_oracle)
 from pdmprate import (CapExceededError, ChainFormatError, ConfigError,
                       FamilyMismatchError, GenericSampler,
                       InconsistentChainError, JumpChain,
@@ -97,6 +101,29 @@ class TestBacterialSampler:
             pytest.approx(root, rel=1e-10)
 
 
+MC_GENERIC = Model(Flow("exponential", 2.0), JumpMap(0.5),
+                   ShiftedQuadraticRate(1.0, 0.5))
+
+# CustomRates for the numeric sampler, with the states where they have a kink
+GENERIC_RATES = {
+    "smooth": (lambda x: 0.5 + x * x / (1.0 + x), ()),
+    "kink": (lambda x: max(x - 1.0, 0.0) + 0.1, (1.0,)),
+    "steep": (lambda x: math.exp(3.0 * x), ()),
+}
+
+
+def generic_case(kind, kappa, delta):
+    """A model for the numeric sampler, and the states where its rate has a kink."""
+    if kind == "mc_generic":
+        return MC_GENERIC, ()
+    if kind == "power":
+        # exponential flow with delta <= 0: no closed-form chain
+        return Model(Flow("exponential", 1.5), JumpMap(kappa),
+                     PowerRate(1.2, delta)), ()
+    rate, kinks = GENERIC_RATES[kind]
+    return Model(Flow("additive", 1.0), JumpMap(kappa), CustomRate(rate)), kinks
+
+
 class TestGenericSampler:
     def test_matches_tcp_analytic_single(self):
         m = tcp_model(kappa=0.5, c=1.0, lam=1.0, delta=0.0)
@@ -137,6 +164,88 @@ class TestGenericSampler:
         with pytest.raises(StateRangeError,
                            match="at transition 0: the hazard from z = 1e"):
             simulate_chain(m, 1e160, 3, 0)
+
+    @pytest.mark.parametrize("z, e, error, field", [
+        (math.inf, 1.0, ConfigError, "z"),
+        (0.0, 1.0, ConfigError, "z"),
+        (-1.0, 1.0, ConfigError, "z"),
+        (math.nan, 1.0, ConfigError, "z"),
+        (1.0, math.nan, ValueError, "e"),
+        (1.0, -1.0, ValueError, "e"),
+    ])
+    def test_impossible_state_or_draw_rejected(self, z, e, error, field):
+        with pytest.raises(error, match=f"^{field}: "):
+            sample_next_generic(MC_GENERIC, z, e)
+
+    def test_underflowing_jump_image_raises(self):
+        m = Model(Flow("additive", 1.0), JumpMap(1e-300), PowerRate(1.0, -0.5))
+        with pytest.raises(StateRangeError, match="jump image"):
+            GenericSampler(m, 1e-30)
+
+    @given(kind=st.sampled_from(["mc_generic", "power", "smooth", "kink",
+                                 "steep"]),
+           kappa=st.floats(0.05, 0.95), delta=st.floats(-0.95, 0.0),
+           z=st.floats(0.05, 20.0), e=st.floats(0.0, 8.0))
+    # a draw far below one ulp of the hazard, from a panel edge
+    @example(kind="mc_generic", kappa=0.5, delta=0.0, z=1.0, e=1e-115)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_quadrature_oracle(self, kind, kappa, delta, z, e):
+        model, kinks = generic_case(kind, kappa, delta)
+        try:
+            want = generic_draw_oracle(model, z, e, kinks)
+        except CapExceededError:
+            with pytest.raises(CapExceededError):
+                GenericSampler(model, z).draw(e)
+            return
+        # leave out roots so ill-conditioned that a relative error of eps in
+        # the hazard moves them by more than 1e3 eps
+        slope = want * model.rate.rate(want / model.jump.kappa) \
+            * model.transition_weight(z, want)
+        assume(e <= 1e3 * slope)
+        assert GenericSampler(model, z).draw(e) == pytest.approx(want,
+                                                                 rel=1e-12)
+
+    @pytest.mark.parametrize("model, z0", [
+        (MC_GENERIC, 1.0),
+        # the chain falls from far above, so the table grows downward
+        (MC_GENERIC, 50.0),
+        (Model(Flow("additive", 1.0), JumpMap(0.3),
+               CustomRate(lambda x: max(x - 1.0, 0.0) + 0.1)), 1.0),
+    ])
+    def test_chain_matches_one_shot_loop(self, model, z0):
+        n, seed = 400, 5
+        draws = chain_draws(seed, n)
+        want = np.empty(n + 1)
+        want[0] = z0
+        for k in range(n):
+            want[k + 1] = sample_next_generic(model, want[k], draws[k])
+        got = simulate_chain(model, z0, n, seed).z
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("beyond", [False, True])
+    def test_cap_is_exact(self, beyond):
+        # constant hazard 1/(kappa*c) = 2 per unit: from z = 1, the root
+        # 0.5 + e/2 reaches the cap 1000 at e = 1999
+        gs = GenericSampler(tcp_model(kappa=0.5), 1.0)
+        e = 1999.0 * (1.0 + (1e-10 if beyond else -1e-10))
+        if beyond:
+            with pytest.raises(CapExceededError):
+                gs.draw(e)
+        else:
+            assert gs.draw(e) == pytest.approx(0.5 + e / 2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("rate, z0", [
+        (lambda x: max(x - 1.0, 0.0) + 0.1, 1.0),   # a kink at x = 1
+        (lambda x: math.exp(-1.0 / x), 1e-3),       # underflows near 0
+        # 1 + 3x with rounding noise far above CHEB_RTOL at x ~ 100
+        (lambda x: (1.0 + x) ** 3 - x ** 3 - 3.0 * x * x, 100.0),
+    ])
+    def test_kinked_underflowing_and_noisy_chains_finish(self, rate, z0):
+        model = Model(Flow("additive", 1.0), JumpMap(0.5), CustomRate(rate))
+        start = time.perf_counter()
+        chain = simulate_chain(model, z0, 200, 0)
+        assert time.perf_counter() - start < 5.0
+        assert np.all(np.isfinite(chain.z)) and chain.z[1:].min() > 0.0
 
     def test_ks_vs_analytic_bacterial(self):
         m = bacterial_model(c=1.0, lam=1.0, delta=2.0)
