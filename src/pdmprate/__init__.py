@@ -8,10 +8,10 @@ from .bench import (DiagnosticsReport, ExperimentConfig, ExperimentResult,
 from .density import DensityFit, contrast, select_model
 from .errors import (CapExceededError, ChainFormatError, ChainTooShortError,
                      ConfigError, EmptyModelSetError, FamilyMismatchError,
-                     InconsistentChainError, OutOfSupportError, PdmpError,
-                     StateRangeError, UnreachableStateError)
-from .jumprate import (denominator_grid, l2_risk, make_grid, rate_grid,
-                       risk_sweep, threshold)
+                     InconsistentChainError, PdmpError, StateRangeError,
+                     UnreachableStateError)
+from .jumprate import (denominator_grid, make_grid, rate_grid, risk_sweep,
+                       threshold)
 from .model import (Flow, JumpMap, Model, PowerRate, ShiftedQuadraticRate,
                     CustomRate, bacterial_model, tcp_model,
                     tcp_quadratic_model)

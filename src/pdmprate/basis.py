@@ -49,9 +49,9 @@ class Basis:
         out = np.zeros((dim, len(x)))
         out[0] = np.where(inside, 1.0 / np.sqrt(self.a_max), 0.0)
         amp = np.sqrt(2.0 / self.a_max)
-        n_pairs = (dim - 1) // 2
         theta = 2.0 * np.pi * x / self.a_max
-        for j in range(1, n_pairs + 1):
+        # an even dim ends on the cosine of frequency dim // 2
+        for j in range(1, dim // 2 + 1):
             arg = j * theta
             out[2 * j - 1] = np.where(inside, amp * np.cos(arg), 0.0)
             if 2 * j < dim:
@@ -99,8 +99,9 @@ def design_means(samples: np.ndarray, basis: Basis, dim: int) -> np.ndarray:
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
     inside = samples[(samples >= 0.0) & (samples <= basis.a_max)]
-    n_pairs = (dim - 1) // 2
-    n_blocks = -(-(n_pairs + 1) // PHASE_BLOCK)
+    # frequencies 1..n_cos have a cosine entry, 1..n_sin a sine entry
+    n_cos, n_sin = dim // 2, (dim - 1) // 2
+    n_blocks = -(-(n_cos + 1) // PHASE_BLOCK)
     sums = np.zeros(n_blocks * PHASE_BLOCK, dtype=complex)
     width = min(SAMPLE_CHUNK, len(inside))
     low = np.empty((PHASE_BLOCK, width), dtype=complex)
@@ -123,9 +124,8 @@ def design_means(samples: np.ndarray, basis: Basis, dim: int) -> np.ndarray:
     out = np.empty(dim)
     out[0] = len(inside) / np.sqrt(basis.a_max) / n
     amp = np.sqrt(2.0 / basis.a_max)
-    pair_sums = sums[1:n_pairs + 1]
-    out[1::2] = amp * pair_sums.real / n
-    out[2::2] = amp * pair_sums.imag / n
+    out[1::2] = amp * sums[1:n_cos + 1].real / n
+    out[2::2] = amp * sums[1:n_sin + 1].imag / n
     return out
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -104,8 +104,7 @@ def run_replicate(config: ExperimentConfig, n: int, index: int) -> ReplicateResu
                        sigma_prime=config.sigma_prime)
     ys = make_grid(config.interval, config.grid_points)
     denom = denominator_grid(chain, config.model, ys)
-    truth = config.model.rate.rate
-    risks = risk_sweep(fit, chain, config.model, ys, truth, denom=denom)
+    risks = risk_sweep(fit, chain, config.model, ys, denom=denom)
     m_opt = int(np.argmin(risks))
     risk_mhat = float(risks[fit.m_hat])
     risk_mopt = float(risks[m_opt])
@@ -118,15 +117,10 @@ def run_replicate(config: ExperimentConfig, n: int, index: int) -> ReplicateResu
         seconds=elapsed, denom_mid=float(denom[len(denom) // 2]))
 
 
-def _replicate_task(args):
-    config, n, index = args
-    return run_replicate(config, n, index)
-
-
 @dataclass(frozen=True)
 class ExperimentResult:
     rows: List[ExperimentRow]
-    replicates: List[ReplicateResult] = field(default_factory=list)
+    replicates: List[ReplicateResult]
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
@@ -135,13 +129,15 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     Aggregation order is fixed by (n, replicate index) regardless of how many
     workers execute the replicates.
     """
-    tasks = [(config, n, r)
-             for n in config.n_values for r in range(config.replicates)]
+    ns, indices = zip(*[(n, r) for n in config.n_values
+                        for r in range(config.replicates)])
+    configs = [config] * len(ns)
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            details = list(pool.map(_replicate_task, tasks, chunksize=1))
+            details = list(pool.map(run_replicate, configs, ns, indices,
+                                    chunksize=1))
     else:
-        details = [run_replicate(config, n, r) for (config, n, r) in tasks]
+        details = list(map(run_replicate, configs, ns, indices))
     rows = []
     for n in config.n_values:
         group = [d for d in details if d.n == n]

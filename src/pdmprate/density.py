@@ -41,19 +41,14 @@ class DensityFit:
     def m_max(self) -> int:
         return len(self.contrasts) - 1
 
-    def evaluate(self, x, m: int | None = None):
-        """Estimated density at ``x`` using model ``m`` (default: selected).
+    def evaluate(self, x):
+        """Estimated density at the points ``x`` using the selected model.
 
         May be negative; no positivity correction is applied here.
         """
-        m = self.m_hat if m is None else m
-        if m > self.m_max:
-            raise ValueError(f"model index {m} exceeds maximum {self.m_max}")
-        x = np.asarray(x, dtype=float)
-        dim = self.basis.dim(m)
-        design = self.basis.design(np.atleast_1d(x), dim)
-        out = self.coeffs[:dim] @ design
-        return out if x.ndim else float(out[0])
+        dim = self.basis.dim(self.m_hat)
+        design = self.basis.design(x, dim)
+        return self.coeffs[:dim] @ design
 
 
 def contrast(coeffs: np.ndarray) -> float:

@@ -16,10 +16,6 @@ class UnreachableStateError(PdmpError):
     """Target state lies behind the current state along the flow."""
 
 
-class OutOfSupportError(PdmpError):
-    """Query point outside the support of the transition density."""
-
-
 class CapExceededError(PdmpError):
     """Accumulated hazard failed to reach the target before the state cap."""
 

@@ -8,7 +8,7 @@ density estimate must be nonnegative and the denominator must clear the
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -48,22 +48,20 @@ def denominator_grid(chain: JumpChain, model: Model,
     ok = nxt >= model.jump.apply(prev)
     count = (np.searchsorted(np.sort(prev[ok]), ys, side="right")
              - np.searchsorted(np.sort(nxt[ok]), fy, side="left"))
-    return model.transition_weight(ys, fy) * count / chain.n
+    return model.transition_weight(fy) * count / chain.n
 
 
 def rate_grid(fit: DensityFit, chain: JumpChain, model: Model,
-              ys: np.ndarray, m: Optional[int] = None,
-              denom: Optional[np.ndarray] = None):
+              ys: np.ndarray, denom: Optional[np.ndarray] = None):
     """Thresholded quotient estimate of the rate on a grid.
 
-    Returns ``(rate_hat, density_at_image, denominator)``.  ``denom`` may be
-    passed in to reuse a previously computed denominator (it does not depend
-    on the model index).
+    Returns ``(rate_hat, density_at_image, denominator)`` of the selected
+    model.  ``denom`` may be passed in to reuse a computed denominator.
     """
     ys = np.asarray(ys, dtype=float)
     if denom is None:
         denom = denominator_grid(chain, model, ys)
-    nu_f = fit.evaluate(model.jump.apply(ys), m=m)
+    nu_f = fit.evaluate(model.jump.apply(ys))
     return _quotient(nu_f, denom, chain.n), nu_f, denom
 
 
@@ -72,19 +70,6 @@ def _quotient(nu_f: np.ndarray, denom: np.ndarray, n: int) -> np.ndarray:
     denom_ok = denom >= threshold(n)
     return np.where((nu_f >= 0.0) & denom_ok,
                     nu_f / np.where(denom_ok, denom, 1.0), 0.0)
-
-
-def l2_risk(ys: np.ndarray, values_hat: np.ndarray, values_true: np.ndarray,
-            interval: Optional[tuple] = None) -> float:
-    """Integrated squared error by composite Simpson on the grid."""
-    ys = np.asarray(ys, dtype=float)
-    if interval is not None:
-        lo, hi = interval
-        if ys[0] > lo + 1e-12 or ys[-1] < hi - 1e-12:
-            raise ValueError(f"grid [{ys[0]}, {ys[-1]}] does not cover "
-                             f"interval [{lo}, {hi}]")
-    diff = np.asarray(values_hat, dtype=float) - np.asarray(values_true, dtype=float)
-    return float(diff ** 2 @ _simpson_weights(ys))
 
 
 def _simpson_weights(ys: np.ndarray) -> np.ndarray:
@@ -118,9 +103,9 @@ def make_grid(interval: tuple,
 
 
 def risk_sweep(fit: DensityFit, chain: JumpChain, model: Model,
-               ys: np.ndarray, truth: Callable[[np.ndarray], np.ndarray],
+               ys: np.ndarray,
                denom: Optional[np.ndarray] = None) -> np.ndarray:
-    """L2 risk of the quotient estimator for every admissible model index.
+    """L2 risk against the model's own rate for every admissible model index.
 
     Row ``m`` of ``nu_f`` first holds the terms model ``m`` adds to the
     density at the jump images (the constant for ``m = 0``, the m-th
@@ -131,7 +116,7 @@ def risk_sweep(fit: DensityFit, chain: JumpChain, model: Model,
     ys = np.asarray(ys, dtype=float)
     if denom is None:
         denom = denominator_grid(chain, model, ys)
-    lam_true = np.asarray(truth(ys), dtype=float)
+    lam_true = np.asarray(model.rate.rate(ys), dtype=float)
     terms = fit.basis.design(model.jump.apply(ys), fit.basis.dim(fit.m_max))
     terms *= fit.coeffs[:, None]
     nu_f = np.empty((fit.m_max + 1, len(ys)))
@@ -143,18 +128,12 @@ def risk_sweep(fit: DensityFit, chain: JumpChain, model: Model,
 
 
 def grid_to_tsv(ys: np.ndarray, rate_hat: np.ndarray, nu_f: np.ndarray,
-                denom: np.ndarray,
-                rate_true: Optional[np.ndarray] = None) -> str:
-    """TSV with the four curves usually plotted together."""
-    cols = ["y", "lambda_hat"]
-    if rate_true is not None:
-        cols.append("lambda_true")
-    cols += ["nu_hat_of_f", "d_hat"]
+                denom: np.ndarray, rate_true: np.ndarray) -> str:
+    """TSV with the curves usually plotted together."""
+    cols = ["y", "lambda_hat", "lambda_true", "nu_hat_of_f", "d_hat"]
     lines = ["\t".join(cols)]
     for i in range(len(ys)):
-        row = [f"{ys[i]:.17g}", f"{rate_hat[i]:.17g}"]
-        if rate_true is not None:
-            row.append(f"{rate_true[i]:.17g}")
-        row += [f"{nu_f[i]:.17g}", f"{denom[i]:.17g}"]
+        row = [f"{ys[i]:.17g}", f"{rate_hat[i]:.17g}", f"{rate_true[i]:.17g}",
+               f"{nu_f[i]:.17g}", f"{denom[i]:.17g}"]
         lines.append("\t".join(row))
     return "\n".join(lines) + "\n"

@@ -13,8 +13,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import (FamilyMismatchError, OutOfSupportError,
-                     UnreachableStateError, nonnegative, positive, require)
+from .errors import (FamilyMismatchError, UnreachableStateError, nonnegative,
+                     positive, require)
 
 ADDITIVE = "additive"
 EXPONENTIAL = "exponential"
@@ -88,11 +88,8 @@ class PowerRate:
 
     def rate(self, x):
         x = np.asarray(x, dtype=float)
-        if self.delta == 0:
-            out = np.full_like(x, self.lam)
-        else:
-            with np.errstate(divide="ignore"):
-                out = self.lam * np.power(x, self.delta)
+        with np.errstate(divide="ignore"):
+            out = self.lam * np.power(x, self.delta)
         return out if out.ndim else float(out)
 
     def cumulative(self, x):
@@ -184,24 +181,19 @@ class Model:
         lo = self.jump.apply(x)
         return y < lo - SUPPORT_RTOL * np.abs(lo)
 
-    def transition_weight(self, x, y):
-        """Change-of-variable weight in the transition density at (x, y).
+    def transition_weight(self, y):
+        """Change-of-variable weight in the transition density at ``y``.
 
         This is the derivative of the inverse of jump-after-flow started at
-        ``x``, evaluated at ``y``.  Defined for ``y >= kappa*x``; closed forms:
-        ``1/(kappa*c)`` for the additive flow and ``1/(c*y)`` for the
-        exponential flow (linear jump map).
+        any ``x`` with ``kappa*x <= y``, evaluated at ``y``; the jump map is
+        linear, so it does not depend on ``x``.  Closed forms: ``1/(kappa*c)``
+        for the additive flow and ``1/(c*y)`` for the exponential flow.
         """
-        xs = np.asarray(x, dtype=float)
         ys = np.asarray(y, dtype=float)
-        if np.any(self.below_support(xs, ys)):
-            raise OutOfSupportError("query point below the jump image of x")
         if self.flow.variant == ADDITIVE:
-            out = np.broadcast_to(1.0 / (self.jump.kappa * self.flow.c),
-                                  np.broadcast_shapes(xs.shape, ys.shape)).copy()
+            out = np.full_like(ys, 1.0 / (self.jump.kappa * self.flow.c))
         else:
-            out = np.broadcast_to(1.0 / (self.flow.c * ys),
-                                  np.broadcast_shapes(xs.shape, ys.shape)).copy()
+            out = 1.0 / (self.flow.c * ys)
         return out if out.ndim else float(out)
 
 

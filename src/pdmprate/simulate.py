@@ -127,8 +127,8 @@ def _scalar_integrand(model: Model):
     """Scalar hazard integrand ``rate(f^{-1}(u)) * weight(u)``.
 
     The hazard table and Newton's method evaluate this point by point, so the
-    array broadcasting in :meth:`Model.transition_weight` is replaced with
-    plain float arithmetic.
+    weight of :meth:`Model.transition_weight` is written out in plain float
+    arithmetic.
     """
     inv_k = 1.0 / model.jump.kappa
     c = model.flow.c
@@ -481,12 +481,15 @@ def simulate_chain(model: Model, z0: float, n: int, seed) -> JumpChain:
 
     ``seed`` may be an integer or a ``numpy.random.SeedSequence``; the record
     stored on the chain allows bit-exact replay.  Raises :class:`ConfigError`
-    naming ``z0`` or ``n`` unless ``z0`` is finite and positive and ``n`` an
-    integer >= 1, and :class:`StateRangeError` naming the first transition
+    naming ``z0``, ``n`` or ``seed`` unless ``z0`` is finite and positive,
+    ``n`` an integer >= 1 and ``seed`` a ``SeedSequence``, ``None`` or an
+    integer >= 0, and :class:`StateRangeError` naming the first transition
     whose state is not a finite positive float.
     """
     positive("z0", z0)
     at_least("n", n, 1)
+    if seed is not None and not isinstance(seed, np.random.SeedSequence):
+        at_least("seed", seed, 0)
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     rng = np.random.default_rng(ss)
@@ -504,15 +507,18 @@ def reconstruct_times(chain: JumpChain) -> np.ndarray:
     """Jump times implied by the states, taking the first jump at time T_1.
 
     Each inter-jump duration is the flow travel time from the previous state
-    to the pre-jump position of the next one.
+    to the pre-jump position of the next one.  A state up to the support
+    tolerance below the jump image of the previous one, as a sampler's
+    rounding leaves (:meth:`Model.below_support`), gets a zero duration.
     """
     model = chain.model
     if chain.n < 1:
         raise InconsistentChainError("need at least one transition")
-    pre_jump = model.jump.invert(chain.z[1:])
-    if np.any(pre_jump < chain.z[:-1]):
+    prev = chain.z[:-1]
+    if np.any(model.below_support(prev, chain.z[1:])):
         raise InconsistentChainError("pre-jump state behind previous state")
-    gaps = model.flow.travel_time(chain.z[:-1], pre_jump)
+    pre_jump = np.maximum(model.jump.invert(chain.z[1:]), prev)
+    gaps = model.flow.travel_time(prev, pre_jump)
     return np.cumsum(np.atleast_1d(gaps))
 
 

@@ -3,7 +3,9 @@
 Each oracle follows the defining formula literally: the coefficients are the
 column means of the full design matrix, the denominator counts the
 transitions of a ``transitions x grid`` mask, the risk sweep evaluates one
-model at a time, and a chain is stepped one sampler call at a time.  The
+model at a time (its density at the jump images as a product with the
+design matrix, the ``1/ln n`` threshold written out, the integral by scipy's
+Simpson rule), and a chain is stepped one sampler call at a time.  The
 pointwise basis function, the finite-difference transition weight, the
 penalty of one model and the best model in hindsight are spelled out one
 value at a time, for the tests that check the package's array versions.  The
@@ -21,8 +23,7 @@ from scipy import integrate, optimize
 from pdmprate.basis import Basis
 from pdmprate.density import DensityFit, _criterion
 from pdmprate.errors import CapExceededError, EmptyModelSetError
-from pdmprate.jumprate import (denominator_grid, l2_risk, rate_grid,
-                               risk_sweep)
+from pdmprate.jumprate import denominator_grid, risk_sweep, threshold
 from pdmprate.simulate import CAP_FACTOR, _scalar_integrand, sample_next
 
 
@@ -45,9 +46,9 @@ def eval_one(basis, l, x):
 
 
 def transition_weight_numeric(model, x, y):
-    """Finite-difference version of ``Model.transition_weight``.
+    """Finite-difference version of ``Model.transition_weight``, started at ``x``.
 
-    Central differences of the travel-time map with step
+    Central differences of the travel-time map from ``x`` with step
     ``h = 1e-6 * max(1, y)``.
     """
     h = 1e-6 * max(1.0, y)
@@ -65,23 +66,42 @@ def penalty(m, n, sigma=2.0, sigma_prime=0.0):
     return sigma * Basis.dim(m) / n + sigma_prime / n
 
 
-def oracle_dimension(fit, chain, model, ys, truth, denom=None):
+def oracle_dimension(fit, chain, model, ys, denom=None):
     """Best model index in hindsight and its risk; ties to the smallest index."""
-    risks = risk_sweep(fit, chain, model, ys, truth, denom=denom)
+    risks = risk_sweep(fit, chain, model, ys, denom=denom)
     if len(risks) == 0:
         raise EmptyModelSetError("no admissible model index")
     m_opt = int(np.argmin(risks))
     return m_opt, float(risks[m_opt])
 
 
-def risk_sweep_oracle(fit, chain, model, ys, truth, denom=None):
-    """L2 risk of every model index, one ``rate_grid`` and ``l2_risk`` each."""
+def rate_at_model(fit, chain, model, ys, m, denom=None):
+    """Quotient estimate of the rate on ``ys`` from model ``m``.
+
+    The density of model ``m`` at the jump images, divided by the
+    denominator where the density is nonnegative and the denominator is at
+    least ``1/ln n``; zero elsewhere.
+    """
+    ys = np.asarray(ys, dtype=float)
     if denom is None:
         denom = denominator_grid(chain, model, ys)
-    lam_true = truth(ys)
+    dim = fit.basis.dim(m)
+    nu_f = fit.coeffs[:dim] @ fit.basis.design(model.jump.apply(ys), dim)
+    fire = (nu_f >= 0.0) & (denom >= threshold(chain.n))
+    rate = np.zeros(len(ys))
+    rate[fire] = nu_f[fire] / denom[fire]
+    return rate
+
+
+def risk_sweep_oracle(fit, chain, model, ys, denom=None):
+    """L2 risk against the model's rate of every model index, one at a time."""
+    if denom is None:
+        denom = denominator_grid(chain, model, ys)
+    lam_true = model.rate.rate(ys)
     return np.array([
-        l2_risk(ys, rate_grid(fit, chain, model, ys, m=m, denom=denom)[0],
-                lam_true)
+        integrate.simpson(
+            (rate_at_model(fit, chain, model, ys, m, denom) - lam_true) ** 2,
+            x=ys)
         for m in range(fit.m_max + 1)])
 
 

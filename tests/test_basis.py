@@ -67,6 +67,16 @@ class TestBasisFunctions:
         with pytest.raises(ValueError):
             eval_one(Basis(), 0, 1.0)
 
+    @pytest.mark.parametrize("dim", [2, 4, 10])
+    def test_even_dim_design_matches_eval_one(self, dim):
+        # an even dimension ends on the cosine of frequency dim // 2
+        b = Basis()
+        xs = np.linspace(-1, 7, 60)
+        design = b.design(xs, dim)
+        assert design.shape == (dim, len(xs))
+        for l in range(1, dim + 1):
+            assert np.array_equal(design[l - 1], eval_one(b, l, xs)), l
+
 
 class TestCoefficients:
     def test_point_mass(self):
@@ -135,7 +145,7 @@ class TestCoefficients:
     @example(n=1, m=40, a_max=6.0, seed=0, special=["edge"])
     def test_matches_design_matrix_oracle(self, n, m, a_max, seed, special):
         # window ends and off-window points included; chunk boundaries crossed
-        _check_against_oracle(n, m, a_max, seed, special)
+        _check_against_oracle(*_oracle_case(n, m, a_max, seed, special))
 
     @given(n=st.integers(SAMPLE_CHUNK - 50, 2 * SAMPLE_CHUNK + 50),
            m=st.integers(499, 560), a_max=st.sampled_from([6.0, 2.5]),
@@ -149,7 +159,17 @@ class TestCoefficients:
     def test_matches_design_matrix_oracle_high_dim(self, n, m, a_max, seed,
                                                    special):
         # D >= 999: the recurrence error is largest at the top frequencies
-        _check_against_oracle(n, m, a_max, seed, special, chunk=1024)
+        _check_against_oracle(*_oracle_case(n, m, a_max, seed, special),
+                              chunk=1024)
+
+    # dim 32 needs frequency 16, the first of the second phase block
+    @pytest.mark.parametrize("dim", [2, 4, 10, 32])
+    def test_even_dim_matches_design_matrix_oracle(self, dim):
+        samples = np.random.default_rng(0).uniform(0, 6, 1000)
+        _check_against_oracle(samples, Basis(), dim)
+        # and it is the prefix of the next odd dimension
+        assert np.array_equal(design_means(samples, Basis(), dim + 1)[:dim],
+                              design_means(samples, Basis(), dim))
 
     def test_inadmissible_dimension(self):
         b = Basis()
@@ -157,7 +177,8 @@ class TestCoefficients:
             coefficients(np.ones(10), b, 2)  # D_2 = 5, 25 > 10
 
 
-def _check_against_oracle(n, m, a_max, seed, special, chunk=16384):
+def _oracle_case(n, m, a_max, seed, special):
+    """Samples, basis and dimension D_m of one oracle comparison."""
     rng = np.random.default_rng(seed)
     samples = rng.uniform(-0.5, a_max + 0.5, n)
     where = {"zero": 0.0, "edge": a_max, "below": -1e-9,
@@ -165,7 +186,11 @@ def _check_against_oracle(n, m, a_max, seed, special, chunk=16384):
     for name in special:
         samples[rng.integers(n)] = where[name]
     b = Basis(a_max=a_max)
-    dim = b.dim(m)
+    return samples, b, b.dim(m)
+
+
+def _check_against_oracle(samples, b, dim, chunk=16384):
+    a_max = b.a_max
     fast = design_means(samples, b, dim)
     slow = design_means_oracle(samples, b, dim, chunk=chunk)
     # Both kernels share theta = 2 pi x / a_max <= 2 pi; eps/2 is the unit
@@ -184,7 +209,7 @@ def _check_against_oracle(n, m, a_max, seed, special, chunk=16384):
     # (pi + 1.9)*j*eps + eps < (2 pi j + 8)*eps.  Every sample's term thus
     # differs by at most amp*eps*(2 pi j + 8), and so does their mean; the
     # 1e-15 floor and rtol cover the two summation orders.
-    j = np.concatenate(([0], np.repeat(np.arange(1, dim // 2 + 1), 2)))
+    j = np.concatenate(([0], np.repeat(np.arange(1, dim // 2 + 1), 2)))[:dim]
     eps = np.finfo(float).eps
     atol = np.sqrt(2.0 / a_max) * eps * (2.0 * np.pi * j + 8.0) + 1e-15
     err = np.abs(fast - slow)

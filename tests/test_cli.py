@@ -264,6 +264,16 @@ class TestSimulateCommand:
         assert "numerical failure: at transition 0:" in caplog.text
         assert "overflows" in caplog.text
 
+    def test_state_rounded_below_jump_image_exit_code(self, tmp_path, capsys):
+        # the chain's z[1] is one ulp below kappa*z[0] = 10
+        doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
+        doc["model"]["rate"]["delta"] = 20.0
+        doc["model"]["z0"] = 20.0
+        path = write_config(tmp_path, doc, out_dir=str(tmp_path / "o"))
+        for extra in ([], ["--times"]):
+            assert main(["--config", path, "simulate", "--n", "5"] + extra) == 0
+        assert "t_final=" in capsys.readouterr().out
+
     def test_bacterial_summary(self, tmp_path, capsys):
         doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
         doc["model"]["flow"] = {"variant": "exponential", "c": 1.0}

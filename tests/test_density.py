@@ -98,12 +98,12 @@ class TestEvaluate:
         samples = np.full(100, 2.0)
         fit = select_model(samples, Basis(), sigma=1e9)
         xs = np.linspace(0, 6, 5)
-        assert np.allclose(fit.evaluate(xs, m=0), 1.0 / 6.0)
+        assert fit.m_hat == 0
+        assert np.allclose(fit.evaluate(xs), 1.0 / 6.0)
 
     def test_outside_window_zero(self, chain_samples):
         fit = select_model(chain_samples, Basis())
-        assert fit.evaluate(-1.0) == 0.0
-        assert fit.evaluate(7.0) == 0.0
+        assert np.array_equal(fit.evaluate([-1.0, 7.0]), [0.0, 0.0])
 
     def test_integral_equals_constant_coefficient(self, chain_samples):
         # only the constant basis function integrates to a nonzero value

@@ -4,12 +4,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from oracles import denominator_mask_oracle, oracle_dimension, risk_sweep_oracle
+from oracles import (denominator_mask_oracle, oracle_dimension, rate_at_model,
+                     risk_sweep_oracle)
 from pdmprate import (Basis, JumpChain, bacterial_model, denominator_grid,
-                      l2_risk, make_grid, rate_grid, risk_sweep, select_model,
+                      make_grid, rate_grid, risk_sweep, select_model,
                       simulate_chain, tcp_model, tcp_quadratic_model,
                       threshold)
-from pdmprate.model import Flow, JumpMap, Model, PowerRate
+from pdmprate.jumprate import _simpson_weights
+from pdmprate.model import CustomRate, Flow, JumpMap, Model, PowerRate
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +53,7 @@ class TestDenominator:
             acc = 0.0
             for k in range(chain.n):
                 if chain.z[k] <= y and chain.z[k + 1] >= model.jump.apply(y):
-                    acc += model.transition_weight(chain.z[k],
-                                                   model.jump.apply(y))
+                    acc += model.transition_weight(model.jump.apply(y))
             assert grid_vals[i] == pytest.approx(acc / chain.n, rel=1e-12)
 
     def test_zero_beyond_max(self, tcp_setup):
@@ -155,15 +156,11 @@ class TestRateEstimate:
 
 
 class TestL2Risk:
-    def test_exact_match(self):
-        ys = make_grid((0.2, 4.0))
-        vals = np.ones_like(ys)
-        assert l2_risk(ys, vals, vals) == 0.0
+    """The Simpson weights that integrate the squared error of the risk."""
 
     def test_constant_offset(self):
         ys = make_grid((0.2, 4.0))
-        vals = np.ones_like(ys)
-        assert l2_risk(ys, vals + 1.0, vals) == pytest.approx(3.8)
+        assert np.ones_like(ys) @ _simpson_weights(ys) == pytest.approx(3.8)
 
     def test_sine_quadrature(self):
         ys = make_grid((0.2, 4.0), 513)
@@ -171,7 +168,7 @@ class TestL2Risk:
         # integral of sin^2 over [a, b]
         a, b = 0.2, 4.0
         exact = (b - a) / 2 - (np.sin(2 * b) - np.sin(2 * a)) / 4
-        assert l2_risk(ys, diff, np.zeros_like(ys)) == pytest.approx(exact, abs=1e-8)
+        assert diff ** 2 @ _simpson_weights(ys) == pytest.approx(exact, abs=1e-8)
 
     @given(g=st.integers(1, 200).map(lambda k: 2 * k + 1),
            lo=st.floats(0.01, 5.0), width=st.floats(0.01, 20.0),
@@ -181,40 +178,32 @@ class TestL2Risk:
         ys = make_grid((lo, lo + width), g)
         vals = np.random.default_rng(seed).normal(size=g)
         expected = integrate.simpson(vals ** 2, x=ys)
-        assert l2_risk(ys, vals, np.zeros(g)) == pytest.approx(expected,
-                                                               rel=1e-12)
+        assert vals ** 2 @ _simpson_weights(ys) == pytest.approx(expected,
+                                                                 rel=1e-12)
 
     @pytest.mark.parametrize("ys", [np.linspace(0.2, 4.0, 4),
                                     np.linspace(0.2, 4.0, 1),
                                     np.array([0.2, 0.3, 4.0])])
     def test_rejects_even_or_uneven_grid(self, ys):
         with pytest.raises(ValueError, match="odd equispaced"):
-            l2_risk(ys, ys, np.zeros_like(ys))
-
-    def test_coverage_check(self):
-        ys = make_grid((0.5, 2.0))
-        with pytest.raises(ValueError):
-            l2_risk(ys, ys, ys, interval=(0.2, 4.0))
+            _simpson_weights(ys)
 
 
 class TestOracle:
     def test_self_match(self, tcp_setup):
         model, chain, fit, ys = tcp_setup
         m0 = max(0, fit.m_hat - 1)
-        synth = rate_grid(fit, chain, model, ys, m=m0)[0]
-
-        def truth(y):
-            return np.interp(y, ys, synth)
-
-        m_opt, risk_opt = oracle_dimension(fit, chain, model, ys, truth)
+        synth = rate_at_model(fit, chain, model, ys, m0)
+        truth = CustomRate(lambda y: np.interp(y, ys, synth))
+        m_opt, risk_opt = oracle_dimension(
+            fit, chain, Model(model.flow, model.jump, truth), ys)
         assert m_opt == m0
         assert risk_opt == pytest.approx(0.0, abs=1e-18)
 
     def test_oracle_never_worse(self, tcp_setup):
         model, chain, fit, ys = tcp_setup
-        risks = risk_sweep(fit, chain, model, ys, model.rate.rate)
-        m_opt, risk_opt = oracle_dimension(fit, chain, model, ys,
-                                           model.rate.rate)
+        risks = risk_sweep(fit, chain, model, ys)
+        m_opt, risk_opt = oracle_dimension(fit, chain, model, ys)
         assert risk_opt <= risks[fit.m_hat]
         assert np.all(risk_opt <= risks + 1e-18)
 
@@ -234,8 +223,8 @@ class TestOracle:
         chain = simulate_chain(model, 1.0, n, seed)
         fit = select_model(chain.samples, Basis())
         ys = make_grid((lo, lo + width), grid_points)
-        risks = risk_sweep(fit, chain, model, ys, model.rate.rate)
-        expected = risk_sweep_oracle(fit, chain, model, ys, model.rate.rate)
+        risks = risk_sweep(fit, chain, model, ys)
+        expected = risk_sweep_oracle(fit, chain, model, ys)
         assert risks.shape == (fit.m_max + 1,)
         np.testing.assert_allclose(risks, expected, rtol=1e-12, atol=0.0)
 
@@ -243,11 +232,15 @@ class TestOracle:
         model, chain, fit, ys = tcp_setup
         denom = denominator_grid(chain, model, ys)
         truth_vals = model.rate.rate(ys)
-        risks = risk_sweep(fit, chain, model, ys, model.rate.rate, denom=denom)
+        risks = risk_sweep(fit, chain, model, ys, denom=denom)
         for m in (0, 2, fit.m_hat, fit.m_max):
-            rate_hat = rate_grid(fit, chain, model, ys, m=m, denom=denom)[0]
-            assert risks[m] == pytest.approx(l2_risk(ys, rate_hat, truth_vals),
-                                             rel=1e-12)
+            rate_hat = rate_at_model(fit, chain, model, ys, m, denom)
+            risk = integrate.simpson((rate_hat - truth_vals) ** 2, x=ys)
+            assert risks[m] == pytest.approx(risk, rel=1e-12)
+        # rate_grid is the estimate of the selected model
+        assert np.array_equal(rate_grid(fit, chain, model, ys, denom=denom)[0],
+                              rate_at_model(fit, chain, model, ys, fit.m_hat,
+                                            denom))
 
 
 class TestGridTsv:

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from oracles import advance, hazard, transition_weight_numeric
-from pdmprate import (CustomRate, Flow, JumpMap, Model, OutOfSupportError,
-                      PowerRate, ShiftedQuadraticRate, UnreachableStateError,
+from pdmprate import (CustomRate, Flow, JumpMap, Model, PowerRate,
+                      ShiftedQuadraticRate, UnreachableStateError,
                       bacterial_model, tcp_model, tcp_quadratic_model)
 
 finite_pos = st.floats(min_value=0.01, max_value=50.0,
@@ -91,27 +91,23 @@ class TestJumpMap:
 class TestTransitionWeight:
     def test_tcp_constant(self):
         m = tcp_model(kappa=0.5, c=1.0)
-        assert m.transition_weight(1.0, 2.0) == pytest.approx(2.0)
-        assert m.transition_weight(3.0, 5.0) == pytest.approx(2.0)
+        assert m.transition_weight(2.0) == pytest.approx(2.0)
+        assert m.transition_weight(5.0) == pytest.approx(2.0)
 
     def test_bacterial_value(self):
         m = bacterial_model(c=1.0)
-        assert m.transition_weight(1.0, 2.0) == pytest.approx(0.5)
-
-    def test_out_of_support(self):
-        m = tcp_model(kappa=0.5)
-        with pytest.raises(OutOfSupportError):
-            m.transition_weight(4.0, 1.0)
+        assert m.transition_weight(2.0) == pytest.approx(0.5)
 
     def test_numeric_matches_closed_form(self):
+        # the weight at y is the same from every start x with kappa*x <= y
         rng = np.random.default_rng(7)
         for m in (tcp_model(kappa=0.5, c=1.0), tcp_model(kappa=0.3, c=2.0),
                   bacterial_model(c=1.0), bacterial_model(c=3.0)):
-            for _ in range(250):
-                x = rng.uniform(0.1, 5.0)
-                y = m.jump.apply(x) * rng.uniform(1.0, 4.0)
-                assert transition_weight_numeric(m, x, y) == pytest.approx(
-                    m.transition_weight(x, y), rel=1e-8, abs=1e-10)
+            for _ in range(50):
+                y = rng.uniform(0.05, 10.0)
+                for x in m.jump.invert(y) * rng.uniform(0.02, 0.9, 5):
+                    assert transition_weight_numeric(m, x, y) == pytest.approx(
+                        m.transition_weight(y), rel=1e-8, abs=1e-10)
 
 
 class TestHazard:

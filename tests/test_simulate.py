@@ -200,7 +200,7 @@ class TestGenericSampler:
         # leave out roots so ill-conditioned that a relative error of eps in
         # the hazard moves them by more than 1e3 eps
         slope = want * model.rate.rate(want / model.jump.kappa) \
-            * model.transition_weight(z, want)
+            * model.transition_weight(want)
         assume(e <= 1e3 * slope)
         assert GenericSampler(model, z).draw(e) == pytest.approx(want,
                                                                  rel=1e-12)
@@ -378,6 +378,11 @@ class TestSimulateChain:
         with pytest.raises(ConfigError, match=f"^{field}: "):
             simulate_chain(tcp_model(), z0, n, 0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", [1, 2]])
+    def test_bad_seed_names_field(self, seed):
+        with pytest.raises(ConfigError, match="^seed: "):
+            simulate_chain(tcp_model(), 1.0, 5, seed)
+
     def test_stationary_mean(self):
         # stationary mean of the kappa=1/2, c=1, constant-rate chain is
         # c*kappa/(1-kappa) = 1; variance of the sample mean accounts for
@@ -447,6 +452,22 @@ class TestReconstructTimes:
         chain = simulate_chain(m, 1.0, 300, 3)
         times = reconstruct_times(chain)
         assert np.all(np.diff(times) > 0)
+
+    def test_state_rounded_below_jump_image(self):
+        # z[1] is one ulp below kappa*z[0] = 10, inside the support tolerance
+        chain = simulate_chain(tcp_model(delta=20.0), 20.0, 5, 0)
+        assert chain.z[1] < chain.model.jump.apply(chain.z[0])
+        times = reconstruct_times(chain)
+        assert np.all(np.isfinite(times))
+        assert np.all(np.diff(times) >= 0) and times[0] >= 0
+
+    def test_state_rounded_below_jump_image_roundtrip(self):
+        chain = simulate_chain(tcp_model(delta=20.0), 20.0, 5, 0)
+        text = chain_to_text(chain, include_times=True)
+        back = chain_from_text(text, chain.model)
+        assert np.array_equal(back.z, chain.z)
+        assert np.array_equal(reconstruct_times(back),
+                              reconstruct_times(chain))
 
     def test_inconsistent_chain(self):
         m = tcp_model(kappa=0.5)
