@@ -7,9 +7,8 @@ from .bench import (DiagnosticsReport, ExperimentConfig, ExperimentResult,
                     tail_assumption_ok)
 from .density import DensityFit, contrast, select_model
 from .errors import (CapExceededError, ChainFormatError, ChainTooShortError,
-                     ConfigError, EmptyModelSetError, FamilyMismatchError,
-                     InconsistentChainError, PdmpError, StateRangeError,
-                     UnreachableStateError)
+                     ConfigError, EmptyModelSetError, InconsistentChainError,
+                     PdmpError, StateRangeError, UnreachableStateError)
 from .jumprate import (denominator_grid, make_grid, rate_grid, risk_sweep,
                        threshold)
 from .model import (Flow, JumpMap, Model, PowerRate, ShiftedQuadraticRate,
@@ -17,7 +16,6 @@ from .model import (Flow, JumpMap, Model, PowerRate, ShiftedQuadraticRate,
                     tcp_quadratic_model)
 from .simulate import (GenericSampler, JumpChain, chain_from_text,
                        chain_to_text, reconstruct_times, sample_next,
-                       sample_next_generic, sample_next_tcp_quadratic,
-                       simulate_chain)
+                       sample_next_generic, simulate_chain)
 
 __version__ = "0.1.0"

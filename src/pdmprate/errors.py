@@ -8,10 +8,6 @@ class PdmpError(Exception):
     """Base class for all package errors."""
 
 
-class FamilyMismatchError(PdmpError):
-    """A closed-form sampler was asked to handle the wrong model family."""
-
-
 class UnreachableStateError(PdmpError):
     """Target state lies behind the current state along the flow."""
 

@@ -13,8 +13,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import (FamilyMismatchError, UnreachableStateError, nonnegative,
-                     positive, require)
+from .errors import UnreachableStateError, nonnegative, positive, require
 
 ADDITIVE = "additive"
 EXPONENTIAL = "exponential"
@@ -144,12 +143,22 @@ GENERIC = "generic"
 
 @dataclass(frozen=True)
 class Model:
-    """A fully specified process: flow, jump map and jump rate."""
+    """A fully specified process: flow, jump map and jump rate.
+
+    Under the additive flow the weight ``1/(kappa*c)`` must be finite.
+    """
 
     flow: Flow
     jump: JumpMap
     rate: RateSpec
     name: str = ""
+
+    def __post_init__(self):
+        if self.flow.variant == ADDITIVE:
+            kc = self.jump.kappa * self.flow.c
+            require(kc > 0.0 and 1.0 / kc < np.inf, "c",
+                    "the transition weight 1/(kappa*c) must be finite",
+                    self.flow.c)
 
     @property
     def power_exponent(self) -> Optional[float]:
@@ -217,8 +226,3 @@ def bacterial_model(c: float = 1.0, lam: float = 1.0, delta: float = 1.0,
     return Model(Flow(EXPONENTIAL, c), JumpMap(0.5), PowerRate(lam, delta),
                  name or f"bacterial(c={c},lam={lam},delta={delta})")
 
-
-def require_family(model: Model, family: str) -> None:
-    if model.family != family:
-        raise FamilyMismatchError(
-            f"model {model.name!r} is family {model.family!r}, expected {family!r}")

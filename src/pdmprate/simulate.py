@@ -5,9 +5,10 @@ next state given the current one, driven by a unit-exponential draw.  A
 numeric fallback handles arbitrary rates by inverting a Chebyshev table of
 the cumulative hazard along the flow.  ``simulate_chain`` draws all
 exponentials first and runs its family's chain kernel over them: a linear
-scan for power rates, a plain-float loop for the quadratic rate, numeric
-draws from one table otherwise.  Chains are reproducible bit-exactly from
-their seed record.
+scan for power rates, otherwise the family's step kernel (a plain-float
+Cardano step for the quadratic rate, numeric draws from one table for the
+rest), which ``sample_next`` runs over arrays of states.  Chains are
+reproducible bit-exactly from their seed record.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import bisect
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -23,7 +25,7 @@ import numpy as np
 from .errors import (CapExceededError, ChainFormatError, InconsistentChainError,
                      StateRangeError, at_least, positive)
 from .model import (ADDITIVE, BACTERIAL_POWER, TCP_POWER, TCP_QUADRATIC,
-                    Model, PowerRate, ShiftedQuadraticRate, require_family)
+                    Model, PowerRate, ShiftedQuadraticRate)
 
 _FLOAT_TINY = float(np.finfo(float).tiny)
 
@@ -94,35 +96,6 @@ def _power_step(model: Model, z, e):
     return out if out.ndim else float(out)
 
 
-def sample_next_tcp_quadratic(model: Model, z, e):
-    """Next state for the additive flow / shifted quadratic rate family.
-
-    The hazard recursion reduces to a depressed cubic; its unique real root
-    is written with sign-preserving cube roots.
-    """
-    require_family(model, TCP_QUADRATIC)
-    a, b, c = model.rate.a, model.rate.b, model.flow.c
-    kappa = model.jump.kappa
-    z = np.asarray(z, dtype=float)
-    e = np.asarray(e, dtype=float)
-    q = 3.0 * c * e + (z - a) ** 3 + 3.0 * b * (z - a)
-    root = np.sqrt(4.0 * b ** 3 + q ** 2)
-    # real root of t^3 + 3bt = q via Cardano; the halving goes inside the
-    # cube roots, and real (sign-preserving) cube roots are required.  The
-    # smaller-magnitude argument cancels when 4b^3 << q^2, so it is formed
-    # through its conjugate: (q - root)(q + root) = -4b^3.
-    b3 = b ** 3
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plus = np.where(q >= 0.0, (q + root) / 2.0,
-                        np.where(root - q > 0.0, 2.0 * b3 / (root - q), 0.0))
-        minus = np.where(q >= 0.0,
-                         np.where(q + root > 0.0, -2.0 * b3 / (q + root), 0.0),
-                         (q - root) / 2.0)
-    t = np.cbrt(plus) + np.cbrt(minus)
-    out = kappa * (a + t)
-    return out if out.ndim else float(out)
-
-
 def _scalar_integrand(model: Model):
     """Scalar hazard integrand ``rate(f^{-1}(u)) * weight(u)``.
 
@@ -147,7 +120,12 @@ def _scalar_integrand(model: Model):
     if model.flow.variant == ADDITIVE:
         w = inv_k / c
         return lambda u: rate_of(u * inv_k) * w
-    return lambda u: rate_of(u * inv_k) / (c * u)
+
+    def g(u):
+        # c*u underflows to 0 only where the weight 1/(c*u) overflows
+        cu = c * u
+        return rate_of(u * inv_k) / cu if cu else math.inf
+    return g
 
 
 class GenericSampler:
@@ -364,9 +342,80 @@ def _fit_panel(g, k: int):
     return edges, bases, series
 
 
-def sample_next_generic(model: Model, z: float, e: float) -> float:
-    """One-shot numeric next-state draw; see :class:`GenericSampler`."""
-    return GenericSampler(model, z).draw(e)
+def _quadratic_steps(model: Model, src, draws, dst) -> None:
+    """``dst[k]``: the next state from ``src[k]`` for the draw ``draws[k]``.
+
+    Additive flow, shifted quadratic rate: ``t = y/kappa - a`` is the real
+    root of ``t**3 + 3*b*t = q``, by Cardano in plain floats, the smaller
+    cube root's argument formed through its conjugate.  An overflow, of
+    ``b**3`` too, leaves an ``inf`` or ``nan`` state for the caller to report.
+    """
+    a, b, c = model.rate.a, model.rate.b, model.flow.c
+    kappa = model.jump.kappa
+    try:
+        b3 = b ** 3
+    except OverflowError:
+        b3 = math.inf
+    four_b3, two_b3 = 4.0 * b3, 2.0 * b3
+    three_c, three_b = 3.0 * c, 3.0 * b
+    sqrt, cbrt = math.sqrt, math.cbrt
+    for k, e in enumerate(draws):
+        u = src[k] - a
+        q = three_c * e + u * u * u + three_b * u
+        r = sqrt(four_b3 + q * q)
+        # t has the sign of q; a branch costs less than abs and copysign
+        if q >= 0.0:
+            s = q + r
+            # s = 0 only when q = b = 0, whose root is t = 0
+            t = cbrt(s / 2.0) - cbrt(two_b3 / s) if s != 0.0 else 0.0
+        else:
+            s = r - q
+            t = cbrt(two_b3 / s) - cbrt(s / 2.0)
+        dst[k] = kappa * (a + t)
+
+
+def _generic_steps(model: Model, src, draws, dst) -> None:
+    """``dst[k]``: a numeric draw from ``src[k]`` for the draw ``draws[k]``.
+
+    One :class:`GenericSampler` moves from state to state, so its hazard
+    table serves them all; a failure names transition ``k``.
+    """
+    sampler = GenericSampler(model, src[0]) if len(draws) else None
+    try:
+        for k, e in enumerate(draws):
+            sampler.move_to(src[k])
+            dst[k] = sampler.draw(e)
+    except (CapExceededError, StateRangeError) as exc:
+        raise type(exc)(f"at transition {k}: {exc}") from exc
+
+
+def _map_steps(steps, model: Model, z, e):
+    """A step kernel over the broadcast ``z`` and ``e``; a float for scalars."""
+    z, e = np.broadcast_arrays(np.asarray(z, dtype=float),
+                               np.asarray(e, dtype=float))
+    out = np.empty(z.shape)
+    steps(model, z.ravel().tolist(), e.ravel().tolist(),
+          memoryview(out.reshape(-1)))
+    return out if out.ndim else float(out)
+
+
+def _step_chain(steps, model: Model, z0: float,
+                draws: np.ndarray) -> np.ndarray:
+    """States ``z[0..n]`` by a step kernel along one buffer.
+
+    ``src`` and ``dst`` are memoryviews of it one state apart, so each state
+    is read right after it is written.
+    """
+    z = np.empty(len(draws) + 1)
+    z[0] = z0
+    states = memoryview(z)
+    steps(model, states[:-1], memoryview(draws), states[1:])
+    return z
+
+
+def sample_next_generic(model: Model, z, e):
+    """:func:`sample_next` by numeric draws, whatever the model's family."""
+    return _map_steps(_generic_steps, model, z, e)
 
 
 def _power_chain(model: Model, z0: float, draws: np.ndarray) -> np.ndarray:
@@ -403,70 +452,21 @@ def _power_chain(model: Model, z0: float, draws: np.ndarray) -> np.ndarray:
     return w
 
 
-def _quadratic_chain(model: Model, z0: float, draws: np.ndarray) -> np.ndarray:
-    """States ``z[0..n]`` of a quadratic-rate chain, one Cardano step each.
-
-    The step is :func:`sample_next_tcp_quadratic` on plain floats; draws are
-    read and states written through memoryviews, so no per-step array or
-    list is built.  The cube is two products rather than a power, so an
-    overflow gives ``inf`` (reported by :func:`simulate_chain`) instead of
-    an exception.
-    """
-    a, b, c = model.rate.a, model.rate.b, model.flow.c
-    kappa = model.jump.kappa
-    b3 = b ** 3
-    four_b3, two_b3 = 4.0 * b3, 2.0 * b3
-    three_c, three_b = 3.0 * c, 3.0 * b
-    sqrt, cbrt = math.sqrt, math.cbrt
-    z = np.empty(len(draws) + 1)
-    z[0] = x = z0
-    out = memoryview(z)
-    for k, e in enumerate(memoryview(draws), start=1):
-        u = x - a
-        q = three_c * e + u * u * u + three_b * u
-        root = sqrt(four_b3 + q * q)
-        if q >= 0.0:
-            s = q + root
-            plus, minus = s / 2.0, (-two_b3 / s if s > 0.0 else 0.0)
-        else:
-            s = root - q
-            plus, minus = (two_b3 / s if s > 0.0 else 0.0), (q - root) / 2.0
-        x = kappa * (a + (cbrt(plus) + cbrt(minus)))
-        out[k] = x
-    return z
-
-
-def _generic_chain(model: Model, z0: float, draws: np.ndarray) -> np.ndarray:
-    """States ``z[0..n]`` by numeric draws from one :class:`GenericSampler`.
-
-    The sampler moves from state to state, so the hazard table it builds
-    serves the whole chain.
-    """
-    z = np.empty(len(draws) + 1)
-    z[0] = z0
-    out = memoryview(z)
-    sampler = GenericSampler(model, z0)
-    try:
-        for k, e in enumerate(memoryview(draws), start=1):
-            out[k] = x = sampler.draw(e)
-            sampler.move_to(x)
-    except (CapExceededError, StateRangeError) as exc:
-        raise type(exc)(f"at transition {k - 1}: {exc}") from exc
-    return z
-
-
 def _family_samplers(model: Model):
     """The one family dispatch: ``(one-step sampler, chain kernel)``."""
     family = model.family
     if family in (TCP_POWER, BACTERIAL_POWER):
         return _power_step, _power_chain
-    if family == TCP_QUADRATIC:
-        return sample_next_tcp_quadratic, _quadratic_chain
-    return sample_next_generic, _generic_chain
+    steps = _quadratic_steps if family == TCP_QUADRATIC else _generic_steps
+    return partial(_map_steps, steps), partial(_step_chain, steps)
 
 
-def sample_next(model: Model, z: float, e: float) -> float:
-    """Family dispatch: closed form when available, numeric otherwise."""
+def sample_next(model: Model, z, e):
+    """Next state from ``z`` for the unit-exponential draw ``e``.
+
+    The step ``simulate_chain`` takes for the model's family.  ``z`` and
+    ``e`` broadcast; the result is a float when both are scalars.
+    """
     return _family_samplers(model)[0](model, z, e)
 
 

@@ -5,10 +5,11 @@ column means of the full design matrix, the denominator counts the
 transitions of a ``transitions x grid`` mask, the risk sweep evaluates one
 model at a time (its density at the jump images as a product with the
 design matrix, the ``1/ln n`` threshold written out, the integral by scipy's
-Simpson rule), and a chain is stepped one sampler call at a time.  The
-pointwise basis function, the finite-difference transition weight, the
-penalty of one model and the best model in hindsight are spelled out one
-value at a time, for the tests that check the package's array versions.  The
+Simpson rule), and a chain is stepped one sampler call at a time, the
+quadratic rate's by a numpy Cardano step of its own.  The pointwise basis
+function, the finite-difference transition weight, the penalty of one model
+and the best model in hindsight are spelled out one value at a time, for
+the tests that check the package's array versions.  The
 diagnostics' null distance sums the row variances of the two design
 matrices.  A numeric draw integrates the hazard by adaptive quadrature and
 finds its root by Brent's method, one transition at a time.  The flow map,
@@ -24,6 +25,7 @@ from pdmprate.basis import Basis
 from pdmprate.density import DensityFit, _criterion
 from pdmprate.errors import CapExceededError, EmptyModelSetError
 from pdmprate.jumprate import denominator_grid, risk_sweep, threshold
+from pdmprate.model import TCP_QUADRATIC
 from pdmprate.simulate import CAP_FACTOR, _scalar_integrand, sample_next
 
 
@@ -134,17 +136,49 @@ def denominator_mask_oracle(chain, model, ys, chunk=64):
     return out
 
 
-def simulate_chain_oracle(model, z0, n, seed):
-    """States ``z[0..n]`` by one ``sample_next`` call per transition.
+def quadratic_step_oracle(model, z, e):
+    """Next state for the additive flow / shifted quadratic rate family.
 
-    Each step calls the numpy sampler of the model's family on 0-d arrays,
-    from the same draws as ``simulate_chain``.
+    The hazard recursion reduces to a depressed cubic; its unique real root
+    is written with sign-preserving cube roots, in numpy.
     """
+    a, b, c = model.rate.a, model.rate.b, model.flow.c
+    kappa = model.jump.kappa
+    z = np.asarray(z, dtype=float)
+    e = np.asarray(e, dtype=float)
+    q = 3.0 * c * e + (z - a) ** 3 + 3.0 * b * (z - a)
+    root = np.sqrt(4.0 * b ** 3 + q ** 2)
+    # real root of t^3 + 3bt = q via Cardano; the halving goes inside the
+    # cube roots, and real (sign-preserving) cube roots are required.  The
+    # smaller-magnitude argument cancels when 4b^3 << q^2, so it is formed
+    # through its conjugate: (q - root)(q + root) = -4b^3.
+    b3 = b ** 3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plus = np.where(q >= 0.0, (q + root) / 2.0,
+                        np.where(root - q > 0.0, 2.0 * b3 / (root - q), 0.0))
+        minus = np.where(q >= 0.0,
+                         np.where(q + root > 0.0, -2.0 * b3 / (q + root), 0.0),
+                         (q - root) / 2.0)
+    t = np.cbrt(plus) + np.cbrt(minus)
+    out = kappa * (a + t)
+    return out if out.ndim else float(out)
+
+
+def simulate_chain_oracle(model, z0, n, seed):
+    """States ``z[0..n]`` by one step call per transition.
+
+    Each step is ``quadratic_step_oracle`` for the quadratic family, and a
+    scalar ``sample_next`` call otherwise: the numpy power step, which the
+    scan of ``simulate_chain`` does not use, or a numeric draw from a hazard
+    table of its own.  The draws are those of ``simulate_chain``.
+    """
+    step = quadratic_step_oracle if model.family == TCP_QUADRATIC \
+        else sample_next
     draws = chain_draws(seed, n)
     z = np.empty(n + 1)
     z[0] = z0
     for k in range(n):
-        z[k + 1] = sample_next(model, z[k], draws[k])
+        z[k + 1] = step(model, z[k], draws[k])
     return z
 
 

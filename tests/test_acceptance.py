@@ -15,9 +15,9 @@ from scipy import signal, stats
 from pdmprate import (Basis, ExperimentConfig, GenericSampler, contrast,
                       convergence_diagnostics, make_grid, rate_grid,
                       rows_to_csv, run_experiment, sample_next,
-                      sample_next_tcp_quadratic, select_model, simulate_chain,
-                      tail_assumption_ok, tcp_model, tcp_quadratic_model,
-                      bacterial_model, threshold)
+                      select_model, simulate_chain, tail_assumption_ok,
+                      tcp_model, tcp_quadratic_model, bacterial_model,
+                      threshold)
 from pdmprate.basis import coefficients
 
 REPLICATES = 50
@@ -242,7 +242,7 @@ class TestCriterion9InvariantSuite:
         for _ in range(1000):
             z = rng.uniform(0.05, 4.0)
             e = rng.exponential(1.0)
-            out = sample_next_tcp_quadratic(quad, z, e)
+            out = sample_next(quad, z, e)
             t = out / 0.2 - 1.0
             q = 3.0 * e + (z - 1.0) ** 3 + 1.5 * (z - 1.0)
             worst = max(worst, abs(t ** 3 + 1.5 * t - q) / max(1.0, abs(q)))

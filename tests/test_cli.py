@@ -217,6 +217,31 @@ def test_bad_flag_exit_code(tmp_path, caplog, argv, flag):
     assert f"config: {flag}: " in caplog.text
 
 
+QUADRATIC = {"variant": "quadratic", "a": 1.0, "b": 0.5}
+
+
+@pytest.mark.parametrize("flow, rate, z0, code, message", [
+    # b**3 overflows: the step takes it as inf
+    ({"variant": "additive", "c": 1.0}, {**QUADRATIC, "b": 1e300}, 1.0, 3,
+     "numerical failure: at transition 0:"),
+    # c*z underflows to 0: the numeric sampler's integrand is infinite
+    ({"variant": "exponential", "c": 1e-200}, QUADRATIC, 1e-150, 3,
+     "numerical failure: at transition 0:"),
+    # the transition weight 1/(kappa*c) overflows
+    ({"variant": "additive", "c": 1e-308}, QUADRATIC, 1.0, 2,
+     "config: model.flow.c: "),
+], ids=["cube_overflow", "weight_underflow", "weight_overflow"])
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+def test_extreme_model_exit_code(tmp_path, caplog, capsys, flow, rate, z0,
+                                 code, message, command):
+    doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
+    doc["model"].update(flow=flow, rate=rate, z0=z0)
+    path = write_config(tmp_path, doc, out_dir=str(tmp_path / "o"))
+    assert main(["--config", path, command, "--n", "5"]) == code
+    assert message in caplog.text
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_exit_code(tmp_path, caplog, threads):
     doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))

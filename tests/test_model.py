@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from oracles import advance, hazard, transition_weight_numeric
-from pdmprate import (CustomRate, Flow, JumpMap, Model, PowerRate,
-                      ShiftedQuadraticRate, UnreachableStateError,
+from pdmprate import (ConfigError, CustomRate, Flow, JumpMap, Model,
+                      PowerRate, ShiftedQuadraticRate, UnreachableStateError,
                       bacterial_model, tcp_model, tcp_quadratic_model)
 
 finite_pos = st.floats(min_value=0.01, max_value=50.0,
@@ -97,6 +97,14 @@ class TestTransitionWeight:
     def test_bacterial_value(self):
         m = bacterial_model(c=1.0)
         assert m.transition_weight(2.0) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("c", [1e-308, 5e-324])
+    def test_additive_weight_not_finite_rejected(self, c):
+        # 1/(kappa*c) overflows (1e-308) or divides by a zero product (5e-324)
+        with pytest.raises(ConfigError, match="^c: "):
+            tcp_model(c=c)
+        # the exponential flow's weight 1/(c*y) depends on y; c alone is fine
+        bacterial_model(c=c)
 
     def test_numeric_matches_closed_form(self):
         # the weight at y is the same from every start x with kappa*x <= y

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -10,13 +11,11 @@ from scipy import optimize, stats
 from oracles import (advance, chain_draws, generic_draw_oracle,
                      simulate_chain_oracle)
 from pdmprate import (CapExceededError, ChainFormatError, ConfigError,
-                      FamilyMismatchError, GenericSampler,
-                      InconsistentChainError, JumpChain,
+                      GenericSampler, InconsistentChainError, JumpChain,
                       StateRangeError, bacterial_model,
                       chain_from_text, chain_to_text, reconstruct_times,
-                      sample_next, sample_next_generic,
-                      sample_next_tcp_quadratic, simulate_chain, tcp_model,
-                      tcp_quadratic_model)
+                      sample_next, sample_next_generic, simulate_chain,
+                      tcp_model, tcp_quadratic_model)
 from pdmprate.model import (CustomRate, Flow, JumpMap, Model, PowerRate,
                             ShiftedQuadraticRate)
 
@@ -45,12 +44,20 @@ class TestTcpPowerSampler:
 class TestTcpQuadraticSampler:
     def test_zero_draw(self):
         m = tcp_quadratic_model(kappa=0.2, c=1.0, a=1.0, b=0.5)
-        assert sample_next_tcp_quadratic(m, 1.0, 0.0) == pytest.approx(0.2)
+        assert sample_next(m, 1.0, 0.0) == pytest.approx(0.2)
 
     def test_b_zero_cube(self):
         m = tcp_quadratic_model(kappa=0.5, c=1.0, a=1.0, b=0.0)
         # exact root: (Z/kappa - 1)^3 = 27
-        assert sample_next_tcp_quadratic(m, 1.0, 9.0) == pytest.approx(2.0, rel=1e-12)
+        assert sample_next(m, 1.0, 9.0) == pytest.approx(2.0, rel=1e-12)
+
+    def test_b_zero_at_minimum_zero_draw(self):
+        # q = b = 0 makes s = 0, and 2b^3/s is 0/0 unless the step guards it
+        m = tcp_quadratic_model(kappa=0.3, c=1.0, a=1.3, b=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sample_next(m, 1.3, 0.0) == 0.3 * 1.3
+            assert sample_next(m, np.array([1.3]), 0.0)[0] == 0.3 * 1.3
 
     @given(a=st.floats(0.2, 3.0), b=st.floats(0.0, 3.0),
            z=st.floats(0.05, 5.0), e=st.floats(0.0, 10.0))
@@ -58,14 +65,10 @@ class TestTcpQuadraticSampler:
     def test_cubic_residual(self, a, b, z, e):
         kappa, c = 0.2, 1.0
         m = tcp_quadratic_model(kappa=kappa, c=c, a=a, b=b)
-        out = sample_next_tcp_quadratic(m, z, e)
+        out = sample_next(m, z, e)
         t = out / kappa - a
         q = 3.0 * c * e + (z - a) ** 3 + 3.0 * b * (z - a)
         assert abs(t ** 3 + 3.0 * b * t - q) < 1e-9 * max(1.0, abs(q))
-
-    def test_family_mismatch(self):
-        with pytest.raises(FamilyMismatchError):
-            sample_next_tcp_quadratic(bacterial_model(delta=2.0), 1.0, 1.0)
 
 
 class TestBacterialSampler:
@@ -324,6 +327,30 @@ class TestChainKernels:
                                    simulate_chain_oracle(model, 1.0, n, 4),
                                    rtol=1e-13, atol=0)
 
+    @given(exponential=st.booleans(), kappa=st.floats(0.05, 0.95),
+           c=st.floats(0.5, 2.0), a=st.floats(0.2, 3.0),
+           b=st.floats(0.0, 3.0), z0=st.floats(0.1, 3.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(exponential=False, kappa=0.3, c=0.7, a=1.3, b=0.2, z0=1.0,
+             seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_sample_next_loop_matches_chain(self, exponential, kappa, c, a, b,
+                                            z0, seed):
+        # the quadratic chain takes the step sample_next takes, bit for bit;
+        # a numeric sample_next builds a hazard table per call, anchored at
+        # its own state, so it agrees to the table's accuracy
+        flow = Flow("exponential" if exponential else "additive", c)
+        m = Model(flow, JumpMap(kappa), ShiftedQuadraticRate(a, b))
+        n = 50
+        want = [z0]
+        for e in chain_draws(seed, n):
+            want.append(sample_next(m, want[-1], e))
+        got = simulate_chain(m, z0, n, seed).z
+        if exponential:
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        else:
+            assert got.tolist() == want
+
     def test_overflow_names_first_transition(self):
         with pytest.raises(StateRangeError, match="at transition 0:"):
             simulate_chain(tcp_model(delta=200.0), 40.0, 50, 0)
@@ -350,6 +377,41 @@ class TestChainKernels:
         m = tcp_quadratic_model(c=c)
         with pytest.raises(StateRangeError, match="at transition 0:"):
             simulate_chain(m, z0, 5, 0)
+
+    def test_quadratic_cube_overflow_raises(self):
+        # b**3 overflows; the step takes it as inf
+        with pytest.raises(StateRangeError, match="at transition 0:"):
+            simulate_chain(tcp_quadratic_model(b=1e300), 1.0, 5, 0)
+
+    def test_exponential_flow_weight_underflow_raises(self):
+        # c*u underflows to 0, so the integrand 1/(c*u) is infinite
+        m = Model(Flow("exponential", 1e-200), JumpMap(0.5),
+                  ShiftedQuadraticRate(1.0, 0.5))
+        with pytest.raises(StateRangeError, match="at transition 0:"):
+            simulate_chain(m, 1e-150, 5, 0)
+
+
+SHAPE_MODELS = {"tcp": tcp_model(kappa=0.3, delta=1.0),
+                "bacterial": bacterial_model(delta=2.0),
+                "quadratic": tcp_quadratic_model(), "generic": MC_GENERIC}
+
+
+@pytest.mark.parametrize("family", SHAPE_MODELS)
+def test_sample_next_broadcasts(family):
+    # arrays give elementwise the scalar results; a numeric call on an array
+    # shares one hazard table, anchored elsewhere than a scalar call's
+    model = SHAPE_MODELS[family]
+    rtol = 1e-13 if family == "generic" else 0.0
+    es = chain_draws(1, 4)
+    zs = np.array([0.5, 1.0, 2.5])
+    one = [[sample_next(model, z, e) for e in es] for z in zs]
+    assert all(type(v) is float for row in one for v in row)
+    got = sample_next(model, 1.0, es)
+    assert got.shape == (4,)
+    np.testing.assert_allclose(got, one[1], rtol=rtol, atol=0)
+    got = sample_next(model, zs[:, None], es)
+    assert got.shape == (3, 4)
+    np.testing.assert_allclose(got, one, rtol=rtol, atol=0)
 
 
 class TestSimulateChain:
