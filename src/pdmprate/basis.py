@@ -42,22 +42,6 @@ class Basis:
         # (2m+1)^2 <= n
         return int((np.sqrt(n) - 1.0) // 2)
 
-    def design(self, x: np.ndarray, dim: int) -> np.ndarray:
-        """Matrix of basis values, shape ``(dim, len(x))``."""
-        x = np.asarray(x, dtype=float)
-        inside = (x >= 0.0) & (x <= self.a_max)
-        out = np.zeros((dim, len(x)))
-        out[0] = np.where(inside, 1.0 / np.sqrt(self.a_max), 0.0)
-        amp = np.sqrt(2.0 / self.a_max)
-        theta = 2.0 * np.pi * x / self.a_max
-        # an even dim ends on the cosine of frequency dim // 2
-        for j in range(1, dim // 2 + 1):
-            arg = j * theta
-            out[2 * j - 1] = np.where(inside, amp * np.cos(arg), 0.0)
-            if 2 * j < dim:
-                out[2 * j] = np.where(inside, amp * np.sin(arg), 0.0)
-        return out
-
 
 def coefficients(samples: np.ndarray, basis: Basis, m: int) -> np.ndarray:
     """Empirical projection coefficients for the m-th subspace.
@@ -79,22 +63,12 @@ def coefficients(samples: np.ndarray, basis: Basis, m: int) -> np.ndarray:
 def design_means(samples: np.ndarray, basis: Basis, dim: int) -> np.ndarray:
     """Column means of the design matrix, computed without forming it.
 
-    With ``theta = 2*pi*x/a_max`` and ``j = a + PHASE_BLOCK*b``, the phase
-    ``e^{ij theta}`` factors into ``e^{ia theta} * e^{i PHASE_BLOCK b theta}``.
-    Per chunk of in-window samples, a table ``low`` (``PHASE_BLOCK`` x chunk)
-    of the low phases and a row ``high`` of the phases of block ``b`` give
-    the phase sums of the frequencies in block ``b`` as ``low @ high``.  Only
-    ``e^{i theta}`` is taken from a cosine and a sine; every other phase is
-    one complex multiply away (a trigonometric recurrence): low row ``a`` is
-    row ``a-1`` times ``e^{i theta}``, and ``high`` starts at 1 and is
-    multiplied by ``step = e^{i PHASE_BLOCK theta}`` from block to block.
-    Each rounding of a factor reaches the phase once per factor, so the
-    error of ``e^{ij theta}`` grows linearly in ``j``.  Every block is a
-    separate product of the same shape, and the phases are formed in the
-    same order, whatever ``dim`` is, so the summation order of each entry,
-    and with it the exact prefix nesting across dimensions, does not depend
-    on ``dim``.  A single product over all blocks would not keep it: BLAS
-    sums a one-column product in another order than a wider one.
+    Per chunk of in-window samples, the phase sums of block ``b`` are ``low
+    @ high``, the table of :func:`_phase_table` times the block's phases.
+    Every block is a separate product of one shape, with phases formed in
+    the same order whatever ``dim`` is, so each entry's summation order, and
+    with it the exact prefix nesting across dimensions, does not depend on
+    ``dim`` (BLAS sums a one-column product unlike a wider one).
     """
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
@@ -111,11 +85,7 @@ def design_means(samples: np.ndarray, basis: Basis, dim: int) -> np.ndarray:
         theta = 2.0 * np.pi * inside[start:start + SAMPLE_CHUNK] / basis.a_max
         k = len(theta)
         lo, hi, st = low[:, :k], high[:k], step[:k]
-        lo[0] = 1.0
-        _phases(theta, lo[1])
-        for a in range(2, PHASE_BLOCK):
-            np.multiply(lo[a - 1], lo[1], out=lo[a])
-        np.multiply(lo[-1], lo[1], out=st)
+        _phase_table(theta, lo, st)
         hi[:] = 1.0
         for b in range(n_blocks):
             if b:
@@ -129,7 +99,48 @@ def design_means(samples: np.ndarray, basis: Basis, dim: int) -> np.ndarray:
     return out
 
 
-def _phases(arg: np.ndarray, out: np.ndarray) -> None:
-    """Write ``e^{i arg}`` into ``out``, from one cosine and one sine per entry."""
-    np.cos(arg, out=out.real)
-    np.sin(arg, out=out.imag)
+def series_terms(coeffs: np.ndarray, basis: Basis, x) -> np.ndarray:
+    """Per-model terms of the series with coefficients ``coeffs`` at ``x``.
+
+    Row 0 is ``c_0/sqrt(a_max)`` and row ``j`` is ``Re(amp*(c_cos - i*c_sin)
+    * e^{ij theta})``, with the phases of :func:`_phase_table`; every row is
+    0 off the window.  Row ``m`` of the cumulative sum over rows is the series
+    of model ``m``, bit-identical to that of ``coeffs[:2m+1]`` alone.
+    """
+    x = np.asarray(x, dtype=float)
+    inside = (x >= 0.0) & (x <= basis.a_max)
+    amp = np.sqrt(2.0 / basis.a_max)
+    conj = np.zeros(len(coeffs) // 2 + 1, dtype=complex)
+    conj.real[1:] = amp * coeffs[1::2]
+    conj.imag[1:(len(coeffs) + 1) // 2] = -amp * coeffs[2::2]
+    theta = 2.0 * np.pi * np.where(inside, x, 0.0) / basis.a_max
+    low = np.empty((PHASE_BLOCK, len(x)), dtype=complex)
+    step = np.empty(len(x), dtype=complex)
+    _phase_table(theta, low, step)
+    high = np.ones(len(x), dtype=complex)
+    terms = np.empty((len(conj), len(x)))
+    for start in range(0, len(conj), PHASE_BLOCK):
+        if start:
+            high *= step
+        block = low[:len(conj) - start] * high
+        block *= conj[start:start + PHASE_BLOCK, None]
+        terms[start:start + PHASE_BLOCK] = block.real
+    terms[0] = coeffs[0] / np.sqrt(basis.a_max)
+    terms[:, ~inside] = 0.0
+    return terms
+
+
+def _phase_table(theta: np.ndarray, low: np.ndarray, step: np.ndarray) -> None:
+    """Phases of the trigonometric recurrence at ``theta = 2*pi*x/a_max``.
+
+    With ``j = a + PHASE_BLOCK*b``, ``e^{ij theta}`` is ``low[a]`` times the
+    phase of block ``b``: 1, then times ``step = e^{i PHASE_BLOCK theta}``
+    per block.  Only ``e^{i theta}`` comes from a cosine and a sine, and low
+    row ``a`` is row ``a-1`` times it, so errors grow linearly in ``j``.
+    """
+    low[0] = 1.0
+    np.cos(theta, out=low[1].real)
+    np.sin(theta, out=low[1].imag)
+    for a in range(2, PHASE_BLOCK):
+        np.multiply(low[a - 1], low[1], out=low[a])
+    np.multiply(low[-1], low[1], out=step)

@@ -46,7 +46,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         Basis(self.a_max)
-        make_grid(self.interval, self.grid_points)
+        lo = make_grid(self.interval, self.grid_points)[:1]
+        with np.errstate(over="ignore", divide="ignore"):
+            w = self.model.transition_weight(self.model.jump.apply(lo))[0]
+        require(w < np.inf, "c", "the transition weight must be finite at the "
+                "grid's lowest jump image, where it peaks", self.model.flow.c)
         nonnegative("sigma", self.sigma)
         nonnegative("sigma_prime", self.sigma_prime)
         positive("z0", self.z0)

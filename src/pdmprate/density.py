@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Basis, design_means
+from .basis import Basis, design_means, series_terms
 from .errors import ChainTooShortError
 
 DEFAULT_SIGMA = 2.0
@@ -44,11 +44,12 @@ class DensityFit:
     def evaluate(self, x):
         """Estimated density at the points ``x`` using the selected model.
 
-        May be negative; no positivity correction is applied here.
+        May be negative; no positivity correction is applied here.  It is
+        bit-identical to row ``m_hat`` of the model densities of any sweep.
         """
         dim = self.basis.dim(self.m_hat)
-        design = self.basis.design(x, dim)
-        return self.coeffs[:dim] @ design
+        return np.cumsum(series_terms(self.coeffs[:dim], self.basis, x),
+                         axis=0)[-1]
 
 
 def contrast(coeffs: np.ndarray) -> float:

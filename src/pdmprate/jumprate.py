@@ -12,10 +12,11 @@ from typing import Optional
 
 import numpy as np
 
+from .basis import series_terms
 from .density import DensityFit
 from .errors import ChainTooShortError, is_integer, require
 from .model import Model
-from .simulate import JumpChain
+from .simulate import JumpChain, text_rows
 
 DEFAULT_GRID_POINTS = 513
 
@@ -80,8 +81,8 @@ def _simpson_weights(ys: np.ndarray) -> np.ndarray:
     """
     g = len(ys)
     h = (ys[-1] - ys[0]) / (g - 1) if g > 1 else 0.0
-    if g < 3 or g % 2 == 0 or not np.allclose(np.diff(ys), h, rtol=1e-9,
-                                              atol=0.0):
+    if g < 3 or g % 2 == 0 or not np.all(np.abs(np.diff(ys) - h)
+                                         <= 1e-9 * abs(h)):
         raise ValueError(f"Simpson's rule needs an odd equispaced grid of "
                          f"at least 3 points, got {g} points")
     w = np.full(g, 2.0)
@@ -107,21 +108,15 @@ def risk_sweep(fit: DensityFit, chain: JumpChain, model: Model,
                denom: Optional[np.ndarray] = None) -> np.ndarray:
     """L2 risk against the model's own rate for every admissible model index.
 
-    Row ``m`` of ``nu_f`` first holds the terms model ``m`` adds to the
-    density at the jump images (the constant for ``m = 0``, the m-th
-    cosine/sine pair after it); one cumulative sum over the rows then gives
-    the density of every model, and one product with the Simpson weights
-    every risk.
+    One cumulative sum over the rows of :func:`series_terms` at the jump
+    images gives the density of every model, and one product with the
+    Simpson weights every risk.
     """
     ys = np.asarray(ys, dtype=float)
     if denom is None:
         denom = denominator_grid(chain, model, ys)
     lam_true = np.asarray(model.rate.rate(ys), dtype=float)
-    terms = fit.basis.design(model.jump.apply(ys), fit.basis.dim(fit.m_max))
-    terms *= fit.coeffs[:, None]
-    nu_f = np.empty((fit.m_max + 1, len(ys)))
-    nu_f[0] = terms[0]
-    np.add(terms[1::2], terms[2::2], out=nu_f[1:])
+    nu_f = series_terms(fit.coeffs, fit.basis, model.jump.apply(ys))
     np.cumsum(nu_f, axis=0, out=nu_f)
     sq_err = (_quotient(nu_f, denom, chain.n) - lam_true) ** 2
     return sq_err @ _simpson_weights(ys)
@@ -130,10 +125,6 @@ def risk_sweep(fit: DensityFit, chain: JumpChain, model: Model,
 def grid_to_tsv(ys: np.ndarray, rate_hat: np.ndarray, nu_f: np.ndarray,
                 denom: np.ndarray, rate_true: np.ndarray) -> str:
     """TSV with the curves usually plotted together."""
-    cols = ["y", "lambda_hat", "lambda_true", "nu_hat_of_f", "d_hat"]
-    lines = ["\t".join(cols)]
-    for i in range(len(ys)):
-        row = [f"{ys[i]:.17g}", f"{rate_hat[i]:.17g}", f"{rate_true[i]:.17g}",
-               f"{nu_f[i]:.17g}", f"{denom[i]:.17g}"]
-        lines.append("\t".join(row))
+    lines = ["y\tlambda_hat\tlambda_true\tnu_hat_of_f\td_hat"]
+    lines += text_rows(ys, rate_hat, rate_true, nu_f, denom)
     return "\n".join(lines) + "\n"

@@ -91,13 +91,6 @@ class PowerRate:
             out = self.lam * np.power(x, self.delta)
         return out if out.ndim else float(out)
 
-    def cumulative(self, x):
-        """Primitive of the rate, normalized to vanish at 0."""
-        x = np.asarray(x, dtype=float)
-        p = self.delta + 1.0
-        out = self.lam * np.power(x, p) / p
-        return out if out.ndim else float(out)
-
 
 @dataclass(frozen=True)
 class ShiftedQuadraticRate:
@@ -113,12 +106,6 @@ class ShiftedQuadraticRate:
     def rate(self, x):
         x = np.asarray(x, dtype=float)
         out = (x - self.a) ** 2 + self.b
-        return out if out.ndim else float(out)
-
-    def cumulative(self, x):
-        # (x-a)^3/3 + b*x + a^3/3: the constant pins cumulative(0) = 0.
-        x = np.asarray(x, dtype=float)
-        out = (x - self.a) ** 3 / 3.0 + self.b * x + self.a ** 3 / 3.0
         return out if out.ndim else float(out)
 
 

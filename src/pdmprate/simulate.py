@@ -465,8 +465,12 @@ def sample_next(model: Model, z, e):
     """Next state from ``z`` for the unit-exponential draw ``e``.
 
     The step ``simulate_chain`` takes for the model's family.  ``z`` and
-    ``e`` broadcast; the result is a float when both are scalars.
+    ``e`` broadcast, a float for scalars; a draw < 0 or NaN is a ValueError.
     """
+    e = np.asarray(e, dtype=float)
+    if not np.all(e >= 0.0):
+        raise ValueError("e: the exponential draw must be >= 0, "
+                         f"got {float(e[~(e >= 0.0)][0])!r}")
     return _family_samplers(model)[0](model, z, e)
 
 
@@ -526,19 +530,21 @@ def reconstruct_times(chain: JumpChain) -> np.ndarray:
 
 def chain_to_text(chain: JumpChain, include_times: bool = False) -> str:
     """Columnar text format: comment header, then one state per line."""
-    lines = [f"# model: {chain.model.name}",
-             f"# seed: {chain.seed}"]
-    times = None
+    columns = [chain.z[1:]]
     if include_times:
-        times = reconstruct_times(chain)
-    lines.append("# columns: z" + ("\tt" if include_times else ""))
-    lines.append(f"{chain.z[0]:.17g}")
-    for k in range(1, len(chain.z)):
-        if times is not None:
-            lines.append(f"{chain.z[k]:.17g}\t{times[k - 1]:.17g}")
-        else:
-            lines.append(f"{chain.z[k]:.17g}")
+        columns.append(reconstruct_times(chain))
+    lines = [f"# model: {chain.model.name}",
+             f"# seed: {chain.seed}",
+             "# columns: z" + ("\tt" if include_times else "")]
+    lines += text_rows(chain.z[:1]) + text_rows(*columns)
     return "\n".join(lines) + "\n"
+
+
+def text_rows(*columns) -> list:
+    """One line per row: the columns' values to 17 significant digits, tabbed."""
+    row = "\t".join(["%.17g"] * len(columns))
+    return [row % r for r in zip(*(np.asarray(c, dtype=float).tolist()
+                                  for c in columns))]
 
 
 def chain_from_text(text: str, model: Model) -> JumpChain:

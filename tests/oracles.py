@@ -1,7 +1,8 @@
 """Slow reference implementations that the fast kernels are tested against.
 
-Each oracle follows the defining formula literally: the coefficients are the
-column means of the full design matrix, the denominator counts the
+Each oracle follows the defining formula literally: the design matrix holds
+one cosine or sine per basis function and point, the coefficients are its
+column means, the denominator counts the
 transitions of a ``transitions x grid`` mask, the risk sweep evaluates one
 model at a time (its density at the jump images as a product with the
 design matrix, the ``1/ln n`` threshold written out, the integral by scipy's
@@ -25,8 +26,51 @@ from pdmprate.basis import Basis
 from pdmprate.density import DensityFit, _criterion
 from pdmprate.errors import CapExceededError, EmptyModelSetError
 from pdmprate.jumprate import denominator_grid, risk_sweep, threshold
-from pdmprate.model import TCP_QUADRATIC
+from pdmprate.model import TCP_QUADRATIC, PowerRate
 from pdmprate.simulate import CAP_FACTOR, _scalar_integrand, sample_next
+
+
+def design_oracle(basis, x, dim):
+    """Matrix of basis values, shape ``(dim, len(x))``."""
+    x = np.asarray(x, dtype=float)
+    inside = (x >= 0.0) & (x <= basis.a_max)
+    out = np.zeros((dim, len(x)))
+    out[0] = np.where(inside, 1.0 / np.sqrt(basis.a_max), 0.0)
+    amp = np.sqrt(2.0 / basis.a_max)
+    theta = 2.0 * np.pi * x / basis.a_max
+    # an even dim ends on the cosine of frequency dim // 2
+    for j in range(1, dim // 2 + 1):
+        arg = j * theta
+        out[2 * j - 1] = np.where(inside, amp * np.cos(arg), 0.0)
+        if 2 * j < dim:
+            out[2 * j] = np.where(inside, amp * np.sin(arg), 0.0)
+    return out
+
+
+def series_error_bound(coeffs, basis):
+    """Bound on ``|series(x) - coeffs @ design_oracle(basis, x, D)|``.
+
+    ``series`` is the last row of the cumulative sum of
+    ``pdmprate.basis.series_terms``, ``D = len(coeffs)``, ``m = D // 2`` the
+    highest frequency, ``amp = sqrt(2/a_max)`` and ``eps/2`` the unit
+    roundoff.  Both sides share ``theta = 2 pi x / a_max``.  As derived for
+    the coefficients in ``test_basis._check_against_oracle``, the two phases
+    of frequency ``j`` differ by at most ``((pi + 1.9)*j + 1)*eps``.  The
+    kernel's term ``Re(conj*phase)`` adds the rounding of ``conj = amp*(c_cos
+    - i*c_sin)`` (eps/2) and of one complex multiply (sqrt(5)*eps/2), the
+    oracle's ``amp*cos`` one more eps/2: a pair is off by at most
+    ``amp*(|c_cos| + |c_sin|)*((pi + 1.9)*j + 3.2)*eps``, and the constant
+    term by ``1.5*eps*amp*|c_0|``.  Summing the ``m + 1`` rows costs the
+    kernel ``m*eps/2`` and the oracle's dot product of ``D <= 2m + 1`` terms
+    ``(m + 1/2)*eps``, each times ``amp*sum|c|``, the sum of the terms'
+    magnitudes.  With ``j <= m`` that is ``((pi + 3.4)*m + 3.7)*eps*amp*
+    sum|c|``; rounding 3.7 up to 4 covers the second-order terms, below
+    1e-25 relative for ``m < 500``.
+    """
+    m = len(coeffs) // 2
+    eps = np.finfo(float).eps
+    return (((np.pi + 3.4) * m + 4.0) * eps * np.sqrt(2.0 / basis.a_max)
+            * np.sum(np.abs(coeffs)))
 
 
 def eval_one(basis, l, x):
@@ -38,7 +82,7 @@ def eval_one(basis, l, x):
     if l == 1:
         vals = np.full_like(x, 1.0 / np.sqrt(basis.a_max))
     else:
-        # same association order as in Basis.design so results are bit-equal
+        # same association order as in design_oracle so results are bit-equal
         j = l // 2
         arg = j * (2.0 * np.pi * x / basis.a_max)
         amp = np.sqrt(2.0 / basis.a_max)
@@ -88,7 +132,8 @@ def rate_at_model(fit, chain, model, ys, m, denom=None):
     if denom is None:
         denom = denominator_grid(chain, model, ys)
     dim = fit.basis.dim(m)
-    nu_f = fit.coeffs[:dim] @ fit.basis.design(model.jump.apply(ys), dim)
+    nu_f = fit.coeffs[:dim] @ design_oracle(fit.basis, model.jump.apply(ys),
+                                            dim)
     fire = (nu_f >= 0.0) & (denom >= threshold(chain.n))
     rate = np.zeros(len(ys))
     rate[fire] = nu_f[fire] / denom[fire]
@@ -108,13 +153,13 @@ def risk_sweep_oracle(fit, chain, model, ys, denom=None):
 
 
 def design_means_oracle(samples, basis, dim, chunk=16384):
-    """Column means of ``basis.design``, summed over chunks of samples."""
+    """Column means of ``design_oracle``, summed over chunks of samples."""
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
     total = np.zeros(dim)
     for start in range(0, n, chunk):
         block = samples[start:start + chunk]
-        total += basis.design(block, dim).sum(axis=1)
+        total += design_oracle(basis, block, dim).sum(axis=1)
     return total / n
 
 
@@ -230,8 +275,8 @@ def chain_draws(seed, n):
 
 def null_distance_oracle(basis, first, second, dim):
     """Summed sampling variance of both halves' empirical means, from the matrices."""
-    var1 = basis.design(first, dim).var(axis=1) / len(first)
-    var2 = basis.design(second, dim).var(axis=1) / len(second)
+    var1 = design_oracle(basis, first, dim).var(axis=1) / len(first)
+    var2 = design_oracle(basis, second, dim).var(axis=1) / len(second)
     return float(np.sum(var1 + var2))
 
 
@@ -248,11 +293,23 @@ def advance(flow, x, t):
     return out if out.ndim else float(out)
 
 
+def cumulative(rate, x):
+    """Primitive of a power or shifted quadratic rate, vanishing at 0."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(rate, PowerRate):
+        p = rate.delta + 1.0
+        out = rate.lam * np.power(x, p) / p
+    else:
+        # (x-a)^3/3 + b*x + a^3/3: the constant pins cumulative(0) = 0
+        out = (x - rate.a) ** 3 / 3.0 + rate.b * x + rate.a ** 3 / 3.0
+    return out if out.ndim else float(out)
+
+
 def hazard(rate, x):
     """Return ``(rate(x), cumulative(x))`` for ``x >= 0``."""
     if np.any(np.asarray(x, dtype=float) < 0):
         raise ValueError("hazard argument must be nonnegative")
-    return rate.rate(x), rate.cumulative(x)
+    return rate.rate(x), cumulative(rate, x)
 
 
 def fit_from_text(text):

@@ -4,9 +4,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from oracles import design_means_oracle, eval_one
+from oracles import (design_means_oracle, design_oracle, eval_one,
+                     series_error_bound)
 from pdmprate import Basis, EmptyModelSetError, coefficients, select_model
-from pdmprate.basis import PHASE_BLOCK, SAMPLE_CHUNK, design_means
+from pdmprate.basis import (PHASE_BLOCK, SAMPLE_CHUNK, design_means,
+                            series_terms)
 
 
 class TestBasisFunctions:
@@ -28,7 +30,7 @@ class TestBasisFunctions:
     def test_design_consistent_with_eval_one(self):
         b = Basis(a_max=4.0)
         xs = np.linspace(-1, 5, 40)
-        design = b.design(xs, 9)
+        design = design_oracle(b, xs, 9)
         for l in range(1, 10):
             assert np.array_equal(design[l - 1], eval_one(b, l, xs))
 
@@ -37,7 +39,7 @@ class TestBasisFunctions:
         b = Basis(a_max=6.0)
         dim = 63
         xs = np.linspace(0, 6, 2049)
-        design = b.design(xs, dim)
+        design = design_oracle(b, xs, dim)
         gram = np.array([[integrate.simpson(design[i] * design[j], x=xs)
                           for j in range(dim)] for i in range(dim)])
         assert np.max(np.abs(gram - np.eye(dim))) < 1e-8
@@ -48,7 +50,7 @@ class TestBasisFunctions:
         xs = np.linspace(0, 6, 10_000)
         for m in (0, 1, 3, 10):
             dim = b.dim(m)
-            total = (b.design(xs, dim) ** 2).sum(axis=0)
+            total = (design_oracle(b, xs, dim) ** 2).sum(axis=0)
             assert total.max() <= (2.0 / 6.0) * dim + 1e-9
 
     def test_dimension_schedule(self):
@@ -72,7 +74,7 @@ class TestBasisFunctions:
         # an even dimension ends on the cosine of frequency dim // 2
         b = Basis()
         xs = np.linspace(-1, 7, 60)
-        design = b.design(xs, dim)
+        design = design_oracle(b, xs, dim)
         assert design.shape == (dim, len(xs))
         for l in range(1, dim + 1):
             assert np.array_equal(design[l - 1], eval_one(b, l, xs)), l
@@ -175,6 +177,60 @@ class TestCoefficients:
         b = Basis()
         with pytest.raises(EmptyModelSetError):
             coefficients(np.ones(10), b, 2)  # D_2 = 5, 25 > 10
+
+
+class TestSeriesTerms:
+    """The fitted series at points, from the phase table and block step."""
+
+    @given(dim=st.integers(1, 999), a_max=st.floats(0.5, 20.0),
+           g=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+           special=st.lists(st.sampled_from(["zero", "edge", "below",
+                                             "above"]), max_size=6))
+    @settings(max_examples=40, deadline=None)
+    # at x = a_max every sine is sin(2 pi j) = 0 and only the bound applies
+    @example(dim=999, a_max=6.0, g=3, seed=0, special=["edge", "zero"])
+    @example(dim=32, a_max=6.0, g=5, seed=1, special=["below", "above"])
+    def test_matches_design_matrix_oracle(self, dim, a_max, g, seed, special):
+        # every model's series, points on, at and off the window; the bound
+        # (k1*m + k2)*eps*amp*sum|c| with k1 = pi + 3.4 and k2 = 4 is derived
+        # at oracles.series_error_bound
+        b, x, coeffs = _series_case(dim, a_max, g, seed, special)
+        sums = np.cumsum(series_terms(coeffs, b, x), axis=0)
+        assert sums.shape == (dim // 2 + 1, g)
+        design = design_oracle(b, x, dim)
+        for m in range(len(sums)):
+            d = min(b.dim(m), dim)
+            err = np.abs(sums[m] - coeffs[:d] @ design[:d])
+            assert np.all(err <= series_error_bound(coeffs[:d], b)), m
+        # off the window every term is +0.0
+        off = (x < 0.0) | (x > a_max)
+        assert np.all(sums[:, off] == 0.0)
+        assert not np.any(np.signbit(sums[:, off]))
+
+    @given(dim=st.integers(1, 300), g=st.integers(1, 40),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_prefix_series_bit_identical(self, dim, g, seed):
+        # a model's series from its own coefficients is the matching row of
+        # the sweep over all of them, bit for bit
+        b, x, coeffs = _series_case(dim, 6.0, g, seed, ["edge", "below"])
+        sums = np.cumsum(series_terms(coeffs, b, x), axis=0)
+        for m in range(len(sums)):
+            d = min(b.dim(m), dim)
+            own = np.cumsum(series_terms(coeffs[:d], b, x), axis=0)[-1]
+            assert np.array_equal(own, sums[m]), m
+
+
+def _series_case(dim, a_max, g, seed, special):
+    """Basis, points and decaying coefficients of one series comparison."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-0.5 * a_max, 1.5 * a_max, g)
+    where = {"zero": 0.0, "edge": a_max, "below": -1e-9,
+             "above": a_max * (1 + 1e-15)}
+    for name in special:
+        x[rng.integers(g)] = where[name]
+    coeffs = rng.normal(size=dim) / (1.0 + np.arange(dim))
+    return Basis(a_max=a_max), x, coeffs
 
 
 def _oracle_case(n, m, a_max, seed, special):

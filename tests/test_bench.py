@@ -18,6 +18,20 @@ def small_config(**kwargs):
     return ExperimentConfig(**defaults)
 
 
+class TestConfigWeight:
+    @pytest.mark.parametrize("c, ok", [(1e-300, True), (1e-308, False),
+                                       (1e-310, False), (5e-324, False)])
+    def test_exponential_weight_finite_on_grid(self, c, ok):
+        # the largest weight is 1/(c*kappa*lo), here 1/(c*0.5*0.2) = 10/c
+        model = Model(Flow("exponential", c), JumpMap(0.5), PowerRate(1.0, 0.0))
+        if ok:
+            small_config(model=model)
+        else:
+            with pytest.raises(ValueError, match="^c: ") as err:
+                small_config(model=model)
+            assert err.value.field == "c"
+
+
 class TestReplicate:
     def test_deterministic(self):
         cfg = small_config()
@@ -183,8 +197,7 @@ class TestDiagnostics:
         c2 = np.zeros(dim)
         c2[:len(f2.coeffs)] = f2.coeffs
         dist_sq = float(np.sum((c1 - c2) ** 2))
-        null = float(np.sum(basis.design(a, dim).var(axis=1) / len(a)
-                            + basis.design(b, dim).var(axis=1) / len(b)))
+        null = null_distance_oracle(basis, a, b, dim)
         assert dist_sq < 4.0 * null
 
     @pytest.mark.parametrize("model, n, a_max", [

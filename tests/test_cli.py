@@ -242,6 +242,20 @@ def test_extreme_model_exit_code(tmp_path, caplog, capsys, flow, rate, z0,
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["estimate", "bench"])
+def test_exponential_weight_overflow_exit_code(tmp_path, caplog, capsys,
+                                               command):
+    # the weight 1/(c*y) overflows at the grid's lowest jump image, which
+    # used to leave inf and nan in d_hat with exit 0
+    doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
+    doc["model"]["flow"] = {"variant": "exponential", "c": 1e-310}
+    path = write_config(tmp_path, doc, out_dir=str(tmp_path / "o"))
+    assert main(["--config", path, command]) == 2
+    assert "config: model.flow.c: " in caplog.text
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_exit_code(tmp_path, caplog, threads):
     doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))

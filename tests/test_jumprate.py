@@ -4,13 +4,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from oracles import (denominator_mask_oracle, oracle_dimension, rate_at_model,
-                     risk_sweep_oracle)
+from oracles import (denominator_mask_oracle, design_oracle, oracle_dimension,
+                     rate_at_model, risk_sweep_oracle, series_error_bound)
 from pdmprate import (Basis, JumpChain, bacterial_model, denominator_grid,
                       make_grid, rate_grid, risk_sweep, select_model,
                       simulate_chain, tcp_model, tcp_quadratic_model,
                       threshold)
-from pdmprate.jumprate import _simpson_weights
+from pdmprate.basis import series_terms
+from pdmprate.jumprate import _simpson_weights, grid_to_tsv
 from pdmprate.model import CustomRate, Flow, JumpMap, Model, PowerRate
 
 
@@ -183,7 +184,8 @@ class TestL2Risk:
 
     @pytest.mark.parametrize("ys", [np.linspace(0.2, 4.0, 4),
                                     np.linspace(0.2, 4.0, 1),
-                                    np.array([0.2, 0.3, 4.0])])
+                                    np.array([0.2, 0.3, 4.0]),
+                                    np.array([0.2, np.nan, 4.0])])
     def test_rejects_even_or_uneven_grid(self, ys):
         with pytest.raises(ValueError, match="odd equispaced"):
             _simpson_weights(ys)
@@ -237,15 +239,67 @@ class TestOracle:
             rate_hat = rate_at_model(fit, chain, model, ys, m, denom)
             risk = integrate.simpson((rate_hat - truth_vals) ** 2, x=ys)
             assert risks[m] == pytest.approx(risk, rel=1e-12)
-        # rate_grid is the estimate of the selected model
-        assert np.array_equal(rate_grid(fit, chain, model, ys, denom=denom)[0],
-                              rate_at_model(fit, chain, model, ys, fit.m_hat,
-                                            denom))
+        # rate_grid is the estimate of the selected model: its density is
+        # row m_hat of the sweep's, bit for bit, and within the derived bound
+        # of the design-matrix oracle (oracles.series_error_bound)
+        rate_hat, nu_f, _ = rate_grid(fit, chain, model, ys, denom=denom)
+        fy = model.jump.apply(ys)
+        sweep = np.cumsum(series_terms(fit.coeffs, fit.basis, fy), axis=0)
+        assert np.array_equal(nu_f, sweep[fit.m_hat])
+        dim = fit.basis.dim(fit.m_hat)
+        bound = series_error_bound(fit.coeffs[:dim], fit.basis)
+        slow_nu = fit.coeffs[:dim] @ design_oracle(fit.basis, fy, dim)
+        assert np.all(np.abs(nu_f - slow_nu) <= bound)
+        # both quotients divide by the same denominator where it clears the
+        # threshold, each rounding once; elsewhere both are 0
+        slow = rate_at_model(fit, chain, model, ys, fit.m_hat, denom)
+        tol = (bound / np.maximum(denom, threshold(chain.n))
+               + np.finfo(float).eps * np.abs(slow))
+        assert np.all(np.abs(rate_hat - slow) <= tol)
+
+    @pytest.mark.parametrize("family", ["tcp", "bacterial", "quadratic"])
+    @pytest.mark.parametrize("n, seed", [(400, 1), (5000, 2)])
+    def test_rate_grid_density_is_sweep_row(self, family, n, seed):
+        model = {"tcp": tcp_model(), "bacterial": bacterial_model(delta=1.0),
+                 "quadratic": tcp_quadratic_model()}[family]
+        chain = simulate_chain(model, 1.0, n, seed)
+        fit = select_model(chain.samples, Basis())
+        ys = make_grid((0.05, 4.0), 129)
+        sweep = np.cumsum(series_terms(fit.coeffs, fit.basis,
+                                       model.jump.apply(ys)), axis=0)
+        assert np.array_equal(rate_grid(fit, chain, model, ys)[1],
+                              sweep[fit.m_hat])
+
+
+def _grid_to_tsv_per_value(ys, rate_hat, nu_f, denom, rate_true):
+    """``grid_to_tsv`` as one f-string per value."""
+    lines = ["y\tlambda_hat\tlambda_true\tnu_hat_of_f\td_hat"]
+    for i in range(len(ys)):
+        lines.append("\t".join([f"{ys[i]:.17g}", f"{rate_hat[i]:.17g}",
+                                f"{rate_true[i]:.17g}", f"{nu_f[i]:.17g}",
+                                f"{denom[i]:.17g}"]))
+    return "\n".join(lines) + "\n"
 
 
 class TestGridTsv:
+    @given(g=st.integers(0, 40), seed=st.integers(0, 2 ** 32 - 1),
+           special=st.lists(st.tuples(st.integers(0, 4),
+                                      st.sampled_from([np.inf, -np.inf,
+                                                       np.nan, -0.0, 0.0,
+                                                       5e-324, 1e308])),
+                            max_size=10))
+    @settings(max_examples=40, deadline=None)
+    @example(g=3, seed=0, special=[(1, np.inf), (3, np.nan), (4, -0.0)])
+    def test_matches_per_value_format(self, g, seed, special):
+        rng = np.random.default_rng(seed)
+        cols = rng.normal(size=(5, g)) * 10.0 ** rng.integers(-300, 300,
+                                                              (5, g))
+        if g:
+            for col, value in special:
+                cols[col, rng.integers(g)] = value
+        assert grid_to_tsv(*cols) == _grid_to_tsv_per_value(*cols)
+
     def test_columns(self, tcp_setup):
-        from pdmprate.jumprate import grid_to_tsv
         model, chain, fit, ys = tcp_setup
         rate_hat, nu_f, denom = rate_grid(fit, chain, model, ys)
         text = grid_to_tsv(ys, rate_hat, nu_f, denom,

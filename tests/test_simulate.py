@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
 
-from oracles import (advance, chain_draws, generic_draw_oracle,
+from oracles import (advance, chain_draws, cumulative, generic_draw_oracle,
                      simulate_chain_oracle)
 from pdmprate import (CapExceededError, ChainFormatError, ConfigError,
                       GenericSampler, InconsistentChainError, JumpChain,
@@ -33,9 +33,9 @@ class TestTcpPowerSampler:
         # solve cumulative(Z/kappa) = cumulative(z) + c*e numerically
         m = tcp_model(kappa=0.5, c=1.0, lam=2.0, delta=1.0)
         z, e = 2.0, 3.0
-        target = m.rate.cumulative(z) + m.flow.c * e
+        target = cumulative(m.rate, z) + m.flow.c * e
         root = optimize.brentq(
-            lambda v: m.rate.cumulative(v / m.jump.kappa) - target, 1e-9, 1e6)
+            lambda v: cumulative(m.rate, v / m.jump.kappa) - target, 1e-9, 1e6)
         got = sample_next(m, z, e)
         assert got == pytest.approx(root, rel=1e-10)
         assert got == pytest.approx(np.sqrt(7.0) / 2.0, rel=1e-12)
@@ -125,6 +125,25 @@ def generic_case(kind, kappa, delta):
                      PowerRate(1.2, delta)), ()
     rate, kinks = GENERIC_RATES[kind]
     return Model(Flow("additive", 1.0), JumpMap(kappa), CustomRate(rate)), kinks
+
+
+class TestDrawCheck:
+    """``sample_next`` rejects a negative or NaN draw whatever the family,
+    with the message the numeric sampler gives."""
+
+    @pytest.mark.parametrize("model", [tcp_model(), bacterial_model(delta=2.0),
+                                       tcp_quadratic_model(), MC_GENERIC],
+                             ids=["power", "bacterial", "quadratic", "generic"])
+    @pytest.mark.parametrize("e", [-5.0, math.nan])
+    def test_rejects_bad_draw(self, model, e):
+        with pytest.raises(ValueError, match="^e: ") as scalar:
+            sample_next(model, 1.0, e)
+        with pytest.raises(ValueError) as numeric:
+            sample_next_generic(model, 1.0, e)
+        assert str(scalar.value) == str(numeric.value)
+        with pytest.raises(ValueError, match="^e: ") as array:
+            sample_next(model, [1.0, 2.0, 3.0], [0.5, e, 1.0])
+        assert str(array.value) == str(numeric.value)
 
 
 class TestGenericSampler:
@@ -506,7 +525,7 @@ class TestReconstructTimes:
             z_prev = chain.z[k]
             # hazard accumulated along the flow over the gap equals the draw
             upper = advance(m.flow, z_prev, gaps[k])
-            acc = (m.rate.cumulative(upper) - m.rate.cumulative(z_prev)) / m.flow.c
+            acc = (cumulative(m.rate, upper) - cumulative(m.rate, z_prev)) / m.flow.c
             assert acc == pytest.approx(draws[k], rel=1e-10, abs=1e-12)
 
     def test_strictly_increasing(self):
@@ -542,8 +561,8 @@ class TestReconstructTimes:
 class TestSurvivalIdentity:
     @pytest.mark.parametrize("model,survival", [
         (tcp_model(kappa=0.5, c=1.0, lam=1.0, delta=0.0),
-         lambda m, x, y: np.exp(-(m.rate.cumulative(y / m.jump.kappa)
-                                  - m.rate.cumulative(x)) / m.flow.c)),
+         lambda m, x, y: np.exp(-(cumulative(m.rate, y / m.jump.kappa)
+                                  - cumulative(m.rate, x)) / m.flow.c)),
         (bacterial_model(c=1.0, lam=1.0, delta=2.0),
          lambda m, x, y: np.exp(-(m.rate.lam / (m.rate.delta * m.flow.c))
                                 * ((2 * y) ** m.rate.delta - x ** m.rate.delta))),
@@ -605,6 +624,17 @@ class TestSerialization:
     def test_no_states_rejected(self):
         with pytest.raises(ChainFormatError, match="no data rows"):
             chain_from_text("# columns: z\n\n", tcp_model())
+
+    @pytest.mark.parametrize("times", [False, True])
+    def test_matches_per_value_format(self, times):
+        chain = simulate_chain(bacterial_model(delta=2.0), 1.0, 200, 5)
+        lines = ["# model: " + chain.model.name, f"# seed: {chain.seed}",
+                 "# columns: z" + ("\tt" if times else ""), f"{chain.z[0]:.17g}"]
+        t = reconstruct_times(chain)
+        lines += [f"{chain.z[k]:.17g}" + (f"\t{t[k - 1]:.17g}" if times else "")
+                  for k in range(1, len(chain.z))]
+        assert chain_to_text(chain, include_times=times) == \
+            "\n".join(lines) + "\n"
 
     def test_time_column_on_first_state_rejected(self):
         with pytest.raises(ChainFormatError, match="line 2:"):
