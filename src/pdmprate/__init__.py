@@ -16,6 +16,6 @@ from .model import (Flow, JumpMap, Model, PowerRate, ShiftedQuadraticRate,
                     tcp_quadratic_model)
 from .simulate import (GenericSampler, JumpChain, chain_from_text,
                        chain_to_text, reconstruct_times, sample_next,
-                       sample_next_generic, simulate_chain)
+                       simulate_chain)
 
 __version__ = "0.1.0"

@@ -46,10 +46,13 @@ class DensityFit:
 
         May be negative; no positivity correction is applied here.  It is
         bit-identical to row ``m_hat`` of the model densities of any sweep.
+        A float for a scalar ``x``.
         """
+        x = np.asarray(x, dtype=float)
         dim = self.basis.dim(self.m_hat)
-        return np.cumsum(series_terms(self.coeffs[:dim], self.basis, x),
-                         axis=0)[-1]
+        out = np.cumsum(series_terms(self.coeffs[:dim], self.basis,
+                                     np.atleast_1d(x)), axis=0)[-1]
+        return out if x.ndim else float(out[0])
 
 
 def contrast(coeffs: np.ndarray) -> float:

@@ -121,12 +121,6 @@ class CustomRate:
 
 RateSpec = Union[PowerRate, ShiftedQuadraticRate, CustomRate]
 
-# Closed-form sampler families.
-TCP_POWER = "tcp_power"
-TCP_QUADRATIC = "tcp_quadratic"
-BACTERIAL_POWER = "bacterial_power"
-GENERIC = "generic"
-
 
 @dataclass(frozen=True)
 class Model:
@@ -160,17 +154,6 @@ class Model:
             return None
         delta = self.rate.delta
         return delta + 1.0 if self.flow.variant == ADDITIVE else delta
-
-    @property
-    def family(self) -> str:
-        """Which closed-form sampler applies, if any."""
-        p = self.power_exponent
-        if p is not None and p > 0:
-            return TCP_POWER if self.flow.variant == ADDITIVE else BACTERIAL_POWER
-        if (self.flow.variant == ADDITIVE
-                and isinstance(self.rate, ShiftedQuadraticRate)):
-            return TCP_QUADRATIC
-        return GENERIC
 
     def below_support(self, x, y):
         """True where ``y`` is below ``kappa*x`` by more than ``SUPPORT_RTOL``."""

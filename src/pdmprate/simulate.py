@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import (CapExceededError, ChainFormatError, InconsistentChainError,
                      StateRangeError, at_least, positive)
-from .model import (ADDITIVE, BACTERIAL_POWER, TCP_POWER, TCP_QUADRATIC,
-                    Model, PowerRate, ShiftedQuadraticRate)
+from .model import ADDITIVE, Model, PowerRate, ShiftedQuadraticRate
 
 _FLOAT_TINY = float(np.finfo(float).tiny)
 
@@ -65,8 +64,8 @@ class JumpChain:
         k = _first_bad_state(self.z)
         if k is not None:
             raise InconsistentChainError(
-                "chain states must be finite and positive: "
-                f"z[{k}] = {float(self.z[k])!r}")
+                f"z[{k}] = {float(self.z[k])!r}: chain states must be finite "
+                "and positive")
 
     @property
     def n(self) -> int:
@@ -86,14 +85,11 @@ def _first_bad_state(z: np.ndarray) -> Optional[int]:
     return None if good.all() else int(np.argmin(good))
 
 
-def _power_step(model: Model, z, e):
-    """Next state ``kappa * (z**p + p*c*e/lam)**(1/p)`` of a power-rate chain."""
+def _power_step(model: Model, z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Next states ``kappa * (z**p + p*c*e/lam)**(1/p)`` of a power-rate chain."""
     lam, c = model.rate.lam, model.flow.c
     p = model.power_exponent
-    z = np.asarray(z, dtype=float)
-    e = np.asarray(e, dtype=float)
-    out = model.jump.kappa * np.power(np.power(z, p) + p * c * e / lam, 1.0 / p)
-    return out if out.ndim else float(out)
+    return model.jump.kappa * np.power(np.power(z, p) + p * c * e / lam, 1.0 / p)
 
 
 def _scalar_integrand(model: Model):
@@ -389,14 +385,13 @@ def _generic_steps(model: Model, src, draws, dst) -> None:
         raise type(exc)(f"at transition {k}: {exc}") from exc
 
 
-def _map_steps(steps, model: Model, z, e):
-    """A step kernel over the broadcast ``z`` and ``e``; a float for scalars."""
-    z, e = np.broadcast_arrays(np.asarray(z, dtype=float),
-                               np.asarray(e, dtype=float))
+def _map_steps(steps, model: Model, z: np.ndarray,
+               e: np.ndarray) -> np.ndarray:
+    """A step kernel over ``z`` and ``e``, arrays of one shape."""
     out = np.empty(z.shape)
     steps(model, z.ravel().tolist(), e.ravel().tolist(),
           memoryview(out.reshape(-1)))
-    return out if out.ndim else float(out)
+    return out
 
 
 def _step_chain(steps, model: Model, z0: float,
@@ -411,11 +406,6 @@ def _step_chain(steps, model: Model, z0: float,
     states = memoryview(z)
     steps(model, states[:-1], memoryview(draws), states[1:])
     return z
-
-
-def sample_next_generic(model: Model, z, e):
-    """:func:`sample_next` by numeric draws, whatever the model's family."""
-    return _map_steps(_generic_steps, model, z, e)
 
 
 def _power_chain(model: Model, z0: float, draws: np.ndarray) -> np.ndarray:
@@ -453,11 +443,18 @@ def _power_chain(model: Model, z0: float, draws: np.ndarray) -> np.ndarray:
 
 
 def _family_samplers(model: Model):
-    """The one family dispatch: ``(one-step sampler, chain kernel)``."""
-    family = model.family
-    if family in (TCP_POWER, BACTERIAL_POWER):
+    """The one family dispatch: ``(one-step sampler, chain kernel)``.
+
+    A power rate with ``p > 0`` (:attr:`Model.power_exponent`) under either
+    flow takes the power step and scan, the shifted quadratic rate under the
+    additive flow the Cardano step, and every other model numeric draws.
+    """
+    p = model.power_exponent
+    if p is not None and p > 0:
         return _power_step, _power_chain
-    steps = _quadratic_steps if family == TCP_QUADRATIC else _generic_steps
+    quadratic = (model.flow.variant == ADDITIVE
+                 and isinstance(model.rate, ShiftedQuadraticRate))
+    steps = _quadratic_steps if quadratic else _generic_steps
     return partial(_map_steps, steps), partial(_step_chain, steps)
 
 
@@ -465,13 +462,20 @@ def sample_next(model: Model, z, e):
     """Next state from ``z`` for the unit-exponential draw ``e``.
 
     The step ``simulate_chain`` takes for the model's family.  ``z`` and
-    ``e`` broadcast, a float for scalars; a draw < 0 or NaN is a ValueError.
+    ``e`` broadcast, a float for scalars.  Whatever the family, a draw < 0
+    or NaN is a ValueError naming ``e``, and then a state that is not finite
+    and positive a :class:`ConfigError` naming ``z``.
     """
     e = np.asarray(e, dtype=float)
     if not np.all(e >= 0.0):
         raise ValueError("e: the exponential draw must be >= 0, "
                          f"got {float(e[~(e >= 0.0)][0])!r}")
-    return _family_samplers(model)[0](model, z, e)
+    z, e = np.broadcast_arrays(np.asarray(z, dtype=float), e)
+    good = (z > 0.0) & (z < math.inf)
+    if not good.all():
+        positive("z", float(z[~good][0]))   # raises, naming the first bad z
+    out = _family_samplers(model)[0](model, z, e)
+    return out if out.ndim else float(out)
 
 
 def _seed_record(seed) -> tuple:
@@ -555,22 +559,27 @@ def chain_from_text(text: str, model: Model) -> JumpChain:
     tab.  Times are checked to be numbers, then dropped: the states imply
     them (:func:`reconstruct_times`).  Raises :class:`ChainFormatError`
     naming the first line that does not fit, or when there is no data row,
-    and :class:`InconsistentChainError` naming the first line whose state
-    lies below the jump image of the state before it.
+    and :class:`InconsistentChainError` naming the first line whose state is
+    not finite and positive, or else lies below the jump image of the state
+    before it.
     """
-    chain = JumpChain(z=_states_from_text(text), model=model)
-    # files are where chains from outside come in; a simulated chain meets
-    # this up to rounding, which the support tolerance allows for
-    below = model.below_support(chain.z[:-1], chain.z[1:])
-    if below.any():
+    z = _states_from_text(text)
+    try:
+        chain = JumpChain(z=z, model=model)
+    except InconsistentChainError as exc:
+        k, reason = _first_bad_state(z), str(exc)
+    else:
+        # files are where chains from outside come in; a simulated chain
+        # meets this up to rounding, which the support tolerance allows for
+        below = model.below_support(z[:-1], z[1:])
+        if not below.any():
+            return chain
         k = int(np.argmax(below)) + 1
-        lineno = [i for i, line in enumerate(text.splitlines(), start=1)
-                  if _is_data(line)][k]
-        raise InconsistentChainError(
-            f"chain line {lineno}: z[{k}] = {float(chain.z[k])!r} is below "
-            f"kappa*z[{k - 1}] = {model.jump.apply(chain.z[k - 1])!r}, where "
-            "no jump lands")
-    return chain
+        reason = (f"z[{k}] = {float(z[k])!r} is below kappa*z[{k - 1}] = "
+                  f"{model.jump.apply(z[k - 1])!r}, where no jump lands")
+    lineno = [i for i, line in enumerate(text.splitlines(), start=1)
+              if _is_data(line)][k]
+    raise InconsistentChainError(f"chain line {lineno}: {reason}")
 
 
 def _states_from_text(text: str) -> np.ndarray:

@@ -13,7 +13,9 @@ and the best model in hindsight are spelled out one value at a time, for
 the tests that check the package's array versions.  The
 diagnostics' null distance sums the row variances of the two design
 matrices.  A numeric draw integrates the hazard by adaptive quadrature and
-finds its root by Brent's method, one transition at a time.  The flow map,
+finds its root by Brent's method, one transition at a time, and
+``sample_next_generic`` takes numeric draws for any model through the public
+``GenericSampler``.  The flow map,
 the hazard pair and the fit-record reader are used only by tests.
 """
 
@@ -26,8 +28,9 @@ from pdmprate.basis import Basis
 from pdmprate.density import DensityFit, _criterion
 from pdmprate.errors import CapExceededError, EmptyModelSetError
 from pdmprate.jumprate import denominator_grid, risk_sweep, threshold
-from pdmprate.model import TCP_QUADRATIC, PowerRate
-from pdmprate.simulate import CAP_FACTOR, _scalar_integrand, sample_next
+from pdmprate.model import ADDITIVE, PowerRate, ShiftedQuadraticRate
+from pdmprate.simulate import (CAP_FACTOR, GenericSampler, _scalar_integrand,
+                               sample_next)
 
 
 def design_oracle(basis, x, dim):
@@ -212,19 +215,39 @@ def quadratic_step_oracle(model, z, e):
 def simulate_chain_oracle(model, z0, n, seed):
     """States ``z[0..n]`` by one step call per transition.
 
-    Each step is ``quadratic_step_oracle`` for the quadratic family, and a
-    scalar ``sample_next`` call otherwise: the numpy power step, which the
-    scan of ``simulate_chain`` does not use, or a numeric draw from a hazard
-    table of its own.  The draws are those of ``simulate_chain``.
+    Each step is ``quadratic_step_oracle`` for the shifted quadratic rate
+    under the additive flow, and a scalar ``sample_next`` call otherwise:
+    the numpy power step, which the scan of ``simulate_chain`` does not use,
+    or a numeric draw from a hazard table of its own.  The draws are those of ``simulate_chain``.
     """
-    step = quadratic_step_oracle if model.family == TCP_QUADRATIC \
-        else sample_next
+    quadratic = (model.flow.variant == ADDITIVE
+                 and isinstance(model.rate, ShiftedQuadraticRate))
+    step = quadratic_step_oracle if quadratic else sample_next
     draws = chain_draws(seed, n)
     z = np.empty(n + 1)
     z[0] = z0
     for k in range(n):
         z[k + 1] = step(model, z[k], draws[k])
     return z
+
+
+def sample_next_generic(model, z, e):
+    """``sample_next`` by numeric draws, whatever the model's family.
+
+    One ``GenericSampler`` moves from state to state over the broadcast
+    ``z`` and ``e``, so its hazard table serves them all; a float for
+    scalars.
+    """
+    z, e = np.broadcast_arrays(np.asarray(z, dtype=float),
+                               np.asarray(e, dtype=float))
+    zs, es = z.ravel().tolist(), e.ravel().tolist()
+    out = np.empty(z.shape)
+    flat = out.reshape(-1)
+    sampler = GenericSampler(model, zs[0]) if zs else None
+    for k, (zk, ek) in enumerate(zip(zs, es)):
+        sampler.move_to(zk)
+        flat[k] = sampler.draw(ek)
+    return out if out.ndim else float(out)
 
 
 def generic_draw_oracle(model, z, e, kinks=()):

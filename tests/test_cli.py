@@ -373,7 +373,7 @@ class TestEstimateCommand:
         chain_file.write_text("\n".join(lines) + "\n")
         assert main(["--config", path, "estimate", "--chain",
                      str(chain_file)]) == 3
-        assert "z[17]" in caplog.text
+        assert "chain line 21: z[17]" in caplog.text
 
     def test_state_below_jump_image_exit_code(self, tmp_path, caplog):
         # z[17], on line 21, shrunk below kappa*z[16]

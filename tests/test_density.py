@@ -105,6 +105,14 @@ class TestEvaluate:
         fit = select_model(chain_samples, Basis())
         assert np.array_equal(fit.evaluate([-1.0, 7.0]), [0.0, 0.0])
 
+    @pytest.mark.parametrize("x", [0.0, 1.0, 2.7, 6.0])
+    def test_scalar_is_float_of_array(self, chain_samples, x):
+        fit = select_model(chain_samples, Basis())
+        got = fit.evaluate(x)
+        assert type(got) is float
+        assert got == fit.evaluate([x])[0]
+        assert fit.evaluate(-1.0) == 0.0 and fit.evaluate(7.0) == 0.0
+
     def test_integral_equals_constant_coefficient(self, chain_samples):
         # only the constant basis function integrates to a nonzero value
         fit = select_model(chain_samples, Basis())

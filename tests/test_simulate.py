@@ -9,15 +9,17 @@ from hypothesis import strategies as st
 from scipy import optimize, stats
 
 from oracles import (advance, chain_draws, cumulative, generic_draw_oracle,
-                     simulate_chain_oracle)
+                     sample_next_generic, simulate_chain_oracle)
 from pdmprate import (CapExceededError, ChainFormatError, ConfigError,
                       GenericSampler, InconsistentChainError, JumpChain,
                       StateRangeError, bacterial_model,
                       chain_from_text, chain_to_text, reconstruct_times,
-                      sample_next, sample_next_generic, simulate_chain,
-                      tcp_model, tcp_quadratic_model)
+                      sample_next, simulate_chain, tcp_model,
+                      tcp_quadratic_model)
 from pdmprate.model import (CustomRate, Flow, JumpMap, Model, PowerRate,
                             ShiftedQuadraticRate)
+from pdmprate.simulate import (_family_samplers, _generic_steps, _power_chain,
+                               _power_step, _quadratic_steps)
 
 
 class TestTcpPowerSampler:
@@ -127,13 +129,18 @@ def generic_case(kind, kappa, delta):
     return Model(Flow("additive", 1.0), JumpMap(kappa), CustomRate(rate)), kinks
 
 
+# one model of each sampler family: power under either flow, the Cardano
+# step and numeric draws
+BOUNDARY_MODELS = [tcp_model(), bacterial_model(delta=2.0),
+                   tcp_quadratic_model(), MC_GENERIC]
+BOUNDARY_IDS = ["power", "bacterial", "quadratic", "generic"]
+
+
 class TestDrawCheck:
     """``sample_next`` rejects a negative or NaN draw whatever the family,
     with the message the numeric sampler gives."""
 
-    @pytest.mark.parametrize("model", [tcp_model(), bacterial_model(delta=2.0),
-                                       tcp_quadratic_model(), MC_GENERIC],
-                             ids=["power", "bacterial", "quadratic", "generic"])
+    @pytest.mark.parametrize("model", BOUNDARY_MODELS, ids=BOUNDARY_IDS)
     @pytest.mark.parametrize("e", [-5.0, math.nan])
     def test_rejects_bad_draw(self, model, e):
         with pytest.raises(ValueError, match="^e: ") as scalar:
@@ -144,6 +151,73 @@ class TestDrawCheck:
         with pytest.raises(ValueError, match="^e: ") as array:
             sample_next(model, [1.0, 2.0, 3.0], [0.5, e, 1.0])
         assert str(array.value) == str(numeric.value)
+
+
+class TestStateCheck:
+    """``sample_next`` rejects a state that is not finite and positive
+    whatever the family, with the message of ``GenericSampler``."""
+
+    @pytest.mark.parametrize("model", BOUNDARY_MODELS, ids=BOUNDARY_IDS)
+    @pytest.mark.parametrize("z", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_state(self, model, z):
+        with pytest.raises(ConfigError) as sampler:
+            GenericSampler(model, z)
+        assert str(sampler.value).startswith("z: ")
+        for args in ((z, 1.0), ([1.0, z, 2.0], [0.5, 1.0, 1.5]),
+                     ([[2.0], [z]], [0.5, 1.0])):
+            with pytest.raises(ConfigError) as got:
+                sample_next(model, *args)
+            assert str(got.value) == str(sampler.value)
+        # the draw is checked first
+        with pytest.raises(ValueError, match="^e: "):
+            sample_next(model, [1.0, z], -1.0)
+
+
+# The models of test_model.py::TestFamilies, each with the sampler it takes
+DISPATCH_MODELS = [
+    (tcp_model(delta=-0.5), "power"),
+    (tcp_model(delta=0.0), "power"),
+    (tcp_model(delta=2.0), "power"),
+    (bacterial_model(delta=0.5), "power"),
+    (bacterial_model(delta=2.0), "power"),
+    (Model(Flow("exponential", 1.0), JumpMap(0.5), PowerRate(1.0, 0.0)),
+     "numeric"),
+    (Model(Flow("exponential", 1.0), JumpMap(0.5), PowerRate(1.0, -0.5)),
+     "numeric"),
+    (tcp_quadratic_model(), "quadratic"),
+    (Model(Flow("exponential", 1.0), JumpMap(0.5),
+           ShiftedQuadraticRate(1.0, 0.5)), "numeric"),
+    (Model(Flow("additive", 1.0), JumpMap(0.5), CustomRate(np.exp)),
+     "numeric"),
+]
+
+
+@pytest.mark.parametrize("model, family", DISPATCH_MODELS)
+def test_family_dispatch(model, family):
+    # sample_next and simulate_chain take the family's kernels, and the chain
+    # matches its oracle
+    step, chain_kernel = _family_samplers(model)
+    if family == "power":
+        assert step is _power_step and chain_kernel is _power_chain
+    else:
+        kernel = {"quadratic": _quadratic_steps,
+                  "numeric": _generic_steps}[family]
+        assert step.args == chain_kernel.args == (kernel,)
+    # the p = -0.5 model's hazard from z is finite, 2/sqrt(z) in all; from
+    # 0.01 down it exceeds every draw.  Its states halve at each step, and
+    # the quadrature oracle loses its accuracy below about 1e-6.
+    z0, n, seed = 0.01, 12, 3
+    got = simulate_chain(model, z0, n, seed).z
+    if family == "numeric":
+        draws = chain_draws(seed, n)
+        want = [generic_draw_oracle(model, got[k], draws[k]) for k in range(n)]
+        np.testing.assert_allclose(got[1:], want, rtol=1e-12, atol=0)
+    else:
+        atol = 1e-13 * model.jump.kappa * model.rate.a \
+            if family == "quadratic" else 0.0
+        np.testing.assert_allclose(got, simulate_chain_oracle(model, z0, n,
+                                                              seed),
+                                   rtol=1e-13, atol=atol)
 
 
 class TestGenericSampler:
@@ -674,6 +748,19 @@ class TestChainFileConsistency:
                 with pytest.raises(InconsistentChainError,
                                    match=f"chain line {k + 4}: z\\[{k}\\]"):
                     chain_from_text("\n".join(edited), m)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1.0", "0"])
+    @pytest.mark.parametrize("times", [False, True])
+    def test_bad_state_line_named(self, bad, times):
+        # z[5] on line 9, moved to line 11 by a blank and a comment line
+        m = tcp_model()
+        chain = simulate_chain(m, 1.0, 10, 3)
+        lines = chain_to_text(chain, include_times=times).splitlines()
+        lines[8] = "\t".join([bad] + lines[8].split("\t")[1:])
+        lines[5:5] = ["", "# note"]
+        with pytest.raises(InconsistentChainError,
+                           match=r"^chain line 11: z\[5\] = "):
+            chain_from_text("\n".join(lines), m)
 
     def test_line_named_past_comment_lines(self):
         # blank and comment lines send the parse through the exact reader;
