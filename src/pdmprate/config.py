@@ -3,8 +3,9 @@
 The document has four sections: ``model`` (flow, jump map, rate), ``estimation``
 (window, interval, penalty constants), ``experiment`` (chain lengths,
 replicates, seed) and ``io`` (output directory, grid size).  The loader checks
-YAML types only; the constructors of the values check their ranges, and a
-rejection is reported under the offending key path.
+YAML types only, and that every key is one a field reads; the constructors of
+the values check their ranges, and a rejection is reported under the
+offending key path.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ KEYS = {
     "base_seed": "experiment.base_seed",
     "out_dir": "io.out_dir", "grid_points": "io.grid_points",
 }
+# The rate fields each rate variant reads; under another variant their keys
+# are not read.
+RATE_FIELDS = {"power": ("lam", "delta"), "quadratic": ("a", "b")}
 # The ExperimentConfig fields read as they stand; a key left out keeps the
 # field's default.
 SCALARS = {"a_max": float, "sigma": float, "sigma_prime": float, "z0": float,
@@ -85,6 +89,36 @@ def _is_a(val, types) -> bool:
     return isinstance(val, types) and not isinstance(val, bool)
 
 
+def _check_keys(doc: dict) -> None:
+    """Raise a ``ConfigError`` naming a key that no field reads.
+
+    The read keys are those of ``KEYS`` and ``model.rate.variant``, with a
+    rate field's key read only under its own rate variant; their sections
+    must be mappings (or empty).
+    """
+    variant = _get(doc, "model.rate.variant")
+    known = isinstance(variant, str) and variant in RATE_FIELDS
+    unread = {KEYS[field] for v, names in RATE_FIELDS.items()
+              if known and v != variant for field in names}
+    read = (set(KEYS.values()) - unread) | {"model.rate.variant"}
+    sections = {path.rsplit(".", i)[0] for path in read
+                for i in range(1, path.count(".") + 1)}
+    todo = [("", doc)]
+    while todo:
+        prefix, node = todo.pop()
+        for key, value in node.items():
+            path = f"{prefix}{key}"
+            if path in sections:
+                if isinstance(value, dict):
+                    todo.append((f"{path}.", value))
+                elif value is not None:
+                    raise ConfigError(path, f"expected a mapping, got {value!r}")
+            elif path not in read:
+                reason = (f"not read with rate variant {variant!r}"
+                          if path in unread else "unknown key")
+                raise ConfigError(path, reason)
+
+
 def _build_model(doc: dict) -> Model:
     flow = Flow(_get(doc, KEYS["variant"], required=True),
                 _typed(doc, "c", float, 1.0))
@@ -110,13 +144,15 @@ def default_interval(model: Model) -> tuple:
 
 
 def load_config(doc: dict) -> ExperimentConfig:
-    """Check the YAML types of a parsed document and build the config.
+    """Check the keys and YAML types of a parsed document and build the config.
 
-    The constructors check the values; a field one of them rejects is
-    reported under its key path.
+    A key that no field reads is a ``ConfigError`` naming its path.  The
+    constructors check the values; a field one of them rejects is reported
+    under its key path.
     """
     if not isinstance(doc, dict):
         raise ConfigError("top level", "expected a mapping")
+    _check_keys(doc)
     try:
         model = _build_model(doc)
         interval = _get(doc, KEYS["interval"])

@@ -3,7 +3,8 @@
 Each closed-form sampler inverts the conditional survival function of the
 next state given the current one, driven by a unit-exponential draw.  A
 numeric fallback handles arbitrary rates by inverting a Chebyshev table of
-the cumulative hazard along the flow.  ``simulate_chain`` draws all
+the cumulative hazard along the flow: an inverse series per sub-panel gives
+a start that one confirming Newton step finishes.  ``simulate_chain`` draws all
 exponentials first and runs its family's chain kernel over them: a linear
 scan for power rates, otherwise the family's step kernel (a plain-float
 Cardano step for the quadratic rate, numeric draws from one table for the
@@ -31,14 +32,19 @@ _FLOAT_TINY = float(np.finfo(float).tiny)
 # GenericSampler: a draw gives up at the state cap CAP_FACTOR * max(z, 1).
 # _fit_panel interpolates the hazard integrand at CHEB_NODES Chebyshev points
 # per sub-panel and halves a sub-panel until its series meets CHEB_RTOL or
-# one of the stops PANEL_FLOOR, MAX_HALVINGS and MAX_LEAVES.  A draw ends when
-# a Newton step is at most ROOT_ULPS ulps, or after NEWTON_STEPS steps.
+# one of the stops PANEL_FLOOR, MAX_HALVINGS and MAX_LEAVES.  A sub-panel's
+# inverse series (_invert) interpolates at the same points; it is kept when
+# its two last coefficients are at most INV_TOL, and cut after its last
+# coefficient above INV_TOL.  A draw ends when a Newton step is at most
+# ROOT_ULPS ulps or its second-order term is below an ulp, or after
+# NEWTON_STEPS steps.
 CAP_FACTOR = 1e3
 CHEB_NODES = 17
 CHEB_RTOL = 1e-14
 PANEL_FLOOR = 1e-18
 MAX_HALVINGS = 48
 MAX_LEAVES = 256
+INV_TOL = 1e-10
 NEWTON_STEPS = 100
 ROOT_ULPS = 4.0
 
@@ -132,10 +138,23 @@ class GenericSampler:
     a draw from ``z`` solves ``G(y) = G(kappa*z) + e``.  ``G`` is a table of
     Chebyshev series on geometric panels (:func:`_fit_panel`), built as the
     states reach them.  A draw brackets the root by the hazard at panel and
-    sub-panel ends, then runs Newton's method on :meth:`hazard_to` with
-    ``g`` as the derivative, bisecting when a step leaves the bracket.
-    ``G`` is anchored at the lowest panel built, so a hazard difference is
-    exact to about ``eps`` times the hazard from there.
+    sub-panel ends.  The first draw into a sub-panel gives it an inverse
+    series ``t(h)`` (:func:`_invert`), and every draw into it starts there;
+    a sub-panel whose inverse fails its tail test (``g`` vanishes or kinks
+    in it) keeps the flag ``False`` and starts where the hazard, taken as
+    linear, meets the draw.  Newton's method on :meth:`hazard_to` with ``g``
+    as the derivative then finishes, bisecting when a step leaves the
+    bracket; from an inverse start its first step is the last.  ``G`` is
+    anchored at the lowest panel built, so a hazard difference is exact to
+    about ``eps`` times the hazard from there.  The inverses live in the
+    panel records, in sub-panel-local hazard, so they survive the table
+    growing downward.
+
+    The counters are plain ints, updated once per draw (and per panel or
+    inverse built): ``g_evals`` counts evaluations of ``G``, ``G(kappa*z)``
+    and the cap check included; ``newton_steps`` the Newton iterations;
+    ``panels_built`` and ``inverses_built`` the table's pieces, fallbacks
+    included; ``fallback_draws`` the draws into a flagged sub-panel.
     """
 
     def __init__(self, model: Model, z: float):
@@ -143,12 +162,14 @@ class GenericSampler:
         self._integrand = _scalar_integrand(model)
         self.move_to(z)
         # top-level panels k0, k0+1, ...: sub-panel edges, the hazard from
-        # the panel's left edge to each, and a series per sub-panel; and the
-        # hazard from the left edge of panel k0 to the left edge of each
-        # panel and past the last
+        # the panel's left edge to each, a series per sub-panel and its
+        # inverse (None until built); and the hazard from the left edge of
+        # panel k0 to the left edge of each panel and past the last
         self._k0 = _panel_index(self.lo)
         self._panels = []
         self._cum = [0.0]
+        self.g_evals = self.newton_steps = 0
+        self.panels_built = self.inverses_built = self.fallback_draws = 0
 
     def move_to(self, z: float) -> None:
         """Make ``z`` the current state; the hazard table is kept."""
@@ -167,6 +188,7 @@ class GenericSampler:
             panel = _fit_panel(self._integrand, self._k0 + len(self._panels))
             self._panels.append(panel)
             self._cum.append(self._cum[-1] + panel[1][-1])
+            self.panels_built += 1
         if k < self._k0:
             # G is anchored at the lowest panel: every stored value moves up
             below = [_fit_panel(self._integrand, j) for j in range(k, self._k0)]
@@ -177,6 +199,7 @@ class GenericSampler:
             self._cum = cum + [c + shift for c in self._cum]
             self._panels = below + self._panels
             self._k0 = k
+            self.panels_built += len(below)
 
     def _antiderivative(self, u: float) -> float:
         """``G(u)``: the hazard from the lowest panel edge built to ``u``."""
@@ -185,16 +208,11 @@ class GenericSampler:
         if not 0 <= i < len(self._panels):
             self._build(k)
             i = k - self._k0
-        edges, bases, series = self._panels[i]
+        edges, bases, series, _ = self._panels[i]
         j = bisect.bisect_right(edges, u) - 1
-        c0, rest = series[j]
-        # Clenshaw's recurrence at u's position t in [-1, 1] on its sub-panel
+        # u's position t in [-1, 1] on its sub-panel
         t = (u - edges[j]) / (0.5 * (edges[j + 1] - edges[j])) - 1.0
-        t2 = t + t
-        b1 = b2 = 0.0
-        for c in rest:
-            b1, b2 = c + t2 * b1 - b2, b1
-        return self._cum[i] + bases[j] + (c0 + t * b1 - b2)
+        return self._cum[i] + bases[j] + _clenshaw(series[j], t)
 
     def _base(self) -> float:
         """``G`` at the jump image of the current state."""
@@ -228,6 +246,7 @@ class GenericSampler:
                 "before reaching the draw") from exc
 
     def _solve(self, e: float) -> float:
+        calls = int(self._g_lo is None)     # G(lo) is found once per state
         target = self._base() + e
         # panels up to the one holding the target, or to the cap
         while (self._cum[-1] <= target
@@ -238,48 +257,163 @@ class GenericSampler:
         i = max(bisect.bisect_right(self._cum, target) - 1, 0)
         if i == len(self._panels):
             raise self._cap_error(e)
-        edges, bases, _ = self._panels[i]
+        edges, bases, series, inverses = self._panels[i]
         local = target - self._cum[i]
         j = min(max(bisect.bisect_right(bases, local), 1), len(edges) - 1)
         lo, hi = max(edges[j - 1], self.lo), edges[j]
         if hi > self.cap:
+            calls += 1
             if self.hazard_to(self.cap) < e:
                 raise self._cap_error(e)
             hi = self.cap
         if hi <= lo:
             # the root is within rounding of the jump image
+            self.g_evals += calls
             return lo
-        # start where the hazard, taken as linear across the sub-panel, meets e
-        rise = bases[j] - bases[j - 1]
-        y = (edges[j - 1] + (edges[j] - edges[j - 1])
-             * ((local - bases[j - 1]) / rise)) if rise > 0.0 else lo
+        h, rise = local - bases[j - 1], bases[j] - bases[j - 1]
+        inverse = inverses[j - 1]
+        if inverse is None:
+            inverse, evals = _invert(self._integrand, edges[j - 1], edges[j],
+                                     series[j - 1], rise)
+            inverses[j - 1] = inverse
+            self.inverses_built += 1
+            calls += evals
+        if inverse:
+            coeffs, scale, curv = inverse
+            y = edges[j - 1] + (0.5 * (edges[j] - edges[j - 1])) * (
+                _clenshaw(coeffs, h * scale - 1.0) + 1.0)
+        else:
+            # start where the hazard, taken as linear across the sub-panel,
+            # meets e
+            self.fallback_draws += 1
+            y = (edges[j - 1] + (edges[j] - edges[j - 1]) * (h / rise)
+                 if rise > 0.0 else lo)
+            curv = math.inf
+        y, steps = self._newton(e, y, lo, hi, curv)
+        self.g_evals += calls + steps
+        self.newton_steps += steps
+        return y
+
+    def _newton(self, e: float, y: float, lo: float, hi: float,
+                curv: float) -> tuple:
+        """The root of ``hazard_to(y) = e`` in ``(lo, hi)`` from ``y``, and
+        the number of steps taken.
+
+        A step ``step = r/g(y)`` from ``y``, with ``r = hazard_to(y) - e``,
+        leaves out the Taylor term ``G''(xi)*step**2/2`` of the table: to
+        first order the root is ``y - step - G''(xi)/(2 g(y)) * step**2``.
+        With ``curv`` at least ``|G''|`` on the sub-panel, that term is at
+        most a quarter ulp of ``y`` when ``curv*step**2 <= g(y)*ulp(y)/2``.
+        ``g`` is the table's slope only to its tolerance: they differ by
+        about ``CHEB_RTOL*g``, which moves the root by ``CHEB_RTOL*|step|``,
+        at most a quarter ulp when ``|step|*CHEB_RTOL <= ulp(y)/4``.  With
+        the rounding of ``y - step``, ``y - step`` is then the root to
+        within an ulp, and the loop returns it.  A fallback sub-panel passes
+        ``curv = inf``, so only the ``ROOT_ULPS`` exit ends its loop.
+        """
         g = self._integrand
-        for _ in range(NEWTON_STEPS):
+        for steps in range(1, NEWTON_STEPS + 1):
             if not lo < y < hi:
                 y = 0.5 * (lo + hi)
             r = self.hazard_to(y) - e
             if r == 0.0:
-                return y
+                return y, steps
             if r > 0.0:
                 hi = y
             else:
                 lo = y
-            tol = ROOT_ULPS * math.ulp(y)
+            ulp = math.ulp(y)
+            tol = ROOT_ULPS * ulp
             if hi - lo <= tol:
-                return y
+                return y, steps
             d = g(y)
             if not d > 0.0:
                 y = lo          # no slope: bisect
                 continue
             step = r / d
-            if abs(step) <= tol:
-                return y - step
+            if abs(step) <= tol or (curv * step * step <= 0.5 * d * ulp
+                                    and abs(step) * CHEB_RTOL <= 0.25 * ulp):
+                return y - step, steps
             y -= step
-        return y
+        return y, NEWTON_STEPS
 
     def _cap_error(self, e: float) -> CapExceededError:
         return CapExceededError(
             f"hazard below target {e:.3g} before cap {self.cap:.3g}")
+
+
+def _invert(g, a: float, b: float, series: tuple, rise: float):
+    """The inverse series of sub-panel ``[a, b)``, or ``False``; and the
+    number of evaluations of its hazard series it took.
+
+    ``series`` is the sub-panel's hazard ``S(t)``, ``rise = S(1)`` and ``g``
+    the integrand.  The inverse interpolates the position ``t`` at
+    ``CHEB_NODES`` Chebyshev points ``s`` of the local hazard
+    ``h = rise*(s + 1)/2``, each found by Newton's method on ``S``.  It is
+    ``False`` (the fallback flag) when ``rise`` is below ``PANEL_FLOOR``,
+    ``g`` vanishes at a step, a node does not converge or the two last
+    coefficients exceed ``INV_TOL``: ``t(h)`` is not smooth where ``g``
+    vanishes or kinks.  Otherwise it is the coefficients, cut after the last
+    above ``INV_TOL``, as a series for :func:`_clenshaw` in ``s``; ``2/rise``;
+    and the bound ``sum |A_k| k**2 (k**2 - 1)/3 / half**2`` on ``|G''|``
+    over the sub-panel, by Markov's inequality for the second derivative
+    of each term ``A_k T_k`` of ``S``.
+    """
+    if not PANEL_FLOOR <= rise < math.inf:
+        return False, 0
+    half = 0.5 * (b - a)
+    ts, evals = [-1.0], 0
+    h_prev = d = 0.0
+    for s in reversed(_CHEB_NODES[1:-1]):
+        h = 0.5 * rise * (s + 1.0)
+        # S(t) = h in (t_prev, 1), from the last node along the last slope
+        # (at the first node, from the position h takes linearly); a step
+        # of 1e-3 INV_TOL leaves the node far inside INV_TOL
+        lo, hi = ts[-1], 1.0
+        t = lo + (h - h_prev) / d if d else s
+        h_prev = h
+        for _ in range(NEWTON_STEPS):
+            if not lo < t < hi:
+                t = 0.5 * (lo + hi)
+            r = _clenshaw(series, t) - h
+            evals += 1
+            if r > 0.0:
+                hi = t
+            else:
+                lo = t
+            if hi - lo <= 1e-15:
+                break
+            d = half * g(a + half * (t + 1.0))
+            if not d > 0.0:
+                return False, evals
+            dt = r / d
+            t -= dt
+            if abs(dt) <= 1e-3 * INV_TOL:
+                break
+        else:
+            return False, evals
+        ts.append(t)
+    ts.append(1.0)
+    coeffs = (_CHEB_MATRIX @ np.array(ts[::-1])).tolist()
+    if abs(coeffs[-1]) + abs(coeffs[-2]) > INV_TOL:
+        return False, evals
+    while abs(coeffs[-1]) <= INV_TOL:
+        coeffs.pop()
+    rest = series[1]
+    curv = math.fsum(abs(c) * k * k * (k * k - 1) / 3.0
+                     for k, c in zip(range(len(rest), 0, -1), rest))
+    inverse = (coeffs[0], tuple(reversed(coeffs[1:])))
+    return (inverse, 2.0 / rise, curv / (half * half)), evals
+
+
+def _clenshaw(series: tuple, t: float) -> float:
+    """``c0 + sum_k c_k T_k(t)`` of ``series = (c0, (c_N, ..., c_1))``."""
+    c0, rest = series
+    t2 = t + t
+    b1 = b2 = 0.0
+    for c in rest:
+        b1, b2 = c + t2 * b1 - b2, b1
+    return c0 + t * b1 - b2
 
 
 def _panel_index(u: float) -> int:
@@ -297,8 +431,9 @@ def _fit_panel(g, k: int):
     """Chebyshev antiderivative of ``g`` on top-level panel ``k``.
 
     Returns the sub-panel edges, the hazard from the panel's left edge to
-    each sub-panel edge, and per sub-panel the integrated series
-    ``(c0, (c_N, ..., c_1))`` in ``t = -1 ... 1``, which is 0 at ``t = -1``.
+    each sub-panel edge, per sub-panel the integrated series
+    ``(c0, (c_N, ..., c_1))`` in ``t = -1 ... 1``, which is 0 at ``t = -1``,
+    and a list of ``None``s for the sub-panels' inverse series.
     A sub-panel is halved while its two last coefficients of ``g`` exceed
     ``CHEB_RTOL`` times the sum of all of them, unless its hazard is below
     ``PANEL_FLOOR`` (an integrand that underflows never passes the relative
@@ -335,7 +470,7 @@ def _fit_panel(g, k: int):
         bases.append(bases[-1] + total)
         series.append((c0, tuple(reversed(ints))))
     edges.append(_panel_edge(k + 1))
-    return edges, bases, series
+    return edges, bases, series, [None] * len(series)
 
 
 def _quadratic_steps(model: Model, src, draws, dst) -> None:

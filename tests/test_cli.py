@@ -64,6 +64,55 @@ class TestConfig:
         with pytest.raises(ConfigError, match="estimation.interval"):
             load_config(doc)
 
+    @pytest.mark.parametrize("path, value, reason", [
+        ("model.f.kapa", 0.3, "unknown key"),           # a nested typo
+        ("bogus", 1, "unknown key"),
+        ("estimation.sigma_primer", 0.1, "unknown key"),
+        ("model.rate.a", 1.0, "not read with rate variant 'power'"),
+        ("io", 5, "expected a mapping, got 5"),
+    ])
+    def test_unread_key_names_path(self, tmp_path, caplog, path, value,
+                                   reason):
+        doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
+        *parents, leaf = path.split(".")
+        node = doc
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[leaf] = value
+        with pytest.raises(ConfigError) as exc:
+            load_config(doc)
+        assert str(exc.value) == f"{path}: {reason}"
+        config = write_config(tmp_path, doc)
+        assert main(["--config", config, "--out", str(tmp_path / "o"),
+                     "simulate", "--n", "10"]) == 2
+        assert f"{path}: {reason}" in caplog.text
+
+    def test_power_key_under_quadratic_rejected(self):
+        doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
+        doc["model"]["rate"] = {"variant": "quadratic", "a": 1.0, "lam": 1.0}
+        with pytest.raises(ConfigError, match="^model.rate.lam: not read"):
+            load_config(doc)
+
+    def test_empty_section_is_read(self):
+        doc = {**BASE_DOC, "estimation": None, "io": None}
+        assert load_config(doc) == load_config(BASE_DOC)
+
+    @pytest.mark.parametrize("rate, kappa", [
+        ({"variant": "power", "lam": 2.0, "delta": 1.5}, 0.5),
+        ({"variant": "quadratic", "a": 1.0, "b": 0.5}, 0.2),
+    ])
+    def test_dumped_config_loads_back(self, rate, kappa):
+        doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
+        doc["model"].update(rate=rate, name="m", z0=0.7)
+        doc["model"]["f"]["kappa"] = kappa
+        doc["estimation"] = {"a_max": 5.0, "sigma": 1.5, "sigma_prime": 0.1,
+                             "interval": [0.3, 2.0]}
+        doc["io"] = {"out_dir": "elsewhere", "grid_points": 257}
+        cfg = load_config(doc)
+        dumped = dump_config(cfg)
+        assert load_config(yaml.safe_load(dumped)) == cfg
+        assert dump_config(load_config(yaml.safe_load(dumped))) == dumped
+
     def test_quadratic_rate(self):
         doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
         doc["model"]["rate"] = {"variant": "quadratic", "a": 1.0, "b": 0.5}

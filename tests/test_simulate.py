@@ -318,6 +318,66 @@ class TestGenericSampler:
         got = simulate_chain(model, z0, n, seed).z
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
+    def test_counters_on_a_chain(self):
+        # the chain simulate_chain makes, by the sampler's own loop: two G
+        # evaluations and one Newton step per draw, plus the tables' builds
+        n, seed = 3000, 0
+        draws = chain_draws(seed, n).tolist()
+        z = [1.0]
+        sampler = GenericSampler(MC_GENERIC, z[0])
+        for e in draws:
+            sampler.move_to(z[-1])
+            z.append(sampler.draw(e))
+        np.testing.assert_array_equal(z, simulate_chain(MC_GENERIC, 1.0, n,
+                                                        seed).z)
+        assert sampler.g_evals <= 2.5 * n
+        assert sampler.newton_steps == n
+        assert sampler.fallback_draws == 0
+        assert 0 < sampler.inverses_built <= sampler.panels_built
+
+    @pytest.mark.parametrize("model, z, draws, kinks", [
+        # the kink's sub-panel, a few ulps wide about kappa*1 = 0.3, where
+        # the hazard from 0.15 reaches 0.05
+        (Model(Flow("additive", 1.0), JumpMap(0.3),
+               CustomRate(lambda x: max(x - 1.0, 0.0) + 0.1)), 0.5,
+         [0.05 + k * 1e-17 for k in range(-30, 31)], (1.0,)),
+        # b = 0: g vanishes at the jump image 0.5, a panel edge
+        (Model(Flow("exponential", 2.0), JumpMap(0.5),
+               ShiftedQuadraticRate(1.0, 0.0)), 1.0,
+         [1e-6, 1e-3, 0.01, 0.1, 0.5], ()),
+    ], ids=["kink", "vanishing"])
+    def test_fallback_sub_panels(self, model, z, draws, kinks):
+        sampler = GenericSampler(model, z)
+        got = [sampler.draw(e) for e in draws]
+        flags = [inverse for panel in sampler._panels for inverse in panel[3]
+                 if inverse is not None]
+        assert False in flags
+        assert sampler.fallback_draws > 0
+        for e, y in zip(draws, got):
+            assert y == pytest.approx(generic_draw_oracle(model, z, e, kinks),
+                                      rel=1e-12)
+
+    def test_inverses_survive_downward_growth(self):
+        # from z0 = 50 the first draws build inverses high up; the chain then
+        # falls, and the table grows below them, shifting every stored hazard
+        n, seed, z0 = 400, 5, 50.0
+        draws = chain_draws(seed, n).tolist()
+        z = [z0]
+        sampler = GenericSampler(MC_GENERIC, z0)
+        sampler.draw(draws[0])
+        first_k0, first_inverses = sampler._k0, sampler.inverses_built
+        assert first_inverses > 0
+        for e in draws:
+            sampler.move_to(z[-1])
+            z.append(sampler.draw(e))
+        assert sampler._k0 < first_k0
+        assert sampler.inverses_built > first_inverses
+        # an inverse found under the wrong panel would cost Newton steps
+        assert sampler.newton_steps == n + 1
+        want = [z0] + [sample_next_generic(MC_GENERIC, z[k], draws[k])
+                       for k in range(n)]
+        np.testing.assert_allclose(z, want, rtol=1e-13, atol=0.0)
+
     @pytest.mark.parametrize("beyond", [False, True])
     def test_cap_is_exact(self, beyond):
         # constant hazard 1/(kappa*c) = 2 per unit: from z = 1, the root
