@@ -133,7 +133,8 @@ def _build_model(doc: dict) -> Model:
     else:
         raise ConfigError("model.rate.variant", "expected 'power' or "
                           f"'quadratic', got {rvariant!r}")
-    return Model(flow, jump, rate, name=_get(doc, KEYS["name"]) or "")
+    name = _get(doc, KEYS["name"])
+    return Model(flow, jump, rate, name="" if name is None else name)
 
 
 def default_interval(model: Model) -> tuple:

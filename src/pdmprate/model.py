@@ -126,7 +126,8 @@ RateSpec = Union[PowerRate, ShiftedQuadraticRate, CustomRate]
 class Model:
     """A fully specified process: flow, jump map and jump rate.
 
-    Under the additive flow the weight ``1/(kappa*c)`` must be finite.
+    Under the additive flow the weight ``1/(kappa*c)`` must be finite.  The
+    name heads chain files, so it must be a string on one line.
     """
 
     flow: Flow
@@ -135,6 +136,9 @@ class Model:
     name: str = ""
 
     def __post_init__(self):
+        require(isinstance(self.name, str)
+                and self.name.splitlines() in ([], [self.name]), "name",
+                "expected a string on one line", self.name)
         if self.flow.variant == ADDITIVE:
             kc = self.jump.kappa * self.flow.c
             require(kc > 0.0 and 1.0 / kc < np.inf, "c",

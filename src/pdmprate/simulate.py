@@ -3,8 +3,9 @@
 Each closed-form sampler inverts the conditional survival function of the
 next state given the current one, driven by a unit-exponential draw.  A
 numeric fallback handles arbitrary rates by inverting a Chebyshev table of
-the cumulative hazard along the flow: an inverse series per sub-panel gives
-a start that one confirming Newton step finishes.  ``simulate_chain`` draws all
+the cumulative hazard along the flow: an inverse series per sub-panel,
+interpolated at the hazard of the table's own nodes, gives a start that one
+confirming Newton step finishes.  ``simulate_chain`` draws all
 exponentials first and runs its family's chain kernel over them: a linear
 scan for power rates, otherwise the family's step kernel (a plain-float
 Cardano step for the quadratic rate, numeric draws from one table for the
@@ -33,11 +34,11 @@ _FLOAT_TINY = float(np.finfo(float).tiny)
 # _fit_panel interpolates the hazard integrand at CHEB_NODES Chebyshev points
 # per sub-panel and halves a sub-panel until its series meets CHEB_RTOL or
 # one of the stops PANEL_FLOOR, MAX_HALVINGS and MAX_LEAVES.  A sub-panel's
-# inverse series (_invert) interpolates at the same points; it is kept when
-# its two last coefficients are at most INV_TOL, and cut after its last
-# coefficient above INV_TOL.  A draw ends when a Newton step is at most
-# ROOT_ULPS ulps or its second-order term is below an ulp, or after
-# NEWTON_STEPS steps.
+# inverse series (_invert) interpolates the same points against their
+# hazard; it is kept when its two last coefficients are at most INV_TOL, and
+# cut after its last coefficient above INV_TOL.  A draw ends when a Newton
+# step is at most ROOT_ULPS ulps or its second-order term is below an ulp,
+# or after NEWTON_STEPS steps.
 CAP_FACTOR = 1e3
 CHEB_NODES = 17
 CHEB_RTOL = 1e-14
@@ -140,8 +141,8 @@ class GenericSampler:
     states reach them.  A draw brackets the root by the hazard at panel and
     sub-panel ends.  The first draw into a sub-panel gives it an inverse
     series ``t(h)`` (:func:`_invert`), and every draw into it starts there;
-    a sub-panel whose inverse fails its tail test (``g`` vanishes or kinks
-    in it) keeps the flag ``False`` and starts where the hazard, taken as
+    a sub-panel whose inverse fails its checks (``g`` vanishes or kinks in
+    it) keeps the flag ``False`` and starts where the hazard, taken as
     linear, meets the draw.  Newton's method on :meth:`hazard_to` with ``g``
     as the derivative then finishes, bisecting when a step leaves the
     bracket; from an inverse start its first step is the last.  ``G`` is
@@ -273,8 +274,8 @@ class GenericSampler:
         h, rise = local - bases[j - 1], bases[j] - bases[j - 1]
         inverse = inverses[j - 1]
         if inverse is None:
-            inverse, evals = _invert(self._integrand, edges[j - 1], edges[j],
-                                     series[j - 1], rise)
+            inverse, evals = _invert(edges[j - 1], edges[j], series[j - 1],
+                                     rise)
             inverses[j - 1] = inverse
             self.inverses_built += 1
             calls += evals
@@ -342,59 +343,38 @@ class GenericSampler:
             f"hazard below target {e:.3g} before cap {self.cap:.3g}")
 
 
-def _invert(g, a: float, b: float, series: tuple, rise: float):
+def _invert(a: float, b: float, series: tuple, rise: float):
     """The inverse series of sub-panel ``[a, b)``, or ``False``; and the
     number of evaluations of its hazard series it took.
 
-    ``series`` is the sub-panel's hazard ``S(t)``, ``rise = S(1)`` and ``g``
-    the integrand.  The inverse interpolates the position ``t`` at
-    ``CHEB_NODES`` Chebyshev points ``s`` of the local hazard
-    ``h = rise*(s + 1)/2``, each found by Newton's method on ``S``.  It is
-    ``False`` (the fallback flag) when ``rise`` is below ``PANEL_FLOOR``,
-    ``g`` vanishes at a step, a node does not converge or the two last
-    coefficients exceed ``INV_TOL``: ``t(h)`` is not smooth where ``g``
-    vanishes or kinks.  Otherwise it is the coefficients, cut after the last
-    above ``INV_TOL``, as a series for :func:`_clenshaw` in ``s``; ``2/rise``;
-    and the bound ``sum |A_k| k**2 (k**2 - 1)/3 / half**2`` on ``|G''|``
-    over the sub-panel, by Markov's inequality for the second derivative
-    of each term ``A_k T_k`` of ``S``.
+    ``series`` is the sub-panel's hazard ``S(t)`` and ``rise = S(1)``.  The
+    inverse interpolates the position at the ``CHEB_NODES`` Chebyshev
+    points ``t_i`` of :func:`_fit_panel`, against their images
+    ``s_i = 2*S(t_i)/rise - 1`` in the local hazard ``h = rise*(s + 1)/2``
+    (table inversion as in Hoermann & Leydold, 2003): its coefficients
+    solve ``sum_k c_k T_k(s_i) = t_i``.  It is ``False`` (the fallback
+    flag) when ``rise`` is below ``PANEL_FLOOR``, the ``s_i`` are not
+    strictly monotone or the two last coefficients exceed ``INV_TOL``:
+    ``t(h)`` is not smooth where the integrand vanishes or kinks.
+    Otherwise it is the coefficients, cut after the last above ``INV_TOL``,
+    as a series for :func:`_clenshaw` in ``s``; ``2/rise``; and the bound
+    ``sum |A_k| k**2 (k**2 - 1)/3 / half**2`` on ``|G''|`` over the
+    sub-panel, by Markov's inequality for the second derivative of each
+    term ``A_k T_k`` of ``S``.  A bound that overflows is infinite, which
+    only disables the early exit of :meth:`GenericSampler._newton`.
     """
     if not PANEL_FLOOR <= rise < math.inf:
         return False, 0
-    half = 0.5 * (b - a)
-    ts, evals = [-1.0], 0
-    h_prev = d = 0.0
-    for s in reversed(_CHEB_NODES[1:-1]):
-        h = 0.5 * rise * (s + 1.0)
-        # S(t) = h in (t_prev, 1), from the last node along the last slope
-        # (at the first node, from the position h takes linearly); a step
-        # of 1e-3 INV_TOL leaves the node far inside INV_TOL
-        lo, hi = ts[-1], 1.0
-        t = lo + (h - h_prev) / d if d else s
-        h_prev = h
-        for _ in range(NEWTON_STEPS):
-            if not lo < t < hi:
-                t = 0.5 * (lo + hi)
-            r = _clenshaw(series, t) - h
-            evals += 1
-            if r > 0.0:
-                hi = t
-            else:
-                lo = t
-            if hi - lo <= 1e-15:
-                break
-            d = half * g(a + half * (t + 1.0))
-            if not d > 0.0:
-                return False, evals
-            dt = r / d
-            t -= dt
-            if abs(dt) <= 1e-3 * INV_TOL:
-                break
-        else:
-            return False, evals
-        ts.append(t)
-    ts.append(1.0)
-    coeffs = (_CHEB_MATRIX @ np.array(ts[::-1])).tolist()
+    # the end nodes t = 1, -1 map to s = 1, -1
+    s = [1.0] + [2.0 * _clenshaw(series, t) / rise - 1.0
+                 for t in _CHEB_NODES[1:-1]] + [-1.0]
+    evals = CHEB_NODES - 2
+    if not all(x > y for x, y in zip(s, s[1:])):
+        return False, evals
+    # T_k(s_i) = cos(k * arccos(s_i))
+    coeffs = np.linalg.solve(
+        np.cos(np.outer(np.arccos(s), np.arange(CHEB_NODES))),
+        _CHEB_NODES).tolist()
     if abs(coeffs[-1]) + abs(coeffs[-2]) > INV_TOL:
         return False, evals
     while abs(coeffs[-1]) <= INV_TOL:
@@ -403,7 +383,8 @@ def _invert(g, a: float, b: float, series: tuple, rise: float):
     curv = math.fsum(abs(c) * k * k * (k * k - 1) / 3.0
                      for k, c in zip(range(len(rest), 0, -1), rest))
     inverse = (coeffs[0], tuple(reversed(coeffs[1:])))
-    return (inverse, 2.0 / rise, curv / (half * half)), evals
+    half = 0.5 * (b - a)
+    return (inverse, 2.0 / rise, curv / half / half), evals
 
 
 def _clenshaw(series: tuple, t: float) -> float:
@@ -613,12 +594,6 @@ def sample_next(model: Model, z, e):
     return out if out.ndim else float(out)
 
 
-def _seed_record(seed) -> tuple:
-    if isinstance(seed, np.random.SeedSequence):
-        return (tuple(np.atleast_1d(seed.entropy)), tuple(seed.spawn_key))
-    return ((int(seed),), ())
-
-
 def simulate_chain(model: Model, z0: float, n: int, seed) -> JumpChain:
     """Simulate ``n`` transitions starting from ``z0``.
 
@@ -643,7 +618,9 @@ def simulate_chain(model: Model, z0: float, n: int, seed) -> JumpChain:
         raise StateRangeError(
             f"at transition {k - 1}: next state {float(z[k])!r} is not a "
             "finite positive number (double precision overflow or underflow)")
-    return JumpChain(z=z, model=model, seed=_seed_record(ss))
+    record = (tuple(map(int, np.atleast_1d(ss.entropy))),
+              tuple(map(int, ss.spawn_key)))
+    return JumpChain(z=z, model=model, seed=record)
 
 
 def reconstruct_times(chain: JumpChain) -> np.ndarray:

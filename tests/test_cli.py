@@ -113,6 +113,26 @@ class TestConfig:
         assert load_config(yaml.safe_load(dumped)) == cfg
         assert dump_config(load_config(yaml.safe_load(dumped))) == dumped
 
+    @pytest.mark.parametrize("name", ["tcp\nrun 2", "a\u2028b", [1, 2]],
+                             ids=["newline", "line_separator", "list"])
+    def test_name_on_one_line(self, tmp_path, caplog, name):
+        # a line break in the name would split the chain file's header
+        doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
+        doc["model"]["name"] = name
+        with pytest.raises(ConfigError, match="^model.name: "):
+            load_config(doc)
+        path = write_config(tmp_path, doc, out_dir=str(tmp_path / "o"))
+        assert main(["--config", path, "simulate", "--n", "5"]) == 2
+        assert "config: model.name: " in caplog.text
+        assert not (tmp_path / "o").exists()
+
+    def test_plain_name_round_trips(self):
+        doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
+        doc["model"]["name"] = "tcp run 2: kappa = 0.5"
+        dumped = dump_config(load_config(doc))
+        assert load_config(yaml.safe_load(dumped)).model.name == \
+            "tcp run 2: kappa = 0.5"
+
     def test_quadratic_rate(self):
         doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
         doc["model"]["rate"] = {"variant": "quadratic", "a": 1.0, "b": 0.5}
@@ -279,7 +299,12 @@ QUADRATIC = {"variant": "quadratic", "a": 1.0, "b": 0.5}
     # the transition weight 1/(kappa*c) overflows
     ({"variant": "additive", "c": 1e-308}, QUADRATIC, 1.0, 2,
      "config: model.flow.c: "),
-], ids=["cube_overflow", "weight_underflow", "weight_overflow"])
+    # the inverse series' bound on |G''| divides by a squared half-width
+    # that underflows, until the hazard overflows two transitions on
+    ({"variant": "exponential", "c": 1e-6}, QUADRATIC, 4e-302, 3,
+     "numerical failure: at transition 2: the hazard from z = "),
+], ids=["cube_overflow", "weight_underflow", "weight_overflow",
+        "curvature_underflow"])
 @pytest.mark.parametrize("command", ["simulate", "estimate"])
 def test_extreme_model_exit_code(tmp_path, caplog, capsys, flow, rate, z0,
                                  code, message, command):
@@ -326,6 +351,13 @@ class TestSimulateCommand:
         first = chain_file.read_text()
         main(["--config", path, "simulate", "--n", "100"])
         assert chain_file.read_text() == first
+
+    def test_seed_header(self, tmp_path):
+        path = write_config(tmp_path, out_dir=str(tmp_path / "o"))
+        assert main(["--config", path, "--seed", "0", "simulate",
+                     "--n", "5"]) == 0
+        header = (tmp_path / "o" / "chain.tsv").read_text().splitlines()
+        assert header[1] == "# seed: ((0,), ())"
 
     def test_invalid_config_exit_code(self, tmp_path):
         doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))

@@ -18,8 +18,10 @@ from pdmprate import (CapExceededError, ChainFormatError, ConfigError,
                       tcp_quadratic_model)
 from pdmprate.model import (CustomRate, Flow, JumpMap, Model, PowerRate,
                             ShiftedQuadraticRate)
-from pdmprate.simulate import (_family_samplers, _generic_steps, _power_chain,
-                               _power_step, _quadratic_steps)
+from pdmprate.simulate import (_clenshaw, _family_samplers, _fit_panel,
+                               _generic_steps, _invert, _panel_index,
+                               _power_chain, _power_step, _quadratic_steps,
+                               _scalar_integrand)
 
 
 class TestTcpPowerSampler:
@@ -356,6 +358,59 @@ class TestGenericSampler:
         for e, y in zip(draws, got):
             assert y == pytest.approx(generic_draw_oracle(model, z, e, kinks),
                                       rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["mc_generic", "smooth", "steep"])
+    def test_inverse_series_meets_hazard(self, kind):
+        # the first panels above the jump image of z = 1: each inverse
+        # t(h) is a position whose hazard S(t) is h, to far below INV_TOL
+        model, _ = generic_case(kind, 0.5, 0.0)
+        g, k0 = _scalar_integrand(model), _panel_index(model.jump.kappa)
+        built = 0
+        for k in range(k0, k0 + 8):
+            edges, bases, series, _ = _fit_panel(g, k)
+            for j, forward in enumerate(series):
+                rise = bases[j + 1] - bases[j]
+                inverse, evals = _invert(edges[j], edges[j + 1], forward,
+                                         rise)
+                assert evals == 15
+                if not inverse:
+                    continue
+                built += 1
+                coeffs, scale, curv = inverse
+                assert scale == 2.0 / rise and 0.0 < curv < math.inf
+                for h in np.linspace(0.0, rise, 201).tolist():
+                    t = _clenshaw(coeffs, h * scale - 1.0)
+                    assert abs(_clenshaw(forward, t) - h) <= 1e-9 * rise
+        assert built >= 4
+
+    def test_flat_hazard_sub_panel_falls_back(self):
+        # the rate is 0 below x = 1, so the hazard from kappa*z = 0.15 is
+        # flat up to 0.3, inside a sub-panel whose images of the forward
+        # nodes are not monotone
+        model = Model(Flow("additive", 1.0), JumpMap(0.3),
+                      CustomRate(lambda x: 1.0 if x >= 1.0 else 0.0))
+        sampler = GenericSampler(model, 0.5)
+        draws = [k * 1e-17 for k in range(1, 21)] + [1e-3, 0.5]
+        got = [sampler.draw(e) for e in draws]
+        flags = [inverse for edges, _, _, inverses in sampler._panels
+                 for a, b, inverse in zip(edges, edges[1:], inverses)
+                 if a < 0.3 < b]
+        assert flags == [False]
+        assert sampler.fallback_draws > 0
+        for e, y in zip(draws, got):
+            assert y == pytest.approx(
+                generic_draw_oracle(model, 0.5, e, (1.0,)), rel=1e-12)
+
+    def test_curvature_bound_below_square_root_of_tiny(self):
+        # the sub-panel's half-width squared underflows: the bound on |G''|
+        # is infinite, which only disables Newton's early exit.  With the
+        # rate ~ a**2 + b this far below a, the hazard is 1.5e6*ln(y/lo).
+        model = Model(Flow("exponential", 1e-6), JumpMap(0.5),
+                      ShiftedQuadraticRate(1.0, 0.5))
+        sampler = GenericSampler(model, 1e-161)
+        assert sampler.draw(1.0) == pytest.approx(
+            5e-162 * math.exp(1.0 / 1.5e6), rel=1e-12)
+        assert sampler.inverses_built == 1 and sampler.fallback_draws == 0
 
     def test_inverses_survive_downward_growth(self):
         # from z0 = 50 the first draws build inverses high up; the chain then
