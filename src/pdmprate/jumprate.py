@@ -80,27 +80,40 @@ def _simpson_weights(ys: np.ndarray) -> np.ndarray:
     spacing ``h`` is taken from its ends.
     """
     g = len(ys)
-    h = (ys[-1] - ys[0]) / (g - 1) if g > 1 else 0.0
-    if g < 3 or g % 2 == 0 or not np.all(np.abs(np.diff(ys) - h)
-                                         <= 1e-9 * abs(h)):
+    if g < 3 or g % 2 == 0 or not _equispaced(ys):
         raise ValueError(f"Simpson's rule needs an odd equispaced grid of "
                          f"at least 3 points, got {g} points")
+    h = (ys[-1] - ys[0]) / (g - 1)
     w = np.full(g, 2.0)
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
     return w * (h / 3.0)
 
 
+def _equispaced(ys: np.ndarray) -> bool:
+    """Whether every step of ``ys`` is its mean step, to 1e-9 of it."""
+    h = (ys[-1] - ys[0]) / (len(ys) - 1)
+    return bool(np.all(np.abs(np.diff(ys) - h) <= 1e-9 * abs(h)))
+
+
 def make_grid(interval: tuple,
               grid_points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-    """Equispaced evaluation grid with an odd point count for Simpson."""
+    """Equispaced evaluation grid with an odd point count for Simpson.
+
+    Raises :class:`ConfigError` naming ``interval`` unless ``0 < lo < hi <
+    inf`` and the interval is wide enough for doubles to space the points
+    as Simpson's rule needs.
+    """
     require(is_integer(grid_points) and grid_points >= 3
             and grid_points % 2 == 1, "grid_points",
             "expected an odd integer >= 3", grid_points)
     lo, hi = interval
     require(0 < lo < hi < np.inf, "interval",
             "need 0 < lo < hi < inf", interval)
-    return np.linspace(lo, hi, grid_points)
+    ys = np.linspace(lo, hi, grid_points)
+    require(_equispaced(ys), "interval", f"too narrow for {grid_points} "
+            "equispaced points in double precision", interval)
+    return ys
 
 
 def risk_sweep(fit: DensityFit, chain: JumpChain, model: Model,

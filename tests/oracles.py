@@ -29,8 +29,8 @@ from pdmprate.density import DensityFit, _criterion
 from pdmprate.errors import CapExceededError, EmptyModelSetError
 from pdmprate.jumprate import denominator_grid, risk_sweep, threshold
 from pdmprate.model import ADDITIVE, PowerRate, ShiftedQuadraticRate
-from pdmprate.simulate import (CAP_FACTOR, GenericSampler, _scalar_integrand,
-                               sample_next)
+from pdmprate.numeric import CAP_FACTOR, GenericSampler, _scalar_integrand
+from pdmprate.simulate import sample_next
 
 
 def design_oracle(basis, x, dim):

@@ -197,6 +197,14 @@ def _finite_nonnegative(v):
     return math.isfinite(v) and v >= 0
 
 
+def _spaced(lo, hi, points):
+    """Whether doubles space ``points`` points over ``[lo, hi]`` evenly to
+    1e-9 of a step, as Simpson's rule on the grid needs."""
+    ys = np.linspace(lo, hi, points)
+    step = (hi - lo) / (points - 1)
+    return bool(np.all(np.abs(np.diff(ys) - step) <= 1e-9 * step))
+
+
 # (field, constructor of a value from one number, the rule on that number)
 FLOAT_RULES = [
     ("c", lambda v: Flow("additive", v), _finite_positive),
@@ -207,11 +215,12 @@ FLOAT_RULES = [
     ("b", lambda v: ShiftedQuadraticRate(1.0, v), _finite_nonnegative),
     ("a_max", Basis, _finite_positive),
     ("a_max", lambda v: _experiment(a_max=v), _finite_positive),
-    ("interval", lambda v: make_grid((v, 2.0), 5), lambda v: 0 < v < 2.0),
+    ("interval", lambda v: make_grid((v, 2.0), 5),
+     lambda v: 0 < v < 2.0 and _spaced(v, 2.0, 5)),
     ("interval", lambda v: make_grid((0.5, v), 5),
-     lambda v: math.isfinite(v) and v > 0.5),
+     lambda v: math.isfinite(v) and v > 0.5 and _spaced(0.5, v, 5)),
     ("interval", lambda v: _experiment(interval=(0.5, v)),
-     lambda v: math.isfinite(v) and v > 0.5),
+     lambda v: math.isfinite(v) and v > 0.5 and _spaced(0.5, v, 513)),
     ("sigma", lambda v: _experiment(sigma=v), _finite_nonnegative),
     ("sigma_prime", lambda v: _experiment(sigma_prime=v), _finite_nonnegative),
     ("z0", lambda v: _experiment(z0=v), _finite_positive),
@@ -314,6 +323,23 @@ def test_extreme_model_exit_code(tmp_path, caplog, capsys, flow, rate, z0,
     assert main(["--config", path, command, "--n", "5"]) == code
     assert message in caplog.text
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("interval", [[1.0, 1.0000001],
+                                      [1e300, 1.0000001e300]])
+@pytest.mark.parametrize("command", ["estimate", "bench"])
+def test_narrow_interval_exit_code(tmp_path, caplog, capsys, interval,
+                                   command):
+    # 513 points over these differ from equispaced by far more than the
+    # 1e-9 of a step Simpson's rule allows, which used to end bench in a
+    # traceback
+    doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
+    doc["estimation"] = {"interval": interval}
+    path = write_config(tmp_path, doc, out_dir=str(tmp_path / "o"))
+    assert main(["--config", path, command]) == 2
+    assert "config: estimation.interval: too narrow" in caplog.text
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["estimate", "bench"])

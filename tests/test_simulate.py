@@ -18,10 +18,11 @@ from pdmprate import (CapExceededError, ChainFormatError, ConfigError,
                       tcp_quadratic_model)
 from pdmprate.model import (CustomRate, Flow, JumpMap, Model, PowerRate,
                             ShiftedQuadraticRate)
-from pdmprate.simulate import (_clenshaw, _family_samplers, _fit_panel,
-                               _generic_steps, _invert, _panel_index,
-                               _power_chain, _power_step, _quadratic_steps,
-                               _scalar_integrand)
+from pdmprate.numeric import (_clenshaw, _fit_panel, _generic_chain,
+                              _generic_next, _invert, _panel_index,
+                              _scalar_integrand)
+from pdmprate.simulate import (_family_samplers, _power_chain, _power_step,
+                               _quadratic_steps)
 
 
 class TestTcpPowerSampler:
@@ -131,6 +132,26 @@ def generic_case(kind, kappa, delta):
     return Model(Flow("additive", 1.0), JumpMap(kappa), CustomRate(rate)), kinks
 
 
+# The numeric chains held to the per-step loop: MC_GENERIC from within its
+# range and from far above it, the three custom rates, a rate that vanishes
+# at the jump image of 1, and two more exponential flows, the second with an
+# integrand that changes by a factor of 2 across some sub-panels
+CHAIN_MODELS = [
+    (MC_GENERIC, 1.0),
+    (MC_GENERIC, 50.0),
+    *[(Model(Flow("additive", 1.0), JumpMap(kappa), CustomRate(rate)), 1.0)
+      for kappa, (rate, _) in zip((0.5, 0.3, 0.5), GENERIC_RATES.values())],
+    (Model(Flow("exponential", 2.0), JumpMap(0.5),
+           ShiftedQuadraticRate(1.0, 0.0)), 1.0),
+    (Model(Flow("exponential", 0.5), JumpMap(0.6),
+           CustomRate(lambda x: 0.2 + x ** 1.5)), 1.0),
+    (Model(Flow("exponential", 2.0), JumpMap(0.6),
+           ShiftedQuadraticRate(2.0, 0.2)), 1.0),
+]
+CHAIN_IDS = ["mc_generic", "mc_generic_from_50", *GENERIC_RATES,
+             "vanishing", "exponential_custom", "exponential_quadratic"]
+
+
 # one model of each sampler family: power under either flow, the Cardano
 # step and numeric draws
 BOUNDARY_MODELS = [tcp_model(), bacterial_model(delta=2.0),
@@ -201,10 +222,10 @@ def test_family_dispatch(model, family):
     step, chain_kernel = _family_samplers(model)
     if family == "power":
         assert step is _power_step and chain_kernel is _power_chain
+    elif family == "numeric":
+        assert step is _generic_next and chain_kernel is _generic_chain
     else:
-        kernel = {"quadratic": _quadratic_steps,
-                  "numeric": _generic_steps}[family]
-        assert step.args == chain_kernel.args == (kernel,)
+        assert step.args == chain_kernel.args == (_quadratic_steps,)
     # the p = -0.5 model's hazard from z is finite, 2/sqrt(z) in all; from
     # 0.01 down it exceeds every draw.  Its states halve at each step, and
     # the quadrature oracle loses its accuracy below about 1e-6.
@@ -330,12 +351,23 @@ class TestGenericSampler:
         for e in draws:
             sampler.move_to(z[-1])
             z.append(sampler.draw(e))
-        np.testing.assert_array_equal(z, simulate_chain(MC_GENERIC, 1.0, n,
-                                                        seed).z)
+        np.testing.assert_allclose(z, simulate_chain(MC_GENERIC, 1.0, n,
+                                                     seed).z,
+                                   rtol=1e-13, atol=0.0)
         assert sampler.g_evals <= 2.5 * n
         assert sampler.newton_steps == n
         assert sampler.fallback_draws == 0
         assert 0 < sampler.inverses_built <= sampler.panels_built
+        # simulate_chain's own sampler walks in hazard coordinates: a phi
+        # sub-panel or so per panel, a few exact steps per panel, and few
+        # states left to the scalar solve
+        walker = GenericSampler(MC_GENERIC, 1.0)
+        walker.chain(draws)
+        assert 0 < walker.phi_built <= walker.panels_built
+        assert walker.exact_steps <= 3 * walker.panels_built
+        assert walker.exact_states <= 0.02 * n
+        assert walker.g_evals <= 0.5 * n
+        assert walker.fallback_draws == 0
 
     @pytest.mark.parametrize("model, z, draws, kinks", [
         # the kink's sub-panel, a few ulps wide about kappa*1 = 0.3, where
@@ -358,6 +390,27 @@ class TestGenericSampler:
         for e, y in zip(draws, got):
             assert y == pytest.approx(generic_draw_oracle(model, z, e, kinks),
                                       rel=1e-12)
+
+    def test_smooth_integrand_has_no_fallback_draws(self):
+        # the integrand changes by a factor of about 2 across some sub-panels
+        # of the hazard table, whose inverses fail their tail test until the
+        # sub-panel is halved: then every draw starts from an inverse and
+        # takes one Newton step
+        model = CHAIN_MODELS[-1][0]
+        n, seed = 3000, 0
+        draws = chain_draws(seed, n).tolist()
+        z = [1.0]
+        sampler = GenericSampler(model, z[0])
+        for e in draws:
+            sampler.move_to(z[-1])
+            z.append(sampler.draw(e))
+        assert sampler.fallback_draws == 0
+        assert sampler.newton_steps == n
+        assert False not in [inverse for panel in sampler._panels
+                             for inverse in panel[3]]
+        for k in range(0, n, 100):
+            assert z[k + 1] == pytest.approx(
+                generic_draw_oracle(model, z[k], draws[k]), rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["mc_generic", "smooth", "steep"])
     def test_inverse_series_meets_hazard(self, kind):
@@ -411,6 +464,75 @@ class TestGenericSampler:
         assert sampler.draw(1.0) == pytest.approx(
             5e-162 * math.exp(1.0 / 1.5e6), rel=1e-12)
         assert sampler.inverses_built == 1 and sampler.fallback_draws == 0
+
+    @pytest.mark.parametrize("model, z0", CHAIN_MODELS, ids=CHAIN_IDS)
+    def test_chain_matches_per_step_loop(self, model, z0):
+        # simulate_chain walks in hazard coordinates and inverts all states
+        # at once; a fresh table per step from the state before is the
+        # one-shot reference
+        n, seed = 600, 2
+        draws = chain_draws(seed, n)
+        want = np.empty(n + 1)
+        want[0] = z0
+        for k in range(n):
+            want[k + 1] = sample_next_generic(model, want[k], draws[k])
+        got = simulate_chain(model, z0, n, seed).z
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("model, z0", CHAIN_MODELS, ids=CHAIN_IDS)
+    def test_no_state_below_its_jump_image(self, model, z0):
+        # draws of 0 and far below an ulp of the hazard put the root on or
+        # within rounding of the jump image, which no state may undercut
+        draws = chain_draws(3, 400)
+        draws[::7] = 0.0
+        draws[3::7] = 1e-300
+        draws[5::7] = 1e-17
+        z = np.concatenate(([z0], GenericSampler(model, z0).chain(draws)))
+        kappa = model.jump.kappa
+        assert np.all(z[1:] >= kappa * z[:-1])
+
+    def test_cap_error_mid_chain_names_transition(self):
+        # an exponential flow with delta < 0: the hazard to the cap is
+        # finite, and a draw above it ends the chain a few transitions in
+        model = Model(Flow("exponential", 1.5), JumpMap(0.4),
+                      PowerRate(1.2, -0.5))
+        n, seed = 50, 0
+        draws = chain_draws(seed, n)
+        z = [1.0]
+        with pytest.raises(CapExceededError) as loop:
+            for e in draws:
+                z.append(sample_next_generic(model, z[-1], e))
+        k = len(z) - 1
+        assert k > 1
+        with pytest.raises(CapExceededError,
+                           match=f"^at transition {k}: ") as chain:
+            simulate_chain(model, 1.0, n, seed)
+        assert str(chain.value).endswith(str(loop.value))
+
+    def test_state_range_error_mid_chain_names_transition(self):
+        # the hazard 1e3*log(y/(kappa*z)) barely moves a state off its jump
+        # image, so the states fall as kappa**k, and the jump image of the
+        # fourth underflows
+        model = Model(Flow("exponential", 1.0), JumpMap(1e-100),
+                      PowerRate(1e3, 0.0))
+        with pytest.raises(StateRangeError,
+                           match="^at transition 3: the jump image of z = "):
+            simulate_chain(model, 1.0, 10, 0)
+
+    @pytest.mark.parametrize("model", [MC_GENERIC, CHAIN_MODELS[3][0],
+                                       CHAIN_MODELS[-1][0]],
+                             ids=["mc_generic", "kink",
+                                  "exponential_quadratic"])
+    def test_sample_next_array_matches_draws(self, model):
+        # one table and one vectorized inversion for all elements, against
+        # a fresh sampler per element
+        rng = np.random.default_rng(8)
+        zs = np.exp(rng.uniform(np.log(0.05), np.log(20.0), 200))
+        es = rng.exponential(1.0, 200)
+        es[::10] = 0.0
+        got = sample_next(model, zs, es)
+        want = [GenericSampler(model, z).draw(e) for z, e in zip(zs, es)]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     def test_inverses_survive_downward_growth(self):
         # from z0 = 50 the first draws build inverses high up; the chain then
