@@ -8,6 +8,7 @@ density estimate must be nonnegative and the denominator must clear the
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -110,10 +111,18 @@ def make_grid(interval: tuple,
     lo, hi = interval
     require(0 < lo < hi < np.inf, "interval",
             "need 0 < lo < hi < inf", interval)
-    ys = np.linspace(lo, hi, grid_points)
-    require(_equispaced(ys), "interval", f"too narrow for {grid_points} "
+    ys = _grid(float(lo), float(hi), int(grid_points))
+    require(ys is not None, "interval", f"too narrow for {grid_points} "
             "equispaced points in double precision", interval)
-    return ys
+    return ys.copy()
+
+
+@lru_cache(maxsize=16)
+def _grid(lo: float, hi: float, grid_points: int) -> Optional[np.ndarray]:
+    """``make_grid``'s grid, or None where it is not equispaced; kept, as a
+    Monte Carlo replicate asks for the same grid each time."""
+    ys = np.linspace(lo, hi, grid_points)
+    return ys if _equispaced(ys) else None
 
 
 def risk_sweep(fit: DensityFit, chain: JumpChain, model: Model,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -41,12 +40,10 @@ INV_TOL = 1e-10
 NEWTON_STEPS = 100
 ROOT_ULPS = 4.0
 # A chain builds the phi table over a panel on its PHI_VISITS-th exact step
-# from it, so that a chain passing through, as one falling toward 0 does,
-# takes exact steps rather than the phi table's node solves; and inverts
-# fewer than VECTOR_MIN hazards one at a time, as one pass costs about that
-# many scalar solves.
+# from it since the table last grew downward, so that a chain passing
+# through, as one falling toward 0 does, takes exact steps rather than the
+# phi table's node solves (BENCH_hazard_chain.json, "phi_visits").
 PHI_VISITS = 3
-VECTOR_MIN = 20
 
 # values of g at the Chebyshev points cos(theta_i), ends included, ->
 # coefficients of the interpolating series (a discrete cosine transform)
@@ -137,10 +134,11 @@ class GenericSampler:
         self._cum = [0.0]
         # the phi table: sub-panel left edges in hazard, in order, and a
         # record (right edge, midpoint, 1/half-width, c0, (c_N, ..., c_1),
-        # cap hazard, cap state) for each, behind a sentinel; and the exact
-        # steps taken from each panel, up to PHI_VISITS
+        # cap hazard, cap state) for each, every hazard in it less the left
+        # edge, so that a lift moves the edges alone; behind a sentinel; and
+        # the exact steps from each panel since the table last grew downward
         self._phi_lo = [-math.inf]
-        self._phi = [_flagged(-math.inf, -math.inf)]
+        self._phi = [_flagged(0.0, 0.0)]
         self._phi_visits = {}
         self.g_evals = self.newton_steps = 0
         self.panels_built = self.inverses_built = self.fallback_draws = 0
@@ -166,7 +164,8 @@ class GenericSampler:
             self.panels_built += 1
         if k < self._k0:
             # G is anchored at the lowest panel: every stored hazard, the
-            # phi table's included, moves up
+            # phi table's included, moves up.  A chain that grows the table
+            # downward is passing through: the visit counts start again
             below = [_fit_panel(self._integrand, j) for j in range(k, self._k0)]
             cum = [0.0]
             for panel in below:
@@ -177,9 +176,7 @@ class GenericSampler:
             self._k0 = k
             self.panels_built += len(below)
             self._phi_lo[:] = [a + shift for a in self._phi_lo]
-            self._phi[:] = [(b + shift, mid + shift, scale, c0 + shift, rest,
-                             hcap + shift, zcap)
-                            for b, mid, scale, c0, rest, hcap, zcap in self._phi]
+            self._phi_visits.clear()
 
     def _antiderivative(self, u: float) -> float:
         """``G(u)``: the hazard from the lowest panel edge built to ``u``."""
@@ -218,18 +215,22 @@ class GenericSampler:
             raise ValueError(f"e: the exponential draw must be >= 0, got {e!r}")
         if e == 0.0:
             return self.lo
-        with self._overflow():
-            return self._root(self._reach(e), e)
-
-    @contextmanager
-    def _overflow(self):
-        # the integrand works in Python floats, which raise on overflow
         try:
-            yield
+            return self._root(self._reach(e), e)
         except OverflowError as exc:
-            raise StateRangeError(
-                f"the hazard from z = {self.z!r} overflows double precision "
-                "before reaching the draw") from exc
+            raise self._range_error() from exc
+
+    def _range_error(self) -> StateRangeError:
+        # the integrand works in Python floats, which raise on overflow
+        return StateRangeError(
+            f"the hazard from z = {self.z!r} overflows double precision "
+            "before reaching the draw")
+
+    def _at(self, k: int, exc: Exception) -> Exception:
+        """The error of transition ``k`` of a chain, from ``exc``."""
+        if isinstance(exc, OverflowError):
+            exc = self._range_error()
+        return type(exc)(f"at transition {k}: {exc}")
 
     def _locate(self, target: float) -> tuple:
         """``(i, j)``: the sub-panel ``[edges[j-1], edges[j])`` of panel
@@ -392,76 +393,84 @@ class GenericSampler:
         ``phi(h) = G(kappa*G^{-1}(h))``: one series of the phi table per
         step (:meth:`_phi_panel`), with one comparison against a hazard
         below the cap and inside the table.  A step the table does not
-        cover, or that reaches past that hazard, is exact
-        (:meth:`_exact_step`).  The states come from :meth:`states`, run
-        over the hazards walked since the table last grew downward: that
-        lifts every hazard, and one inverted in the table it was found in
-        keeps its precision.  No state lands below the jump image of the
-        one before.  A failure names transition ``k``.
+        cover, or that reaches past that hazard, is a draw from the state
+        of ``h``, solved for first if a phi step left only ``h``.  The
+        ``PHI_VISITS``-th such step from a panel builds the phi table over
+        it.  :meth:`states` inverts the hazards of the phi steps in one
+        pass, and before a draw that grows the table downward, which moves
+        every hazard in it, those walked so far.  No state lands below the
+        jump image of the one before.  A failure names transition ``k``.
         """
-        z = np.empty(len(draws))
-        # the hazards go to a buffer, not a list of floats that would
-        # scatter a chain's worth of objects over the allocator's pools
+        # the states the draws solved for, nan where a phi step left only
+        # the hazard; the hazards go to a buffer, not a list of floats that
+        # would scatter a chain's worth of objects over the allocator
+        z = np.full(len(draws), np.nan)
         hs = np.empty(len(draws))
         out = memoryview(hs)
         lows, records = self._phi_lo, self._phi
-        z0, start, k = self.z, 0, 0
+        # h is the hazard of the state before transition k, and y that state
+        # unless a phi step left it unsolved; the hazards before start are
+        # inverted
+        z0, k, h, y, solved, start = self.z, 0, -math.inf, self.z, True, 0
         try:
-            with self._overflow():
-                out[0] = h = self._reach(draws[0])
-            for k in range(1, len(draws)):
+            for k in range(len(draws)):
                 e = draws[k]
-                b, mid, scale, c0, rest, hcap, _ = records[
-                    bisect.bisect_right(lows, h) - 1]
-                if h < b:
+                j = bisect.bisect_right(lows, h) - 1
+                u = h - lows[j]
+                b, mid, scale, c0, rest, hcap, zcap = records[j]
+                covered = u < b
+                if covered:
                     # _clenshaw, inlined
-                    x = (h - mid) * scale
+                    x = (u - mid) * scale
                     x2 = x + x
                     b1 = b2 = 0.0
                     for c in rest:
                         b1, b2 = c + x2 * b1 - b2, b1
                     after = c0 + x * b1 - b2 + e
                     if after < hcap:
-                        out[k] = h = after
+                        out[k] = h = lows[j] + after
+                        solved = False
                         continue
-                # a step from below the table's jump images grows it downward,
-                # lifting every hazard: invert those walked so far first
-                lifts = self._kappa * _panel_edge(
-                    self._k0 + self._locate(h)[0]) < _panel_edge(self._k0)
-                if lifts:
-                    z[start:k - 1] = self.states(hs[start:k - 1])
-                out[k] = h = self._exact_step(h, e)
-                if lifts:
-                    # the step solved for its own state, self.z
-                    z[k - 1], start = self.z, k
-        except (CapExceededError, StateRangeError) as exc:
-            raise type(exc)(f"at transition {k}: {exc}") from exc
-        z[start:] = self.states(hs[start:])
+                if not solved:
+                    z[k - 1] = y = self._state(h)
+                self.move_to(y)
+                if _panel_index(self.lo) < self._k0:
+                    # the draw grows the table downward, which moves every
+                    # hazard in it: the walk's are inverted first, in the
+                    # table they were found in
+                    self._fill(z[start:k], hs[start:k])
+                    start = k
+                if not covered and k:
+                    # from a state in the table (z0 may lie above it)
+                    self._visit(_panel_index(y))
+                out[k] = h = self._reach(e)
+                z[k] = y = self._root(h, e) if e else self.lo
+                solved = True
+                self.exact_steps += 1
+                if covered and zcap is not None:
+                    records[j] = (b, mid, scale, c0, rest,
+                                  self._cap_hazard(zcap) - lows[j], zcap)
+        except (OverflowError, CapExceededError, StateRangeError) as exc:
+            raise self._at(k, exc) from exc
+        self._fill(z[start:], hs[start:])
         np.maximum(z, self._kappa * np.concatenate(([z0], z[:-1])), out=z)
         return z
 
-    def _exact_step(self, h: float, e: float) -> float:
-        """``G(kappa*z) + e`` for the state ``z = G^{-1}(h)``, by
-        :meth:`_reach`.  Where the phi table does not cover ``h``, the
-        ``PHI_VISITS``-th such step from its panel builds it there; where it
-        does, the cap hazard of ``h``'s record is brought up to date."""
-        self.exact_steps += 1
-        with self._overflow():
-            j = bisect.bisect_right(self._phi_lo, h) - 1
-            panel = self._k0 + self._locate(h)[0]
-            self.move_to(self._state(h))
-            if not h < self._phi[j][0]:
-                visits = self._phi_visits.get(panel, 0) + 1
-                self._phi_visits[panel] = visits
-                if visits == PHI_VISITS:
-                    self._phi_panel(panel)
-                return self._reach(e)
-            target = self._reach(e)
-        b, mid, scale, c0, rest, _, zcap = self._phi[j]
-        if zcap is not None:
-            self._phi[j] = (b, mid, scale, c0, rest, self._cap_hazard(zcap),
-                            zcap)
-        return target
+    def _fill(self, z: np.ndarray, hs: np.ndarray) -> None:
+        """The states of the hazards ``hs`` into the nan entries of ``z``."""
+        walked = np.isnan(z)
+        z[walked] = self.states(hs[walked])
+
+    def _visit(self, panel: int) -> None:
+        """Count a draw from ``panel`` that the phi table does not cover,
+        and build the table over it from the ``PHI_VISITS``-th on, once the
+        hazard table holds the panel's jump images: building it then grows
+        no table downward."""
+        visits = self._phi_visits.get(panel, 0) + 1
+        self._phi_visits[panel] = visits
+        lo = self._kappa * _panel_edge(panel)
+        if visits >= PHI_VISITS and lo > 0.0 and _panel_index(lo) >= self._k0:
+            self._phi_panel(panel)
 
     def _cap_hazard(self, zcap: float) -> float:
         """``G(zcap)`` if the table reaches past ``zcap``, else its top."""
@@ -481,19 +490,11 @@ class GenericSampler:
         ``h'`` for every state in it: ``G`` at ``CAP_FACTOR*max(y, 1)`` from
         its left node ``y``.  Where ``phi`` is not smooth (``g`` kinks or
         vanishes at ``y`` or ``kappa*y``) a sub-panel is flagged: one with a
-        node in a flagged sub-panel of ``G``, one that stops halving short
-        of the test or is narrower than ``PANEL_FLOOR``, and all of them
-        when the table cannot reach the panel's jump images.
+        node in a flagged sub-panel of ``G``, or one that stops halving
+        short of the test or is narrower than ``PANEL_FLOOR``.  The hazard
+        table holds the panel and its jump images.
         """
         left, right = _panel_edge(k), _panel_edge(k + 1)
-        reached = self._kappa * left > 0.0
-        try:
-            if reached:
-                # the table reaches every jump image first, so no lift comes
-                # while the hazards below are read
-                self._antiderivative(self._kappa * left)
-        except OverflowError:
-            reached = False
         todo = [(self._cum[k - self._k0], self._cum[k - self._k0 + 1], 0)]
         lows, records = [], []
         while todo:
@@ -501,7 +502,7 @@ class GenericSampler:
             half = 0.5 * (b - a)
             mid = a + half
             lows.append(a)
-            if not (reached and b - a >= PANEL_FLOOR):
+            if b - a < PANEL_FLOOR:
                 records.append(_flagged(b, a))
                 continue
             fallbacks = self.fallback_draws
@@ -521,9 +522,10 @@ class GenericSampler:
                 while len(c) > 1 and abs(c[-1]) <= 0.25 * ulp:
                     c.pop()
                 zcap = CAP_FACTOR * max(ys[-1], 1.0)
-                records.append((b, mid, 1.0 / half, c[0] + values[-1],
+                records.append((b - a, half, 1.0 / half,
+                                c[0] + (values[-1] - a),
                                 tuple(reversed(c[1:])),
-                                self._cap_hazard(zcap), zcap))
+                                self._cap_hazard(zcap) - a, zcap))
             elif _can_halve(depth, len(records) + len(todo)):
                 lows.pop()
                 # left half on top, so sub-panels come off the stack in order
@@ -539,30 +541,36 @@ class GenericSampler:
         """The states ``y`` with ``G(y) = h`` for hazards ``hs`` inside the
         table, in one vectorized pass.
 
-        ``searchsorted`` finds each hazard's sub-panel, whose inverse series
-        (built first where missing) gives the start; one Newton step on the
-        sub-panel's hazard series finishes, kept where it passes the test
-        :meth:`_newton` stops on.  The rest, in flagged sub-panels or not
-        certified, go through the scalar solve :meth:`_state`.
+        ``searchsorted`` finds each hazard's panel, then its sub-panel among
+        those of the panels found, whose inverse series (built first where
+        missing) gives the start; one Newton step on the sub-panel's hazard
+        series finishes, kept where it passes the test :meth:`_newton` stops
+        on.  The rest, in flagged sub-panels or not certified, go through
+        the scalar solve :meth:`_state`.
         """
         h = np.asarray(hs, dtype=float)
-        if h.size < VECTOR_MIN:
-            self.exact_states += h.size
-            return np.array([self._state(x) for x in h.tolist()])
+        if not h.size:
+            return np.empty(h.shape)
+        found = np.flatnonzero(np.bincount(np.clip(
+            np.searchsorted(self._cum, h, side="right") - 1, 0,
+            len(self._panels) - 1))).tolist()
         built = None
         while built != self.inverses_built:
             # until no sub-panel holding a hazard lacks its inverse
-            rows = [(i, j) for i, panel in enumerate(self._panels)
-                    for j in range(1, len(panel[0]))]
+            rows = [(i, j) for i in found
+                    for j in range(1, len(self._panels[i][0]))]
             starts = np.array([self._cum[i] + self._panels[i][1][j - 1]
                                for i, j in rows])
             m = np.clip(np.searchsorted(starts, h, side="right") - 1, 0,
                         len(rows) - 1)
             inverses = [self._panels[i][3][j - 1] for i, j in rows]
             built = self.inverses_built
-            for u, first in zip(*np.unique(m, return_index=True)):
+            # a hazard in each sub-panel found
+            some = np.full(len(rows), -1)
+            some[m] = np.arange(len(m))
+            for u in np.flatnonzero(some >= 0).tolist():
                 if inverses[u] is None:
-                    target = float(h[first])
+                    target = float(h[some[u]])
                     self._inverse(*self._locate(target), target)
         # per sub-panel: its edges, 2/rise and bound on |G''|, and the
         # inverse and hazard series as rows of _clenshaw_rows
@@ -615,16 +623,15 @@ class GenericSampler:
         try:
             for k, (z, e) in enumerate(zip(zs, es)):
                 self.move_to(z)
-                with self._overflow():
-                    hs.append(self._reach(e))
-        except (CapExceededError, StateRangeError) as exc:
-            raise type(exc)(f"at transition {k}: {exc}") from exc
+                hs.append(self._reach(e))
+        except (OverflowError, CapExceededError, StateRangeError) as exc:
+            raise self._at(k, exc) from exc
         return self.states(hs)
 
 
 def _flagged(b: float, a: float) -> tuple:
     """A phi record for ``[a, b)`` whose steps are all exact."""
-    return (b, a, 0.0, 0.0, (), -math.inf, None)
+    return (b - a, 0.0, 0.0, 0.0, (), -math.inf, None)
 
 
 def _series_row(row: np.ndarray, series: tuple) -> None:
