@@ -22,7 +22,7 @@ from .errors import (ChainTooShortError, at_least, is_integer, nonnegative,
                      positive, require)
 from .jumprate import (DEFAULT_GRID_POINTS, denominator_grid, make_grid,
                        risk_sweep)
-from .model import Model
+from .model import Model, PowerRate, ShiftedQuadraticRate
 from .simulate import simulate_chain
 
 DEFAULT_REPLICATES = 50
@@ -46,11 +46,17 @@ class ExperimentConfig:
 
     def __post_init__(self):
         Basis(self.a_max)
-        lo = make_grid(self.interval, self.grid_points)[:1]
+        ys = make_grid(self.interval, self.grid_points)
+        rate = self.model.rate
         with np.errstate(over="ignore", divide="ignore"):
-            w = self.model.transition_weight(self.model.jump.apply(lo))[0]
+            w = self.model.transition_weight(self.model.jump.apply(ys[:1]))[0]
+            top = np.max(rate.rate(ys))
         require(w < np.inf, "c", "the transition weight must be finite at the "
                 "grid's lowest jump image, where it peaks", self.model.flow.c)
+        field = {PowerRate: "lam", ShiftedQuadraticRate: "a"}.get(type(rate),
+                                                                  "rate")
+        require(top < np.inf, field, "the rate must be finite on the grid",
+                getattr(rate, field, rate))
         nonnegative("sigma", self.sigma)
         nonnegative("sigma_prime", self.sigma_prime)
         positive("z0", self.z0)

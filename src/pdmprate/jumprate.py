@@ -15,7 +15,7 @@ import numpy as np
 
 from .basis import series_terms
 from .density import DensityFit
-from .errors import ChainTooShortError, is_integer, require
+from .errors import ChainTooShortError, StateRangeError, is_integer, require
 from .model import Model
 from .simulate import JumpChain, text_rows
 
@@ -140,8 +140,14 @@ def risk_sweep(fit: DensityFit, chain: JumpChain, model: Model,
     lam_true = np.asarray(model.rate.rate(ys), dtype=float)
     nu_f = series_terms(fit.coeffs, fit.basis, model.jump.apply(ys))
     np.cumsum(nu_f, axis=0, out=nu_f)
-    sq_err = (_quotient(nu_f, denom, chain.n) - lam_true) ** 2
-    return sq_err @ _simpson_weights(ys)
+    with np.errstate(over="ignore"):
+        risks = (_quotient(nu_f, denom, chain.n) - lam_true) ** 2 \
+            @ _simpson_weights(ys)
+    if not np.all(risks < np.inf):
+        raise StateRangeError("the squared error of the rate on the grid "
+                              "overflows double precision; the true rate "
+                              f"reaches {np.max(lam_true):.3g}")
+    return risks
 
 
 def grid_to_tsv(ys: np.ndarray, rate_hat: np.ndarray, nu_f: np.ndarray,

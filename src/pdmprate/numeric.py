@@ -6,12 +6,14 @@ of the table's own nodes, gives a start that one confirming Newton step
 finishes.  A chain walks in hazard coordinates, ``h' = phi(h) + e`` with
 ``phi(h) = G(kappa*G^{-1}(h))`` one series per transition, after which one
 vectorized pass of the inverse recovers every state; ``sample_next`` over
-an array takes the same pass.
+an array takes the same pass.  The tables are kept per model in the process
+(:func:`_store`), so every chain of a model reads them.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 
 import numpy as np
@@ -26,10 +28,11 @@ from .model import ADDITIVE, Model, PowerRate, ShiftedQuadraticRate
 # one of the stops PANEL_FLOOR, MAX_HALVINGS and MAX_LEAVES.  A sub-panel's
 # inverse series (_invert) interpolates the same points against their
 # hazard; it is kept when its two last coefficients are at most INV_TOL, and
-# cut after its last coefficient above INV_TOL, and the sub-panel is halved
-# until it is.  A draw ends when a Newton step is at most ROOT_ULPS ulps or
-# its second-order term is below an ulp, or after NEWTON_STEPS steps.  The
-# phi table of a chain (_phi_panel) takes the same nodes, test and stops.
+# cut after its last coefficient above INV_TOL, and the inverse is halved
+# until it is, under the same stops.  A draw ends when a Newton step is at
+# most ROOT_ULPS ulps or its second-order term is below an ulp, or after
+# NEWTON_STEPS steps.  The phi table of a chain (_phi_panel) takes the same
+# nodes, test and stops.
 CAP_FACTOR = 1e3
 CHEB_NODES = 17
 CHEB_RTOL = 1e-14
@@ -44,6 +47,9 @@ ROOT_ULPS = 4.0
 # through, as one falling toward 0 does, takes exact steps rather than the
 # phi table's node solves (BENCH_hazard_chain.json, "phi_visits").
 PHI_VISITS = 3
+# The tables of the STORE_MODELS models used last are kept (_store); one
+# model's took 0.25 MB over 200 mc_generic chains (BENCH_model_store.json).
+STORE_MODELS = 8
 
 # values of g at the Chebyshev points cos(theta_i), ends included, ->
 # coefficients of the interpolating series (a discrete cosine transform)
@@ -87,36 +93,50 @@ def _scalar_integrand(model: Model):
     return g
 
 
+@functools.lru_cache(maxsize=STORE_MODELS)
+def _store(key: tuple) -> tuple:
+    """The tables of the model ``key = (flow, jump, rate)``: panel records
+    by panel index ``k``, their inverses filled in as draws reach them, and
+    phi sub-panels by ``(k, k0)``.  Each is a function of the model and its
+    key alone, so a chain's states do not depend on what the process
+    simulated before (two threads may both build an entry, and alike)."""
+    return {}, {}
+
+
 class GenericSampler:
     """Numeric next-state sampler, moved from state to state along a chain.
 
     The hazard integrand ``g`` of :func:`_scalar_integrand` does not depend
     on the state, so one antiderivative ``G`` of it serves every transition:
     a draw from ``z`` solves ``G(y) = G(kappa*z) + e``.  ``G`` is a table of
-    Chebyshev series on geometric panels (:func:`_fit_panel`), built as the
-    states reach them.  A draw brackets the root by the hazard at panel and
-    sub-panel ends.  The first draw into a sub-panel gives it an inverse
-    series ``t(h)`` (:func:`_invert`), halving the sub-panel until the
-    inverse meets its tail test, and every draw into it starts there; a
-    sub-panel whose inverse cannot be made (``g`` vanishes or kinks in it)
-    keeps the flag ``False`` and starts where the hazard, taken as linear,
-    meets the draw.  Newton's method on :meth:`hazard_to` with ``g`` as the
+    Chebyshev series on geometric panels (:func:`_fit_panel`), taken from the
+    model's store (:func:`_store`) as the states reach them.  A draw
+    brackets the root by the hazard at panel and sub-panel ends.  The first
+    draw into a sub-panel gives it an inverse series ``t(h)``
+    (:func:`_invert`), in pieces halved until each meets its tail test, and
+    every draw into it starts there; a piece whose inverse cannot be made
+    (``g`` vanishes or kinks in it) keeps the flag ``False`` and starts
+    where the hazard, taken as linear across the sub-panel, meets the draw.
+    Newton's method on :meth:`hazard_to` with ``g`` as the
     derivative then finishes, bisecting when a step leaves the bracket; from
     an inverse start its first step is the last.  ``G`` is anchored at the
-    lowest panel built, so a hazard is exact to about ``eps`` times the
-    hazard from there, which an anchor above a chain's range would lose;
-    when the table grows downward every stored hazard moves up by the same
-    lift.  The inverses live in the panel records, in sub-panel-local
-    hazard, so they survive that.  :meth:`chain` runs a whole chain in
-    hazard coordinates ``h = G(z)``, one series per transition, and
-    :meth:`states` inverts an array of hazards in one vectorized pass.
+    lowest panel it holds, ``k0``, so a hazard is exact to about ``eps``
+    times the hazard from there, which an anchor above a chain's range
+    would lose; when the table grows downward, the hazards of the panels
+    (``_cum``) are summed again from the new ``k0``.  The panel records, in
+    panel-local hazard, do not change, and neither does a phi sub-panel
+    built at a given ``k0``, whichever sampler built it.  :meth:`chain`
+    runs a whole chain in hazard coordinates ``h = G(z)``, one series per
+    transition, and :meth:`states` inverts an array of hazards in one
+    vectorized pass.
 
     The counters are plain ints: ``g_evals`` counts evaluations of ``G``,
     ``G(kappa*z)`` and the cap check included; ``newton_steps`` the Newton
-    iterations; ``panels_built`` and ``inverses_built`` the table's pieces,
-    fallbacks included; ``fallback_draws`` the solves that start in a
-    flagged sub-panel.  A chain adds ``phi_built``, its phi sub-panels,
-    flagged ones included; ``exact_steps``, the transitions it takes
+    iterations; ``panels_built`` and ``inverses_built`` the panels and
+    sub-panel inverses this sampler added to the store, fallbacks included;
+    ``fallback_draws`` the solves that start in a flagged piece.  A chain
+    adds ``phi_built``, the phi sub-panels it added to the store, flagged
+    ones included; ``exact_steps``, the transitions it takes
     through a draw's own solve rather than the phi table; and
     ``exact_states``, the states :meth:`states` leaves to the scalar solve.
     """
@@ -124,6 +144,12 @@ class GenericSampler:
     def __init__(self, model: Model, z: float):
         self._kappa = model.jump.kappa
         self._integrand = _scalar_integrand(model)
+        try:
+            self._stored, self._stored_phi = _store(
+                (model.flow, model.jump, model.rate))
+        except TypeError:
+            # a rate function that cannot be a key keeps its own tables
+            self._stored, self._stored_phi = {}, {}
         self.move_to(z)
         # top-level panels k0, k0+1, ...: sub-panel edges, the hazard from
         # the panel's left edge to each, a series per sub-panel and its
@@ -156,27 +182,25 @@ class GenericSampler:
         self._g_lo = None   # G(lo), found on first use
 
     def _build(self, k: int) -> None:
-        """Add panels to the table until it holds panel ``k``."""
-        while k >= self._k0 + len(self._panels):
-            panel = _fit_panel(self._integrand, self._k0 + len(self._panels))
-            self._panels.append(panel)
-            self._cum.append(self._cum[-1] + panel[1][-1])
-            self.panels_built += 1
+        """Take panels from the store, fitting those it lacks, until the
+        table holds panel ``k``; ``_cum`` is their running sum from ``k0``."""
         if k < self._k0:
-            # G is anchored at the lowest panel: every stored hazard, the
-            # phi table's included, moves up.  A chain that grows the table
-            # downward is passing through: the visit counts start again
-            below = [_fit_panel(self._integrand, j) for j in range(k, self._k0)]
-            cum = [0.0]
-            for panel in below:
-                cum.append(cum[-1] + panel[1][-1])
-            shift = cum.pop()
-            self._cum = cum + [c + shift for c in self._cum]
-            self._panels = below + self._panels
-            self._k0 = k
-            self.panels_built += len(below)
+            # G is anchored at the lowest panel: sums start again there, phi
+            # edges move up by the hazard below the old anchor, and visit
+            # counts start again (a chain growing downward passes through)
+            k0, top = self._k0, self._k0 + len(self._panels)
+            self._k0, self._panels, self._cum = k, [], [0.0]
+            self._build(top - 1)
+            shift = self._cum[k0 - k]
             self._phi_lo[:] = [a + shift for a in self._phi_lo]
             self._phi_visits.clear()
+        while k >= self._k0 + len(self._panels):
+            j = self._k0 + len(self._panels)
+            if j not in self._stored:
+                self._stored[j] = _fit_panel(self._integrand, j)
+                self.panels_built += 1
+            self._panels.append(self._stored[j])
+            self._cum.append(self._cum[-1] + self._stored[j][1][-1])
 
     def _antiderivative(self, u: float) -> float:
         """``G(u)``: the hazard from the lowest panel edge built to ``u``."""
@@ -232,11 +256,13 @@ class GenericSampler:
             exc = self._range_error()
         return type(exc)(f"at transition {k}: {exc}")
 
-    def _locate(self, target: float) -> tuple:
+    def _locate(self, target: float, i: int = None) -> tuple:
         """``(i, j)``: the sub-panel ``[edges[j-1], edges[j])`` of panel
-        ``i`` holding the hazard ``target``, clamped to the table."""
-        i = min(max(bisect.bisect_right(self._cum, target) - 1, 0),
-                len(self._panels) - 1)
+        ``i`` holding the hazard ``target``, clamped to the table, or to
+        panel ``i`` if given."""
+        if i is None:
+            i = min(max(bisect.bisect_right(self._cum, target) - 1, 0),
+                    len(self._panels) - 1)
         bases = self._panels[i][1]
         j = bisect.bisect_right(bases, target - self._cum[i])
         return i, min(max(j, 1), len(bases) - 1)
@@ -258,22 +284,23 @@ class GenericSampler:
                 raise self._cap_error(e)
         return target
 
-    def _root(self, target: float, e: float) -> float:
-        """The root of ``hazard_to(y) = e`` above ``lo``, at hazard ``target``."""
-        i, j = self._locate(target)
+    def _root(self, target: float, e: float, i: int = None) -> float:
+        """The root of ``hazard_to(y) = e`` above ``lo``, at hazard
+        ``target`` (in panel ``i`` if given)."""
+        i, j = self._locate(target, i)
         edges, bases, _, _ = self._panels[i]
         # G(lo) may round to below its sub-panel's start, hence the max
         lo, hi = max(edges[j - 1], self.lo), min(edges[j], self.cap)
         if hi <= lo:
             # the root is within rounding of the jump image
             return lo
-        j, inverse = self._inverse(i, j, target)
-        lo, hi = max(edges[j - 1], self.lo), min(edges[j], self.cap)
+        starts, pieces, curv = self._inverse(i, j)
         h = target - self._cum[i] - bases[j - 1]
-        if inverse:
-            coeffs, scale, curv = inverse
+        p = bisect.bisect_right(starts, h, 1) - 1
+        if pieces[p]:
+            coeffs, scale = pieces[p]
             y = edges[j - 1] + (0.5 * (edges[j] - edges[j - 1])) * (
-                _clenshaw(coeffs, h * scale - 1.0) + 1.0)
+                _clenshaw(coeffs, (h - starts[p]) * scale - 1.0) + 1.0)
         else:
             # start where the hazard, taken as linear across the sub-panel,
             # meets e
@@ -287,42 +314,19 @@ class GenericSampler:
         self.newton_steps += steps
         return y
 
-    def _inverse(self, i: int, j: int, target: float) -> tuple:
-        """``(j, inverse)`` of the sub-panel ``j`` of panel ``i`` holding
-        ``target``, its inverse built first.  A sub-panel whose inverse fails
-        its tail test is halved (:meth:`_split`) until the one holding the
-        target passes, or cannot be halved and keeps the flag ``False``."""
+    def _inverse(self, i: int, j: int) -> tuple:
+        """The inverse (:func:`_invert`) of sub-panel ``j`` of panel ``i``,
+        built into the store first.  It leaves the panel's series as they
+        are, so that ``G`` is the same for every sampler of the model."""
         edges, bases, series, inverses = self._panels[i]
-        while inverses[j - 1] is None:
-            inverse, evals = _invert(edges[j - 1], edges[j], series[j - 1],
-                                     bases[j] - bases[j - 1])
+        if inverses[j - 1] is None:
+            a, b = edges[j - 1], edges[j]
+            inverses[j - 1], evals = _invert(
+                self._integrand, a, b, series[j - 1], bases[j] - bases[j - 1],
+                round(math.log2((edges[-1] - edges[0]) / (b - a))))
             self.g_evals += evals
-            if inverse is None and self._split(i, j - 1):
-                j += target - self._cum[i] >= bases[j]
-                continue
-            inverses[j - 1] = inverse or False
             self.inverses_built += 1
-        return j, inverses[j - 1]
-
-    def _split(self, i: int, m: int) -> bool:
-        """Halve sub-panel ``m`` of panel ``i``, each half refitted from
-        ``g``, unless it is ``MAX_HALVINGS`` deep, the panel has
-        ``MAX_LEAVES`` sub-panels or ``g`` vanishes at an end (where the
-        inverse's slope ``1/g`` is infinite); whether it did."""
-        edges, bases, series, inverses = self._panels[i]
-        a, b = edges[m], edges[m + 1]
-        g = self._integrand
-        depth = round(math.log2((edges[-1] - edges[0]) / (b - a)))
-        if not (_can_halve(depth, len(series)) and g(a) > 0.0 and g(b) > 0.0):
-            return False
-        mid = a + 0.5 * (b - a)
-        _, left, total = _integral(g, a, mid)
-        _, right, _ = _integral(g, mid, b)
-        edges.insert(m + 1, mid)
-        bases.insert(m + 1, bases[m] + total)
-        series[m:m + 1] = [left, right]
-        inverses[m:m + 1] = [None, None]
-        return True
+        return inverses[j - 1]
 
     def _newton(self, e: float, y: float, lo: float, hi: float,
                 curv: float) -> tuple:
@@ -371,17 +375,17 @@ class GenericSampler:
         return CapExceededError(
             f"hazard below target {e:.3g} before cap {self.cap:.3g}")
 
-    def _state(self, h: float) -> float:
-        """``G^{-1}(h)`` for a hazard ``h`` inside the table: the root of a
-        draw of ``h - G(a)`` from the left edge ``a`` of its sub-panel, taken
-        as the jump image for the solve."""
-        i, j = self._locate(h)
+    def _state(self, h: float, i: int = None) -> float:
+        """``G^{-1}(h)`` for a hazard ``h`` inside the table (in panel ``i``
+        if given): the root of a draw of ``h - G(a)`` from the left edge
+        ``a`` of its sub-panel, taken as the jump image for the solve."""
+        i, j = self._locate(h, i)
         saved = self.lo, self._g_lo, self.cap
         self.lo = self._panels[i][0][j - 1]
         self._g_lo = self._cum[i] + self._panels[i][1][j - 1]
         self.cap = math.inf
         try:
-            return self._root(h, h - self._g_lo)
+            return self._root(h, h - self._g_lo, i)
         finally:
             self.lo, self._g_lo, self.cap = saved
 
@@ -479,18 +483,34 @@ class GenericSampler:
         return self._cum[-1]
 
     def _phi_panel(self, k: int) -> None:
-        """The phi sub-panels over the hazards of table panel ``k``.
+        """Add the phi sub-panels over panel ``k`` to the chain's table,
+        from the store (:meth:`_fit_phi` at this ``k0`` when missing), each
+        with the cap hazard of this table."""
+        key = (k, self._k0)
+        if key not in self._stored_phi:
+            self._stored_phi[key] = self._fit_phi(k)
+        lows, records = self._stored_phi[key]
+        at = bisect.bisect_right(self._phi_lo, lows[0])
+        self._phi_lo[at:at] = lows
+        self._phi[at:at] = [r if r[6] is None else r[:5] + (
+            self._cap_hazard(r[6]) - a, r[6]) for a, r in zip(lows, records)]
+
+    def _fit_phi(self, k: int) -> tuple:
+        """The phi sub-panels over the hazards of table panel ``k``: their
+        left edges and records, each cap hazard left to the adopting table.
 
         ``phi(h) = G(kappa*G^{-1}(h))`` is interpolated at the
         ``CHEB_NODES`` Chebyshev points of a sub-panel, each from one node
         solve (:meth:`_state`) and one ``G``, and the sub-panel halved as
         :func:`_fit_panel` halves, until its series less its value at the
         left end meets ``CHEB_RTOL`` or the tail is within ``ROOT_ULPS`` ulps
-        of ``phi``.  Such a sub-panel gets a record whose cap hazard bounds
-        ``h'`` for every state in it: ``G`` at ``CAP_FACTOR*max(y, 1)`` from
-        its left node ``y``.  Where ``phi`` is not smooth (``g`` kinks or
+        of ``phi``.  Such a sub-panel gets a record whose cap state
+        ``CAP_FACTOR*max(y, 1)``, from its left node ``y``, bounds the state
+        of ``h'`` for every state in it.  Each node solve stays in panel
+        ``k``, so the records depend on ``k`` and ``k0`` alone, not on how
+        far the table reaches.  Where ``phi`` is not smooth (``g`` kinks or
         vanishes at ``y`` or ``kappa*y``) a sub-panel is flagged: one with a
-        node in a flagged sub-panel of ``G``, or one that stops halving
+        node in a flagged piece of ``G``'s inverse, or one that stops halving
         short of the test or is narrower than ``PANEL_FLOOR``.  The hazard
         table holds the panel and its jump images.
         """
@@ -506,8 +526,8 @@ class GenericSampler:
                 records.append(_flagged(b, a))
                 continue
             fallbacks = self.fallback_draws
-            ys = [min(max(self._state(mid + half * t), left), right)
-                  for t in _CHEB_NODES]
+            ys = [min(max(self._state(mid + half * t, k - self._k0), left),
+                      right) for t in _CHEB_NODES]
             values = [self._antiderivative(self._kappa * y) for y in ys]
             self.g_evals += CHEB_NODES
             # phi less its value at the left end, so that the test is
@@ -521,74 +541,63 @@ class GenericSampler:
                 # terms below a quarter ulp of phi add nothing to a step
                 while len(c) > 1 and abs(c[-1]) <= 0.25 * ulp:
                     c.pop()
-                zcap = CAP_FACTOR * max(ys[-1], 1.0)
                 records.append((b - a, half, 1.0 / half,
                                 c[0] + (values[-1] - a),
-                                tuple(reversed(c[1:])),
-                                self._cap_hazard(zcap) - a, zcap))
+                                tuple(reversed(c[1:])), None,
+                                CAP_FACTOR * max(ys[-1], 1.0)))
             elif _can_halve(depth, len(records) + len(todo)):
                 lows.pop()
                 # left half on top, so sub-panels come off the stack in order
                 todo += [(mid, b, depth + 1), (a, mid, depth + 1)]
             else:
                 records.append(_flagged(b, a))
-        at = bisect.bisect_right(self._phi_lo, lows[0])
-        self._phi_lo[at:at] = lows
-        self._phi[at:at] = records
         self.phi_built += len(records)
+        return lows, records
 
     def states(self, hs) -> np.ndarray:
         """The states ``y`` with ``G(y) = h`` for hazards ``hs`` inside the
         table, in one vectorized pass.
 
         ``searchsorted`` finds each hazard's panel, then its sub-panel among
-        those of the panels found, whose inverse series (built first where
-        missing) gives the start; one Newton step on the sub-panel's hazard
-        series finishes, kept where it passes the test :meth:`_newton` stops
-        on.  The rest, in flagged sub-panels or not certified, go through
-        the scalar solve :meth:`_state`.
+        those of the panels found, then its piece of the sub-panel's inverse
+        (built first where missing), which gives the start; one Newton step
+        on the sub-panel's hazard series finishes, kept where it passes the
+        test :meth:`_newton` stops on.  The rest, in flagged pieces or not
+        certified, go through the scalar solve :meth:`_state`.
         """
         h = np.asarray(hs, dtype=float)
         if not h.size:
             return np.empty(h.shape)
-        found = np.flatnonzero(np.bincount(np.clip(
-            np.searchsorted(self._cum, h, side="right") - 1, 0,
-            len(self._panels) - 1))).tolist()
-        built = None
-        while built != self.inverses_built:
-            # until no sub-panel holding a hazard lacks its inverse
-            rows = [(i, j) for i in found
-                    for j in range(1, len(self._panels[i][0]))]
-            starts = np.array([self._cum[i] + self._panels[i][1][j - 1]
-                               for i, j in rows])
-            m = np.clip(np.searchsorted(starts, h, side="right") - 1, 0,
-                        len(rows) - 1)
-            inverses = [self._panels[i][3][j - 1] for i, j in rows]
-            built = self.inverses_built
-            # a hazard in each sub-panel found
-            some = np.full(len(rows), -1)
-            some[m] = np.arange(len(m))
-            for u in np.flatnonzero(some >= 0).tolist():
-                if inverses[u] is None:
-                    target = float(h[some[u]])
-                    self._inverse(*self._locate(target), target)
-        # per sub-panel: its edges, 2/rise and bound on |G''|, and the
-        # inverse and hazard series as rows of _clenshaw_rows
-        ends = np.zeros((len(rows), 4))
-        inverse = np.zeros((len(rows), CHEB_NODES))
-        hazard = np.zeros((len(rows), CHEB_NODES + 1))
-        for u, (i, j) in enumerate(rows):
-            if inverses[u]:
+        found = np.flatnonzero(np.bincount(_bins(self._cum[:-1], h)))
+        rows = [(i, j) for i in found.tolist()
+                for j in range(1, len(self._panels[i][0]))]
+        starts = [self._cum[i] + self._panels[i][1][j - 1] for i, j in rows]
+        # per piece of a sub-panel holding a hazard: the sub-panel's first
+        # hazard, the piece's less that and its own, the sub-panel's edges and
+        # curv, and 2/rise; and the inverse and hazard series as rows of
+        # _clenshaw_rows
+        pieces = []
+        for u in np.flatnonzero(np.bincount(_bins(starts, h))).tolist():
+            first, inverses, curv = self._inverse(*rows[u])
+            pieces += [(rows[u], starts[u], curv, hp, inverse)
+                       for hp, inverse in zip(first, inverses)]
+        ends = np.zeros((len(pieces), 7))
+        inverse = np.zeros((len(pieces), CHEB_NODES))
+        hazard = np.zeros((len(pieces), CHEB_NODES + 1))
+        for u, ((i, j), start, curv, hp, piece) in enumerate(pieces):
+            ends[u, :3] = start, hp, start + hp
+            if piece:
                 edges, _, series, _ = self._panels[i]
-                coeffs, scale, curv = inverses[u]
-                ends[u] = edges[j - 1], edges[j], scale, curv
+                coeffs, scale = piece
+                ends[u, 3:] = edges[j - 1], edges[j], curv, scale
                 _series_row(inverse[u], coeffs)
                 _series_row(hazard[u], series[j - 1])
-        good = np.array([bool(v) for v in inverses])[m]
-        at = m[good]
-        a, b, scale, curv = ends[at].T
-        local = h[good] - starts[at]
-        t, _ = _clenshaw_rows(inverse, at, local * scale - 1.0)
+        at = _bins(ends[:, 2], h)
+        good = np.array([bool(piece[-1]) for piece in pieces])[at]
+        at = at[good]
+        start, hp, _, a, b, curv, scale = ends[at].T
+        local = h[good] - start
+        t, _ = _clenshaw_rows(inverse, at, (local - hp) * scale - 1.0)
         s, slope = _clenshaw_rows(hazard, at, t)
         half = 0.5 * (b - a)
         y = a + half * (t + 1.0)
@@ -634,6 +643,12 @@ def _flagged(b: float, a: float) -> tuple:
     return (b - a, 0.0, 0.0, 0.0, (), -math.inf, None)
 
 
+def _bins(lows, h: np.ndarray) -> np.ndarray:
+    """Per ``h``, the index of the last of the sorted ``lows`` to it, or 0."""
+    at = np.searchsorted(lows, h, side="right") - 1
+    return np.clip(at, 0, len(lows) - 1)
+
+
 def _series_row(row: np.ndarray, series: tuple) -> None:
     """``series = (c0, (c_N, ..., c_1))`` into ``row`` as
     ``(c0, 0, ..., 0, c_N, ..., c_1)``."""
@@ -654,49 +669,67 @@ def _clenshaw_rows(rows: np.ndarray, at: np.ndarray, t: np.ndarray) -> tuple:
     return rows[at, 0] + t * b1 - b2, b1 + t * d1 - d2
 
 
-def _invert(a: float, b: float, series: tuple, rise: float):
-    """The inverse series of sub-panel ``[a, b)``, ``False`` or None; and
-    the number of evaluations of its hazard series it took.
+def _invert(g, a: float, b: float, series: tuple, rise: float,
+            depth: int) -> tuple:
+    """``(starts, pieces, curv)``, the inverse of sub-panel ``[a, b)``,
+    ``depth`` halvings deep in its panel; and the evaluations of its hazard
+    series ``S(t)``, with ``rise = S(1)``, that it took.
 
-    ``series`` is the sub-panel's hazard ``S(t)`` and ``rise = S(1)``.  The
-    inverse interpolates the position at the ``CHEB_NODES`` Chebyshev
-    points ``t_i`` of :func:`_fit_panel`, against their images
-    ``s_i = 2*S(t_i)/rise - 1`` in the local hazard ``h = rise*(s + 1)/2``
-    (table inversion as in Hoermann & Leydold, 2003): its coefficients
-    solve ``sum_k c_k T_k(s_i) = t_i``.  It is ``False`` (the fallback
-    flag) when ``rise`` is below ``PANEL_FLOOR`` or the ``s_i`` are not
-    strictly monotone, and None when the two last coefficients exceed
-    ``INV_TOL``, which a narrower sub-panel may meet: ``t(h)`` is not smooth
-    where the integrand vanishes or kinks.  Otherwise it is the
-    coefficients, cut after the last above ``INV_TOL``, as a series for
-    :func:`_clenshaw` in ``s``; ``2/rise``; and the bound
-    ``sum |A_k| k**2 (k**2 - 1)/3 / half**2`` on ``|G''|`` over the
-    sub-panel, by Markov's inequality for the second derivative of each
-    term ``A_k T_k`` of ``S``.  A bound that overflows is infinite, which
-    only disables the early exit of :meth:`GenericSampler._newton`.
+    A piece ``[ta, tb]`` of ``t``, ``w = (tb - ta)/2``, interpolates ``t``
+    at its ``CHEB_NODES`` Chebyshev points ``t_i`` against their images
+    ``s_i = 2*(S(t_i) - S(ta))/(S(tb) - S(ta)) - 1`` (table inversion as in
+    Hoermann & Leydold, 2003): its coefficients solve ``sum_k c_k T_k(s_i) =
+    t_i``.  It is ``False`` (the fallback flag) where its rise is below
+    ``PANEL_FLOOR`` or the ``s_i`` are not strictly monotone; halved while
+    its two last coefficients exceed ``INV_TOL*w``, unless the stops of
+    :func:`_fit_panel` hold or ``g`` vanishes at an end (the slope ``1/g``
+    is infinite), and ``False`` then.  Otherwise it is the coefficients, cut
+    after the last above ``INV_TOL*w``, as a series in ``s``, and
+    ``2/(S(tb) - S(ta))``.  ``starts`` holds each piece's ``S(ta)``;
+    ``curv`` bounds ``|G''|`` on the sub-panel by Markov's inequality for
+    each term ``A_k T_k`` of ``S``, ``sum |A_k| k**2 (k**2 - 1)/3 / half**2``
+    (infinite if that overflows, which only disables the early exit of
+    :meth:`GenericSampler._newton`).
     """
-    if not PANEL_FLOOR <= rise < math.inf:
-        return False, 0
-    # the end nodes t = 1, -1 map to s = 1, -1
-    s = [1.0] + [2.0 * _clenshaw(series, t) / rise - 1.0
-                 for t in _CHEB_NODES[1:-1]] + [-1.0]
-    evals = CHEB_NODES - 2
-    if not all(x > y for x, y in zip(s, s[1:])):
-        return False, evals
-    # T_k(s_i) = cos(k * arccos(s_i))
-    coeffs = np.linalg.solve(
-        np.cos(np.outer(np.arccos(s), np.arange(CHEB_NODES))),
-        _CHEB_NODES).tolist()
-    if abs(coeffs[-1]) + abs(coeffs[-2]) > INV_TOL:
-        return None, evals
-    while abs(coeffs[-1]) <= INV_TOL:
-        coeffs.pop()
     rest = series[1]
+    half = 0.5 * (b - a)
     curv = math.fsum(abs(c) * k * k * (k * k - 1) / 3.0
                      for k, c in zip(range(len(rest), 0, -1), rest))
-    inverse = (coeffs[0], tuple(reversed(coeffs[1:])))
-    half = 0.5 * (b - a)
-    return (inverse, 2.0 / rise, curv / half / half), evals
+    starts, pieces, evals = [], [], 0
+    todo = [(-1.0, 1.0, 0.0, rise, depth)]
+    while todo:
+        ta, tb, ha, hb, depth = todo.pop()
+        mid, w, rise = 0.5 * (ta + tb), 0.5 * (tb - ta), hb - ha
+        piece = False
+        if PANEL_FLOOR <= rise < math.inf:
+            # the end nodes t = tb, ta map to s = 1, -1
+            s = [1.0] + [2.0 * (_clenshaw(series, mid + w * t) - ha) / rise
+                         - 1.0 for t in _CHEB_NODES[1:-1]] + [-1.0]
+            evals += CHEB_NODES - 2
+            if all(x > y for x, y in zip(s, s[1:])):
+                # T_k(s_i) = cos(k * arccos(s_i))
+                coeffs = np.linalg.solve(
+                    np.cos(np.outer(np.arccos(s), np.arange(CHEB_NODES))),
+                    [mid + w * t for t in _CHEB_NODES]).tolist()
+                if abs(coeffs[-1]) + abs(coeffs[-2]) <= INV_TOL * w:
+                    while abs(coeffs[-1]) <= INV_TOL * w:
+                        coeffs.pop()
+                    piece = ((coeffs[0], tuple(reversed(coeffs[1:]))),
+                             2.0 / rise)
+                elif (_can_halve(depth, len(pieces) + len(todo))
+                      and g(a + half * (ta + 1.0)) > 0.0
+                      and g(a + half * (tb + 1.0)) > 0.0):
+                    # the top from the series too: the rise from the
+                    # panel's hazards rounds with their size
+                    hm, hb = _clenshaw(series, mid), _clenshaw(series, tb)
+                    evals += 2
+                    # left half on top, so pieces come off the stack in order
+                    todo += [(mid, tb, hm, hb, depth + 1),
+                             (ta, mid, ha, hm, depth + 1)]
+                    continue
+        starts.append(ha)
+        pieces.append(piece)
+    return (starts, pieces, curv / half / half), evals
 
 
 def _clenshaw(series: tuple, t: float) -> float:
@@ -796,8 +829,12 @@ def _generic_chain(model: Model, z0: float, draws: np.ndarray) -> np.ndarray:
 
 
 def _generic_next(model: Model, z: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Numeric draws from ``z`` for ``e``, arrays of one shape: each root's
-    hazard from one table, inverted by :meth:`GenericSampler.states`."""
+    """Numeric draws from ``z`` for ``e``, arrays of one shape: a scalar is
+    one :meth:`GenericSampler.draw`, and an array's roots take their hazards
+    from one table and are inverted by :meth:`GenericSampler.states`."""
+    if not z.ndim:
+        lo = model.jump.kappa * float(z)
+        return np.asarray(max(GenericSampler(model, z).draw(float(e)), lo))
     zs, es = z.ravel().tolist(), e.ravel().tolist()
     if not zs:
         return np.empty(z.shape)

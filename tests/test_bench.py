@@ -3,7 +3,8 @@ import pytest
 
 from oracles import null_distance_oracle
 from pdmprate import (Basis, CustomRate, ExperimentConfig, Flow, JumpMap,
-                      Model, PowerRate, bacterial_model,
+                      Model, PowerRate, ShiftedQuadraticRate,
+                      bacterial_model,
                       convergence_diagnostics, replicate_seed, rows_to_csv,
                       run_experiment, run_replicate, select_model,
                       simulate_chain, tail_assumption_ok, tcp_model,
@@ -76,13 +77,23 @@ class TestExperiment:
         assert strip_timing(csv1) == strip_timing(csv2)
 
     def test_parallel_matches_serial(self):
-        cfg = small_config(replicates=2)
-        serial = run_experiment(cfg, threads=1)
-        parallel = run_experiment(cfg, threads=2)
-        for a, b in zip(serial.rows, parallel.rows):
-            assert a.mean_risk == b.mean_risk
-            assert a.mean_d_mhat == b.mean_d_mhat
-            assert a.oracle_ratio == b.oracle_ratio
+        # the power chain, and numeric draws: each worker keeps its own
+        # hazard tables, and a chain does not depend on them
+        for model, interval in [
+                (tcp_model(), (0.2, 4.0)),
+                (Model(Flow("exponential", 2.0), JumpMap(0.5),
+                       ShiftedQuadraticRate(1.0, 0.5)), (0.5, 2.5))]:
+            cfg = small_config(replicates=2, model=model, interval=interval)
+            serial = run_experiment(cfg, threads=1)
+            parallel = run_experiment(cfg, threads=2)
+            for a, b in zip(serial.rows, parallel.rows):
+                assert a.mean_risk == b.mean_risk
+                assert a.mean_d_mhat == b.mean_d_mhat
+                assert a.oracle_ratio == b.oracle_ratio
+            assert [(r.risk_mhat, r.risk_mopt, r.denom_mid)
+                    for r in serial.replicates] == \
+                [(r.risk_mhat, r.risk_mopt, r.denom_mid)
+                 for r in parallel.replicates]
 
     def test_csv_header(self):
         cfg = small_config(replicates=1, n_values=[200])

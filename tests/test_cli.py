@@ -356,6 +356,39 @@ def test_exponential_weight_overflow_exit_code(tmp_path, caplog, capsys,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "estimate", "bench"])
+def test_rate_overflow_on_grid_exit_code(tmp_path, caplog, capsys, command):
+    # lam * y**0.5 overflows on the grid, which used to write inf into the
+    # lambda_true column of grid.tsv with exit 0
+    doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
+    doc["model"]["flow"] = {"variant": "exponential", "c": 7.6e-203}
+    doc["model"]["rate"] = {"variant": "power", "lam": 1.7e308, "delta": 0.5}
+    path = write_config(tmp_path, doc, out_dir=str(tmp_path / "o"))
+    assert main(["--config", path, command]) == 2
+    assert "config: model.rate.lam: the rate must be finite" in caplog.text
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_squared_rate_overflow_exit_code(tmp_path, caplog, capsys):
+    # the true rate, about 1e200 on the grid, is finite, but its square in
+    # the risk is not; bench used to write mean_risk = inf with exit 0
+    doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
+    doc["model"]["flow"] = {"variant": "additive", "c": 1.2e205}
+    doc["model"]["rate"] = {"variant": "power", "lam": 1e200, "delta": 1.0}
+    doc["experiment"] = {"n_values": [50], "replicates": 1}
+    path = write_config(tmp_path, doc, out_dir=str(tmp_path / "o"))
+    assert main(["--config", path, "bench"]) == 3
+    assert ("numerical failure: the squared error of the rate on the grid "
+            "overflows") in caplog.text
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "o" / "bench.csv").exists()
+    # estimate writes the rate, not its square: every number is finite
+    assert main(["--config", path, "estimate", "--n", "50"]) == 0
+    rows = (tmp_path / "o" / "grid.tsv").read_text().splitlines()[1:]
+    assert np.all(np.isfinite(np.loadtxt(rows)))
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_exit_code(tmp_path, caplog, threads):
     doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))

@@ -1,6 +1,12 @@
+import gc
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +16,7 @@ from scipy import optimize, stats
 
 from oracles import (advance, chain_draws, cumulative, generic_draw_oracle,
                      sample_next_generic, simulate_chain_oracle)
+import pdmprate
 from pdmprate import (CapExceededError, ChainFormatError, ConfigError,
                       GenericSampler, InconsistentChainError, JumpChain,
                       StateRangeError, bacterial_model,
@@ -20,7 +27,7 @@ from pdmprate.model import (CustomRate, Flow, JumpMap, Model, PowerRate,
                             ShiftedQuadraticRate)
 from pdmprate.numeric import (_clenshaw, _fit_panel, _generic_chain,
                               _generic_next, _invert, _panel_index,
-                              _scalar_integrand)
+                              _scalar_integrand, _store, STORE_MODELS)
 from pdmprate.simulate import (_family_samplers, _power_chain, _power_step,
                                _quadratic_steps)
 
@@ -118,6 +125,15 @@ GENERIC_RATES = {
     "kink": (lambda x: max(x - 1.0, 0.0) + 0.1, (1.0,)),
     "steep": (lambda x: math.exp(3.0 * x), ()),
 }
+
+
+def inverse_pieces(sampler, between=None):
+    """The pieces of every inverse built in the sampler's table, or only of
+    the sub-panels holding the state ``between``."""
+    return [piece for edges, _, _, inverses in sampler._panels
+            for a, b, inverse in zip(edges, edges[1:], inverses)
+            if inverse is not None and (between is None or a < between < b)
+            for piece in inverse[1]]
 
 
 def generic_case(kind, kappa, delta):
@@ -343,10 +359,12 @@ class TestGenericSampler:
 
     def test_counters_on_a_chain(self):
         # the chain simulate_chain makes, by the sampler's own loop: two G
-        # evaluations and one Newton step per draw, plus the tables' builds
+        # evaluations and one Newton step per draw, plus the tables' builds,
+        # each sampler from an empty store
         n, seed = 3000, 0
         draws = chain_draws(seed, n).tolist()
         z = [1.0]
+        _store.cache_clear()
         sampler = GenericSampler(MC_GENERIC, z[0])
         for e in draws:
             sampler.move_to(z[-1])
@@ -361,6 +379,7 @@ class TestGenericSampler:
         # simulate_chain's own sampler walks in hazard coordinates: a phi
         # sub-panel or so per panel, few exact steps, and few states left to
         # the scalar solve
+        _store.cache_clear()
         walker = GenericSampler(MC_GENERIC, 1.0)
         walker.chain(draws)
         assert 0 < walker.phi_built <= walker.panels_built
@@ -369,24 +388,24 @@ class TestGenericSampler:
         assert walker.g_evals <= 0.5 * n
         assert walker.fallback_draws == 0
 
-    @pytest.mark.parametrize("model, z, draws, kinks", [
-        # the kink's sub-panel, a few ulps wide about kappa*1 = 0.3, where
-        # the hazard from 0.15 reaches 0.05
+    @pytest.mark.parametrize("model, z, draws, kinks, flagged", [
+        # the kink's sub-panel about kappa*1 = 0.3, where the hazard from
+        # 0.15 reaches 0.05: its hazard series is one polynomial across the
+        # kink, and the pieces of that polynomial's inverse start every draw
         (Model(Flow("additive", 1.0), JumpMap(0.3),
                CustomRate(lambda x: max(x - 1.0, 0.0) + 0.1)), 0.5,
-         [0.05 + k * 1e-17 for k in range(-30, 31)], (1.0,)),
-        # b = 0: g vanishes at the jump image 0.5, a panel edge
+         [0.05 + k * 1e-17 for k in range(-30, 31)], (1.0,), False),
+        # b = 0: g vanishes at the jump image 0.5, a panel edge, where no
+        # inverse piece can be made
         (Model(Flow("exponential", 2.0), JumpMap(0.5),
                ShiftedQuadraticRate(1.0, 0.0)), 1.0,
-         [1e-6, 1e-3, 0.01, 0.1, 0.5], ()),
+         [1e-6, 1e-3, 0.01, 0.1, 0.5], (), True),
     ], ids=["kink", "vanishing"])
-    def test_fallback_sub_panels(self, model, z, draws, kinks):
+    def test_fallback_sub_panels(self, model, z, draws, kinks, flagged):
         sampler = GenericSampler(model, z)
         got = [sampler.draw(e) for e in draws]
-        flags = [inverse for panel in sampler._panels for inverse in panel[3]
-                 if inverse is not None]
-        assert False in flags
-        assert sampler.fallback_draws > 0
+        assert (False in inverse_pieces(sampler)) == flagged
+        assert (sampler.fallback_draws > 0) == flagged
         for e, y in zip(draws, got):
             assert y == pytest.approx(generic_draw_oracle(model, z, e, kinks),
                                       rel=1e-12)
@@ -394,7 +413,7 @@ class TestGenericSampler:
     def test_smooth_integrand_has_no_fallback_draws(self):
         # the integrand changes by a factor of about 2 across some sub-panels
         # of the hazard table, whose inverses fail their tail test until the
-        # sub-panel is halved: then every draw starts from an inverse and
+        # inverse is halved: then every draw starts from an inverse and
         # takes one Newton step
         model = CHAIN_MODELS[-1][0]
         n, seed = 3000, 0
@@ -406,8 +425,7 @@ class TestGenericSampler:
             z.append(sampler.draw(e))
         assert sampler.fallback_draws == 0
         assert sampler.newton_steps == n
-        assert False not in [inverse for panel in sampler._panels
-                             for inverse in panel[3]]
+        assert False not in inverse_pieces(sampler)
         for k in range(0, n, 100):
             assert z[k + 1] == pytest.approx(
                 generic_draw_oracle(model, z[k], draws[k]), rel=1e-12)
@@ -423,17 +441,23 @@ class TestGenericSampler:
             edges, bases, series, _ = _fit_panel(g, k)
             for j, forward in enumerate(series):
                 rise = bases[j + 1] - bases[j]
-                inverse, evals = _invert(edges[j], edges[j + 1], forward,
-                                         rise)
-                assert evals == 15
-                if not inverse:
-                    continue
-                built += 1
-                coeffs, scale, curv = inverse
-                assert scale == 2.0 / rise and 0.0 < curv < math.inf
-                for h in np.linspace(0.0, rise, 201).tolist():
-                    t = _clenshaw(coeffs, h * scale - 1.0)
-                    assert abs(_clenshaw(forward, t) - h) <= 1e-9 * rise
+                (starts, pieces, curv), evals = _invert(
+                    g, edges[j], edges[j + 1], forward, rise, 0)
+                # 15 series evaluations per inverse tried, a halved piece's
+                # included, and 2 more for each halving
+                assert evals == 32 * len(pieces) - 17
+                assert starts[0] == 0.0 and 0.0 < curv < math.inf
+                for h0, h1, piece in zip(starts, starts[1:] + [rise],
+                                         pieces):
+                    if not piece:
+                        continue
+                    built += 1
+                    # each piece spans the hazards up to the next one's
+                    coeffs, scale = piece
+                    assert h0 + 2.0 / scale == pytest.approx(h1, rel=1e-12)
+                    for h in np.linspace(h0, h1, 201).tolist():
+                        t = _clenshaw(coeffs, (h - h0) * scale - 1.0)
+                        assert abs(_clenshaw(forward, t) - h) <= 1e-9 * rise
         assert built >= 4
 
     def test_flat_hazard_sub_panel_falls_back(self):
@@ -445,10 +469,7 @@ class TestGenericSampler:
         sampler = GenericSampler(model, 0.5)
         draws = [k * 1e-17 for k in range(1, 21)] + [1e-3, 0.5]
         got = [sampler.draw(e) for e in draws]
-        flags = [inverse for edges, _, _, inverses in sampler._panels
-                 for a, b, inverse in zip(edges, edges[1:], inverses)
-                 if a < 0.3 < b]
-        assert flags == [False]
+        assert inverse_pieces(sampler, 0.3) == [False]
         assert sampler.fallback_draws > 0
         for e, y in zip(draws, got):
             assert y == pytest.approx(
@@ -458,8 +479,10 @@ class TestGenericSampler:
         # the sub-panel's half-width squared underflows: the bound on |G''|
         # is infinite, which only disables Newton's early exit.  With the
         # rate ~ a**2 + b this far below a, the hazard is 1.5e6*ln(y/lo).
+        # The store starts empty, so the draw builds the inverse it takes.
         model = Model(Flow("exponential", 1e-6), JumpMap(0.5),
                       ShiftedQuadraticRate(1.0, 0.5))
+        _store.cache_clear()
         sampler = GenericSampler(model, 1e-161)
         assert sampler.draw(1.0) == pytest.approx(
             5e-162 * math.exp(1.0 / 1.5e6), rel=1e-12)
@@ -552,10 +575,13 @@ class TestGenericSampler:
 
     def test_inverses_survive_downward_growth(self):
         # from z0 = 50 the first draws build inverses high up; the chain then
-        # falls, and the table grows below them, shifting every stored hazard
+        # falls, and the table grows below them, summing the panels' hazards
+        # again from the new anchor; from an empty store, so that the draws
+        # build the inverses they take
         n, seed, z0 = 400, 5, 50.0
         draws = chain_draws(seed, n).tolist()
         z = [z0]
+        _store.cache_clear()
         sampler = GenericSampler(MC_GENERIC, z0)
         sampler.draw(draws[0])
         first_k0, first_inverses = sampler._k0, sampler.inverses_built
@@ -614,6 +640,62 @@ class TestGenericSampler:
         gs = GenericSampler(m, 1.0)
         generic = np.array([gs.draw(e) for e in rng.exponential(1.0, 2000)])
         assert stats.ks_2samp(analytic, generic).statistic < 0.05
+
+
+# Chains whose states must not depend on what the process simulated before,
+# and the same models built in a fresh interpreter, which writes their states
+# to the file named by its argument
+PURE_CHAINS = [(MC_GENERIC, 1.0), (MC_GENERIC, 50.0), CHAIN_MODELS[3]]
+FRESH_CHAINS = """
+import sys
+import numpy as np
+from pdmprate import simulate_chain
+from pdmprate.model import (CustomRate, Flow, JumpMap, Model,
+                            ShiftedQuadraticRate)
+mc = Model(Flow("exponential", 2.0), JumpMap(0.5),
+           ShiftedQuadraticRate(1.0, 0.5))
+kink = Model(Flow("additive", 1.0), JumpMap(0.3),
+             CustomRate(lambda x: max(x - 1.0, 0.0) + 0.1))
+np.save(sys.argv[1], [simulate_chain(model, z0, 3000, 4).z
+                      for model, z0 in [(mc, 1.0), (mc, 50.0), (kink, 1.0)]])
+"""
+
+
+class TestHazardStore:
+    """The hazard tables a process keeps per model (``numeric._store``)."""
+
+    def test_chain_depends_only_on_its_arguments(self, tmp_path):
+        # a fresh interpreter simulates the chains from empty tables; here
+        # they come after other seeds and starts of the same models, whose
+        # tables they read
+        out = tmp_path / "fresh.npy"
+        src = str(Path(pdmprate.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-c", FRESH_CHAINS, str(out)],
+                       env={**os.environ, "PYTHONPATH": src}, check=True,
+                       timeout=120)
+        for model, _ in PURE_CHAINS:
+            for z0, seed in [(0.3, 7), (3.0, 8), (200.0, 9)]:
+                simulate_chain(model, z0, 1500, seed)
+        warm = [simulate_chain(model, z0, 3000, 4).z
+                for model, z0 in PURE_CHAINS]
+        for fresh, chain in zip(np.load(out), warm):
+            assert np.array_equal(fresh, chain)
+
+    def test_memory_bounded_over_many_models(self):
+        # the tables of at most STORE_MODELS models are kept: walking many
+        # models, as the hypothesis tests do, releases the oldest
+        first = CustomRate(lambda x: 1.0 + x)
+        released = weakref.ref(first.rate_fn)
+        simulate_chain(Model(Flow("exponential", 2.0), JumpMap(0.5), first),
+                       1.0, 50, 0)
+        del first
+        for k in range(3 * STORE_MODELS):
+            rate = CustomRate(lambda x, k=k: 1.0 + x * (1.0 + k / 64.0))
+            simulate_chain(Model(Flow("exponential", 2.0), JumpMap(0.5),
+                                 rate), 1.0, 50, k)
+        assert _store.cache_info().currsize == STORE_MODELS
+        gc.collect()
+        assert released() is None
 
 
 def power_model(exponential, kappa, c, lam, delta):
