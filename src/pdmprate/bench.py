@@ -51,12 +51,17 @@ class ExperimentConfig:
         with np.errstate(over="ignore", divide="ignore"):
             w = self.model.transition_weight(self.model.jump.apply(ys[:1]))[0]
             top = np.max(rate.rate(ys))
+            # the parameter of the term that overflows, else the peak rate
+            field, value = "model.rate", float(top)
+            if isinstance(rate, PowerRate):
+                field, value = "lam", rate.lam
+            elif isinstance(rate, ShiftedQuadraticRate):
+                field, value = (("b", rate.b) if rate.b >= np.max(
+                    (ys - rate.a) ** 2) else ("a", rate.a))
         require(w < np.inf, "c", "the transition weight must be finite at the "
                 "grid's lowest jump image, where it peaks", self.model.flow.c)
-        field = {PowerRate: "lam", ShiftedQuadraticRate: "a"}.get(type(rate),
-                                                                  "rate")
         require(top < np.inf, field, "the rate must be finite on the grid",
-                getattr(rate, field, rate))
+                value)
         nonnegative("sigma", self.sigma)
         nonnegative("sigma_prime", self.sigma_prime)
         positive("z0", self.z0)

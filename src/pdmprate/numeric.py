@@ -47,9 +47,6 @@ ROOT_ULPS = 4.0
 # through, as one falling toward 0 does, takes exact steps rather than the
 # phi table's node solves (BENCH_hazard_chain.json, "phi_visits").
 PHI_VISITS = 3
-# The tables of the STORE_MODELS models used last are kept (_store); one
-# model's took 0.25 MB over 200 mc_generic chains (BENCH_model_store.json).
-STORE_MODELS = 8
 
 # values of g at the Chebyshev points cos(theta_i), ends included, ->
 # coefficients of the interpolating series (a discrete cosine transform)
@@ -93,13 +90,14 @@ def _scalar_integrand(model: Model):
     return g
 
 
-@functools.lru_cache(maxsize=STORE_MODELS)
+@functools.lru_cache(maxsize=1)
 def _store(key: tuple) -> tuple:
-    """The tables of the model ``key = (flow, jump, rate)``: panel records
-    by panel index ``k``, their inverses filled in as draws reach them, and
-    phi sub-panels by ``(k, k0)``.  Each is a function of the model and its
-    key alone, so a chain's states do not depend on what the process
-    simulated before (two threads may both build an entry, and alike)."""
+    """The tables of the model ``key = (flow, jump, rate)`` used last: panel
+    records by panel index ``k``, their inverses filled in as draws reach
+    them, and phi sub-panels by ``(k, k0)``.  Each is a function of the
+    model and its key alone, so a chain's states do not depend on what the
+    process simulated before (two threads may both build an entry, and
+    alike).  A command or bench worker simulates one model."""
     return {}, {}
 
 
@@ -625,14 +623,16 @@ class GenericSampler:
 
     def _next_states(self, zs: list, es: list) -> np.ndarray:
         """The roots of the draws ``es`` from the states ``zs``, none below
-        the state the sampler was made at: each hazard from :meth:`_reach`,
-        then one :meth:`states` pass; a failure names its index."""
+        the state made at: hazards by :meth:`_reach`, then one :meth:`states`
+        pass, or for one draw its own solve; a failure names its index."""
         hs = []
         k = 0
         try:
             for k, (z, e) in enumerate(zip(zs, es)):
                 self.move_to(z)
                 hs.append(self._reach(e))
+            if len(hs) == 1:
+                return np.array([self._root(hs[0], es[0])])
         except (OverflowError, CapExceededError, StateRangeError) as exc:
             raise self._at(k, exc) from exc
         return self.states(hs)
@@ -829,12 +829,8 @@ def _generic_chain(model: Model, z0: float, draws: np.ndarray) -> np.ndarray:
 
 
 def _generic_next(model: Model, z: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Numeric draws from ``z`` for ``e``, arrays of one shape: a scalar is
-    one :meth:`GenericSampler.draw`, and an array's roots take their hazards
-    from one table and are inverted by :meth:`GenericSampler.states`."""
-    if not z.ndim:
-        lo = model.jump.kappa * float(z)
-        return np.asarray(max(GenericSampler(model, z).draw(float(e)), lo))
+    """Numeric draws from ``z`` for ``e``, arrays of one shape: each root's
+    hazard from one table, inverted by :meth:`GenericSampler.states`."""
     zs, es = z.ravel().tolist(), e.ravel().tolist()
     if not zs:
         return np.empty(z.shape)

@@ -33,6 +33,24 @@ class TestConfigWeight:
             assert err.value.field == "c"
 
 
+class TestConfigRate:
+    @pytest.mark.parametrize("rate, field, value", [
+        (PowerRate(1.7e308, 0.5), "lam", 1.7e308),
+        # (y - a)**2 overflows alone; b, the larger term, tips the sum
+        (ShiftedQuadraticRate(1e200, 0.0), "a", 1e200),
+        (ShiftedQuadraticRate(1e154, 1.7e308), "b", 1.7e308),
+        # no parameter to name: the peak rate
+        (CustomRate(lambda x: np.exp(1e3 * x)), "model.rate", np.inf),
+    ], ids=["power", "quadratic_a", "quadratic_b", "custom"])
+    def test_overflow_names_its_term(self, rate, field, value):
+        model = Model(Flow("additive", 1.0), JumpMap(0.5), rate)
+        with pytest.raises(ValueError, match=f"^{field}: the rate must be "
+                           "finite on the grid, got ") as err:
+            small_config(model=model)
+        assert err.value.field == field
+        assert str(err.value).endswith(f"got {value!r}")
+
+
 class TestReplicate:
     def test_deterministic(self):
         cfg = small_config()

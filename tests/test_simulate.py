@@ -6,6 +6,7 @@ import sys
 import time
 import warnings
 import weakref
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +27,8 @@ from pdmprate import (CapExceededError, ChainFormatError, ConfigError,
 from pdmprate.model import (CustomRate, Flow, JumpMap, Model, PowerRate,
                             ShiftedQuadraticRate)
 from pdmprate.numeric import (_clenshaw, _fit_panel, _generic_chain,
-                              _generic_next, _invert, _panel_index,
-                              _scalar_integrand, _store, STORE_MODELS)
+                              _generic_next, _invert, _panel_edge,
+                              _panel_index, _scalar_integrand, _store)
 from pdmprate.simulate import (_family_samplers, _power_chain, _power_step,
                                _quadratic_steps)
 
@@ -573,6 +574,20 @@ class TestGenericSampler:
         want = [GenericSampler(model, z).draw(e) for z, e in zip(zs, es)]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
+    def test_scalar_is_one_element_array(self):
+        # a scalar call and a one-element array take the same solve, and a
+        # failure names the index in both
+        rng = np.random.default_rng(9)
+        for z, e in zip(rng.uniform(0.3, 3.0, 20), rng.exponential(1.0, 20)):
+            assert sample_next(MC_GENERIC, z, e) == \
+                sample_next(MC_GENERIC, np.array([z]), np.array([e]))[0]
+        # the hazard from z = 1 up to any state is below 1.6
+        model = Model(Flow("exponential", 1.5), JumpMap(0.4),
+                      PowerRate(1.2, -0.5))
+        for z in (1.0, np.array([1.0])):
+            with pytest.raises(CapExceededError, match="^at transition 0: "):
+                sample_next(model, z, 8.0)
+
     def test_inverses_survive_downward_growth(self):
         # from z0 = 50 the first draws build inverses high up; the chain then
         # falls, and the table grows below them, summing the panels' hazards
@@ -666,36 +681,87 @@ class TestHazardStore:
 
     def test_chain_depends_only_on_its_arguments(self, tmp_path):
         # a fresh interpreter simulates the chains from empty tables; here
-        # they come after other seeds and starts of the same models, whose
-        # tables they read
+        # each comes after other seeds and starts of its model, whose tables
+        # it reads
         out = tmp_path / "fresh.npy"
         src = str(Path(pdmprate.__file__).resolve().parents[1])
         subprocess.run([sys.executable, "-c", FRESH_CHAINS, str(out)],
                        env={**os.environ, "PYTHONPATH": src}, check=True,
                        timeout=120)
-        for model, _ in PURE_CHAINS:
-            for z0, seed in [(0.3, 7), (3.0, 8), (200.0, 9)]:
-                simulate_chain(model, z0, 1500, seed)
-        warm = [simulate_chain(model, z0, 3000, 4).z
-                for model, z0 in PURE_CHAINS]
+        warm = []
+        for model, z0 in PURE_CHAINS:
+            for other, seed in [(0.3, 7), (3.0, 8), (200.0, 9)]:
+                simulate_chain(model, other, 1500, seed)
+            warm.append(simulate_chain(model, z0, 3000, 4).z)
         for fresh, chain in zip(np.load(out), warm):
             assert np.array_equal(fresh, chain)
 
     def test_memory_bounded_over_many_models(self):
-        # the tables of at most STORE_MODELS models are kept: walking many
+        # the tables of the model used last are kept: walking many
         # models, as the hypothesis tests do, releases the oldest
         first = CustomRate(lambda x: 1.0 + x)
         released = weakref.ref(first.rate_fn)
         simulate_chain(Model(Flow("exponential", 2.0), JumpMap(0.5), first),
                        1.0, 50, 0)
         del first
-        for k in range(3 * STORE_MODELS):
+        for k in range(25):
             rate = CustomRate(lambda x, k=k: 1.0 + x * (1.0 + k / 64.0))
             simulate_chain(Model(Flow("exponential", 2.0), JumpMap(0.5),
                                  rate), 1.0, 50, k)
-        assert _store.cache_info().currsize == STORE_MODELS
+        assert _store.cache_info().currsize == 1
         gc.collect()
         assert released() is None
+
+    def test_unhashable_rate_keeps_its_own_tables(self):
+        # an instance of a dataclass with eq=True and not frozen cannot be
+        # hashed, so the model cannot key the store: each sampler fits its
+        # own tables, and the chain still matches the per-step loop
+        model = Model(Flow("exponential", 0.5), JumpMap(0.6),
+                      CustomRate(_UnhashableRate(0.2)))
+        with pytest.raises(TypeError):
+            hash(model)
+        before = _store.cache_info().currsize
+        n, seed = 600, 2
+        draws = chain_draws(seed, n)
+        want = [1.0]
+        for e in draws:
+            want.append(sample_next_generic(model, want[-1], e))
+        sampler = GenericSampler(model, 1.0)
+        got = sampler.chain(draws)
+        np.testing.assert_allclose(got, want[1:], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(simulate_chain(model, 1.0, n, seed).z,
+                                   want, rtol=1e-13, atol=0.0)
+        assert sampler.panels_built > 0 and sampler.phi_built > 0
+        # a second sampler reads none of the first one's tables
+        again = GenericSampler(model, 1.0)
+        again.chain(draws)
+        assert (again.panels_built, again.phi_built) == \
+            (sampler.panels_built, sampler.phi_built)
+        assert _store.cache_info().currsize == before
+
+    def test_phi_records_do_not_depend_on_table_extent(self):
+        # the top node of a panel's last phi sub-panel has the hazard of the
+        # next panel's left edge; it is solved in its own panel, so a table
+        # that also holds the next panel gives the same records
+        for k in range(-12, 8):
+            fits = []
+            for top in (k, k + 1):
+                # anchored an octave below the panel's jump images, k - 4
+                sampler = GenericSampler(MC_GENERIC, 2.0 * _panel_edge(k - 8))
+                sampler._build(top)
+                assert sampler._k0 + len(sampler._panels) == top + 1
+                fits.append(sampler._fit_phi(k))
+            assert fits[0] == fits[1], k
+
+
+@dataclass
+class _UnhashableRate:
+    """The rate ``floor + x**1.5``, called as a function; unhashable."""
+
+    floor: float
+
+    def __call__(self, x):
+        return self.floor + x ** 1.5
 
 
 def power_model(exponential, kappa, c, lam, delta):
