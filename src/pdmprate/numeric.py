@@ -6,8 +6,9 @@ of the table's own nodes, gives a start that one confirming Newton step
 finishes.  A chain walks in hazard coordinates, ``h' = phi(h) + e`` with
 ``phi(h) = G(kappa*G^{-1}(h))`` one series per transition, after which one
 vectorized pass of the inverse recovers every state; ``sample_next`` over
-an array takes the same pass.  The tables are kept per model in the process
-(:func:`_store`), so every chain of a model reads them.
+an array takes the same pass.  The tables, phi's included, are kept per model
+in the process and keyed by panel (:func:`_store`), so every chain of a model
+reads them.
 """
 
 from __future__ import annotations
@@ -92,11 +93,11 @@ def _scalar_integrand(model: Model):
 
 @functools.lru_cache(maxsize=1)
 def _store(key: tuple) -> tuple:
-    """The tables of the model ``key = (flow, jump, rate)`` used last: panel
-    records by panel index ``k``, their inverses filled in as draws reach
-    them, and phi sub-panels by ``(k, k0)``.  Each is a function of the
-    model and its key alone, so a chain's states do not depend on what the
-    process simulated before (two threads may both build an entry, and
+    """The tables of the model ``key = (flow, jump, rate)`` used last: by
+    panel index ``k`` the panel records, their inverses filled in as draws
+    reach them, and the phi sub-panels over the panel.  Each is a function
+    of the model and ``k`` alone, so a chain's states do not depend on what
+    the process simulated before (two threads may both build an entry, and
     alike).  A command or bench worker simulates one model."""
     return {}, {}
 
@@ -122,11 +123,10 @@ class GenericSampler:
     times the hazard from there, which an anchor above a chain's range
     would lose; when the table grows downward, the hazards of the panels
     (``_cum``) are summed again from the new ``k0``.  The panel records, in
-    panel-local hazard, do not change, and neither does a phi sub-panel
-    built at a given ``k0``, whichever sampler built it.  :meth:`chain`
-    runs a whole chain in hazard coordinates ``h = G(z)``, one series per
-    transition, and :meth:`states` inverts an array of hazards in one
-    vectorized pass.
+    panel-local hazard, do not change, nor do the phi records of a panel,
+    each in the hazard of its own sub-panel.  :meth:`chain` runs a whole
+    chain in hazard coordinates ``h = G(z)``, one series per transition,
+    and :meth:`states` inverts an array of hazards in one vectorized pass.
 
     The counters are plain ints: ``g_evals`` counts evaluations of ``G``,
     ``G(kappa*z)`` and the cap check included; ``newton_steps`` the Newton
@@ -157,12 +157,12 @@ class GenericSampler:
         self._panels = []
         self._cum = [0.0]
         # the phi table: sub-panel left edges in hazard, in order, and a
-        # record (right edge, midpoint, 1/half-width, c0, (c_N, ..., c_1),
-        # cap hazard, cap state) for each, every hazard in it less the left
-        # edge, so that a lift moves the edges alone; behind a sentinel; and
-        # the exact steps from each panel since the table last grew downward
+        # record (right edge, midpoint, 1/half-width, c0, (c_N, ..., c_1))
+        # for each, every hazard in it less the left edge, so that a lift
+        # moves the edges alone; behind a sentinel; and the exact steps from
+        # each panel since the table last grew downward
         self._phi_lo = [-math.inf]
-        self._phi = [_flagged(0.0, 0.0)]
+        self._phi = [(0.0, 0.0, 0.0, math.inf, ())]
         self._phi_visits = {}
         self.g_evals = self.newton_steps = 0
         self.panels_built = self.inverses_built = self.fallback_draws = 0
@@ -254,13 +254,11 @@ class GenericSampler:
             exc = self._range_error()
         return type(exc)(f"at transition {k}: {exc}")
 
-    def _locate(self, target: float, i: int = None) -> tuple:
+    def _locate(self, target: float) -> tuple:
         """``(i, j)``: the sub-panel ``[edges[j-1], edges[j])`` of panel
-        ``i`` holding the hazard ``target``, clamped to the table, or to
-        panel ``i`` if given."""
-        if i is None:
-            i = min(max(bisect.bisect_right(self._cum, target) - 1, 0),
-                    len(self._panels) - 1)
+        ``i`` holding the hazard ``target``, clamped to the table."""
+        i = min(max(bisect.bisect_right(self._cum, target) - 1, 0),
+                len(self._panels) - 1)
         bases = self._panels[i][1]
         j = bisect.bisect_right(bases, target - self._cum[i])
         return i, min(max(j, 1), len(bases) - 1)
@@ -282,16 +280,19 @@ class GenericSampler:
                 raise self._cap_error(e)
         return target
 
-    def _root(self, target: float, e: float, i: int = None) -> float:
+    def _root(self, target: float, e: float) -> float:
         """The root of ``hazard_to(y) = e`` above ``lo``, at hazard
-        ``target`` (in panel ``i`` if given)."""
-        i, j = self._locate(target, i)
+        ``target``."""
+        i, j = self._locate(target)
         edges, bases, _, _ = self._panels[i]
         # G(lo) may round to below its sub-panel's start, hence the max
         lo, hi = max(edges[j - 1], self.lo), min(edges[j], self.cap)
-        if hi <= lo:
-            # the root is within rounding of the jump image
+        if hi <= lo or e <= 0.0:
+            # the root is within rounding of the jump image, or on it
             return lo
+        if target >= self._cum[i] + bases[j]:
+            # on the table's top: Newton would only bisect toward it
+            return hi
         starts, pieces, curv = self._inverse(i, j)
         h = target - self._cum[i] - bases[j - 1]
         p = bisect.bisect_right(starts, h, 1) - 1
@@ -373,17 +374,17 @@ class GenericSampler:
         return CapExceededError(
             f"hazard below target {e:.3g} before cap {self.cap:.3g}")
 
-    def _state(self, h: float, i: int = None) -> float:
-        """``G^{-1}(h)`` for a hazard ``h`` inside the table (in panel ``i``
-        if given): the root of a draw of ``h - G(a)`` from the left edge
-        ``a`` of its sub-panel, taken as the jump image for the solve."""
-        i, j = self._locate(h, i)
+    def _state(self, h: float) -> float:
+        """``G^{-1}(h)`` for a hazard ``h`` inside the table: the root of a
+        draw of ``h - G(a)`` from the left edge ``a`` of its sub-panel, taken
+        as the jump image for the solve."""
+        i, j = self._locate(h)
         saved = self.lo, self._g_lo, self.cap
         self.lo = self._panels[i][0][j - 1]
         self._g_lo = self._cum[i] + self._panels[i][1][j - 1]
         self.cap = math.inf
         try:
-            return self._root(h, h - self._g_lo, i)
+            return self._root(h, h - self._g_lo)
         finally:
             self.lo, self._g_lo, self.cap = saved
 
@@ -393,15 +394,15 @@ class GenericSampler:
 
         With ``h = G(z)`` a transition is ``h' = phi(h) + e``, where
         ``phi(h) = G(kappa*G^{-1}(h))``: one series of the phi table per
-        step (:meth:`_phi_panel`), with one comparison against a hazard
-        below the cap and inside the table.  A step the table does not
-        cover, or that reaches past that hazard, is a draw from the state
-        of ``h``, solved for first if a phi step left only ``h``.  The
-        ``PHI_VISITS``-th such step from a panel builds the phi table over
-        it.  :meth:`states` inverts the hazards of the phi steps in one
-        pass, and before a draw that grows the table downward, which moves
-        every hazard in it, those walked so far.  No state lands below the
-        jump image of the one before.  A failure names transition ``k``.
+        step (:meth:`_phi_panel`) while ``h'`` is below the table's top.
+        A step the table does not cover, or that reaches the top, is a draw
+        from the state of ``h``, solved for first if a phi step left only
+        ``h``.  The ``PHI_VISITS``-th such step from a panel builds the phi
+        table over it.  :meth:`states` inverts the hazards of the phi steps
+        in one pass, and before a draw that grows the table downward those
+        walked so far; then each is held to its cap.  No state lands below
+        the jump image of the one before.  A failure names transition
+        ``k``, or an earlier state past its cap.
         """
         # the states the draws solved for, nan where a phi step left only
         # the hazard; the hazards go to a buffer, not a list of floats that
@@ -412,14 +413,14 @@ class GenericSampler:
         lows, records = self._phi_lo, self._phi
         # h is the hazard of the state before transition k, and y that state
         # unless a phi step left it unsolved; the hazards before start are
-        # inverted
+        # inverted; top, the table's top hazard, is set by the exact first step
         z0, k, h, y, solved, start = self.z, 0, -math.inf, self.z, True, 0
         try:
             for k in range(len(draws)):
                 e = draws[k]
                 j = bisect.bisect_right(lows, h) - 1
                 u = h - lows[j]
-                b, mid, scale, c0, rest, hcap, zcap = records[j]
+                b, mid, scale, c0, rest = records[j]
                 covered = u < b
                 if covered:
                     # _clenshaw, inlined
@@ -428,9 +429,9 @@ class GenericSampler:
                     b1 = b2 = 0.0
                     for c in rest:
                         b1, b2 = c + x2 * b1 - b2, b1
-                    after = c0 + x * b1 - b2 + e
-                    if after < hcap:
-                        out[k] = h = lows[j] + after
+                    after = lows[j] + (c0 + x * b1 - b2 + e)
+                    if after < top:
+                        out[k] = h = after
                         solved = False
                         continue
                 if not solved:
@@ -444,18 +445,26 @@ class GenericSampler:
                     start = k
                 if not covered and k:
                     # from a state in the table (z0 may lie above it)
-                    self._visit(_panel_index(y))
+                    self._phi_panel(_panel_index(y))
                 out[k] = h = self._reach(e)
                 z[k] = y = self._root(h, e) if e else self.lo
                 solved = True
                 self.exact_steps += 1
-                if covered and zcap is not None:
-                    records[j] = (b, mid, scale, c0, rest,
-                                  self._cap_hazard(zcap) - lows[j], zcap)
+                top = self._cum[-1]
+            k, error = len(draws), None
         except (OverflowError, CapExceededError, StateRangeError) as exc:
-            raise self._at(k, exc) from exc
-        self._fill(z[start:], hs[start:])
-        np.maximum(z, self._kappa * np.concatenate(([z0], z[:-1])), out=z)
+            error = exc
+        # a phi step leaves its cap unchecked: the first state past its cap
+        # (those from the failed transition k on are nan) fails as its draw
+        # would have, ahead of transition k
+        self._fill(z[start:k], hs[start:k])
+        prev = np.concatenate(([z0], z[:-1]))
+        for m in np.flatnonzero(z > CAP_FACTOR * np.maximum(prev, 1.0))[:1]:
+            self.move_to(prev[m])
+            k, error = int(m), self._cap_error(draws[m])
+        if error is not None:
+            raise self._at(k, error) from error
+        np.maximum(z, self._kappa * prev, out=z)
         return z
 
     def _fill(self, z: np.ndarray, hs: np.ndarray) -> None:
@@ -463,92 +472,87 @@ class GenericSampler:
         walked = np.isnan(z)
         z[walked] = self.states(hs[walked])
 
-    def _visit(self, panel: int) -> None:
-        """Count a draw from ``panel`` that the phi table does not cover,
-        and build the table over it from the ``PHI_VISITS``-th on, once the
-        hazard table holds the panel's jump images: building it then grows
-        no table downward."""
-        visits = self._phi_visits.get(panel, 0) + 1
-        self._phi_visits[panel] = visits
-        lo = self._kappa * _panel_edge(panel)
-        if visits >= PHI_VISITS and lo > 0.0 and _panel_index(lo) >= self._k0:
-            self._phi_panel(panel)
-
-    def _cap_hazard(self, zcap: float) -> float:
-        """``G(zcap)`` if the table reaches past ``zcap``, else its top."""
-        if zcap < _panel_edge(self._k0 + len(self._panels)):
-            return self._antiderivative(zcap)
-        return self._cum[-1]
-
     def _phi_panel(self, k: int) -> None:
-        """Add the phi sub-panels over panel ``k`` to the chain's table,
-        from the store (:meth:`_fit_phi` at this ``k0`` when missing), each
-        with the cap hazard of this table."""
-        key = (k, self._k0)
-        if key not in self._stored_phi:
-            self._stored_phi[key] = self._fit_phi(k)
-        lows, records = self._stored_phi[key]
-        at = bisect.bisect_right(self._phi_lo, lows[0])
-        self._phi_lo[at:at] = lows
-        self._phi[at:at] = [r if r[6] is None else r[:5] + (
-            self._cap_hazard(r[6]) - a, r[6]) for a, r in zip(lows, records)]
+        """Count a draw from panel ``k`` that the phi table does not cover,
+        and from the ``PHI_VISITS``-th on, once the hazard table holds the
+        panel's jump images, splice in the phi sub-panels over it from the
+        store (:meth:`_fit_phi` when missing), edges moved to this table."""
+        visits = self._phi_visits[k] = self._phi_visits.get(k, 0) + 1
+        lo = self._kappa * _panel_edge(k)
+        if visits < PHI_VISITS or not lo > 0.0 or _panel_index(lo) < self._k0:
+            return
+        if k not in self._stored_phi:
+            self._stored_phi[k] = self._fit_phi(k)
+        lows, records = self._stored_phi[k]
+        shift = self._cum[_panel_index(lo) - self._k0]
+        at = bisect.bisect_right(self._phi_lo, lows[0] + shift)
+        self._phi_lo[at:at] = [a + shift for a in lows]
+        self._phi[at:at] = records
 
     def _fit_phi(self, k: int) -> tuple:
-        """The phi sub-panels over the hazards of table panel ``k``: their
-        left edges and records, each cap hazard left to the adopting table.
+        """The phi sub-panels over the hazards of panel ``k``, fitted on a
+        table from the panel ``p`` holding the jump image of ``k``'s left
+        edge to ``k``, swapped in for the sampler's: their left edges, in
+        the hazard from ``p``, and records, a function of the model and
+        ``k`` alone.
 
         ``phi(h) = G(kappa*G^{-1}(h))`` is interpolated at the
         ``CHEB_NODES`` Chebyshev points of a sub-panel, each from one node
         solve (:meth:`_state`) and one ``G``, and the sub-panel halved as
         :func:`_fit_panel` halves, until its series less its value at the
         left end meets ``CHEB_RTOL`` or the tail is within ``ROOT_ULPS`` ulps
-        of ``phi``.  Such a sub-panel gets a record whose cap state
-        ``CAP_FACTOR*max(y, 1)``, from its left node ``y``, bounds the state
-        of ``h'`` for every state in it.  Each node solve stays in panel
-        ``k``, so the records depend on ``k`` and ``k0`` alone, not on how
-        far the table reaches.  Where ``phi`` is not smooth (``g`` kinks or
+        of ``phi``.  The table ends at panel ``k``, so the node at its top
+        hazard stays in it.  Where ``phi`` is not smooth (``g`` kinks or
         vanishes at ``y`` or ``kappa*y``) a sub-panel is flagged: one with a
         node in a flagged piece of ``G``'s inverse, or one that stops halving
-        short of the test or is narrower than ``PANEL_FLOOR``.  The hazard
-        table holds the panel and its jump images.
+        short of the test or is narrower than ``PANEL_FLOOR``.
         """
+        p = _panel_index(self._kappa * _panel_edge(k))
         left, right = _panel_edge(k), _panel_edge(k + 1)
-        todo = [(self._cum[k - self._k0], self._cum[k - self._k0 + 1], 0)]
-        lows, records = [], []
-        while todo:
-            a, b, depth = todo.pop()
-            half = 0.5 * (b - a)
-            mid = a + half
-            lows.append(a)
-            if b - a < PANEL_FLOOR:
-                records.append(_flagged(b, a))
-                continue
-            fallbacks = self.fallback_draws
-            ys = [min(max(self._state(mid + half * t, k - self._k0), left),
-                      right) for t in _CHEB_NODES]
-            values = [self._antiderivative(self._kappa * y) for y in ys]
-            self.g_evals += CHEB_NODES
-            # phi less its value at the left end, so that the test is
-            # relative to phi's rise, down to the rounding of phi itself
-            c = _chebyshev([v - values[-1] for v in values])
-            ulp = math.ulp(values[0])
-            if self.fallback_draws > fallbacks:
-                # a node in a flagged sub-panel of G: G^{-1} is not smooth
-                records.append(_flagged(b, a))
-            elif _smooth(c) or abs(c[-2]) + abs(c[-1]) <= ROOT_ULPS * ulp:
-                # terms below a quarter ulp of phi add nothing to a step
-                while len(c) > 1 and abs(c[-1]) <= 0.25 * ulp:
-                    c.pop()
-                records.append((b - a, half, 1.0 / half,
-                                c[0] + (values[-1] - a),
-                                tuple(reversed(c[1:])), None,
-                                CAP_FACTOR * max(ys[-1], 1.0)))
-            elif _can_halve(depth, len(records) + len(todo)):
-                lows.pop()
-                # left half on top, so sub-panels come off the stack in order
-                todo += [(mid, b, depth + 1), (a, mid, depth + 1)]
-            else:
-                records.append(_flagged(b, a))
+        saved = self._k0, self._panels, self._cum
+        self._k0, self._panels, self._cum = p, [], [0.0]
+        try:
+            self._build(k)
+            todo = [(self._cum[k - p], self._cum[-1], 0)]
+            lows, records = [], []
+            while todo:
+                a, b, depth = todo.pop()
+                half = 0.5 * (b - a)
+                mid = a + half
+                lows.append(a)
+                # a flagged record: every step from it is exact
+                flagged = (b - a, 0.0, 0.0, math.inf, ())
+                if b - a < PANEL_FLOOR:
+                    records.append(flagged)
+                    continue
+                fallbacks = self.fallback_draws
+                # the bottom node may round below a, into the panel below
+                ys = [min(max(self._state(max(mid + half * t, a)), left),
+                          right) for t in _CHEB_NODES]
+                values = [self._antiderivative(self._kappa * y) for y in ys]
+                self.g_evals += CHEB_NODES
+                # phi less its value at the left end, so that the test is
+                # relative to phi's rise, down to the rounding of phi itself
+                c = _chebyshev([v - values[-1] for v in values])
+                ulp = math.ulp(values[0])
+                if self.fallback_draws > fallbacks:
+                    # a node in a flagged sub-panel of G: G^{-1} is not smooth
+                    records.append(flagged)
+                elif _smooth(c) or abs(c[-2]) + abs(c[-1]) <= ROOT_ULPS * ulp:
+                    # terms below a quarter ulp of phi add nothing to a step
+                    while len(c) > 1 and abs(c[-1]) <= 0.25 * ulp:
+                        c.pop()
+                    records.append((b - a, half, 1.0 / half,
+                                    c[0] + (values[-1] - a),
+                                    tuple(reversed(c[1:]))))
+                elif _can_halve(depth, len(records) + len(todo)):
+                    lows.pop()
+                    # left half on top: sub-panels come off the stack in order
+                    todo += [(mid, b, depth + 1), (a, mid, depth + 1)]
+                else:
+                    records.append(flagged)
+        finally:
+            self._k0, self._panels, self._cum = saved
         self.phi_built += len(records)
         return lows, records
 
@@ -636,11 +640,6 @@ class GenericSampler:
         except (OverflowError, CapExceededError, StateRangeError) as exc:
             raise self._at(k, exc) from exc
         return self.states(hs)
-
-
-def _flagged(b: float, a: float) -> tuple:
-    """A phi record for ``[a, b)`` whose steps are all exact."""
-    return (b - a, 0.0, 0.0, 0.0, (), -math.inf, None)
 
 
 def _bins(lows, h: np.ndarray) -> np.ndarray:

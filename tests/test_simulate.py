@@ -411,6 +411,36 @@ class TestGenericSampler:
             assert y == pytest.approx(generic_draw_oracle(model, z, e, kinks),
                                       rel=1e-12)
 
+    def test_phi_node_solves_take_few_newton_steps(self, monkeypatch):
+        # a node at a sub-panel's top or bottom hazard has its root on the
+        # bracket's edge, toward which Newton's method would only bisect;
+        # every other node starts from the inverse, one step from its root
+        steps, fitting = [], []
+        newton, fit = GenericSampler._newton, GenericSampler._fit_phi
+
+        def counted_newton(self, *args):
+            y, taken = newton(self, *args)
+            if fitting:
+                steps.append(taken)
+            return y, taken
+
+        def counted_fit(self, k):
+            fitting.append(k)
+            try:
+                return fit(self, k)
+            finally:
+                fitting.pop()
+
+        monkeypatch.setattr(GenericSampler, "_newton", counted_newton)
+        monkeypatch.setattr(GenericSampler, "_fit_phi", counted_fit)
+        draws = chain_draws(0, 3000).tolist()
+        for z0 in (1.0, 50.0):
+            _store.cache_clear()
+            GenericSampler(MC_GENERIC, z0).chain(draws)
+        assert len(steps) > 100
+        assert max(steps) <= 8
+        assert sum(steps) <= 1.2 * len(steps)
+
     def test_smooth_integrand_has_no_fallback_draws(self):
         # the integrand changes by a factor of about 2 across some sub-panels
         # of the hazard table, whose inverses fail their tail test until the
@@ -612,6 +642,34 @@ class TestGenericSampler:
                        for k in range(n)]
         np.testing.assert_allclose(z, want, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("later", [[], [1e300]],
+                             ids=["last", "before_a_failing_draw"])
+    def test_cap_on_a_phi_step(self, later):
+        # a phi step is taken while its hazard is below the table's top,
+        # here built far above the cap, and its state is held to the cap
+        # once inverted: the last of 400 draws, halfway between the hazards
+        # to the cap and to 1e5 from the state before it, crosses the cap on
+        # a phi step.  The chain fails there with the draw's own error, also
+        # when a later draw fails first in the walk (1e300 passes any cap)
+        model = Model(Flow("additive", 1.0), JumpMap(0.5),
+                      CustomRate(lambda x: 8.0 / (1.0 + x) ** 1.5))
+        draws = np.minimum(chain_draws(0, 399), 3.0).tolist()
+        walker = GenericSampler(model, 1.0)
+        walker._build(_panel_index(1e5))
+        z = walker.chain(draws)
+        before = GenericSampler(model, z[-1])
+        e = 0.5 * (before.hazard_to(before.cap) + before.hazard_to(1e5))
+        with pytest.raises(CapExceededError) as loop:
+            before.draw(e)
+        sampler = GenericSampler(model, 1.0)
+        sampler._build(_panel_index(1e5))
+        with pytest.raises(CapExceededError,
+                           match="^at transition 399: ") as chain:
+            sampler.chain(draws + [e] + later)
+        assert str(chain.value).endswith(str(loop.value))
+        # no exact step beyond those of the first 399 draws
+        assert sampler.exact_steps == walker.exact_steps
+
     @pytest.mark.parametrize("beyond", [False, True])
     def test_cap_is_exact(self, beyond):
         # constant hazard 1/(kappa*c) = 2 per unit: from z = 1, the root
@@ -740,18 +798,33 @@ class TestHazardStore:
         assert _store.cache_info().currsize == before
 
     def test_phi_records_do_not_depend_on_table_extent(self):
-        # the top node of a panel's last phi sub-panel has the hazard of the
-        # next panel's left edge; it is solved in its own panel, so a table
-        # that also holds the next panel gives the same records
+        # the records of panel k are fitted on a table from the panel of its
+        # jump images, k - 4, to k, swapped in for the sampler's own: so a
+        # sampler anchored one, two or three octaves below those images, and
+        # one whose table also holds the next panel, whose left edge has the
+        # hazard of the last phi sub-panel's top node, give the same records
         for k in range(-12, 8):
             fits = []
-            for top in (k, k + 1):
-                # anchored an octave below the panel's jump images, k - 4
-                sampler = GenericSampler(MC_GENERIC, 2.0 * _panel_edge(k - 8))
-                sampler._build(top)
-                assert sampler._k0 + len(sampler._panels) == top + 1
-                fits.append(sampler._fit_phi(k))
-            assert fits[0] == fits[1], k
+            for octaves in (1, 2, 3):
+                for top in (k, k + 1):
+                    sampler = GenericSampler(
+                        MC_GENERIC, 2.0 * _panel_edge(k - 4 - 4 * octaves))
+                    sampler._build(top)
+                    table = sampler._k0, len(sampler._panels)
+                    assert sum(table) == top + 1
+                    fits.append(sampler._fit_phi(k))
+                    assert (sampler._k0, len(sampler._panels)) == table
+            assert all(fit == fits[0] for fit in fits), k
+
+    def test_phi_store_holds_one_entry_per_panel(self):
+        # phi records are keyed by their panel alone, so chains from starts
+        # whose tables are anchored at different panels share them
+        _store.cache_clear()
+        for z0 in (0.3, 1.0, 3.0, 50.0):
+            simulate_chain(MC_GENERIC, z0, 3000, 4)
+        panels, phi = _store((MC_GENERIC.flow, MC_GENERIC.jump,
+                              MC_GENERIC.rate))
+        assert phi and set(phi) <= set(panels)
 
 
 @dataclass
