@@ -3,7 +3,8 @@
 ``GenericSampler`` inverts a Chebyshev table of the cumulative hazard ``G``
 along the flow: an inverse series per sub-panel, interpolated at the hazard
 of the table's own nodes, gives a start that one confirming Newton step
-finishes.  A chain walks in hazard coordinates, ``h' = phi(h) + e`` with
+finishes.  A hazard is a pair, a panel and the hazard from its left edge.
+A chain walks in hazard coordinates, ``h' = phi(h) + e`` with
 ``phi(h) = G(kappa*G^{-1}(h))`` one series per transition, after which one
 vectorized pass of the inverse recovers every state; ``sample_next`` over
 an array takes the same pass.  The tables, phi's included, are kept per model
@@ -32,8 +33,8 @@ from .model import ADDITIVE, Model, PowerRate, ShiftedQuadraticRate
 # cut after its last coefficient above INV_TOL, and the inverse is halved
 # until it is, under the same stops.  A draw ends when a Newton step is at
 # most ROOT_ULPS ulps or its second-order term is below an ulp, or after
-# NEWTON_STEPS steps.  The phi table of a chain (_phi_panel) takes the same
-# nodes, test and stops.
+# NEWTON_STEPS steps.  A panel's phi table (_fit_phi) takes the same nodes,
+# test and stops.
 CAP_FACTOR = 1e3
 CHEB_NODES = 17
 CHEB_RTOL = 1e-14
@@ -43,10 +44,10 @@ MAX_LEAVES = 256
 INV_TOL = 1e-10
 NEWTON_STEPS = 100
 ROOT_ULPS = 4.0
-# A chain builds the phi table over a panel on its PHI_VISITS-th exact step
-# from it since the table last grew downward, so that a chain passing
-# through, as one falling toward 0 does, takes exact steps rather than the
-# phi table's node solves (BENCH_hazard_chain.json, "phi_visits").
+# A chain takes the phi table over a panel from its PHI_VISITS-th exact step
+# from it on, so that a chain passing through, as one falling toward 0 does,
+# takes exact steps rather than the phi table's node solves
+# (BENCH_hazard_chain.json, "phi_visits").
 PHI_VISITS = 3
 
 # values of g at the Chebyshev points cos(theta_i), ends included, ->
@@ -93,13 +94,14 @@ def _scalar_integrand(model: Model):
 
 @functools.lru_cache(maxsize=1)
 def _store(key: tuple) -> tuple:
-    """The tables of the model ``key = (flow, jump, rate)`` used last: by
-    panel index ``k`` the panel records, their inverses filled in as draws
-    reach them, and the phi sub-panels over the panel.  Each is a function
-    of the model and ``k`` alone, so a chain's states do not depend on what
-    the process simulated before (two threads may both build an entry, and
+    """The tables of the model ``key = (flow, jump, rate)`` used last, each
+    by panel index ``k``: the panel records, their inverses filled in as
+    draws reach them; the phi table over the panel; and the running sums of
+    the panels' hazards from the panel's left edge.  Each is a function of
+    the model and ``k`` alone, so a chain's states do not depend on what the
+    process simulated before (two threads may both build an entry, and
     alike).  A command or bench worker simulates one model."""
-    return {}, {}
+    return {}, {}, {}
 
 
 class GenericSampler:
@@ -109,24 +111,22 @@ class GenericSampler:
     on the state, so one antiderivative ``G`` of it serves every transition:
     a draw from ``z`` solves ``G(y) = G(kappa*z) + e``.  ``G`` is a table of
     Chebyshev series on geometric panels (:func:`_fit_panel`), taken from the
-    model's store (:func:`_store`) as the states reach them.  A draw
-    brackets the root by the hazard at panel and sub-panel ends.  The first
-    draw into a sub-panel gives it an inverse series ``t(h)``
-    (:func:`_invert`), in pieces halved until each meets its tail test, and
-    every draw into it starts there; a piece whose inverse cannot be made
-    (``g`` vanishes or kinks in it) keeps the flag ``False`` and starts
-    where the hazard, taken as linear across the sub-panel, meets the draw.
-    Newton's method on :meth:`hazard_to` with ``g`` as the
-    derivative then finishes, bisecting when a step leaves the bracket; from
-    an inverse start its first step is the last.  ``G`` is anchored at the
-    lowest panel it holds, ``k0``, so a hazard is exact to about ``eps``
-    times the hazard from there, which an anchor above a chain's range
-    would lose; when the table grows downward, the hazards of the panels
-    (``_cum``) are summed again from the new ``k0``.  The panel records, in
-    panel-local hazard, do not change, nor do the phi records of a panel,
-    each in the hazard of its own sub-panel.  :meth:`chain` runs a whole
-    chain in hazard coordinates ``h = G(z)``, one series per transition,
-    and :meth:`states` inverts an array of hazards in one vectorized pass.
+    model's store (:func:`_store`) as the states reach them.  A hazard is a
+    pair: a panel ``k`` and the hazard from its left edge, so it is exact to
+    about ``eps`` times the hazard across a few panels wherever the chain
+    is.  A draw measures from the panel ``p`` of ``kappa*z``, whose running
+    sums of panel hazards find the root's panel with one ``bisect``, and
+    its sub-panel by the hazard at sub-panel ends.  The first draw into a
+    sub-panel gives it an inverse series ``t(h)`` (:func:`_invert`), in
+    pieces halved until each meets its tail test, and every draw into it
+    starts there; a piece whose inverse cannot be made (``g`` vanishes or
+    kinks in it) keeps the flag ``False`` and starts where the hazard,
+    taken as linear across the sub-panel, meets the draw.  Newton's method
+    on :meth:`hazard_to` with ``g`` as the derivative then finishes,
+    bisecting when a step leaves the bracket; from an inverse start its
+    first step is the last.  :meth:`chain` runs a whole chain in hazard
+    coordinates, one series per transition, and :meth:`states` inverts
+    arrays of pairs in one vectorized pass.
 
     The counters are plain ints: ``g_evals`` counts evaluations of ``G``,
     ``G(kappa*z)`` and the cap check included; ``newton_steps`` the Newton
@@ -143,27 +143,12 @@ class GenericSampler:
         self._kappa = model.jump.kappa
         self._integrand = _scalar_integrand(model)
         try:
-            self._stored, self._stored_phi = _store(
+            self._stored, self._stored_phi, self._sums_from = _store(
                 (model.flow, model.jump, model.rate))
         except TypeError:
             # a rate function that cannot be a key keeps its own tables
-            self._stored, self._stored_phi = {}, {}
+            self._stored, self._stored_phi, self._sums_from = {}, {}, {}
         self.move_to(z)
-        # top-level panels k0, k0+1, ...: sub-panel edges, the hazard from
-        # the panel's left edge to each, a series per sub-panel and its
-        # inverse (None until built); and the hazard from the left edge of
-        # panel k0 to the left edge of each panel and past the last
-        self._k0 = _panel_index(self.lo)
-        self._panels = []
-        self._cum = [0.0]
-        # the phi table: sub-panel left edges in hazard, in order, and a
-        # record (right edge, midpoint, 1/half-width, c0, (c_N, ..., c_1))
-        # for each, every hazard in it less the left edge, so that a lift
-        # moves the edges alone; behind a sentinel; and the exact steps from
-        # each panel since the table last grew downward
-        self._phi_lo = [-math.inf]
-        self._phi = [(0.0, 0.0, 0.0, math.inf, ())]
-        self._phi_visits = {}
         self.g_evals = self.newton_steps = 0
         self.panels_built = self.inverses_built = self.fallback_draws = 0
         self.phi_built = self.exact_steps = self.exact_states = 0
@@ -177,46 +162,49 @@ class GenericSampler:
             raise StateRangeError(
                 f"the jump image of z = {self.z!r} underflows double precision")
         self.cap = CAP_FACTOR * max(self.z, 1.0)
+        # hazards are measured from the left edge of the jump image's panel
+        self._p = _panel_index(self.lo)
         self._g_lo = None   # G(lo), found on first use
 
-    def _build(self, k: int) -> None:
-        """Take panels from the store, fitting those it lacks, until the
-        table holds panel ``k``; ``_cum`` is their running sum from ``k0``."""
-        if k < self._k0:
-            # G is anchored at the lowest panel: sums start again there, phi
-            # edges move up by the hazard below the old anchor, and visit
-            # counts start again (a chain growing downward passes through)
-            k0, top = self._k0, self._k0 + len(self._panels)
-            self._k0, self._panels, self._cum = k, [], [0.0]
-            self._build(top - 1)
-            shift = self._cum[k0 - k]
-            self._phi_lo[:] = [a + shift for a in self._phi_lo]
-            self._phi_visits.clear()
-        while k >= self._k0 + len(self._panels):
-            j = self._k0 + len(self._panels)
-            if j not in self._stored:
-                self._stored[j] = _fit_panel(self._integrand, j)
-                self.panels_built += 1
-            self._panels.append(self._stored[j])
-            self._cum.append(self._cum[-1] + self._stored[j][1][-1])
+    def _panel(self, k: int) -> tuple:
+        """Panel ``k``'s record from the store, fitted first if missing."""
+        panel = self._stored.get(k)
+        if panel is None:
+            panel = self._stored[k] = _fit_panel(self._integrand, k)
+            self.panels_built += 1
+        return panel
 
-    def _antiderivative(self, u: float) -> float:
-        """``G(u)``: the hazard from the lowest panel edge built to ``u``."""
+    def _sums(self, p: int, target: float, cap: float) -> list:
+        """The running sums ``s`` from the store: ``s[i]`` is the hazard from
+        the left edge of panel ``p`` to that of ``p + i``.  They are
+        extended there while ``s[-1] <= target`` and the next panel's left
+        edge is at most ``cap``, into a new list, so that two threads
+        extending them at once do not interleave."""
+        s = self._sums_from.get(p, (0.0,))
+        if s[-1] <= target and _panel_edge(p + len(s) - 1) <= cap:
+            s = list(s)
+            while s[-1] <= target and _panel_edge(p + len(s) - 1) <= cap:
+                s.append(s[-1] + self._panel(p + len(s) - 1)[1][-1])
+            self._sums_from[p] = s
+        return s
+
+    def _hazard(self, p: int, u: float) -> float:
+        """``G(u)``, the hazard from the left edge of panel ``p <= k`` to
+        ``u`` in panel ``k``."""
         k = _panel_index(u)
-        i = k - self._k0
-        if not 0 <= i < len(self._panels):
-            self._build(k)
-            i = k - self._k0
-        edges, bases, series, _ = self._panels[i]
+        s = self._sums_from.get(p, (0.0,))
+        if len(s) <= k - p:
+            s = self._sums(p, math.inf, _panel_edge(k - 1))
+        edges, bases, series, _ = self._panel(k)
         j = bisect.bisect_right(edges, u) - 1
         # u's position t in [-1, 1] on its sub-panel
         t = (u - edges[j]) / (0.5 * (edges[j + 1] - edges[j])) - 1.0
-        return self._cum[i] + bases[j] + _clenshaw(series[j], t)
+        return s[k - p] + bases[j] + _clenshaw(series[j], t)
 
     def _base(self) -> float:
         """``G`` at the jump image of the current state."""
         if self._g_lo is None:
-            self._g_lo = self._antiderivative(self.lo)
+            self._g_lo = self._hazard(self._p, self.lo)
             self.g_evals += 1
         return self._g_lo
 
@@ -224,7 +212,7 @@ class GenericSampler:
         """Accumulated hazard from the jump image of ``z`` up to ``y``."""
         if y <= self.lo:
             return 0.0
-        return self._antiderivative(y) - self._base()
+        return self._hazard(self._p, y) - self._base()
 
     def draw(self, e: float) -> float:
         """Next state for the unit-exponential draw ``e``.
@@ -238,7 +226,7 @@ class GenericSampler:
         if e == 0.0:
             return self.lo
         try:
-            return self._root(self._reach(e), e)
+            return self._root(*self._reach(e), e)
         except OverflowError as exc:
             raise self._range_error() from exc
 
@@ -254,51 +242,44 @@ class GenericSampler:
             exc = self._range_error()
         return type(exc)(f"at transition {k}: {exc}")
 
-    def _locate(self, target: float) -> tuple:
-        """``(i, j)``: the sub-panel ``[edges[j-1], edges[j])`` of panel
-        ``i`` holding the hazard ``target``, clamped to the table."""
-        i = min(max(bisect.bisect_right(self._cum, target) - 1, 0),
-                len(self._panels) - 1)
-        bases = self._panels[i][1]
-        j = bisect.bisect_right(bases, target - self._cum[i])
-        return i, min(max(j, 1), len(bases) - 1)
-
-    def _reach(self, e: float) -> float:
-        """The hazard ``G(lo) + e`` of the draw's root, the table built up
-        to it; :class:`CapExceededError` exactly when ``hazard_to(cap) < e``."""
-        target = self._base() + e
+    def _reach(self, e: float) -> tuple:
+        """The draw's root as a pair ``(q, h)``: its panel and the hazard
+        from that panel's left edge; :class:`CapExceededError` exactly when
+        ``hazard_to(cap) < e``."""
+        p, target = self._p, self._base() + e
         # panels up to the one holding the target, or to the cap
-        while (self._cum[-1] <= target
-               and _panel_edge(self._k0 + len(self._panels)) <= self.cap):
-            self._build(self._k0 + len(self._panels))
-        if self._cum[-1] <= target:
+        s = self._sums(p, target, self.cap)
+        if s[-1] <= target:
             raise self._cap_error(e)
-        i, j = self._locate(target)
-        if self._panels[i][0][j] > self.cap:
+        i = bisect.bisect_right(s, target, 1) - 1
+        q, h = p + i, target - s[i]
+        edges, bases, _, _ = self._panel(q)
+        if edges[_sub_panel(bases, h)] > self.cap:
             self.g_evals += 1
             if self.hazard_to(self.cap) < e:
                 raise self._cap_error(e)
-        return target
+        return q, h
 
-    def _root(self, target: float, e: float) -> float:
-        """The root of ``hazard_to(y) = e`` above ``lo``, at hazard
-        ``target``."""
-        i, j = self._locate(target)
-        edges, bases, _, _ = self._panels[i]
+    def _root(self, q: int, h: float, e: float) -> float:
+        """The root of ``hazard_to(y) = e`` above ``lo``, at the hazard
+        ``h`` from the left edge of panel ``q``."""
+        edges, bases, _, _ = self._panel(q)
+        j = _sub_panel(bases, h)
         # G(lo) may round to below its sub-panel's start, hence the max
         lo, hi = max(edges[j - 1], self.lo), min(edges[j], self.cap)
         if hi <= lo or e <= 0.0:
             # the root is within rounding of the jump image, or on it
             return lo
-        if target >= self._cum[i] + bases[j]:
-            # on the table's top: Newton would only bisect toward it
+        if h >= bases[j]:
+            # on the sub-panel's top: Newton would only bisect toward it
             return hi
-        starts, pieces, curv = self._inverse(i, j)
-        h = target - self._cum[i] - bases[j - 1]
+        starts, pieces, curv = self._inverse(q, j)
+        h -= bases[j - 1]
         p = bisect.bisect_right(starts, h, 1) - 1
+        half = 0.5 * (edges[j] - edges[j - 1])
         if pieces[p]:
             coeffs, scale = pieces[p]
-            y = edges[j - 1] + (0.5 * (edges[j] - edges[j - 1])) * (
+            y = edges[j - 1] + half * (
                 _clenshaw(coeffs, (h - starts[p]) * scale - 1.0) + 1.0)
         else:
             # start where the hazard, taken as linear across the sub-panel,
@@ -308,16 +289,16 @@ class GenericSampler:
             y = (edges[j - 1] + (edges[j] - edges[j - 1]) * (h / rise)
                  if rise > 0.0 else lo)
             curv = math.inf
-        y, steps = self._newton(e, y, lo, hi, curv)
+        y, steps = self._newton(e, y, lo, hi, curv, half)
         self.g_evals += steps
         self.newton_steps += steps
         return y
 
-    def _inverse(self, i: int, j: int) -> tuple:
-        """The inverse (:func:`_invert`) of sub-panel ``j`` of panel ``i``,
+    def _inverse(self, k: int, j: int) -> tuple:
+        """The inverse (:func:`_invert`) of sub-panel ``j`` of panel ``k``,
         built into the store first.  It leaves the panel's series as they
         are, so that ``G`` is the same for every sampler of the model."""
-        edges, bases, series, inverses = self._panels[i]
+        edges, bases, series, inverses = self._panel(k)
         if inverses[j - 1] is None:
             a, b = edges[j - 1], edges[j]
             inverses[j - 1], evals = _invert(
@@ -328,15 +309,16 @@ class GenericSampler:
         return inverses[j - 1]
 
     def _newton(self, e: float, y: float, lo: float, hi: float,
-                curv: float) -> tuple:
+                curv: float, half: float) -> tuple:
         """The root of ``hazard_to(y) = e`` in ``(lo, hi)`` from ``y``, and
         the number of steps taken.
 
         A step ``step = r/g(y)`` from ``y``, with ``r = hazard_to(y) - e``,
         leaves out the Taylor term ``G''(xi)*step**2/2`` of the table: to
         first order the root is ``y - step - G''(xi)/(2 g(y)) * step**2``.
-        With ``curv`` at least ``|G''|`` on the sub-panel, that term is at
-        most a quarter ulp of ``y`` when ``curv*step**2 <= g(y)*ulp(y)/2``.
+        With ``curv/half**2`` at least ``|G''|`` on the sub-panel of
+        half-width ``half``, that term is at most a quarter ulp of ``y`` when
+        ``curv*(step/half)**2 <= g(y)*ulp(y)/2``.
         ``g`` is the table's slope only to its tolerance: they differ by
         about ``CHEB_RTOL*g``, which moves the root by ``CHEB_RTOL*|step|``,
         at most a quarter ulp when ``|step|*CHEB_RTOL <= ulp(y)/4``.  With
@@ -364,8 +346,9 @@ class GenericSampler:
                 y = lo          # no slope: bisect
                 continue
             step = r / d
-            if abs(step) <= tol or (curv * step * step <= 0.5 * d * ulp
-                                    and abs(step) * CHEB_RTOL <= 0.25 * ulp):
+            if abs(step) <= tol or (
+                    curv * (step / half) ** 2 <= 0.5 * d * ulp
+                    and abs(step) * CHEB_RTOL <= 0.25 * ulp):
                 return y - step, steps
             y -= step
         return y, NEWTON_STEPS
@@ -374,90 +357,95 @@ class GenericSampler:
         return CapExceededError(
             f"hazard below target {e:.3g} before cap {self.cap:.3g}")
 
-    def _state(self, h: float) -> float:
-        """``G^{-1}(h)`` for a hazard ``h`` inside the table: the root of a
-        draw of ``h - G(a)`` from the left edge ``a`` of its sub-panel, taken
-        as the jump image for the solve."""
-        i, j = self._locate(h)
-        saved = self.lo, self._g_lo, self.cap
-        self.lo = self._panels[i][0][j - 1]
-        self._g_lo = self._cum[i] + self._panels[i][1][j - 1]
+    def _state(self, k: int, h: float) -> float:
+        """``G^{-1}``: the state in panel ``k`` at the hazard ``h`` from its
+        left edge, the root of a draw of ``h - G(a)`` from the left edge
+        ``a`` of its sub-panel, taken as the jump image for the solve."""
+        edges, bases, _, _ = self._panel(k)
+        j = _sub_panel(bases, h)
+        saved = self.lo, self._p, self._g_lo, self.cap
+        self.lo, self._p, self._g_lo = edges[j - 1], k, bases[j - 1]
         self.cap = math.inf
         try:
-            return self._root(h, h - self._g_lo)
+            return self._root(k, h, h - bases[j - 1])
         finally:
-            self.lo, self._g_lo, self.cap = saved
+            self.lo, self._p, self._g_lo, self.cap = saved
 
     def chain(self, draws) -> np.ndarray:
         """The states after the current one for one or more unit-exponential
         ``draws`` (a sequence of floats), the chain ``simulate_chain`` makes.
 
         With ``h = G(z)`` a transition is ``h' = phi(h) + e``, where
-        ``phi(h) = G(kappa*G^{-1}(h))``: one series of the phi table per
-        step (:meth:`_phi_panel`) while ``h'`` is below the table's top.
-        A step the table does not cover, or that reaches the top, is a draw
-        from the state of ``h``, solved for first if a phi step left only
-        ``h``.  The ``PHI_VISITS``-th such step from a panel builds the phi
-        table over it.  :meth:`states` inverts the hazards of the phi steps
-        in one pass, and before a draw that grows the table downward those
-        walked so far; then each is held to its cap.  No state lands below
-        the jump image of the one before.  A failure names transition
-        ``k``, or an earlier state past its cap.
+        ``phi(h) = G(kappa*G^{-1}(h))``: one series of panel ``k``'s phi
+        table (:meth:`_fit_phi`) per step from a state in panel ``k``, from
+        the chain's ``PHI_VISITS``-th exact step from ``k`` on, while the
+        running sums from ``p`` reach past ``h'``; the step extends them no
+        further than the panel of ``CAP_FACTOR * max(edge(k+1), 1)``, above
+        the cap of any state in ``k``.  Any other step is a draw from the
+        state of ``h``, solved for first if a phi step left only ``h``.
+        :meth:`states` inverts the pairs of the phi steps in one pass, and
+        then each state is held to its cap.  No state lands below the jump
+        image of the one before.  A failure names transition ``k``, or an
+        earlier state past its cap.
         """
         # the states the draws solved for, nan where a phi step left only
-        # the hazard; the hazards go to a buffer, not a list of floats that
+        # its pair; the pairs go to buffers, not lists of numbers that
         # would scatter a chain's worth of objects over the allocator
-        z = np.full(len(draws), np.nan)
-        hs = np.empty(len(draws))
-        out = memoryview(hs)
-        lows, records = self._phi_lo, self._phi
-        # h is the hazard of the state before transition k, and y that state
-        # unless a phi step left it unsolved; the hazards before start are
-        # inverted; top, the table's top hazard, is set by the exact first step
-        z0, k, h, y, solved, start = self.z, 0, -math.inf, self.z, True, 0
+        n = len(draws)
+        z = np.full(n, np.nan)
+        ks, hs = np.empty(n, dtype=np.int64), np.empty(n)
+        out_k, out_h = memoryview(ks), memoryview(hs)
+        sums, visits, ready = self._sums_from, {}, {}
+        # (q, h) is the pair of the state before transition k, and y that
+        # state unless a phi step left it unsolved; z0's pair is not needed
+        z0, k, q, h, y, solved = self.z, 0, None, 0.0, self.z, True
         try:
-            for k in range(len(draws)):
+            for k in range(n):
                 e = draws[k]
-                j = bisect.bisect_right(lows, h) - 1
-                u = h - lows[j]
-                b, mid, scale, c0, rest = records[j]
-                covered = u < b
-                if covered:
-                    # _clenshaw, inlined
-                    x = (u - mid) * scale
-                    x2 = x + x
-                    b1 = b2 = 0.0
-                    for c in rest:
-                        b1, b2 = c + x2 * b1 - b2, b1
-                    after = lows[j] + (c0 + x * b1 - b2 + e)
-                    if after < top:
-                        out[k] = h = after
-                        solved = False
-                        continue
+                table = ready.get(q)
+                if table is not None:
+                    rights, records, p, cap = table
+                    record = records[bisect.bisect_right(rights, h)]
+                    if record is not None:
+                        mid, scale, c0, rest = record
+                        # _clenshaw, inlined
+                        x = (h - mid) * scale
+                        x2 = x + x
+                        b1 = b2 = 0.0
+                        for c in rest:
+                            b1, b2 = c + x2 * b1 - b2, b1
+                        after = c0 + x * b1 - b2 + e
+                        s = sums.get(p, (0.0,))
+                        if after >= s[-1]:
+                            try:
+                                s = self._sums(p, after, cap)
+                            except OverflowError:
+                                s = (math.inf,)     # the state's draw raises it
+                        i = bisect.bisect_right(s, after, 1) - 1
+                        if i < len(s) - 1:
+                            out_k[k] = q = p + i
+                            out_h[k] = h = after - s[i]
+                            solved = False
+                            continue
                 if not solved:
-                    z[k - 1] = y = self._state(h)
+                    z[k - 1] = y = self._state(q, h)
                 self.move_to(y)
-                if _panel_index(self.lo) < self._k0:
-                    # the draw grows the table downward, which moves every
-                    # hazard in it: the walk's are inverted first, in the
-                    # table they were found in
-                    self._fill(z[start:k], hs[start:k])
-                    start = k
-                if not covered and k:
-                    # from a state in the table (z0 may lie above it)
-                    self._phi_panel(_panel_index(y))
-                out[k] = h = self._reach(e)
-                z[k] = y = self._root(h, e) if e else self.lo
+                visits[q] = visits.get(q, 0) + 1
+                if visits[q] == PHI_VISITS:
+                    ready[q] = self._phi_table(q)
+                q, h = self._reach(e)
+                out_k[k], out_h[k] = q, h
+                z[k] = y = self._root(q, h, e) if e else self.lo
                 solved = True
                 self.exact_steps += 1
-                top = self._cum[-1]
-            k, error = len(draws), None
+            k, error = n, None
         except (OverflowError, CapExceededError, StateRangeError) as exc:
             error = exc
         # a phi step leaves its cap unchecked: the first state past its cap
         # (those from the failed transition k on are nan) fails as its draw
         # would have, ahead of transition k
-        self._fill(z[start:k], hs[start:k])
+        walked = np.isnan(z[:k])
+        z[:k][walked] = self.states(ks[:k][walked], hs[:k][walked])
         prev = np.concatenate(([z0], z[:-1]))
         for m in np.flatnonzero(z > CAP_FACTOR * np.maximum(prev, 1.0))[:1]:
             self.move_to(prev[m])
@@ -467,137 +455,120 @@ class GenericSampler:
         np.maximum(z, self._kappa * prev, out=z)
         return z
 
-    def _fill(self, z: np.ndarray, hs: np.ndarray) -> None:
-        """The states of the hazards ``hs`` into the nan entries of ``z``."""
-        walked = np.isnan(z)
-        z[walked] = self.states(hs[walked])
-
-    def _phi_panel(self, k: int) -> None:
-        """Count a draw from panel ``k`` that the phi table does not cover,
-        and from the ``PHI_VISITS``-th on, once the hazard table holds the
-        panel's jump images, splice in the phi sub-panels over it from the
-        store (:meth:`_fit_phi` when missing), edges moved to this table."""
-        visits = self._phi_visits[k] = self._phi_visits.get(k, 0) + 1
+    def _phi_table(self, k: int):
+        """Panel ``k``'s phi table from the store (:meth:`_fit_phi` when
+        missing), the panel ``p`` its values are measured from, and the cap
+        to which a phi step from ``k`` extends ``p``'s sums; ``None`` where
+        the jump image of the panel underflows."""
         lo = self._kappa * _panel_edge(k)
-        if visits < PHI_VISITS or not lo > 0.0 or _panel_index(lo) < self._k0:
-            return
+        if not lo > 0.0:
+            return None
         if k not in self._stored_phi:
             self._stored_phi[k] = self._fit_phi(k)
-        lows, records = self._stored_phi[k]
-        shift = self._cum[_panel_index(lo) - self._k0]
-        at = bisect.bisect_right(self._phi_lo, lows[0] + shift)
-        self._phi_lo[at:at] = [a + shift for a in lows]
-        self._phi[at:at] = records
+        return (*self._stored_phi[k], _panel_index(lo),
+                CAP_FACTOR * max(_panel_edge(k + 1), 1.0))
 
     def _fit_phi(self, k: int) -> tuple:
-        """The phi sub-panels over the hazards of panel ``k``, fitted on a
-        table from the panel ``p`` holding the jump image of ``k``'s left
-        edge to ``k``, swapped in for the sampler's: their left edges, in
-        the hazard from ``p``, and records, a function of the model and
-        ``k`` alone.
+        """The phi sub-panels over the hazards of panel ``k``, a function of
+        the model and ``k`` alone: their right ends, in the hazard from the
+        panel's left edge, with ``inf`` last, and a record ``(midpoint,
+        1/half-width, c0, (c_N, ..., c_1))`` for each, ``None`` for a flagged
+        one and the last.  A record gives the hazard from the left edge of
+        the panel ``p`` holding ``kappa * _panel_edge(k)``.
 
         ``phi(h) = G(kappa*G^{-1}(h))`` is interpolated at the
         ``CHEB_NODES`` Chebyshev points of a sub-panel, each from one node
         solve (:meth:`_state`) and one ``G``, and the sub-panel halved as
         :func:`_fit_panel` halves, until its series less its value at the
         left end meets ``CHEB_RTOL`` or the tail is within ``ROOT_ULPS`` ulps
-        of ``phi``.  The table ends at panel ``k``, so the node at its top
-        hazard stays in it.  Where ``phi`` is not smooth (``g`` kinks or
-        vanishes at ``y`` or ``kappa*y``) a sub-panel is flagged: one with a
-        node in a flagged piece of ``G``'s inverse, or one that stops halving
-        short of the test or is narrower than ``PANEL_FLOOR``.
+        of ``phi``.  Where ``phi`` is not smooth (``g`` kinks or vanishes at
+        ``y`` or ``kappa*y``) a sub-panel is flagged: one with a node in a
+        flagged piece of ``G``'s inverse, or one that stops halving short of
+        the test or is narrower than ``PANEL_FLOOR``.
         """
         p = _panel_index(self._kappa * _panel_edge(k))
         left, right = _panel_edge(k), _panel_edge(k + 1)
-        saved = self._k0, self._panels, self._cum
-        self._k0, self._panels, self._cum = p, [], [0.0]
-        try:
-            self._build(k)
-            todo = [(self._cum[k - p], self._cum[-1], 0)]
-            lows, records = [], []
-            while todo:
-                a, b, depth = todo.pop()
-                half = 0.5 * (b - a)
-                mid = a + half
-                lows.append(a)
-                # a flagged record: every step from it is exact
-                flagged = (b - a, 0.0, 0.0, math.inf, ())
-                if b - a < PANEL_FLOOR:
-                    records.append(flagged)
-                    continue
+        todo = [(0.0, self._panel(k)[1][-1], 0)]
+        rights, records = [], []
+        while todo:
+            a, b, depth = todo.pop()
+            half = 0.5 * (b - a)
+            mid = a + half
+            record = None
+            if b - a >= PANEL_FLOOR:
                 fallbacks = self.fallback_draws
-                # the bottom node may round below a, into the panel below
-                ys = [min(max(self._state(max(mid + half * t, a)), left),
-                          right) for t in _CHEB_NODES]
-                values = [self._antiderivative(self._kappa * y) for y in ys]
+                # within rounding of the panel, so kappa*y is in p or above
+                ys = [min(max(self._state(k, mid + half * t), left), right)
+                      for t in _CHEB_NODES]
+                values = [self._hazard(p, self._kappa * y) for y in ys]
                 self.g_evals += CHEB_NODES
                 # phi less its value at the left end, so that the test is
                 # relative to phi's rise, down to the rounding of phi itself
                 c = _chebyshev([v - values[-1] for v in values])
                 ulp = math.ulp(values[0])
                 if self.fallback_draws > fallbacks:
-                    # a node in a flagged sub-panel of G: G^{-1} is not smooth
-                    records.append(flagged)
+                    pass    # a node in a flagged piece of G: G^{-1} kinks
                 elif _smooth(c) or abs(c[-2]) + abs(c[-1]) <= ROOT_ULPS * ulp:
                     # terms below a quarter ulp of phi add nothing to a step
                     while len(c) > 1 and abs(c[-1]) <= 0.25 * ulp:
                         c.pop()
-                    records.append((b - a, half, 1.0 / half,
-                                    c[0] + (values[-1] - a),
-                                    tuple(reversed(c[1:]))))
+                    record = (mid, 1.0 / half, c[0] + values[-1],
+                              tuple(reversed(c[1:])))
                 elif _can_halve(depth, len(records) + len(todo)):
-                    lows.pop()
                     # left half on top: sub-panels come off the stack in order
                     todo += [(mid, b, depth + 1), (a, mid, depth + 1)]
-                else:
-                    records.append(flagged)
-        finally:
-            self._k0, self._panels, self._cum = saved
+                    continue
+            rights.append(b)
+            records.append(record)
         self.phi_built += len(records)
-        return lows, records
+        return rights + [math.inf], records + [None]
 
-    def states(self, hs) -> np.ndarray:
-        """The states ``y`` with ``G(y) = h`` for hazards ``hs`` inside the
-        table, in one vectorized pass.
+    def states(self, ks, hs) -> np.ndarray:
+        """The states of the pairs ``(ks[i], hs[i])``, panel and hazard from
+        its left edge, in one vectorized pass.
 
-        ``searchsorted`` finds each hazard's panel, then its sub-panel among
-        those of the panels found, then its piece of the sub-panel's inverse
-        (built first where missing), which gives the start; one Newton step
-        on the sub-panel's hazard series finishes, kept where it passes the
-        test :meth:`_newton` stops on.  The rest, in flagged pieces or not
-        certified, go through the scalar solve :meth:`_state`.
+        A pair is searched for as the complex number ``k + 1j*h``, which
+        numpy orders by ``k``, then by ``h``: ``searchsorted`` finds its
+        sub-panel among those of the panels found, then its piece of the
+        sub-panel's inverse (built first where missing), which gives the
+        start; one Newton step on the sub-panel's hazard series finishes,
+        kept where it passes the test :meth:`_newton` stops on.  The rest,
+        in flagged pieces or not certified, go through the scalar solve
+        :meth:`_state`.
         """
+        k = np.asarray(ks, dtype=np.int64)
         h = np.asarray(hs, dtype=float)
         if not h.size:
             return np.empty(h.shape)
-        found = np.flatnonzero(np.bincount(_bins(self._cum[:-1], h)))
-        rows = [(i, j) for i in found.tolist()
-                for j in range(1, len(self._panels[i][0]))]
-        starts = [self._cum[i] + self._panels[i][1][j - 1] for i, j in rows]
-        # per piece of a sub-panel holding a hazard: the sub-panel's first
-        # hazard, the piece's less that and its own, the sub-panel's edges and
-        # curv, and 2/rise; and the inverse and hazard series as rows of
+        keys = k + 1j * h
+        low = int(k.min())
+        found = (np.flatnonzero(np.bincount(k - low)) + low).tolist()
+        rows = [(i, j) for i in found for j in range(1, len(self._panel(i)[0]))]
+        starts = [i + 1j * self._panel(i)[1][j - 1] for i, j in rows]
+        # per piece of a sub-panel holding a pair: the sub-panel's first
+        # hazard, the piece's less that, the sub-panel's edges and curv, and
+        # 2/rise; and the inverse and hazard series as rows of
         # _clenshaw_rows
         pieces = []
-        for u in np.flatnonzero(np.bincount(_bins(starts, h))).tolist():
+        for u in np.flatnonzero(np.bincount(_bins(starts, keys))).tolist():
             first, inverses, curv = self._inverse(*rows[u])
             pieces += [(rows[u], starts[u], curv, hp, inverse)
                        for hp, inverse in zip(first, inverses)]
-        ends = np.zeros((len(pieces), 7))
+        ends = np.zeros((len(pieces), 6))
         inverse = np.zeros((len(pieces), CHEB_NODES))
         hazard = np.zeros((len(pieces), CHEB_NODES + 1))
         for u, ((i, j), start, curv, hp, piece) in enumerate(pieces):
-            ends[u, :3] = start, hp, start + hp
+            ends[u, :2] = start.imag, hp
             if piece:
-                edges, _, series, _ = self._panels[i]
+                edges, _, series, _ = self._panel(i)
                 coeffs, scale = piece
-                ends[u, 3:] = edges[j - 1], edges[j], curv, scale
+                ends[u, 2:] = edges[j - 1], edges[j], curv, scale
                 _series_row(inverse[u], coeffs)
                 _series_row(hazard[u], series[j - 1])
-        at = _bins(ends[:, 2], h)
+        at = _bins([start + 1j * hp for _, start, _, hp, _ in pieces], keys)
         good = np.array([bool(piece[-1]) for piece in pieces])[at]
         at = at[good]
-        start, hp, _, a, b, curv, scale = ends[at].T
+        start, hp, a, b, curv, scale = ends[at].T
         local = h[good] - start
         t, _ = _clenshaw_rows(inverse, at, (local - hp) * scale - 1.0)
         s, slope = _clenshaw_rows(hazard, at, t)
@@ -612,7 +583,7 @@ class GenericSampler:
         ulp = np.spacing(y)
         size = np.abs(step)
         sure = size <= ROOT_ULPS * ulp
-        sure |= ((curv * size * size <= 0.5 * d * ulp)
+        sure |= ((curv * (size / half) ** 2 <= 0.5 * d * ulp)
                  & (size * CHEB_RTOL <= 0.25 * ulp))
         sure &= (a < y) & (y < b) & (d > 0.0)
         y -= step
@@ -620,26 +591,31 @@ class GenericSampler:
         z[good] = y
         good[good] = sure
         rest = np.flatnonzero(~good)
-        for k in rest.tolist():
-            z[k] = self._state(float(h[k]))
+        for u in rest.tolist():
+            z[u] = self._state(int(k[u]), float(h[u]))
         self.exact_states += len(rest)
         return z
 
     def _next_states(self, zs: list, es: list) -> np.ndarray:
         """The roots of the draws ``es`` from the states ``zs``, none below
-        the state made at: hazards by :meth:`_reach`, then one :meth:`states`
+        the state made at: pairs by :meth:`_reach`, then one :meth:`states`
         pass, or for one draw its own solve; a failure names its index."""
-        hs = []
-        k = 0
+        pairs, k = [], 0
         try:
             for k, (z, e) in enumerate(zip(zs, es)):
                 self.move_to(z)
-                hs.append(self._reach(e))
-            if len(hs) == 1:
-                return np.array([self._root(hs[0], es[0])])
+                pairs.append(self._reach(e))
+            if len(pairs) == 1:
+                return np.array([self._root(*pairs[0], es[0])])
         except (OverflowError, CapExceededError, StateRangeError) as exc:
             raise self._at(k, exc) from exc
-        return self.states(hs)
+        return self.states(*zip(*pairs))
+
+
+def _sub_panel(bases: list, h: float) -> int:
+    """``j``: the sub-panel ``[edges[j-1], edges[j])`` of a panel holding the
+    hazard ``h`` from its left edge, clamped to the panel."""
+    return min(max(bisect.bisect_right(bases, h), 1), len(bases) - 1)
 
 
 def _bins(lows, h: np.ndarray) -> np.ndarray:
@@ -685,10 +661,10 @@ def _invert(g, a: float, b: float, series: tuple, rise: float,
     is infinite), and ``False`` then.  Otherwise it is the coefficients, cut
     after the last above ``INV_TOL*w``, as a series in ``s``, and
     ``2/(S(tb) - S(ta))``.  ``starts`` holds each piece's ``S(ta)``;
-    ``curv`` bounds ``|G''|`` on the sub-panel by Markov's inequality for
-    each term ``A_k T_k`` of ``S``, ``sum |A_k| k**2 (k**2 - 1)/3 / half**2``
-    (infinite if that overflows, which only disables the early exit of
-    :meth:`GenericSampler._newton`).
+    ``curv`` bounds ``|S''|`` by Markov's inequality for each term
+    ``A_k T_k`` of ``S``, ``sum |A_k| k**2 (k**2 - 1)/3``, so ``|G''|`` on
+    the sub-panel is at most ``curv/half**2``; in ``t`` the bound does not
+    overflow however narrow the sub-panel.
     """
     rest = series[1]
     half = 0.5 * (b - a)
@@ -728,7 +704,7 @@ def _invert(g, a: float, b: float, series: tuple, rise: float,
                     continue
         starts.append(ha)
         pieces.append(piece)
-    return (starts, pieces, curv / half / half), evals
+    return (starts, pieces, curv), evals
 
 
 def _clenshaw(series: tuple, t: float) -> float:
@@ -829,11 +805,10 @@ def _generic_chain(model: Model, z0: float, draws: np.ndarray) -> np.ndarray:
 
 def _generic_next(model: Model, z: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Numeric draws from ``z`` for ``e``, arrays of one shape: each root's
-    hazard from one table, inverted by :meth:`GenericSampler.states`."""
+    hazard pair, inverted by :meth:`GenericSampler.states`."""
     zs, es = z.ravel().tolist(), e.ravel().tolist()
     if not zs:
         return np.empty(z.shape)
-    # the table starts at the lowest state, so it never grows downward
-    y = GenericSampler(model, min(zs))._next_states(zs, es)
+    y = GenericSampler(model, zs[0])._next_states(zs, es)
     lo = model.jump.kappa * z.ravel()
     return np.where(e.ravel() == 0.0, lo, np.maximum(y, lo)).reshape(z.shape)

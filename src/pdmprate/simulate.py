@@ -28,6 +28,7 @@ from .model import ADDITIVE, Model, ShiftedQuadraticRate
 from .numeric import GenericSampler, _generic_chain, _generic_next
 
 _FLOAT_TINY = float(np.finfo(float).tiny)
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -133,8 +134,12 @@ def _power_chain(model: Model, z0: float, draws: np.ndarray) -> np.ndarray:
     ``x_k = p*c*e_k/lam``, so ``w_k = sum_i r**(k-i) * v_i`` with
     ``v = (w_0, r*x_1, ..., r*x_n)``.  Pass ``s = 1, 2, 4, ...`` of the
     doubling scan adds ``r**s`` times the partial sum ``s`` places back; all
-    terms are positive, so each state carries O(log n) roundings.  The
-    passes stop once ``r**s`` underflows, since the rest would add zeros.
+    terms are positive, so each state carries O(log n) roundings.  Where
+    ``r**s`` is below the smallest normal double, ``r**s * w`` need not be,
+    so a pass multiplies by ``r**(s/2)`` twice; the passes stop once they
+    would add only zeros.  While ``z0**p`` and the ``w`` after it overflow,
+    the chain steps in ``log w' = p*log(kappa) + log w + log1p(x/w)``
+    instead, and the scan starts from the first ``w`` that fits.
     """
     p = model.power_exponent
     r = model.jump.kappa ** p
@@ -149,12 +154,29 @@ def _power_chain(model: Model, z0: float, draws: np.ndarray) -> np.ndarray:
         # an overflow leaves inf states, which simulate_chain reports
         np.power(w[:1], p, out=w[:1])
         np.multiply(draws, r * (p * model.flow.c / model.rate.lam), out=w[1:])
+        logs = [p * math.log(z0)] if w[0] == math.inf else []
+        while logs and logs[-1] >= _LOG_MAX and len(logs) <= n:
+            # log(r*w) + log1p(r*x / (r*w))
+            a = logs[-1] + p * math.log(model.jump.kappa)
+            logs.append(a + math.log1p(w[len(logs)] * math.exp(-a)))
+        scan = w[max(len(logs) - 1, 0):]
+        if logs:
+            scan[0] = np.exp(logs[-1])
         s = 1
-        while s <= n and r ** s > 0.0:
-            w[s:] += r ** s * w[:-s]
+        while s < len(scan):
+            if r ** s >= _FLOAT_TINY:
+                scan[s:] += r ** s * scan[:-s]
+            elif r ** (s // 2) * (r ** (s // 2) * scan.max()) > 0.0:
+                terms = scan[:-s] * r ** (s // 2)
+                terms *= r ** (s // 2)
+                scan[s:] += terms
+            else:
+                break
             s *= 2
         if p != 1.0:
             np.power(w, 1.0 / p, out=w)
+        if logs:
+            w[:len(logs)] = np.exp(np.array(logs) / p)
     w[0] = z0
     return w
 

@@ -19,6 +19,7 @@ finds its root by Brent's method, one transition at a time, and
 the hazard pair and the fit-record reader are used only by tests.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -210,6 +211,18 @@ def quadratic_step_oracle(model, z, e):
     t = np.cbrt(plus) + np.cbrt(minus)
     out = kappa * (a + t)
     return out if out.ndim else float(out)
+
+
+def power_log_step_oracle(model, z, e):
+    """Next state ``kappa * (z**p + x)**(1/p)`` of a power-rate chain, with
+    ``x = p*c*e/lam``, by its logarithm ``log(z**p + x)``, the log-sum of
+    ``p*log(z)`` and ``log(x)``: ``z**p`` is never formed, so it may exceed
+    the largest double while the states fit."""
+    p = model.power_exponent
+    x = p * model.flow.c * e / model.rate.lam
+    terms = sorted([p * math.log(z), math.log(x) if x > 0.0 else -math.inf])
+    log_sum = terms[1] + math.log1p(math.exp(terms[0] - terms[1]))
+    return model.jump.kappa * math.exp(log_sum / p)
 
 
 def simulate_chain_oracle(model, z0, n, seed):

@@ -425,9 +425,10 @@ class TestSimulateCommand:
         assert main(["--config", path, "simulate"]) == 2
 
     def test_state_overflow_exit_code(self, tmp_path, caplog):
+        # c/lam = 1e310: the first state, about 5e309 * e, is out of range
         doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
-        doc["model"]["rate"]["delta"] = 200.0
-        doc["model"]["z0"] = 40.0
+        doc["model"]["flow"]["c"] = 1e10
+        doc["model"]["rate"]["lam"] = 1e-300
         path = write_config(tmp_path, doc, out_dir=str(tmp_path / "o"))
         assert main(["--config", path, "simulate", "--n", "50"]) == 3
         assert "at transition 0:" in caplog.text

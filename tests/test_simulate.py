@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from scipy import optimize, stats
 
 from oracles import (advance, chain_draws, cumulative, generic_draw_oracle,
-                     sample_next_generic, simulate_chain_oracle)
+                     power_log_step_oracle, sample_next_generic,
+                     simulate_chain_oracle)
 import pdmprate
 from pdmprate import (CapExceededError, ChainFormatError, ConfigError,
                       GenericSampler, InconsistentChainError, JumpChain,
@@ -26,9 +27,10 @@ from pdmprate import (CapExceededError, ChainFormatError, ConfigError,
                       tcp_quadratic_model)
 from pdmprate.model import (CustomRate, Flow, JumpMap, Model, PowerRate,
                             ShiftedQuadraticRate)
-from pdmprate.numeric import (_clenshaw, _fit_panel, _generic_chain,
-                              _generic_next, _invert, _panel_edge,
-                              _panel_index, _scalar_integrand, _store)
+from pdmprate.numeric import (CAP_FACTOR, _clenshaw, _fit_panel,
+                              _generic_chain, _generic_next, _invert,
+                              _panel_edge, _panel_index, _scalar_integrand,
+                              _store)
 from pdmprate.simulate import (_family_samplers, _power_chain, _power_step,
                                _quadratic_steps)
 
@@ -129,9 +131,9 @@ GENERIC_RATES = {
 
 
 def inverse_pieces(sampler, between=None):
-    """The pieces of every inverse built in the sampler's table, or only of
-    the sub-panels holding the state ``between``."""
-    return [piece for edges, _, _, inverses in sampler._panels
+    """The pieces of every inverse built in the tables the sampler reads, or
+    only of the sub-panels holding the state ``between``."""
+    return [piece for edges, _, _, inverses in sampler._stored.values()
             for a, b, inverse in zip(edges, edges[1:], inverses)
             if inverse is not None and (between is None or a < between < b)
             for piece in inverse[1]]
@@ -167,6 +169,10 @@ CHAIN_MODELS = [
 ]
 CHAIN_IDS = ["mc_generic", "mc_generic_from_50", *GENERIC_RATES,
              "vanishing", "exponential_custom", "exponential_quadratic"]
+
+# a chain from 1 that falls toward 1e-126 over 2500 transitions of seed 1
+FALLING = Model(Flow("exponential", 1.0), JumpMap(0.7),
+                ShiftedQuadraticRate(2.0, 1.0))
 
 
 # one model of each sampler family: power under either flow, the Cardano
@@ -507,10 +513,11 @@ class TestGenericSampler:
                 generic_draw_oracle(model, 0.5, e, (1.0,)), rel=1e-12)
 
     def test_curvature_bound_below_square_root_of_tiny(self):
-        # the sub-panel's half-width squared underflows: the bound on |G''|
-        # is infinite, which only disables Newton's early exit.  With the
-        # rate ~ a**2 + b this far below a, the hazard is 1.5e6*ln(y/lo).
-        # The store starts empty, so the draw builds the inverse it takes.
+        # the sub-panel's half-width squared underflows, and |G''| overflows,
+        # but its bound is kept in the sub-panel's position t, so Newton's
+        # early exit still ends the draw after one step.  With the rate
+        # ~ a**2 + b this far below a, the hazard is 1.5e6*ln(y/lo).  The
+        # store starts empty, so the draw builds the inverse it takes.
         model = Model(Flow("exponential", 1e-6), JumpMap(0.5),
                       ShiftedQuadraticRate(1.0, 0.5))
         _store.cache_clear()
@@ -518,6 +525,7 @@ class TestGenericSampler:
         assert sampler.draw(1.0) == pytest.approx(
             5e-162 * math.exp(1.0 / 1.5e6), rel=1e-12)
         assert sampler.inverses_built == 1 and sampler.fallback_draws == 0
+        assert sampler.newton_steps == 1
 
     @pytest.mark.parametrize("model, z0", CHAIN_MODELS, ids=CHAIN_IDS)
     def test_chain_matches_per_step_loop(self, model, z0):
@@ -534,11 +542,9 @@ class TestGenericSampler:
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     def test_falling_chain_matches_per_step_loop(self):
-        # the chain falls toward 1e-126, growing the table downward on most
-        # steps: the hazards of its phi steps are inverted before each such
-        # growth, not shifted with the table, which would lose 2.1e-13 here
-        model = Model(Flow("exponential", 1.0), JumpMap(0.7),
-                      ShiftedQuadraticRate(2.0, 1.0))
+        # the chain falls toward 1e-126, into a new panel on most steps,
+        # each of its hazards measured from its own panel's left edge
+        model = FALLING
         n, seed = 2500, 1
         draws = chain_draws(seed, n)
         want = np.empty(n + 1)
@@ -589,20 +595,50 @@ class TestGenericSampler:
                            match="^at transition 3: the jump image of z = "):
             simulate_chain(model, 1.0, 10, 0)
 
+    def test_state_range_error_after_a_phi_step_names_its_state(self):
+        # the rate e**x overflows at x = 709.8, inside the cap: the last draw
+        # runs the hazard into it from the state the phi steps left
+        model = Model(Flow("additive", 1.0), JumpMap(0.5),
+                      CustomRate(math.exp))
+        draws = chain_draws(0, 300).tolist()
+        walker = GenericSampler(model, 1.0)
+        z = walker.chain(draws)
+        assert walker.exact_steps < 0.2 * len(draws)
+        with pytest.raises(StateRangeError, match=(
+                f"^at transition 300: the hazard from z = {float(z[-1])!r} ")):
+            GenericSampler(model, 1.0).chain(draws + [1e300])
+
     @pytest.mark.parametrize("model", [MC_GENERIC, CHAIN_MODELS[3][0],
                                        CHAIN_MODELS[-1][0]],
                              ids=["mc_generic", "kink",
                                   "exponential_quadratic"])
     def test_sample_next_array_matches_draws(self, model):
-        # one table and one vectorized inversion for all elements, against
-        # a fresh sampler per element
+        # one vectorized inversion for all elements, against a fresh sampler
+        # per element; the second set of states spreads over 106 octaves,
+        # each root measured from its own panel
         rng = np.random.default_rng(8)
-        zs = np.exp(rng.uniform(np.log(0.05), np.log(20.0), 200))
-        es = rng.exponential(1.0, 200)
-        es[::10] = 0.0
-        got = sample_next(model, zs, es)
-        want = [GenericSampler(model, z).draw(e) for z, e in zip(zs, es)]
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        for zs in (np.exp(rng.uniform(np.log(0.05), np.log(20.0), 200)),
+                   np.geomspace(1e-30, 1e2, 200)):
+            es = rng.exponential(1.0, 200)
+            es[::10] = 0.0
+            got = sample_next(model, zs, es)
+            want = [GenericSampler(model, z).draw(e) for z, e in zip(zs, es)]
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("model, z0, n, seed", [
+        (FALLING, 1.0, 2500, 1), (MC_GENERIC, 1.0, 3000, 0),
+        (MC_GENERIC, 50.0, 3000, 0)], ids=["falling", "mc_generic",
+                                           "mc_generic_from_50"])
+    def test_chain_inverts_its_states_once(self, model, z0, n, seed,
+                                           monkeypatch):
+        # a hazard is a panel and the hazard from its left edge, so the walk
+        # never has to invert its states before the tables change
+        calls, states = [], GenericSampler.states
+        monkeypatch.setattr(GenericSampler, "states",
+                            lambda self, *args: calls.append(1)
+                            or states(self, *args))
+        simulate_chain(model, z0, n, seed)
+        assert len(calls) == 1
 
     def test_scalar_is_one_element_array(self):
         # a scalar call and a one-element array take the same solve, and a
@@ -620,21 +656,21 @@ class TestGenericSampler:
 
     def test_inverses_survive_downward_growth(self):
         # from z0 = 50 the first draws build inverses high up; the chain then
-        # falls, and the table grows below them, summing the panels' hazards
-        # again from the new anchor; from an empty store, so that the draws
-        # build the inverses they take
+        # falls, and the store gains panels below them, each measured from
+        # its own left edge; from an empty store, so that the draws build
+        # the inverses they take
         n, seed, z0 = 400, 5, 50.0
         draws = chain_draws(seed, n).tolist()
         z = [z0]
         _store.cache_clear()
         sampler = GenericSampler(MC_GENERIC, z0)
         sampler.draw(draws[0])
-        first_k0, first_inverses = sampler._k0, sampler.inverses_built
+        first_low, first_inverses = min(sampler._stored), sampler.inverses_built
         assert first_inverses > 0
         for e in draws:
             sampler.move_to(z[-1])
             z.append(sampler.draw(e))
-        assert sampler._k0 < first_k0
+        assert min(sampler._stored) < first_low
         assert sampler.inverses_built > first_inverses
         # an inverse found under the wrong panel would cost Newton steps
         assert sampler.newton_steps == n + 1
@@ -645,24 +681,26 @@ class TestGenericSampler:
     @pytest.mark.parametrize("later", [[], [1e300]],
                              ids=["last", "before_a_failing_draw"])
     def test_cap_on_a_phi_step(self, later):
-        # a phi step is taken while its hazard is below the table's top,
-        # here built far above the cap, and its state is held to the cap
-        # once inverted: the last of 400 draws, halfway between the hazards
-        # to the cap and to 1e5 from the state before it, crosses the cap on
-        # a phi step.  The chain fails there with the draw's own error, also
-        # when a later draw fails first in the walk (1e300 passes any cap)
+        # a phi step from panel k reaches panels up to the one holding
+        # CAP_FACTOR * max(edge(k+1), 1), which for a state below 1 ends
+        # above the state's cap, and its state is held to the cap once
+        # inverted: the last of 400 draws, halfway between the hazards to
+        # the cap and to that panel's right edge from the state before it,
+        # crosses the cap on a phi step.  The chain fails there with the
+        # draw's own error, also when a later draw fails first in the walk
+        # (1e300 passes any cap)
         model = Model(Flow("additive", 1.0), JumpMap(0.5),
                       CustomRate(lambda x: 8.0 / (1.0 + x) ** 1.5))
         draws = np.minimum(chain_draws(0, 399), 3.0).tolist()
         walker = GenericSampler(model, 1.0)
-        walker._build(_panel_index(1e5))
         z = walker.chain(draws)
+        assert _panel_edge(_panel_index(z[-1]) + 1) <= 1.0
         before = GenericSampler(model, z[-1])
-        e = 0.5 * (before.hazard_to(before.cap) + before.hazard_to(1e5))
+        top = _panel_edge(_panel_index(CAP_FACTOR) + 1)
+        e = 0.5 * (before.hazard_to(before.cap) + before.hazard_to(top))
         with pytest.raises(CapExceededError) as loop:
             before.draw(e)
         sampler = GenericSampler(model, 1.0)
-        sampler._build(_panel_index(1e5))
         with pytest.raises(CapExceededError,
                            match="^at transition 399: ") as chain:
             sampler.chain(draws + [e] + later)
@@ -718,7 +756,8 @@ class TestGenericSampler:
 # Chains whose states must not depend on what the process simulated before,
 # and the same models built in a fresh interpreter, which writes their states
 # to the file named by its argument
-PURE_CHAINS = [(MC_GENERIC, 1.0), (MC_GENERIC, 50.0), CHAIN_MODELS[3]]
+PURE_CHAINS = [(MC_GENERIC, 1.0), (MC_GENERIC, 50.0), CHAIN_MODELS[3],
+               (FALLING, 1.0)]
 FRESH_CHAINS = """
 import sys
 import numpy as np
@@ -729,8 +768,11 @@ mc = Model(Flow("exponential", 2.0), JumpMap(0.5),
            ShiftedQuadraticRate(1.0, 0.5))
 kink = Model(Flow("additive", 1.0), JumpMap(0.3),
              CustomRate(lambda x: max(x - 1.0, 0.0) + 0.1))
+falling = Model(Flow("exponential", 1.0), JumpMap(0.7),
+                ShiftedQuadraticRate(2.0, 1.0))
 np.save(sys.argv[1], [simulate_chain(model, z0, 3000, 4).z
-                      for model, z0 in [(mc, 1.0), (mc, 50.0), (kink, 1.0)]])
+                      for model, z0 in [(mc, 1.0), (mc, 50.0), (kink, 1.0),
+                                        (falling, 1.0)]])
 """
 
 
@@ -798,22 +840,28 @@ class TestHazardStore:
         assert _store.cache_info().currsize == before
 
     def test_phi_records_do_not_depend_on_table_extent(self):
-        # the records of panel k are fitted on a table from the panel of its
-        # jump images, k - 4, to k, swapped in for the sampler's own: so a
-        # sampler anchored one, two or three octaves below those images, and
-        # one whose table also holds the next panel, whose left edge has the
-        # hazard of the last phi sub-panel's top node, give the same records
+        # the records of panel k come from the store's tables, each a
+        # function of the model and its panel: so a sampler at one, two or
+        # three octaves below the jump images, on an empty store whose sums
+        # from the images' panel reach k or also k+1, whose left edge has
+        # the hazard of the last phi sub-panel's top node, gives the same
+        # records, and has its own state back after the fit
         for k in range(-12, 8):
+            p = _panel_index(MC_GENERIC.jump.kappa * _panel_edge(k))
             fits = []
             for octaves in (1, 2, 3):
                 for top in (k, k + 1):
+                    _store.cache_clear()
                     sampler = GenericSampler(
                         MC_GENERIC, 2.0 * _panel_edge(k - 4 - 4 * octaves))
-                    sampler._build(top)
-                    table = sampler._k0, len(sampler._panels)
-                    assert sum(table) == top + 1
+                    sampler.draw(1.0)
+                    sums = sampler._sums(p, math.inf, _panel_edge(top))
+                    assert len(sums) == top - p + 2
+                    state = (sampler.lo, sampler.cap, sampler._p,
+                             sampler._g_lo)
                     fits.append(sampler._fit_phi(k))
-                    assert (sampler._k0, len(sampler._panels)) == table
+                    assert (sampler.lo, sampler.cap, sampler._p,
+                            sampler._g_lo) == state
             assert all(fit == fits[0] for fit in fits), k
 
     def test_phi_store_holds_one_entry_per_panel(self):
@@ -822,8 +870,8 @@ class TestHazardStore:
         _store.cache_clear()
         for z0 in (0.3, 1.0, 3.0, 50.0):
             simulate_chain(MC_GENERIC, z0, 3000, 4)
-        panels, phi = _store((MC_GENERIC.flow, MC_GENERIC.jump,
-                              MC_GENERIC.rate))
+        panels, phi, _ = _store((MC_GENERIC.flow, MC_GENERIC.jump,
+                                 MC_GENERIC.rate))
         assert phi and set(phi) <= set(panels)
 
 
@@ -918,9 +966,31 @@ class TestChainKernels:
         else:
             assert got.tolist() == want
 
+    @pytest.mark.parametrize("model, z0, n", [
+        (tcp_model(delta=200.0), 40.0, 50),
+        (bacterial_model(delta=300.0), 20.0, 50),
+        # log(kappa**p) = -2.02: about 16 steps in log w before w fits
+        (tcp_model(kappa=0.99, delta=200.0), 40.0, 60),
+        # ... and all of a short chain
+        (tcp_model(kappa=0.99, delta=200.0), 40.0, 5),
+        # w0 = 1e300 fits, but r**4 = 0.5**1204 underflows while r**4 * w0
+        # is 5.8e-62, the hazard-free part of z4**300
+        (bacterial_model(delta=300.0), 10.0, 50),
+    ], ids=["tcp", "bacterial", "slow", "short", "factor_underflow"])
+    def test_large_w_matches_step_oracle(self, model, z0, n):
+        # z0**p overflows though every state fits: the chain steps in log w
+        # until w fits, then scans; in the scan r**s may underflow before
+        # r**s * w does
+        z = simulate_chain(model, z0, n, 0).z
+        want = [z0]
+        for e in chain_draws(0, n):
+            want.append(power_log_step_oracle(model, want[-1], e))
+        np.testing.assert_allclose(z, want, rtol=1e-13, atol=0)
+
     def test_overflow_names_first_transition(self):
+        # c/lam = 1e310: the first state, about 5e309 * e, is out of range
         with pytest.raises(StateRangeError, match="at transition 0:"):
-            simulate_chain(tcp_model(delta=200.0), 40.0, 50, 0)
+            simulate_chain(tcp_model(c=1e10, lam=1e-300), 1.0, 50, 0)
 
     def test_overflow_midway_names_first_transition(self):
         # with lam = 1e-308 the states are 1e308 times those of the lam = 1
