@@ -26,6 +26,7 @@ from .model import Model, PowerRate, ShiftedQuadraticRate
 from .simulate import simulate_chain
 
 DEFAULT_REPLICATES = 50
+RATE_REPLICATES = 20
 
 
 @dataclass(frozen=True)
@@ -206,14 +207,13 @@ class DiagnosticsReport:
     warnings: List[str]
 
 
-def convergence_diagnostics(config: ExperimentConfig,
-                            rate_replicates: int = 20) -> DiagnosticsReport:
+def convergence_diagnostics(config: ExperimentConfig) -> DiagnosticsReport:
     """Stationarity, denominator-rate and tail-condition checks.
 
     The stationarity check compares density fits on the two halves of one
     long chain against the dispersion expected if both halves sampled the
     same law.  The rate check regresses the log RMSE of the mid-interval
-    denominator on log n.
+    denominator, over ``RATE_REPLICATES`` chains per length, on log n.
     """
     warnings = []
     tail_ok, tail_msg = tail_assumption_ok(config.model)
@@ -250,7 +250,7 @@ def convergence_diagnostics(config: ExperimentConfig,
         rmses = []
         for nv in config.n_values:
             vals = []
-            for r in range(rate_replicates):
+            for r in range(RATE_REPLICATES):
                 ch = simulate_chain(config.model, config.z0, nv,
                                     replicate_seed(config.base_seed + 1, nv, r))
                 vals.append(denominator_grid(ch, config.model, [mid])[0])

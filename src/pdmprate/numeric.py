@@ -6,10 +6,9 @@ of the table's own nodes, gives a start that one confirming Newton step
 finishes.  A hazard is a pair, a panel and the hazard from its left edge.
 A chain walks in hazard coordinates, ``h' = phi(h) + e`` with
 ``phi(h) = G(kappa*G^{-1}(h))`` one series per transition, after which one
-vectorized pass of the inverse recovers every state; ``sample_next`` over
-an array takes the same pass.  The tables, phi's included, are kept per model
-in the process and keyed by panel (:func:`_store`), so every chain of a model
-reads them.
+vectorized pass of the inverse recovers every state.  The tables, phi's
+included, are kept per model in the process and keyed by panel
+(:func:`_store`), so every chain of a model reads them.
 """
 
 from __future__ import annotations
@@ -596,21 +595,6 @@ class GenericSampler:
         self.exact_states += len(rest)
         return z
 
-    def _next_states(self, zs: list, es: list) -> np.ndarray:
-        """The roots of the draws ``es`` from the states ``zs``, none below
-        the state made at: pairs by :meth:`_reach`, then one :meth:`states`
-        pass, or for one draw its own solve; a failure names its index."""
-        pairs, k = [], 0
-        try:
-            for k, (z, e) in enumerate(zip(zs, es)):
-                self.move_to(z)
-                pairs.append(self._reach(e))
-            if len(pairs) == 1:
-                return np.array([self._root(*pairs[0], es[0])])
-        except (OverflowError, CapExceededError, StateRangeError) as exc:
-            raise self._at(k, exc) from exc
-        return self.states(*zip(*pairs))
-
 
 def _sub_panel(bases: list, h: float) -> int:
     """``j``: the sub-panel ``[edges[j-1], edges[j])`` of a panel holding the
@@ -804,11 +788,13 @@ def _generic_chain(model: Model, z0: float, draws: np.ndarray) -> np.ndarray:
 
 
 def _generic_next(model: Model, z: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Numeric draws from ``z`` for ``e``, arrays of one shape: each root's
-    hazard pair, inverted by :meth:`GenericSampler.states`."""
-    zs, es = z.ravel().tolist(), e.ravel().tolist()
-    if not zs:
-        return np.empty(z.shape)
-    y = GenericSampler(model, zs[0])._next_states(zs, es)
-    lo = model.jump.kappa * z.ravel()
-    return np.where(e.ravel() == 0.0, lo, np.maximum(y, lo)).reshape(z.shape)
+    """Numeric draws from the flat arrays ``z`` for ``e``: the chain's exact
+    step from each state, on one sampler; a failure names its index."""
+    out, sampler = np.empty(len(z)), GenericSampler(model, 1.0)
+    for k, (zk, ek) in enumerate(zip(z.tolist(), e.tolist())):
+        try:
+            sampler.move_to(zk)
+            out[k] = max(sampler.draw(ek), sampler.lo)
+        except (CapExceededError, StateRangeError) as exc:
+            raise sampler._at(k, exc) from exc
+    return out

@@ -6,8 +6,8 @@ numeric sampler of :mod:`pdmprate.numeric` handles every other rate.
 ``simulate_chain`` draws all exponentials first and runs its family's chain
 kernel over them: a linear scan for power rates, the plain-float Cardano
 step for the quadratic rate, and for the rest the numeric sampler's walk in
-hazard coordinates.  ``sample_next`` takes the same steps over arrays of
-states.  Chains are reproducible bit-exactly from their seed record.
+hazard coordinates.  ``sample_next`` takes a chain's first step from each
+state.  Chains are reproducible bit-exactly from their seed record.
 """
 
 from __future__ import annotations
@@ -64,11 +64,40 @@ def _first_bad_state(z: np.ndarray) -> Optional[int]:
     return None if good.all() else int(np.argmin(good))
 
 
+def _check_next(states: np.ndarray) -> None:
+    """:class:`StateRangeError` at the first ``k`` with a bad ``states[k]``."""
+    k = _first_bad_state(states)
+    if k is not None:
+        raise StateRangeError(
+            f"at transition {k}: next state {float(states[k])!r} is not a "
+            "finite positive number (double precision overflow or underflow)")
+
+
+def _power_terms(model: Model) -> tuple:
+    """``(p, r, f)`` of :func:`_power_chain`: ``r = kappa**p``, which must not
+    underflow, and the draw's factor ``f = r*p*c/lam``."""
+    p, c, lam = model.power_exponent, model.flow.c, model.rate.lam
+    r = model.jump.kappa ** p
+    if r < _FLOAT_TINY:
+        raise StateRangeError(
+            f"at transition 0: kappa**p = {model.jump.kappa!r}**{p!r} "
+            "underflows, so the power-rate chain is out of double range")
+    f = r * (p * c / lam)
+    if f == math.inf:   # p*c/lam overflows before r scales it down
+        f = r * p * c / lam
+    return p, r, f
+
+
 def _power_step(model: Model, z: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Next states ``kappa * (z**p + p*c*e/lam)**(1/p)`` of a power-rate chain."""
-    lam, c = model.rate.lam, model.flow.c
-    p = model.power_exponent
-    return model.jump.kappa * np.power(np.power(z, p) + p * c * e / lam, 1.0 / p)
+    """The first pass of :func:`_power_chain`, ``(e*f + r*z**p)**(1/p)``,
+    from each state; one whose ``z**p`` overflows takes the chain itself."""
+    p, r, f = _power_terms(model)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.power(z, p)
+        out = np.power(e * f + r * w, 1.0 / p)
+    for i in np.flatnonzero(w == math.inf).tolist():
+        out[i] = _power_chain(model, z[i], e[i:i + 1])[1]
+    return out
 
 
 def _quadratic_steps(model: Model, src, draws, dst) -> None:
@@ -105,10 +134,9 @@ def _quadratic_steps(model: Model, src, draws, dst) -> None:
 
 def _map_steps(steps, model: Model, z: np.ndarray,
                e: np.ndarray) -> np.ndarray:
-    """A step kernel over ``z`` and ``e``, arrays of one shape."""
-    out = np.empty(z.shape)
-    steps(model, z.ravel().tolist(), e.ravel().tolist(),
-          memoryview(out.reshape(-1)))
+    """A step kernel over ``z`` and ``e``, flat arrays of one length."""
+    out = np.empty(len(z))
+    steps(model, z.tolist(), e.tolist(), memoryview(out))
     return out
 
 
@@ -141,19 +169,14 @@ def _power_chain(model: Model, z0: float, draws: np.ndarray) -> np.ndarray:
     the chain steps in ``log w' = p*log(kappa) + log w + log1p(x/w)``
     instead, and the scan starts from the first ``w`` that fits.
     """
-    p = model.power_exponent
-    r = model.jump.kappa ** p
-    if r < _FLOAT_TINY:
-        raise StateRangeError(
-            f"at transition 0: kappa**p = {model.jump.kappa!r}**{p!r} "
-            "underflows, so the power-rate chain is out of double range")
+    p, r, f = _power_terms(model)
     n = len(draws)
     w = np.empty(n + 1)
     w[0] = z0
-    with np.errstate(over="ignore"):
-        # an overflow leaves inf states, which simulate_chain reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        # an overflow leaves inf states (and a pass's test 0*inf) to report
         np.power(w[:1], p, out=w[:1])
-        np.multiply(draws, r * (p * model.flow.c / model.rate.lam), out=w[1:])
+        np.multiply(draws, f, out=w[1:])
         logs = [p * math.log(z0)] if w[0] == math.inf else []
         while logs and logs[-1] >= _LOG_MAX and len(logs) <= n:
             # log(r*w) + log1p(r*x / (r*w))
@@ -199,12 +222,11 @@ def _family_samplers(model: Model):
 
 
 def sample_next(model: Model, z, e):
-    """Next state from ``z`` for the unit-exponential draw ``e``.
-
-    The step ``simulate_chain`` takes for the model's family.  ``z`` and
-    ``e`` broadcast, a float for scalars.  Whatever the family, a draw < 0
-    or NaN is a ValueError naming ``e``, and then a state that is not finite
-    and positive a :class:`ConfigError` naming ``z``.
+    """Next state from ``z`` for the unit-exponential draw ``e``: the first
+    transition of ``simulate_chain`` from ``z``, bit for bit, failing where
+    it fails at the element's flat index.  ``z`` and ``e`` broadcast, a float
+    for scalars.  A draw < 0 or NaN is a ValueError naming ``e``, and then a
+    state that is not finite and positive a :class:`ConfigError` naming ``z``.
     """
     e = np.asarray(e, dtype=float)
     if not np.all(e >= 0.0):
@@ -214,8 +236,9 @@ def sample_next(model: Model, z, e):
     good = (z > 0.0) & (z < math.inf)
     if not good.all():
         positive("z", float(z[~good][0]))   # raises, naming the first bad z
-    out = _family_samplers(model)[0](model, z, e)
-    return out if out.ndim else float(out)
+    out = _family_samplers(model)[0](model, z.ravel(), e.ravel())
+    _check_next(out)
+    return out.reshape(z.shape) if z.ndim else float(out[0])
 
 
 def simulate_chain(model: Model, z0: float, n: int, seed) -> JumpChain:
@@ -237,11 +260,7 @@ def simulate_chain(model: Model, z0: float, n: int, seed) -> JumpChain:
     rng = np.random.default_rng(ss)
     draws = rng.exponential(1.0, size=n)
     z = _family_samplers(model)[1](model, float(z0), draws)
-    k = _first_bad_state(z)
-    if k is not None:
-        raise StateRangeError(
-            f"at transition {k - 1}: next state {float(z[k])!r} is not a "
-            "finite positive number (double precision overflow or underflow)")
+    _check_next(z[1:])
     record = (tuple(map(int, np.atleast_1d(ss.entropy))),
               tuple(map(int, ss.spawn_key)))
     return JumpChain(z=z, model=model, seed=record)

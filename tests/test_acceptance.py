@@ -268,8 +268,7 @@ class TestCriterion10KnownFailure:
         diag = convergence_diagnostics(
             ExperimentConfig(model=cfg.model, interval=cfg.interval,
                              n_values=[1000], replicates=1,
-                             base_seed=cfg.base_seed),
-            rate_replicates=2)
+                             base_seed=cfg.base_seed))
         warned = (not ok_flag) and (not diag.tail_ok) and bool(diag.warnings)
         paper = {1000: 0.43, 10_000: 0.41, 100_000: 0.40}
         risks = {row.n: row.mean_risk for row in result.rows}

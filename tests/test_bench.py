@@ -181,7 +181,7 @@ class TestTailAssumption:
 class TestDiagnostics:
     def test_tcp_report(self):
         cfg = small_config(n_values=[1000, 4000], replicates=2)
-        report = convergence_diagnostics(cfg, rate_replicates=8)
+        report = convergence_diagnostics(cfg)
         assert report.tail_ok
         assert report.half_distance_sq >= 0.0
         assert report.denominator_rate_slope is not None
@@ -192,7 +192,7 @@ class TestDiagnostics:
         cfg = small_config(model=bacterial_model(delta=0.5),
                            interval=(0.5, 3.0), n_values=[1000],
                            replicates=1)
-        report = convergence_diagnostics(cfg, rate_replicates=2)
+        report = convergence_diagnostics(cfg)
         assert not report.tail_ok
         assert any("biased" in w for w in report.warnings)
 

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy import optimize, stats
+from scipy import integrate, optimize, stats
 
 from oracles import (advance, chain_draws, cumulative, generic_draw_oracle,
+                     perpetuity_cdf, perpetuity_density,
                      power_log_step_oracle, sample_next_generic,
                      simulate_chain_oracle)
 import pdmprate
@@ -217,6 +218,52 @@ class TestStateCheck:
         # the draw is checked first
         with pytest.raises(ValueError, match="^e: "):
             sample_next(model, [1.0, z], -1.0)
+
+
+# sample_next against the first transition of simulate_chain, per family
+FIRST_STEP_MODELS = {
+    "tcp": tcp_model(),
+    "tcp_p3.5": tcp_model(kappa=0.3, delta=2.5),
+    "bacterial_sqrt": bacterial_model(delta=0.5),
+    # z**201 overflows past z = 34.2, z**300 past 10.6
+    "tcp_p201": tcp_model(delta=200.0),
+    "bacterial_p300": bacterial_model(delta=300.0),
+    "quadratic": tcp_quadratic_model(),
+    "mc_generic": MC_GENERIC,
+}
+
+
+@pytest.mark.parametrize("model", FIRST_STEP_MODELS.values(),
+                         ids=FIRST_STEP_MODELS)
+def test_sample_next_is_the_chains_first_step(model):
+    # a chain of one transition from each state, on its own seed, against
+    # sample_next on that seed's draw: scalar calls and arrays of two shapes
+    zs = np.geomspace(0.05, 50.0, 40)
+    es = np.array([chain_draws(seed, 1)[0] for seed in range(len(zs))])
+    first = np.array([simulate_chain(model, z, 1, seed).z[1]
+                      for seed, z in enumerate(zs)])
+    assert np.array_equal([sample_next(model, z, e) for z, e in zip(zs, es)],
+                          first)
+    assert np.array_equal(sample_next(model, zs, es), first)
+    assert np.array_equal(sample_next(model, zs.reshape(5, 8),
+                                      es.reshape(5, 8)), first.reshape(5, 8))
+
+
+@pytest.mark.parametrize("model, z, e, k", [
+    # b**3 overflows, which leaves a nan state
+    (tcp_quadratic_model(b=1e300), 1.0, 1.0, 0),
+    # c/lam = 1e310: the state is about 5e309*e, and 0*inf for e = 0
+    (tcp_model(c=1e10, lam=1e-300), 1.0, 1.0, 0),
+    (tcp_model(c=1e10, lam=1e-300), 1.0, 0.0, 0),
+    # the draws' factor is 5e306, so a draw above 36 overflows
+    (tcp_model(c=1e10, lam=1e-297), [1.0, 2.0, 3.0, 1.0],
+     [1.0, 2.0, 40.0, 50.0], 2),
+], ids=["cube_overflow", "factor_overflow", "zero_draw", "third_of_four"])
+def test_sample_next_fails_where_the_chain_fails(model, z, e, k):
+    # the chain fails on the first two at transition 0 too (TestChainKernels)
+    with pytest.raises(StateRangeError, match=(
+            f"^at transition {k}: next state (inf|nan) is not a finite")):
+        sample_next(model, z, e)
 
 
 # The models of test_model.py::TestFamilies, each with the sampler it takes
@@ -613,7 +660,7 @@ class TestGenericSampler:
                              ids=["mc_generic", "kink",
                                   "exponential_quadratic"])
     def test_sample_next_array_matches_draws(self, model):
-        # one vectorized inversion for all elements, against a fresh sampler
+        # one sampler moved from element to element, against a fresh sampler
         # per element; the second set of states spreads over 106 octaves,
         # each root measured from its own panel
         rng = np.random.default_rng(8)
@@ -623,7 +670,7 @@ class TestGenericSampler:
             es[::10] = 0.0
             got = sample_next(model, zs, es)
             want = [GenericSampler(model, z).draw(e) for z, e in zip(zs, es)]
-            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("model, z0, n, seed", [
         (FALLING, 1.0, 2500, 1), (MC_GENERIC, 1.0, 3000, 0),
@@ -653,6 +700,16 @@ class TestGenericSampler:
         for z in (1.0, np.array([1.0])):
             with pytest.raises(CapExceededError, match="^at transition 0: "):
                 sample_next(model, z, 8.0)
+        with pytest.raises(CapExceededError, match="^at transition 1: "):
+            sample_next(model, [1.0, 1.0, 1.0], [0.5, 8.0, 8.0])
+
+    def test_sample_next_is_not_below_the_jump_image(self):
+        # the draw's last Newton step lands one ulp below the jump image
+        # here; a chain's states are held there, and so is sample_next's
+        z = 0.617422611208365
+        assert GenericSampler(MC_GENERIC, z).draw(1e-18) < 0.5 * z
+        assert sample_next(MC_GENERIC, z, 1e-18) == 0.5 * z
+        assert sample_next(MC_GENERIC, [z], [1e-18])[0] == 0.5 * z
 
     def test_inverses_survive_downward_growth(self):
         # from z0 = 50 the first draws build inverses high up; the chain then
@@ -952,8 +1009,8 @@ class TestChainKernels:
     def test_sample_next_loop_matches_chain(self, exponential, kappa, c, a, b,
                                             z0, seed):
         # the quadratic chain takes the step sample_next takes, bit for bit;
-        # a numeric sample_next builds a hazard table per call, anchored at
-        # its own state, so it agrees to the table's accuracy
+        # a numeric chain takes phi steps after its first, which agree with
+        # a loop of draws to the table's accuracy
         flow = Flow("exponential" if exponential else "additive", c)
         m = Model(flow, JumpMap(kappa), ShiftedQuadraticRate(a, b))
         n = 50
@@ -976,11 +1033,16 @@ class TestChainKernels:
         # w0 = 1e300 fits, but r**4 = 0.5**1204 underflows while r**4 * w0
         # is 5.8e-62, the hazard-free part of z4**300
         (bacterial_model(delta=300.0), 10.0, 50),
-    ], ids=["tcp", "bacterial", "slow", "short", "factor_underflow"])
+        # p*c/lam = 201e308 overflows, though r*p*c/lam = 6.2e249 and every
+        # z**201 fit
+        (tcp_model(delta=200.0, lam=1e-308), 1.0, 5),
+    ], ids=["tcp", "bacterial", "slow", "short", "factor_underflow",
+            "draw_factor"])
     def test_large_w_matches_step_oracle(self, model, z0, n):
         # z0**p overflows though every state fits: the chain steps in log w
         # until w fits, then scans; in the scan r**s may underflow before
-        # r**s * w does
+        # r**s * w does, and the draws' factor r*p*c/lam is formed in
+        # another order where p*c/lam overflows
         z = simulate_chain(model, z0, n, 0).z
         want = [z0]
         for e in chain_draws(0, n):
@@ -988,9 +1050,12 @@ class TestChainKernels:
         np.testing.assert_allclose(z, want, rtol=1e-13, atol=0)
 
     def test_overflow_names_first_transition(self):
-        # c/lam = 1e310: the first state, about 5e309 * e, is out of range
-        with pytest.raises(StateRangeError, match="at transition 0:"):
-            simulate_chain(tcp_model(c=1e10, lam=1e-300), 1.0, 50, 0)
+        # c/lam = 1e310: the first state, about 5e309 * e, is out of range;
+        # in a chain of 5000 the scan's factor r**2048 underflows to 0, and
+        # its test multiplies the inf states by it
+        for n in (50, 5000):
+            with pytest.raises(StateRangeError, match="at transition 0:"):
+                simulate_chain(tcp_model(c=1e10, lam=1e-300), 1.0, n, 0)
 
     def test_overflow_midway_names_first_transition(self):
         # with lam = 1e-308 the states are 1e308 times those of the lam = 1
@@ -1028,6 +1093,47 @@ class TestChainKernels:
             simulate_chain(m, 1e-150, 5, 0)
 
 
+# Power-rate models with r = kappa**p = 1/2, 1/sqrt(2) (criterion 10's sqrt
+# model) and 0.8, up to rounding
+PERPETUITY_MODELS = {"r_half": tcp_model(),
+                     "r_sqrt_half": bacterial_model(delta=0.5),
+                     "r_0.8": tcp_model(kappa=0.8 ** 0.5, delta=1.0)}
+
+
+class TestStationaryLaw:
+    """The exact stationary law of a power-rate chain, the perpetuity of
+    ``tests/oracles.py``, against quadrature and against the chain."""
+
+    @pytest.mark.parametrize("model", PERPETUITY_MODELS.values(),
+                             ids=PERPETUITY_MODELS)
+    def test_mass_mean_and_distribution(self, model):
+        p = model.power_exponent
+        r, s = model.jump.kappa ** p, p * model.flow.c / model.rate.lam
+
+        def integral(f, a, b):
+            return integrate.quad(f, a, b, limit=200)[0]
+
+        density = lambda y: perpetuity_density(model, y)
+        assert integral(density, 0.0, np.inf) == pytest.approx(1.0, abs=1e-9)
+        # W = Z**p has mean r*s/(1 - r)
+        mean = integral(lambda y: y ** p * density(y), 0.0, np.inf)
+        assert mean == pytest.approx(r * s / (1.0 - r), rel=1e-9)
+        for y in (0.5, 1.0, 2.0, 4.0):
+            assert perpetuity_cdf(model, y) == pytest.approx(
+                integral(density, 0.0, y), abs=1e-9)
+
+    @pytest.mark.parametrize("model", [tcp_model(), tcp_model(delta=1.0)],
+                             ids=["tcp", "tcp_p2"])
+    def test_chain_marginal_is_the_perpetuity(self, model):
+        # in w the chain is an AR(1) step with factor r = 1/2 or 1/4, so
+        # states 40 transitions apart are correlated by at most 2**-40, and
+        # the first of them is as far from z0
+        z = simulate_chain(model, 1.0, 400_000, 0).z[40::40]
+        assert len(z) == 10_000
+        result = stats.kstest(z, lambda y: perpetuity_cdf(model, y))
+        assert result.pvalue > 0.01
+
+
 SHAPE_MODELS = {"tcp": tcp_model(kappa=0.3, delta=1.0),
                 "bacterial": bacterial_model(delta=2.0),
                 "quadratic": tcp_quadratic_model(), "generic": MC_GENERIC}
@@ -1035,20 +1141,18 @@ SHAPE_MODELS = {"tcp": tcp_model(kappa=0.3, delta=1.0),
 
 @pytest.mark.parametrize("family", SHAPE_MODELS)
 def test_sample_next_broadcasts(family):
-    # arrays give elementwise the scalar results; a numeric call on an array
-    # shares one hazard table, anchored elsewhere than a scalar call's
+    # arrays give elementwise the scalar results, bit for bit
     model = SHAPE_MODELS[family]
-    rtol = 1e-13 if family == "generic" else 0.0
     es = chain_draws(1, 4)
     zs = np.array([0.5, 1.0, 2.5])
     one = [[sample_next(model, z, e) for e in es] for z in zs]
     assert all(type(v) is float for row in one for v in row)
     got = sample_next(model, 1.0, es)
     assert got.shape == (4,)
-    np.testing.assert_allclose(got, one[1], rtol=rtol, atol=0)
+    assert np.array_equal(got, one[1])
     got = sample_next(model, zs[:, None], es)
     assert got.shape == (3, 4)
-    np.testing.assert_allclose(got, one, rtol=rtol, atol=0)
+    assert np.array_equal(got, one)
 
 
 class TestSimulateChain:
