@@ -12,13 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyModelSetError, positive
+from .errors import EmptyModelSetError, positive, require
 
-# Frequencies per block of the factored phase sum in design_means, and the
-# number of in-window samples whose phases are held in memory at once.  Both
-# are fixed so that coefficient bits do not depend on the dimension asked for.
+# Frequencies per block of the phase recurrence in series_terms.
 PHASE_BLOCK = 16
-SAMPLE_CHUNK = 4096
+# In-window samples binned at once by design_means, the bound on its Taylor
+# truncation per sample, and 2*pi as a 31-bit head and the rest.
+SAMPLE_CHUNK = 16384
+TAYLOR_TOL = 2.0 ** -60
+TWO_PI = (6.2831853069365025, 2.430840202602477e-10)
 
 
 @dataclass(frozen=True)
@@ -29,6 +31,10 @@ class Basis:
 
     def __post_init__(self):
         positive("a_max", self.a_max)
+        # the kernels form sqrt(2/a_max) and 2*pi*x/a_max for 0 <= x <= a_max
+        a_max = float(self.a_max)
+        require(max(2.0 / a_max, 2.0 * np.pi * a_max) < np.inf, "a_max",
+                "must keep 2/a_max and 2*pi*a_max finite", self.a_max)
 
     @staticmethod
     def dim(m: int) -> int:
@@ -61,36 +67,46 @@ def coefficients(samples: np.ndarray, basis: Basis, m: int) -> np.ndarray:
 
 
 def design_means(samples: np.ndarray, basis: Basis, dim: int) -> np.ndarray:
-    """Column means of the design matrix, computed without forming it.
+    """Column means of the design matrix, by the Taylor-binned transform.
 
-    Per chunk of in-window samples, the phase sums of block ``b`` are ``low
-    @ high``, the table of :func:`_phase_table` times the block's phases.
-    Every block is a separate product of one shape, with phases formed in
-    the same order whatever ``dim`` is, so each entry's summation order, and
-    with it the exact prefix nesting across dimensions, does not depend on
-    ``dim`` (BLAS sums a one-column product unlike a wider one).
+    With ``theta = 2 pi b/B + e`` at the nearest of ``B`` bin centres,
+    ``e^{ij theta} = e^{2 pi i jb/B} sum_p (ij e)^p/p!`` (Anderson and Dahleh,
+    SIAM J. Sci. Comput. 17(4), 1996).  Per order ``p``, bincounts sum
+    ``e^p`` per bin, one conjugated rfft turns the bins into phase sums, and
+    factors ``(ij)^p/p!`` combine the orders.  ``B`` (a power of two, at
+    least ``8*top`` and 512) and ``P`` (truncation ``(top pi/B)^{P+1}/(P+1)!
+    <= TAYLOR_TOL``) follow from ``top``, n's largest frequency or ``dim``'s,
+    and chunks have a fixed size, so no admissible dimension changes a bit.
     """
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
     inside = samples[(samples >= 0.0) & (samples <= basis.a_max)]
     # frequencies 1..n_cos have a cosine entry, 1..n_sin a sine entry
     n_cos, n_sin = dim // 2, (dim - 1) // 2
-    n_blocks = -(-(n_cos + 1) // PHASE_BLOCK)
-    sums = np.zeros(n_blocks * PHASE_BLOCK, dtype=complex)
-    width = min(SAMPLE_CHUNK, len(inside))
-    low = np.empty((PHASE_BLOCK, width), dtype=complex)
-    high = np.empty(width, dtype=complex)
-    step = np.empty(width, dtype=complex)
+    top = max(basis.max_model_index(n), n_cos)
+    bins = max(512, 1 << (8 * top - 1).bit_length())
+    order, bound = 0, top * np.pi / bins
+    while bound > TAYLOR_TOL:
+        order += 1
+        bound *= top * np.pi / bins / (order + 1)
+    powers = np.zeros((order + 1, bins))
     for start in range(0, len(inside), SAMPLE_CHUNK):
         theta = 2.0 * np.pi * inside[start:start + SAMPLE_CHUNK] / basis.a_max
-        k = len(theta)
-        lo, hi, st = low[:, :k], high[:k], step[:k]
-        _phase_table(theta, lo, st)
-        hi[:] = 1.0
-        for b in range(n_blocks):
-            if b:
-                hi *= st
-            sums[b * PHASE_BLOCK:(b + 1) * PHASE_BLOCK] += lo @ hi
+        b = np.rint(theta * (bins / (2.0 * np.pi)))
+        # b*TWO_PI[0]/bins (b < 2**22) and theta minus it are exact
+        e = theta - b * (TWO_PI[0] / bins) - b * (TWO_PI[1] / bins)
+        b = b.astype(np.intp) & (bins - 1)  # x = a_max wraps to bin 0
+        powers[0] += np.bincount(b, minlength=bins)
+        term = e
+        for p in range(1, order + 1):
+            powers[p] += np.bincount(b, term, bins)
+            term = term * e
+    # numpy imports np.fft on first use, not with the package
+    phases = np.fft.rfft(powers, axis=1)[:, :top + 1].conj()
+    taylor = np.empty_like(phases)
+    taylor[0] = 1.0
+    taylor[1:] = 1j * np.arange(top + 1) / np.arange(1, order + 1)[:, None]
+    sums = (phases * np.cumprod(taylor, axis=0)).sum(axis=0)
     out = np.empty(dim)
     out[0] = len(inside) / np.sqrt(basis.a_max) / n
     amp = np.sqrt(2.0 / basis.a_max)

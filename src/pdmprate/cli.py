@@ -162,7 +162,8 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(message)s")
     try:
         config = _effective_config(args)
-        log.debug("effective config:\n%s", dump_config(config))
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("effective config:\n%s", dump_config(config))
         handler = {"simulate": cmd_simulate, "estimate": cmd_estimate,
                    "bench": cmd_bench, "diagnose": cmd_diagnose}[args.command]
         return handler(config, args)

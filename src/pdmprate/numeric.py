@@ -225,7 +225,8 @@ class GenericSampler:
         if e == 0.0:
             return self.lo
         try:
-            return self._root(*self._reach(e), e)
+            # the root may round to an ulp below the jump image
+            return max(self._root(*self._reach(e), e), self.lo)
         except OverflowError as exc:
             raise self._range_error() from exc
 
@@ -794,7 +795,7 @@ def _generic_next(model: Model, z: np.ndarray, e: np.ndarray) -> np.ndarray:
     for k, (zk, ek) in enumerate(zip(z.tolist(), e.tolist())):
         try:
             sampler.move_to(zk)
-            out[k] = max(sampler.draw(ek), sampler.lo)
+            out[k] = sampler.draw(ek)
         except (CapExceededError, StateRangeError) as exc:
             raise sampler._at(k, exc) from exc
     return out

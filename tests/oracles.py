@@ -2,7 +2,8 @@
 
 Each oracle follows the defining formula literally: the design matrix holds
 one cosine or sine per basis function and point, the coefficients are its
-column means, the denominator counts the
+column means (or, exactly as summed before the binned transform, blocked
+products of the phase recurrence), the denominator counts the
 transitions of a ``transitions x grid`` mask, the risk sweep evaluates one
 model at a time (its density at the jump images as a product with the
 design matrix, the ``1/ln n`` threshold written out, the integral by scipy's
@@ -27,7 +28,7 @@ import warnings
 import numpy as np
 from scipy import integrate, optimize
 
-from pdmprate.basis import Basis
+from pdmprate.basis import PHASE_BLOCK, Basis, _phase_table
 from pdmprate.density import DensityFit, _criterion
 from pdmprate.errors import CapExceededError, EmptyModelSetError
 from pdmprate.jumprate import denominator_grid, risk_sweep, threshold
@@ -167,6 +168,38 @@ def design_means_oracle(samples, basis, dim, chunk=16384):
         block = samples[start:start + chunk]
         total += design_oracle(basis, block, dim).sum(axis=1)
     return total / n
+
+
+def design_means_blocked(samples, basis, dim, chunk=4096):
+    """Column means of the design matrix as blocked phase products.
+
+    Per chunk of in-window samples, the phase sums of block ``b`` are ``low
+    @ high``, the table of ``pdmprate.basis._phase_table`` times the block's
+    phases: ``n*dim`` complex multiply-adds, the exact sum that the
+    Taylor-binned ``design_means`` approximates.
+    """
+    samples = np.asarray(samples, dtype=float)
+    n = len(samples)
+    inside = samples[(samples >= 0.0) & (samples <= basis.a_max)]
+    n_cos, n_sin = dim // 2, (dim - 1) // 2
+    n_blocks = -(-(n_cos + 1) // PHASE_BLOCK)
+    sums = np.zeros(n_blocks * PHASE_BLOCK, dtype=complex)
+    for start in range(0, len(inside), chunk):
+        theta = 2.0 * np.pi * inside[start:start + chunk] / basis.a_max
+        low = np.empty((PHASE_BLOCK, len(theta)), dtype=complex)
+        step = np.empty(len(theta), dtype=complex)
+        _phase_table(theta, low, step)
+        high = np.ones(len(theta), dtype=complex)
+        for b in range(n_blocks):
+            if b:
+                high *= step
+            sums[b * PHASE_BLOCK:(b + 1) * PHASE_BLOCK] += low @ high
+    out = np.empty(dim)
+    out[0] = len(inside) / np.sqrt(basis.a_max) / n
+    amp = np.sqrt(2.0 / basis.a_max)
+    out[1::2] = amp * sums[1:n_cos + 1].real / n
+    out[2::2] = amp * sums[1:n_sin + 1].imag / n
+    return out
 
 
 def denominator_mask_oracle(chain, model, ys, chunk=64):

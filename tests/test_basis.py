@@ -4,8 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from oracles import (design_means_oracle, design_oracle, eval_one,
-                     series_error_bound)
+from oracles import (design_means_blocked, design_means_oracle,
+                     design_oracle, eval_one, series_error_bound)
 from pdmprate import Basis, EmptyModelSetError, coefficients, select_model
 from pdmprate.basis import (PHASE_BLOCK, SAMPLE_CHUNK, design_means,
                             series_terms)
@@ -124,12 +124,16 @@ class TestCoefficients:
             assert np.array_equal(fit.coeffs[:len(small)], small), m
 
     def test_prefix_nesting_beyond_six_blocks(self):
-        # 8 phase blocks and two sample chunks: every prefix is exact, since
-        # the phases of a block are formed in the same order whatever dim is
+        # D up to 257 (more than 8 phase blocks of series_terms) over 4 sample
+        # chunks, at n = 67,036 >= 257**2, so that every dimension is
+        # admissible: the bins, the Taylor order and the chunks follow n
+        # alone, and every prefix is exact
         b = Basis()
         rng = np.random.default_rng(6)
-        samples = rng.uniform(-0.5, 6.5, SAMPLE_CHUNK + 1500)
-        m_big = 8 * PHASE_BLOCK - 1
+        samples = rng.uniform(-0.5, 6.5, 67_036)
+        m_big = b.max_model_index(len(samples))
+        assert m_big >= 8 * PHASE_BLOCK
+        assert np.count_nonzero((samples >= 0) & (samples <= 6)) > 3 * SAMPLE_CHUNK
         big = design_means(samples, b, b.dim(m_big))
         for m in range(m_big):
             small = design_means(samples, b, b.dim(m))
@@ -163,6 +167,15 @@ class TestCoefficients:
         # D >= 999: the recurrence error is largest at the top frequencies
         _check_against_oracle(*_oracle_case(n, m, a_max, seed, special),
                               chunk=1024)
+
+    @pytest.mark.parametrize("n", [100_000, 300_000])
+    def test_matches_blocked_products_at_large_n(self, n):
+        # select_model's dimension, over many chunks and 2,048 or 4,096 bins,
+        # against the blocked phase products that design_means replaced
+        b = Basis()
+        samples = np.random.default_rng(n).gamma(2.0, 1.0, n)
+        dim = b.dim(b.max_model_index(n))
+        _check_against_oracle(samples, b, dim, oracle=design_means_blocked)
 
     # dim 32 needs frequency 16, the first of the second phase block
     @pytest.mark.parametrize("dim", [2, 4, 10, 32])
@@ -245,26 +258,33 @@ def _oracle_case(n, m, a_max, seed, special):
     return samples, b, b.dim(m)
 
 
-def _check_against_oracle(samples, b, dim, chunk=16384):
+def _check_against_oracle(samples, b, dim, chunk=16384,
+                          oracle=design_means_oracle):
     a_max = b.a_max
     fast = design_means(samples, b, dim)
-    slow = design_means_oracle(samples, b, dim, chunk=chunk)
+    slow = oracle(samples, b, dim, chunk=chunk)
     # Both kernels share theta = 2 pi x / a_max <= 2 pi; eps/2 is the unit
     # roundoff.  The oracle rounds the angle j*theta once, off by at most
     # j*theta*eps/2 <= pi*j*eps, then takes its cosine and sine (one ulp,
-    # eps/2, each): its phase is off by at most (pi*j + 1)*eps.  The fast
-    # kernel takes the cosine and sine of theta once, so w ~ e^{i theta} is
-    # off by at most eps/sqrt(2), and builds e^{ij theta} (j = a + 16b) as
-    # a product of j factors w by complex multiplies, each off by at most
-    # sqrt(5)*eps/2 relative (Brent, Percival and Zimmermann, Math. Comp.
-    # 2007).  To first order every factor's error reaches the phase once:
-    # the low row takes a - 1 multiplies, the step w^16 takes 16 and enters
-    # b times, the high row b - 1 and the final product 1, j - 1 in all.
-    # The fast phase is thus off by at most j*(1/sqrt(2) + sqrt(5)/2)*eps
-    # < 1.9*j*eps, and the two phases differ by at most
-    # (pi + 1.9)*j*eps + eps < (2 pi j + 8)*eps.  Every sample's term thus
-    # differs by at most amp*eps*(2 pi j + 8), and so does their mean; the
-    # 1e-15 floor and rtol cover the two summation orders.
+    # eps/2, each): its phase is off by at most (pi*j + 1)*eps.  The binned
+    # kernel writes theta = 2 pi b/B + e, 2 pi split so that only e's last
+    # subtraction rounds: j*e is off by at most j*(pi/B)*eps/2 <= 0.2*eps
+    # (B >= 8j), and the Taylor series is cut at 2^-60.  With t_p the size
+    # (j|e|)^p/p! of order p (sum below e^{pi/8} < 1.48, sum of p*t_p below
+    # 0.58), e^p is off by (2p - 1)*eps/2, the factor (ij)^p/p! by 2p*eps/2
+    # and their product by sqrt(5)*eps/2; the rfft takes each bin through
+    # log2(B) levels of butterflies, each a twiddle (eps/2), its complex
+    # multiply (sqrt(5)*eps/2) and an add (eps/2), so 2.12*log2(B)*eps
+    # relative to the bins' total (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2002, sec. 24.1); and the sum over the P + 1
+    # orders adds P*eps/2.  To first order a binned phase is thus off by at
+    # most (3.2*log2(B) + 0.74*P + 3)*eps, and the two kernels' terms differ
+    # by more than (2 pi j + 8)*eps, plus the floor below, for j below 8 to
+    # 14 (B from 512 to 8192); the bound is kept unchanged there.  The
+    # deviations seen stay under 45 % of it, at most 7.8*eps*amp for j <= 5,
+    # since the rfft and the per-bin sums round far from their worst case.
+    # The 1e-15 floor and rtol cover the summation orders (bins, chunks and
+    # the oracle's sums).
     j = np.concatenate(([0], np.repeat(np.arange(1, dim // 2 + 1), 2)))[:dim]
     eps = np.finfo(float).eps
     atol = np.sqrt(2.0 / a_max) * eps * (2.0 * np.pi * j + 8.0) + 1e-15

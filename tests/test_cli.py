@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -197,6 +198,13 @@ def _finite_nonnegative(v):
     return math.isfinite(v) and v >= 0
 
 
+def _window(v):
+    # the coefficients' amplitude sqrt(2/a_max) and phases 2*pi*x/a_max, for
+    # x up to a_max, must be finite
+    return (_finite_positive(v) and math.isfinite(2.0 / v)
+            and math.isfinite(2.0 * math.pi * v))
+
+
 def _spaced(lo, hi, points):
     """Whether doubles space ``points`` points over ``[lo, hi]`` evenly to
     1e-9 of a step, as Simpson's rule on the grid needs."""
@@ -213,8 +221,8 @@ FLOAT_RULES = [
     ("delta", lambda v: PowerRate(1.0, v), lambda v: math.isfinite(v) and v > -1),
     ("a", lambda v: ShiftedQuadraticRate(v, 0.5), _finite_positive),
     ("b", lambda v: ShiftedQuadraticRate(1.0, v), _finite_nonnegative),
-    ("a_max", Basis, _finite_positive),
-    ("a_max", lambda v: _experiment(a_max=v), _finite_positive),
+    ("a_max", Basis, _window),
+    ("a_max", lambda v: _experiment(a_max=v), _window),
     ("interval", lambda v: make_grid((v, 2.0), 5),
      lambda v: 0 < v < 2.0 and _spaced(v, 2.0, 5)),
     ("interval", lambda v: make_grid((0.5, v), 5),
@@ -293,6 +301,36 @@ def test_bad_flag_exit_code(tmp_path, caplog, argv, flag):
     path = write_config(tmp_path, out_dir=str(tmp_path / "o"))
     assert main(["--config", path] + argv) == 2
     assert f"config: {flag}: " in caplog.text
+
+
+# a window whose amplitude sqrt(2/a_max) overflows (estimate wrote NaN
+# coefficients with exit 0 for the first two), or whose phase 2*pi*a_max does
+@pytest.mark.parametrize("a_max", [5e-324, 1e-308, 3e307, 1.7e308])
+def test_window_overflow_exit_code(tmp_path, caplog, a_max):
+    doc = {**BASE_DOC, "estimation": {"a_max": a_max}}
+    path = write_config(tmp_path, doc, out_dir=str(tmp_path / "o"))
+    assert main(["--config", path, "estimate", "--n", "200"]) == 2
+    assert "config: estimation.a_max: must keep 2/a_max and 2*pi*a_max " \
+        "finite" in caplog.text
+    assert not (tmp_path / "o").exists()
+    # just inside the limits, about 1.1e-308 and 2.86e307
+    Basis(1.2e-308)
+    Basis(2.8e307)
+
+
+def test_config_dump_built_only_when_logged(tmp_path, caplog, monkeypatch):
+    path = write_config(tmp_path, out_dir=str(tmp_path / "o"))
+
+    def refuse(config):
+        raise AssertionError("dump_config called without debug logging")
+
+    monkeypatch.setattr("pdmprate.cli.dump_config", refuse)
+    caplog.set_level(logging.INFO)
+    assert main(["--config", path, "simulate", "--n", "20"]) == 0
+    monkeypatch.setattr("pdmprate.cli.dump_config", lambda config: "DUMP")
+    caplog.set_level(logging.DEBUG)
+    assert main(["--config", path, "-v", "simulate", "--n", "20"]) == 0
+    assert "effective config:\nDUMP" in caplog.text
 
 
 QUADRATIC = {"variant": "quadratic", "a": 1.0, "b": 0.5}

@@ -704,12 +704,22 @@ class TestGenericSampler:
             sample_next(model, [1.0, 1.0, 1.0], [0.5, 8.0, 8.0])
 
     def test_sample_next_is_not_below_the_jump_image(self):
-        # the draw's last Newton step lands one ulp below the jump image
+        # the root's last Newton step lands one ulp below the jump image
         # here; a chain's states are held there, and so is sample_next's
         z = 0.617422611208365
-        assert GenericSampler(MC_GENERIC, z).draw(1e-18) < 0.5 * z
+        sampler = GenericSampler(MC_GENERIC, z)
+        assert sampler._root(*sampler._reach(1e-18), 1e-18) < 0.5 * z
         assert sample_next(MC_GENERIC, z, 1e-18) == 0.5 * z
         assert sample_next(MC_GENERIC, [z], [1e-18])[0] == 0.5 * z
+
+    def test_draw_is_not_below_the_jump_image(self):
+        # the public draw holds its root at the jump image too; draws from
+        # 1e-18 to 1e-15 from this state once landed an ulp below it
+        z = 0.617422611208365
+        sampler = GenericSampler(MC_GENERIC, z)
+        assert sampler.draw(1e-18) == sampler.lo == 0.5 * z
+        draws = [sampler.draw(e) for e in np.geomspace(1e-18, 1e-15, 3000)]
+        assert min(draws) >= sampler.lo
 
     def test_inverses_survive_downward_growth(self):
         # from z0 = 50 the first draws build inverses high up; the chain then
