@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Basis, design_means, series_terms
-from .errors import ChainTooShortError
+from .errors import ChainTooShortError, require
 
 DEFAULT_SIGMA = 2.0
 DEFAULT_SIGMA_PRIME = 0.0
@@ -70,6 +70,9 @@ def _criterion(coeffs: np.ndarray, basis: Basis, n: int, sigma: float,
     """
     m_max = (len(coeffs) - 1) // 2
     dims = np.array([basis.dim(m) for m in range(m_max + 1)])
+    # contrasts are at most D*2/a_max, up to rounding: twice that must fit
+    require(4.0 * int(dims[-1]) / float(basis.a_max) < np.inf, "a_max",
+            f"must keep 4*D/a_max finite at D = {dims[-1]}", basis.a_max)
     contrasts = -np.cumsum(coeffs ** 2)[dims - 1]
     penalties = sigma * dims / n + sigma_prime / n
     return contrasts, penalties

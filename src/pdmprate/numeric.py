@@ -57,6 +57,7 @@ _CHEB_MATRIX = (2.0 / (CHEB_NODES - 1)) * np.cos(
     np.outer(np.arange(CHEB_NODES), _CHEB_THETA))
 _CHEB_MATRIX[:, [0, -1]] *= 0.5
 _CHEB_MATRIX[[0, -1]] *= 0.5
+_CAPPED_MAX = float(np.finfo(float).max) / CAP_FACTOR   # above it, no cap
 
 
 def _scalar_integrand(model: Model):
@@ -157,9 +158,9 @@ class GenericSampler:
         positive("z", z)
         self.z = float(z)
         self.lo = self._kappa * self.z
-        if not self.lo > 0.0:
-            raise StateRangeError(
-                f"the jump image of z = {self.z!r} underflows double precision")
+        if not self.lo >= 2.0 ** -1022:   # below it, panel edges collapse
+            raise StateRangeError(f"the jump image of z = {self.z!r} is below "
+                                  "the smallest normal double")
         self.cap = CAP_FACTOR * max(self.z, 1.0)
         # hazards are measured from the left edge of the jump image's panel
         self._p = _panel_index(self.lo)
@@ -447,7 +448,8 @@ class GenericSampler:
         walked = np.isnan(z[:k])
         z[:k][walked] = self.states(ks[:k][walked], hs[:k][walked])
         prev = np.concatenate(([z0], z[:-1]))
-        for m in np.flatnonzero(z > CAP_FACTOR * np.maximum(prev, 1.0))[:1]:
+        base = np.where(prev > _CAPPED_MAX, np.inf, np.maximum(prev, 1.0))
+        for m in np.flatnonzero(z > CAP_FACTOR * base)[:1]:
             self.move_to(prev[m])
             k, error = int(m), self._cap_error(draws[m])
         if error is not None:

@@ -12,8 +12,8 @@ state.  Chains are reproducible bit-exactly from their seed record.
 
 from __future__ import annotations
 
+import contextlib
 import math
-import warnings
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -340,27 +340,82 @@ def chain_from_text(text: str, model: Model) -> JumpChain:
 def _states_from_text(text: str) -> np.ndarray:
     """States of a chain file, one per data row; see :func:`chain_from_text`.
 
-    A function of its own so that the line list is freed before the
-    consistency check allocates its temporaries.
+    The exact reader takes the files the bulk decoder refuses, and names
+    the first line it cannot read.
     """
+    if _BULK_DECODE and text.isascii():
+        with contextlib.suppress(ValueError):
+            return _bulk_states(text)
     lines = text.splitlines()
     first = next((i for i, line in enumerate(lines) if _is_data(line)), None)
     if first is None:
         raise ChainFormatError("chain file has no data rows")
     z0 = _parse_rows(lines[first:first + 1], first + 1, max_width=1)[0, 0]
-    body = lines[first + 1:]
-    try:
-        with warnings.catch_warnings():
-            # a chain of one state has no rows after z[0]
-            warnings.simplefilter("ignore", UserWarning)
-            table = np.loadtxt(body, delimiter="\t", comments=None, ndmin=2)
-        if table.shape[1] > 2:
-            raise ValueError("too many columns")
-    except ValueError:
-        # the exact reader: finds the offending line, or accepts what the
-        # fast one does not (comment lines, whitespace-only lines)
-        table = _parse_rows(body, first + 2, max_width=2)
+    table = _parse_rows(lines[first + 1:], first + 2, max_width=2)
     return np.concatenate(([z0], table[:, 0]))
+
+
+# The bulk decoder reads a field as M/10**k, its digits M < 10**19 over its
+# k <= 27 decimals, in a long double of 64 (x87) or 113 (IEEE quad) bits:
+# both are exact, so that is one correct rounding (Clinger, PLDI 1990), and
+# so is the cast to a double but from a midpoint, where float() reads it.
+_BULK_DECODE = np.finfo(np.longdouble).nmant in (63, 112)
+_POW10 = np.cumprod([1] + [10] * 27, dtype=np.longdouble)
+_PLAIN = b"0123456789.\t\n"
+_ZEROS = bytes(c if c in _PLAIN else 48 for c in range(256))
+
+
+def _bulk_states(text: str) -> np.ndarray:
+    """The states of an ASCII chain file; ValueError where it refuses it."""
+    text += "" if text.endswith("\n") else "\n"
+    pos = lineno = 0   # skip the header
+    while pos < len(text) and not _is_data(text[pos:text.find("\n", pos)]):
+        pos, lineno = text.find("\n", pos) + 1, lineno + 1
+    end = text.find("\n", pos)
+    if end < 0 or any(c in text[:end] for c in "\r\x0b\x0c\x1c\x1d\x1e"):
+        raise ValueError("no data, or a line break of str.splitlines() but \\n")
+    z = np.full(1 + text.count("\n", end + 1),   # z[0], and room for the rest
+                _parse_rows([text[pos:end]], lineno + 1, max_width=1)[0, 0])
+    pos, k = end + 1, 1
+    width = 1 + text.count("\t", pos, text.find("\n", pos))
+    while pos < len(text):   # in blocks of about 64 KB
+        cut = text.rfind("\n", pos, pos + 65536) + 1 or len(text)
+        states = _decode_block(text[pos:cut].encode(), width)
+        z[k:k + len(states)], k, pos = states, k + len(states), cut
+    return z
+
+
+def _decode_block(b: bytes, width: int) -> np.ndarray:
+    """The first fields of the ``width``-field rows of ``b``."""
+    odd = b.translate(None, _PLAIN)
+    if odd.translate(None, b"+-_eEaAfFiInNtTyY"):
+        raise ValueError("not a sign, an exponent, inf or nan: a space, a #")
+    a = np.frombuffer(b, np.uint8)
+    ends = np.flatnonzero((a == 9) | (a == 10))   # of each field
+    if width > 2 or len(ends) % width or (a[ends].reshape(-1, width)
+                                          != (9, 10)[2 - width:]).any():
+        raise ValueError("a row not of width - 1 tabs and a newline")
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    dots = np.flatnonzero(a == 46)
+    one = len(dots) == len(ends) and ((dots >= starts) & (dots < ends)).all()
+    at = slice(None) if one else np.searchsorted(ends, dots)   # dots' fields
+    k = np.full(len(ends), -1)   # decimals, -1 without a dot
+    k[at] = ends[at] - dots - 1
+    if (ends - starts <= (k >= 0)).any() or (k >= 0).sum() < len(dots):
+        raise ValueError("a field without digits, or with two dots")
+    m = np.fromstring(b.translate(_ZEROS, b"."), np.uint64, sep="\n")
+    # np.fromstring saturates at 2**64 - 1: float() reads M of 20 digits
+    bad = (m >= 10 ** 19) | (k > 27)
+    if odd:   # a sign, an exponent, inf or nan: float() reads the field
+        bad[np.searchsorted(ends, np.flatnonzero(
+            (a > 57) | (a == 43) | (a == 45)))] = True
+    q = m.astype(np.longdouble) / _POW10[np.clip(k, 0, 27)]
+    x = q.astype(float)
+    # at a midpoint q, q - x is half the gap from x to its neighbour toward q
+    r = (q - x).astype(float)
+    bad |= 2 * r == np.nextafter(x, np.copysign(np.inf, r)) - x
+    x[bad] = [float(a[i:j].tobytes()) for i, j in zip(starts[bad], ends[bad])]
+    return x[::width]
 
 
 def _is_data(line: str) -> bool:

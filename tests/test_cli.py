@@ -363,6 +363,21 @@ def test_extreme_model_exit_code(tmp_path, caplog, capsys, flow, rate, z0,
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+def test_subnormal_jump_image_exit_code(tmp_path, caplog, capsys, command):
+    # kappa*z0 rounds back to z0 = 5e-324, below the smallest normal double,
+    # where the numeric sampler's panels are empty (it exited 1 on an
+    # IndexError)
+    doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
+    doc["model"].update(flow={"variant": "exponential", "c": 1e300},
+                        f={"kappa": 0.7}, rate=QUADRATIC, z0=5e-324)
+    path = write_config(tmp_path, doc, out_dir=str(tmp_path / "o"))
+    assert main(["--config", path, command, "--n", "5"]) == 3
+    assert "numerical failure: the jump image of z = 5e-324 is below the " \
+        "smallest normal double" in caplog.text
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("interval", [[1.0, 1.0000001],
                                       [1e300, 1.0000001e300]])
 @pytest.mark.parametrize("command", ["estimate", "bench"])

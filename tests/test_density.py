@@ -3,8 +3,8 @@ import pytest
 from scipy import integrate
 
 from oracles import design_oracle, fit_from_text, penalty
-from pdmprate import (Basis, ChainTooShortError, contrast, select_model,
-                      simulate_chain, tcp_model)
+from pdmprate import (Basis, ChainTooShortError, ConfigError, contrast,
+                      select_model, simulate_chain, tcp_model)
 from pdmprate.density import fit_to_text
 
 
@@ -85,6 +85,18 @@ class TestSelectModel:
         dim = fit.basis.dim(fit.m_hat)
         assert -contrast(fit.coeffs[:dim]) == pytest.approx(
             float(np.sum(fit.coeffs[:dim] ** 2)), abs=0.0)
+
+    def test_overflowing_contrast_names_a_max(self):
+        # every coefficient is sqrt(2/a_max) = 1.3e154, so the cumulative sum
+        # of their squares passed 1.8e308 (a RuntimeWarning, or -inf)
+        with pytest.raises(ConfigError, match="^a_max: .* at D = 9, got "
+                           "1.2e-308$"):
+            select_model(np.zeros(100), Basis(1.2e-308))
+        # with 4*D/a_max finite, every contrast is
+        for n in (100, 10_000):
+            a_max = 4.0 * Basis.dim(Basis().max_model_index(n)) / 1.7e308
+            fit = select_model(np.zeros(n), Basis(a_max))
+            assert np.all(np.isfinite(fit.contrasts))
 
 
 class TestEvaluate:

@@ -1,3 +1,4 @@
+import decimal
 import gc
 import math
 import os
@@ -20,6 +21,7 @@ from oracles import (advance, chain_draws, cumulative, generic_draw_oracle,
                      power_log_step_oracle, sample_next_generic,
                      simulate_chain_oracle)
 import pdmprate
+import pdmprate.simulate as simulate
 from pdmprate import (CapExceededError, ChainFormatError, ConfigError,
                       GenericSampler, InconsistentChainError, JumpChain,
                       StateRangeError, bacterial_model,
@@ -28,7 +30,7 @@ from pdmprate import (CapExceededError, ChainFormatError, ConfigError,
                       tcp_quadratic_model)
 from pdmprate.model import (CustomRate, Flow, JumpMap, Model, PowerRate,
                             ShiftedQuadraticRate)
-from pdmprate.numeric import (CAP_FACTOR, _clenshaw, _fit_panel,
+from pdmprate.numeric import (CAP_FACTOR, _CAPPED_MAX, _clenshaw, _fit_panel,
                               _generic_chain, _generic_next, _invert,
                               _panel_edge, _panel_index, _scalar_integrand,
                               _store)
@@ -370,6 +372,32 @@ class TestGenericSampler:
         m = Model(Flow("additive", 1.0), JumpMap(1e-300), PowerRate(1.0, -0.5))
         with pytest.raises(StateRangeError, match="jump image"):
             GenericSampler(m, 1e-30)
+
+    def test_subnormal_jump_image_raises(self):
+        # 0.7 * 5e-324 rounds back to 5e-324; below the smallest normal
+        # double the panel edges collapse, which ended in an IndexError
+        m = Model(Flow("exponential", 1e300), JumpMap(0.7),
+                  ShiftedQuadraticRate(1.0, 0.5))
+        for z in (5e-324, 2e-308):
+            with pytest.raises(StateRangeError,
+                               match="below the smallest normal double"):
+                simulate_chain(m, z, 5, 0)
+            with pytest.raises(StateRangeError,
+                               match="below the smallest normal double"):
+                sample_next(m, z, 1.0)
+        with pytest.raises(StateRangeError, match="jump image"):
+            GenericSampler(m, 2.2250738585072014e-308 / 0.7 * 0.999)
+        GenericSampler(m, 2.2250738585072014e-308 / 0.7 * 1.001)
+
+    def test_overflowing_cap_is_no_cap(self):
+        # CAP_FACTOR * z0 overflows: the chain's cap check used to raise a
+        # RuntimeWarning, which warnings as errors made a traceback
+        m = Model(Flow("exponential", 2.0), JumpMap(0.5),
+                  ShiftedQuadraticRate(1.0, 0.5))
+        with pytest.raises(StateRangeError, match="overflows double"):
+            simulate_chain(m, 1.7e308, 5, 0)
+        assert CAP_FACTOR * _CAPPED_MAX < math.inf
+        assert CAP_FACTOR * math.nextafter(_CAPPED_MAX, math.inf) == math.inf
 
     @given(kind=st.sampled_from(["mc_generic", "power", "smooth", "kink",
                                  "steep"]),
@@ -1373,14 +1401,16 @@ class TestSerialization:
             chain_from_text("# columns: z\tt\n1.0\t0.0\n0.8\t1.0\n", tcp_model())
 
 
+CHAIN_FILE_CASES = dict(
+    family=st.sampled_from(["tcp", "exponential", "quadratic", "generic"]),
+    kappa=st.floats(0.05, 0.95), n=st.integers(2, 40), times=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+
+
 class TestChainFileConsistency:
     """A chain file state below the jump image of the one before is rejected."""
 
-    @given(family=st.sampled_from(["tcp", "exponential", "quadratic",
-                                   "generic"]),
-           kappa=st.floats(0.05, 0.95), n=st.integers(2, 40),
-           times=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
-           data=st.data())
+    @given(**CHAIN_FILE_CASES)
     @settings(max_examples=60, deadline=None)
     def test_simulated_accepted_shrunk_state_rejected(self, family, kappa, n,
                                                       times, seed, data):
@@ -1430,3 +1460,163 @@ class TestChainFileConsistency:
         with pytest.raises(InconsistentChainError,
                            match=r"chain line 11: z\[5\]"):
             chain_from_text("\n".join(lines), m)
+
+
+def states_of(rows, times=False, z0="1"):
+    """``_states_from_text`` of a file with header, ``z0`` and ``rows``; in
+    a file with times, each row gets a time field after a tab."""
+    body = [r + ("\t%.17g" % (i + 0.5) if times else "")
+            for i, r in enumerate(rows)]
+    head = ["# model: test", "# columns: z" + ("\tt" if times else ""), z0]
+    return simulate._states_from_text("\n".join(head + body) + "\n")
+
+
+def field_format(fmt):
+    return repr if fmt == "repr" else (lambda v: fmt % v)
+
+
+@pytest.fixture(scope="class")
+def exact_reader():
+    """Every chain file through the exact reader, as on a platform without
+    the bulk decoder's long double."""
+    def refuse(text):
+        raise AssertionError("the bulk decoder ran")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_BULK_DECODE", False)
+        mp.setattr(simulate, "_bulk_states", refuse)
+        yield
+
+
+class TestBulkDecode:
+    """The bulk decoder against its oracle, ``float()`` of each field."""
+
+    @given(xs=st.lists(st.one_of(
+               st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+               st.floats(1e-4, 1e16)), min_size=1, max_size=60),
+           fmt=st.sampled_from(["%.17g", "%.15g", "%.19g", "repr"]),
+           times=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_float_of_each_field(self, xs, fmt, times):
+        rows = [field_format(fmt)(v) for v in xs]
+        z = states_of(rows, times)
+        assert np.array_equal(z, [1.0] + [float(r) for r in rows])
+
+    @pytest.mark.parametrize("fmt", ["%.15g", "%.17g", "%.19g", "repr"])
+    @pytest.mark.parametrize("times", [False, True])
+    def test_many_blocks_match_float(self, fmt, times):
+        # about 20 bytes a row: the file spans several 64 KB blocks
+        x = 10.0 ** np.random.default_rng(3).uniform(-3, 13, 20_000)
+        rows = [field_format(fmt)(v) for v in x.tolist()]
+        z = states_of(rows, times)
+        assert np.array_equal(z[1:], [float(r) for r in rows])
+
+    def test_midpoint_quotients_match_float(self):
+        # the 19-digit decimal nearest the midpoint between x and its upper
+        # neighbour; M/10**k in the long double often lands on that midpoint,
+        # where its cast to a double may round the wrong way
+        x = 10.0 ** np.random.default_rng(1).uniform(-3, 13, 10_000)
+        exact = decimal.Context(prec=60)
+        rows = []
+        for v in x.tolist():
+            mid = exact.divide(exact.add(decimal.Decimal(v), decimal.Decimal(
+                math.nextafter(v, math.inf))), 2)
+            digits = decimal.Decimal(1).scaleb(mid.adjusted() - 18)
+            rows.append(format(mid.quantize(digits, context=exact), "f"))
+        z = states_of(rows)
+        assert np.array_equal(z[1:], [float(r) for r in rows])
+        if simulate._BULK_DECODE:
+            m = np.array([int(r.replace(".", "")) for r in rows],
+                         dtype=np.uint64)
+            k = np.array([len(r.partition(".")[2]) for r in rows])
+            q = m.astype(np.longdouble) / simulate._POW10[k]
+            lo = q.astype(float)
+            up = np.nextafter(lo, np.where(q > lo, np.inf, -np.inf))
+            on_midpoint = q == (lo.astype(np.longdouble) + up) / 2
+            assert on_midpoint.sum() > 1000
+            # and a plain cast would have been wrong for many of them
+            assert (lo != z[1:]).sum() > 500
+
+    @pytest.mark.parametrize("text, want", [
+        # 20 digits: np.fromstring would saturate the mantissa at 2**64 - 1
+        ("1\n12345678901234567891\n", [1.0, 12345678901234567891.0]),
+        ("1\n99999999999999999999.5\n", [1.0, 1e20]),
+        ("1e-06\n1e-05\n", [1e-06, 1e-05]),
+        ("1\n+0.5\n", [1.0, 0.5]),
+        ("1\n1_0\n", [1.0, 10.0]),
+        ("1\n0.5", [1.0, 0.5]),                          # no final newline
+        ("# columns: z\r\n1\r\n0.5\r\n", [1.0, 0.5]),
+        ("1\n٠.٥\n", [1.0, 0.5]),              # Arabic-Indic digits
+        ("1\n0.00000000000000000000000000012\n"          # 29 decimals
+         "0.0000000000000000000000000001\n", [1.0, 1.2e-28, 1e-28]),
+        ("1\n5.\n.5\n", [1.0, 5.0, 0.5]),
+        # lines str.splitlines() breaks at \r: the exact reader's rows
+        ("1\n0.5\n0.7\r2\n", [1.0, 0.5, 0.7, 2.0]),
+        ("# x\r1\n0.5\n", [1.0, 0.5]),
+    ])
+    def test_parity_cases(self, text, want):
+        m = tcp_model(kappa=1e-30)
+        assert np.array_equal(chain_from_text(text, m).z, want)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_BULK_DECODE", False)
+            assert np.array_equal(chain_from_text(text, m).z, want)
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("1\nnan\n", InconsistentChainError, r"^chain line 2: z\[1\] = nan:"),
+        ("1\n0.5\n-0.5\n", InconsistentChainError,
+         r"^chain line 3: z\[2\] = -0\.5:"),
+        ("1\n0.5\n1.2.3\n", ChainFormatError,
+         r"^chain line 3: not a number: '1\.2\.3'$"),
+        ("1\n0.5\n.\n", ChainFormatError,
+         r"^chain line 3: not a number: '\.'$"),
+        ("1\n0.5\t1\n0.7\n", ChainFormatError,
+         r"^chain line 3: 1 tab-separated fields, expected 2: '0\.7'$"),
+        ("1\n0.5\t1\n0.7\t\n", ChainFormatError,
+         r"^chain line 3: 1 tab-separated fields, expected 2: '0\.7\\t'$"),
+        ("1\n0.5\t1\n0.7\tx\n", ChainFormatError,
+         r"^chain line 3: not a number: '0\.7\\tx'$"),
+        ("# x\rz\n1\n0.5\n", ChainFormatError,
+         r"^chain line 2: not a number: 'z'$"),
+        ("# only a header\n", ChainFormatError,
+         r"^chain file has no data rows$"),
+    ])
+    def test_parity_errors(self, text, error, message):
+        m = tcp_model(kappa=1e-30)
+        for bulk in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(simulate, "_BULK_DECODE",
+                           bulk and simulate._BULK_DECODE)
+                with pytest.raises(error, match=message):
+                    chain_from_text(text, m)
+
+    @pytest.mark.skipif(not simulate._BULK_DECODE,
+                        reason="no long double for the bulk decoder")
+    @pytest.mark.parametrize("times", [False, True])
+    def test_plain_file_takes_the_bulk_decoder(self, monkeypatch, times):
+        # the exact reader reads z[0] alone; a second call would be the body
+        calls = []
+        parse = simulate._parse_rows
+        monkeypatch.setattr(simulate, "_parse_rows",
+                            lambda *a, **k: calls.append(a) or parse(*a, **k))
+        chain = simulate_chain(tcp_model(), 1.0, 300, 4)
+        back = chain_from_text(chain_to_text(chain, include_times=times),
+                               chain.model)
+        assert np.array_equal(back.z, chain.z)
+        assert len(calls) == 1
+
+
+@pytest.mark.usefixtures("exact_reader")
+class TestSerializationExactReader(TestSerialization):
+    """:class:`TestSerialization` with the bulk decoder off."""
+
+
+@pytest.mark.usefixtures("exact_reader")
+class TestChainFileConsistencyExactReader(TestChainFileConsistency):
+    """:class:`TestChainFileConsistency` with the bulk decoder off."""
+
+    # a given test of its own: hypothesis runs each from one class only
+    @given(**CHAIN_FILE_CASES)
+    @settings(max_examples=60, deadline=None)
+    def test_simulated_accepted_shrunk_state_rejected(self, **case):
+        base = TestChainFileConsistency
+        base.test_simulated_accepted_shrunk_state_rejected.hypothesis \
+            .inner_test(self, **case)
