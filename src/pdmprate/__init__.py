@@ -5,7 +5,7 @@ from .bench import (DiagnosticsReport, ExperimentConfig, ExperimentResult,
                     ExperimentRow, ReplicateResult, convergence_diagnostics,
                     replicate_seed, run_experiment, run_replicate, rows_to_csv,
                     tail_assumption_ok)
-from .density import DensityFit, contrast, select_model
+from .density import DensityFit, select_model
 from .errors import (CapExceededError, ChainFormatError, ChainTooShortError,
                      ConfigError, EmptyModelSetError, InconsistentChainError,
                      PdmpError, StateRangeError, UnreachableStateError)

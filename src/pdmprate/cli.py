@@ -8,11 +8,11 @@ to stderr, summaries to stdout, and files are the real interface.
 Exit codes: 0 success, 2 configuration error naming the key or flag (among
 them a non-finite number, a negative ``estimation.sigma`` or ``sigma_prime``,
 ``--seed`` below 0, ``--n`` or ``--threads`` below 1), 3 numerical failure (a
-simulated state out of double range, a numeric sampler's hazard overflowing
-double range, a chain whose states are not all finite and positive, a chain
-file with a state below the jump image of the state before it, or
-``diagnose`` with a largest chain length below 1000), 4 I/O error or
-malformed chain file.
+simulated state or jump time out of double range, a numeric sampler's
+hazard overflowing double range, a chain whose states are not all finite
+and positive, a chain file with a state below the jump image of the state
+before it, or ``diagnose`` with a largest chain length below 1000), 4 I/O
+error or malformed chain file.
 """
 
 from __future__ import annotations

@@ -55,12 +55,6 @@ class DensityFit:
         return out if x.ndim else float(out[0])
 
 
-def contrast(coeffs: np.ndarray) -> float:
-    """Minimized contrast value: minus the squared norm of the coefficients."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    return -float(np.sum(coeffs ** 2))
-
-
 def _criterion(coeffs: np.ndarray, basis: Basis, n: int, sigma: float,
                sigma_prime: float):
     """Contrasts and penalties ``sigma*D_m/n + sigma_prime/n`` of every model.

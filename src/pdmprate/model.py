@@ -13,7 +13,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import UnreachableStateError, nonnegative, positive, require
+from .errors import (StateRangeError, UnreachableStateError, nonnegative,
+                     positive, require)
 
 ADDITIVE = "additive"
 EXPONENTIAL = "exponential"
@@ -42,18 +43,29 @@ class Flow:
     def travel_time(self, x, y):
         """Time needed to move from ``x`` to ``y`` along the flow.
 
-        Raises :class:`UnreachableStateError` when ``y`` lies behind ``x``.
+        Raises :class:`UnreachableStateError` when ``y`` lies behind ``x``,
+        and :class:`StateRangeError` when the time exceeds double range.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if np.any(y < x):
             raise UnreachableStateError("target state precedes current state")
-        if self.variant == ADDITIVE:
-            out = (y - x) / self.c
-        else:
-            if np.any(x <= 0):
-                raise ValueError("exponential flow needs a positive start state")
-            out = np.log(y / x) / self.c
+        with np.errstate(over="ignore"):
+            if self.variant == ADDITIVE:
+                out = (y - x) / self.c
+            else:
+                if np.any(x <= 0):
+                    raise ValueError(
+                        "exponential flow needs a positive start state")
+                out = np.log(y / x) / self.c
+                # y/x overflows for a subnormal x, though its log may fit
+                far = out == np.inf
+                if np.any(far):
+                    out = np.where(far, (np.log(y) - np.log(x)) / self.c, out)
+        if np.any(out == np.inf):
+            raise StateRangeError(
+                f"a travel time exceeds double range (flow speed c = "
+                f"{self.c!r})")
         return out if out.ndim else float(out)
 
 
@@ -176,7 +188,11 @@ class Model:
         if self.flow.variant == ADDITIVE:
             out = np.full_like(ys, 1.0 / (self.jump.kappa * self.flow.c))
         else:
-            out = 1.0 / (self.flow.c * ys)
+            with np.errstate(over="ignore"):
+                cy = self.flow.c * ys
+            out = np.divide(1.0, cy, out=np.empty_like(ys))
+            # where c*y overflows, the weight is below 1/max but finite
+            np.divide(1.0 / self.flow.c, ys, out=out, where=cy == np.inf)
         return out if out.ndim else float(out)
 
 

@@ -4,10 +4,11 @@ Each closed-form sampler inverts the conditional survival function of the
 next state given the current one, driven by a unit-exponential draw; the
 numeric sampler of :mod:`pdmprate.numeric` handles every other rate.
 ``simulate_chain`` draws all exponentials first and runs its family's chain
-kernel over them: a linear scan for power rates, the plain-float Cardano
-step for the quadratic rate, and for the rest the numeric sampler's walk in
-hazard coordinates.  ``sample_next`` takes a chain's first step from each
-state.  Chains are reproducible bit-exactly from their seed record.
+kernel over them: a linear scan for power rates, block passes of one
+vectorized Cardano step for the quadratic rate, and for the rest the numeric
+sampler's walk in hazard coordinates.  ``sample_next`` takes a chain's first
+step from each state.  Chains are reproducible bit-exactly from their seed
+record.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -90,68 +90,14 @@ def _power_terms(model: Model) -> tuple:
 
 def _power_step(model: Model, z: np.ndarray, e: np.ndarray) -> np.ndarray:
     """The first pass of :func:`_power_chain`, ``(e*f + r*z**p)**(1/p)``,
-    from each state; one whose ``z**p`` overflows takes the chain itself."""
+    from each state; one where it overflows, as where ``z**p`` or ``e*f``
+    does, takes the chain itself."""
     p, r, f = _power_terms(model)
     with np.errstate(over="ignore", invalid="ignore"):
-        w = np.power(z, p)
-        out = np.power(e * f + r * w, 1.0 / p)
-    for i in np.flatnonzero(w == math.inf).tolist():
+        out = np.power(e * f + r * np.power(z, p), 1.0 / p)
+    for i in np.flatnonzero(out == math.inf).tolist():
         out[i] = _power_chain(model, z[i], e[i:i + 1])[1]
     return out
-
-
-def _quadratic_steps(model: Model, src, draws, dst) -> None:
-    """``dst[k]``: the next state from ``src[k]`` for the draw ``draws[k]``.
-
-    Additive flow, shifted quadratic rate: ``t = y/kappa - a`` is the real
-    root of ``t**3 + 3*b*t = q``, by Cardano in plain floats, the smaller
-    cube root's argument formed through its conjugate.  An overflow, of
-    ``b**3`` too, leaves an ``inf`` or ``nan`` state for the caller to report.
-    """
-    a, b, c = model.rate.a, model.rate.b, model.flow.c
-    kappa = model.jump.kappa
-    try:
-        b3 = b ** 3
-    except OverflowError:
-        b3 = math.inf
-    four_b3, two_b3 = 4.0 * b3, 2.0 * b3
-    three_c, three_b = 3.0 * c, 3.0 * b
-    sqrt, cbrt = math.sqrt, math.cbrt
-    for k, e in enumerate(draws):
-        u = src[k] - a
-        q = three_c * e + u * u * u + three_b * u
-        r = sqrt(four_b3 + q * q)
-        # t has the sign of q; a branch costs less than abs and copysign
-        if q >= 0.0:
-            s = q + r
-            # s = 0 only when q = b = 0, whose root is t = 0
-            t = cbrt(s / 2.0) - cbrt(two_b3 / s) if s != 0.0 else 0.0
-        else:
-            s = r - q
-            t = cbrt(two_b3 / s) - cbrt(s / 2.0)
-        dst[k] = kappa * (a + t)
-
-
-def _map_steps(steps, model: Model, z: np.ndarray,
-               e: np.ndarray) -> np.ndarray:
-    """A step kernel over ``z`` and ``e``, flat arrays of one length."""
-    out = np.empty(len(z))
-    steps(model, z.tolist(), e.tolist(), memoryview(out))
-    return out
-
-
-def _step_chain(steps, model: Model, z0: float,
-                draws: np.ndarray) -> np.ndarray:
-    """States ``z[0..n]`` by a step kernel along one buffer.
-
-    ``src`` and ``dst`` are memoryviews of it one state apart, so each state
-    is read right after it is written.
-    """
-    z = np.empty(len(draws) + 1)
-    z[0] = z0
-    states = memoryview(z)
-    steps(model, states[:-1], memoryview(draws), states[1:])
-    return z
 
 
 def _power_chain(model: Model, z0: float, draws: np.ndarray) -> np.ndarray:
@@ -167,21 +113,27 @@ def _power_chain(model: Model, z0: float, draws: np.ndarray) -> np.ndarray:
     so a pass multiplies by ``r**(s/2)`` twice; the passes stop once they
     would add only zeros.  While ``z0**p`` and the ``w`` after it overflow,
     the chain steps in ``log w' = p*log(kappa) + log w + log1p(x/w)``
-    instead, and the scan starts from the first ``w`` that fits.
+    instead, and the scan starts from the first ``w`` that fits.  From a
+    ``w`` that overflows later, as where ``r*x`` does, the rest of the chain
+    steps in ``log w`` (:func:`_log_w_steps`).
     """
     p, r, f = _power_terms(model)
     n = len(draws)
     w = np.empty(n + 1)
     w[0] = z0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # an overflow leaves inf states (and a pass's test 0*inf) to report
         np.power(w[:1], p, out=w[:1])
         np.multiply(draws, f, out=w[1:])
         logs = [p * math.log(z0)] if w[0] == math.inf else []
         while logs and logs[-1] >= _LOG_MAX and len(logs) <= n:
+            k = len(logs)
+            if w[k] == math.inf:
+                logs += _log_w_steps(model, logs[-1], draws[k - 1:k])
+                continue
             # log(r*w) + log1p(r*x / (r*w))
             a = logs[-1] + p * math.log(model.jump.kappa)
-            logs.append(a + math.log1p(w[len(logs)] * math.exp(-a)))
+            logs.append(a + math.log1p(w[k] * math.exp(-a)))
         scan = w[max(len(logs) - 1, 0):]
         if logs:
             scan[0] = np.exp(logs[-1])
@@ -196,12 +148,225 @@ def _power_chain(model: Model, z0: float, draws: np.ndarray) -> np.ndarray:
             else:
                 break
             s *= 2
+        k = max(len(logs), 1)
+        over = np.flatnonzero(w[k:] == math.inf)
+        tail = []
+        if len(over):
+            k += int(over[0])
+            lw = logs[-1] if k == len(logs) else float(np.log(w[k - 1]))
+            tail = _log_w_steps(model, lw, draws[k - 1:])
         if p != 1.0:
             np.power(w, 1.0 / p, out=w)
         if logs:
             w[:len(logs)] = np.exp(np.array(logs) / p)
+        if tail:
+            w[k:] = np.exp(np.array(tail) / p)
     w[0] = z0
     return w
+
+
+def _log_w_steps(model: Model, lw: float, draws: np.ndarray) -> list:
+    """``log w`` after ``lw`` for the draws in turn: each is the log-sum of
+    ``log(r*w)`` and ``log(e*f)``, so that neither ``w`` nor ``e*f``, both
+    of which may overflow while ``z = w**(1/p)`` fits, is formed."""
+    p, r, f = _power_terms(model)
+    c, lam = model.flow.c, model.rate.lam
+    log_r = p * math.log(model.jump.kappa)
+    log_f = math.log(f) if f < math.inf else (
+        log_r + math.log(p) + math.log(c) - math.log(lam))
+    out = []
+    for e in draws.tolist():
+        a = lw + log_r
+        b = math.log(e) + log_f if e > 0.0 else -math.inf
+        lw = max(a, b) + math.log1p(math.exp(-abs(a - b)))
+        out.append(lw)
+    return out
+
+
+# --- shifted quadratic rate, additive flow -----------------------------------
+
+# A block pass runs at least _BLOCKS blocks of at least _BLOCK_STEPS steps:
+# a vector step over a few hundred states costs about 20 Python-float steps,
+# so a pass over fewer blocks is no faster than the sequential loop.
+_BLOCK_STEPS = 64
+_BLOCKS = 32
+
+
+def _cardano_terms(model: Model) -> tuple:
+    """``(a, b, 3*b, 4*b**3, r_min, kappa)`` of :func:`_cardano`, and the
+    draws' factor ``3*c``.  The cube is formed by products, which overflow
+    to ``inf`` where ``b**3`` would raise."""
+    a, b = model.rate.a, model.rate.b
+    r_min = max(2.0 * b * math.sqrt(b), _FLOAT_TINY)
+    return ((a, b, 3.0 * b, 4.0 * b * b * b, r_min, model.jump.kappa),
+            3.0 * model.flow.c)
+
+
+def _cardano(terms: tuple, z, g, out=None) -> np.ndarray:
+    """Next states from the states ``z`` for the scaled draws ``g = 3*c*e``.
+
+    With ``u = z - a``, ``t = y/kappa - a`` is the real root of
+    ``t**3 + 3*b*t = q``, ``q = g + u*(u*u + 3*b)``: by Cardano
+    ``t = v - b/v``, ``v`` the cube root of ``(q + sign(q)*r)/2`` with
+    ``r = sqrt(q*q + 4*b**3)``, so nothing cancels in ``v``.  The state is
+    ``kappa*(z + d)`` with the increment ``d = t - u``, taken as
+    ``g/(t*t + t*u + u*u + 3*b)``: that denominator is at least
+    ``3*u*u/4 + 3*b``, so nothing cancels where ``z`` is far below ``a``,
+    as ``a + t`` does.  ``r`` is held at or above ``2*b**1.5``, its least
+    value, and the smallest normal double, so ``v`` is never 0, and ``t``
+    is about 0 where ``q`` and ``b**3`` vanish.  Where ``q*q`` or ``b**3``
+    overflows, ``v`` is infinite and ``t = (v*v - b)/v`` is nan, and so is
+    the state.  The caller sets numpy's errstate; :func:`_cardano_loop` is
+    the same step in Python floats.
+    """
+    a, b, b3x, b3, r_min, kappa = terms
+    u = z - a
+    uu = u * u
+    uu += b3x
+    q = u * uu
+    q += g
+    r = q * q
+    r += b3
+    np.sqrt(r, out=r)
+    np.maximum(r, r_min, out=r)
+    np.copysign(r, q, out=r)
+    r += q
+    r *= 0.5
+    v = np.cbrt(r)
+    t = v * v
+    t -= b
+    t /= v
+    u += t
+    u *= t
+    u += uu
+    np.divide(g, u, out=u)
+    u += z
+    return np.multiply(u, kappa, out=out)
+
+
+def _cardano_loop(terms: tuple, z: float, g: np.ndarray) -> list:
+    """The states after ``z`` for the scaled draws ``g`` in turn.
+
+    Each is :func:`_cardano`'s step in Python floats, operation for
+    operation, so bit for bit the same: the cube root is numpy's, which
+    may round otherwise than ``math.cbrt``.  No step divides by zero, as
+    ``v`` and the denominator are positive or nan.
+    """
+    a, b, b3x, b3, r_min, kappa = terms
+    sqrt, copysign, cbrt = math.sqrt, math.copysign, np.cbrt
+    out = []
+    for x in g.tolist():
+        u = z - a
+        uu = u * u + b3x
+        q = u * uu + x
+        r = sqrt(q * q + b3)
+        if r < r_min:   # as np.maximum, which keeps a nan
+            r = r_min
+        v = float(cbrt((q + copysign(r, q)) * 0.5))
+        t = (v * v - b) / v
+        z = kappa * (z + x / ((u + t) * t + uu))
+        out.append(z)
+    return out
+
+
+def _quadratic_step(model: Model, z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """:func:`_cardano` from each state, for the draws ``e``."""
+    terms, three_c = _cardano_terms(model)
+    with np.errstate(all="ignore"):
+        return _cardano(terms, z, e * three_c)
+
+
+def _quadratic_chain(model: Model, z0: float,
+                     draws: np.ndarray) -> np.ndarray:
+    """States ``z[0..n]``, each :func:`_cardano`'s step from the one before.
+
+    A chain too short for a block pass runs :func:`_cardano_loop`.  A longer
+    one first runs the loop with a second chain from ``z0`` one transition
+    behind (:func:`_coalescence`), and then block passes of twice the steps
+    the two took to meet (:func:`_block_steps`); the loop takes the rest.
+    Each part computes the states the loop would, so the chain does not
+    depend on the block length.
+    """
+    terms, three_c = _cardano_terms(model)
+    g = draws * three_c
+    z = np.empty(len(g) + 1)
+    z[0] = z0
+    done = 0
+    with np.errstate(all="ignore"):
+        if len(g) >= _BLOCKS * _BLOCK_STEPS:
+            done, met = _coalescence(terms, z, g, len(g) // (2 * _BLOCKS))
+            if met is not None:
+                done = _block_steps(terms, z, g, done,
+                                    max(_BLOCK_STEPS, 2 * met))
+        z[done + 1:] = _cardano_loop(terms, float(z[done]), g[done:])
+    return z
+
+
+def _coalescence(terms: tuple, z: np.ndarray, g: np.ndarray,
+                 cap: int) -> tuple:
+    """``(p, k)``: the states ``z[1..p]`` by :func:`_cardano_loop`, and the
+    steps ``k`` after which a chain from ``z[0]`` that starts one transition
+    late takes the same state as the chain, bit for bit; ``k`` is None if
+    that takes more than ``cap`` steps.  A block pass starts its blocks
+    from such a guess, so ``k`` is about the steps a block needs.
+    """
+    z[1] = _cardano_loop(terms, float(z[0]), g[:1])[0]
+    p, late = 1, float(z[0])
+    while p < cap:
+        c = min(_BLOCK_STEPS, cap - p)
+        z[p + 1:p + c + 1] = _cardano_loop(terms, float(z[p]), g[p:p + c])
+        path = _cardano_loop(terms, late, g[p:p + c])
+        met = np.flatnonzero(np.equal(path, z[p + 1:p + c + 1]))
+        if len(met):
+            return p + c, p + int(met[0])
+        p, late = p + c, path[-1]
+    return p, None
+
+
+def _block_steps(terms: tuple, z: np.ndarray, g: np.ndarray, start: int,
+                 steps: int) -> int:
+    """Block passes from ``z[start]`` while ``_BLOCKS`` blocks of ``steps``
+    fit; a pass that leaves a block unmet is followed by one of four times
+    the steps.  Returns the end of the states that are exact."""
+    while len(g) - start >= _BLOCKS * steps:
+        start, met = _block_pass(terms, z, g, start, steps)
+        if met:
+            break
+        steps *= 4
+    return start
+
+
+def _block_pass(terms: tuple, z: np.ndarray, g: np.ndarray, start: int,
+                steps: int) -> tuple:
+    """One block pass over ``z[start + 1:]``: ``(end, met)``, with the
+    states up to ``z[end]`` exact.
+
+    The draws split into blocks of ``steps``, and all blocks step at once,
+    each from the guess ``z[start]`` but the first, which starts there.
+    Then every later block restarts from the end of the block before it,
+    and all step again in lockstep until each takes a state it took before,
+    bit for bit: from there on its states are those of its new start.  Each
+    block then holds the states from the exact end of the block before it,
+    and ``met`` is True.  A block that meets no old state within its
+    length changes its end, so the block after it may have restarted from a
+    wrong state; then ``end`` is the end of the first such block, and
+    ``met`` is False.
+    """
+    blocks = (len(g) - start) // steps
+    zs = z[start + 1:start + 1 + blocks * steps].reshape(blocks, steps)
+    gs = g[start:start + blocks * steps].reshape(blocks, steps)
+    x = np.full(blocks, z[start])
+    for i in range(steps):
+        x = _cardano(terms, x, gs[:, i], out=zs[:, i])
+    x = zs[:-1, -1]
+    for i in range(steps):
+        y = _cardano(terms, x, gs[1:, i])
+        met = y == zs[1:, i]
+        zs[1:, i] = y
+        if met.all():
+            return start + blocks * steps, True
+        x = y
+    return start + (int(np.argmin(met)) + 2) * steps, False
 
 
 def _family_samplers(model: Model):
@@ -216,8 +381,7 @@ def _family_samplers(model: Model):
         return _power_step, _power_chain
     if (model.flow.variant == ADDITIVE
             and isinstance(model.rate, ShiftedQuadraticRate)):
-        return (partial(_map_steps, _quadratic_steps),
-                partial(_step_chain, _quadratic_steps))
+        return _quadratic_step, _quadratic_chain
     return _generic_next, _generic_chain
 
 
@@ -273,6 +437,7 @@ def reconstruct_times(chain: JumpChain) -> np.ndarray:
     to the pre-jump position of the next one.  A state up to the support
     tolerance below the jump image of the previous one, as a sampler's
     rounding leaves (:meth:`Model.below_support`), gets a zero duration.
+    A duration or a time beyond double range raises :class:`StateRangeError`.
     """
     model = chain.model
     if chain.n < 1:
@@ -282,7 +447,12 @@ def reconstruct_times(chain: JumpChain) -> np.ndarray:
         raise InconsistentChainError("pre-jump state behind previous state")
     pre_jump = np.maximum(model.jump.invert(chain.z[1:]), prev)
     gaps = model.flow.travel_time(prev, pre_jump)
-    return np.cumsum(np.atleast_1d(gaps))
+    with np.errstate(over="ignore"):
+        times = np.cumsum(np.atleast_1d(gaps))
+    if times[-1] == math.inf:
+        k = int(np.argmax(times == math.inf)) + 1
+        raise StateRangeError(f"the jump time of z[{k}] exceeds double range")
+    return times
 
 
 # --- chain serialization -----------------------------------------------------

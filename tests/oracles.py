@@ -8,10 +8,13 @@ transitions of a ``transitions x grid`` mask, the risk sweep evaluates one
 model at a time (its density at the jump images as a product with the
 design matrix, the ``1/ln n`` threshold written out, the integral by scipy's
 Simpson rule), and a chain is stepped one sampler call at a time, the
-quadratic rate's by a numpy Cardano step of its own.  The pointwise basis
+quadratic rate's by a numpy Cardano step of its own; a second Cardano step
+in Python floats with ``math.cbrt`` and a bisection in exact rationals check
+the package's step.  The pointwise basis
 function, the finite-difference transition weight, the penalty of one model
 and the best model in hindsight are spelled out one value at a time, for
-the tests that check the package's array versions.  The
+the tests that check the package's array versions, and the minimized
+contrast is minus the squared norm of the coefficients.  The
 diagnostics' null distance sums the row variances of the two design
 matrices.  A numeric draw integrates the hazard by adaptive quadrature and
 finds its root by Brent's method, one transition at a time, and
@@ -24,6 +27,7 @@ the hazard pair and the fit-record reader are used only by tests.
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate, optimize
@@ -35,6 +39,12 @@ from pdmprate.jumprate import denominator_grid, risk_sweep, threshold
 from pdmprate.model import ADDITIVE, PowerRate, ShiftedQuadraticRate
 from pdmprate.numeric import CAP_FACTOR, GenericSampler, _scalar_integrand
 from pdmprate.simulate import sample_next
+
+
+def contrast(coeffs):
+    """Minimized contrast value: minus the squared norm of the coefficients."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    return -float(np.sum(coeffs ** 2))
 
 
 def design_oracle(basis, x, dim):
@@ -246,6 +256,51 @@ def quadratic_step_oracle(model, z, e):
     t = np.cbrt(plus) + np.cbrt(minus)
     out = kappa * (a + t)
     return out if out.ndim else float(out)
+
+
+def quadratic_step_cardano(model, z, e):
+    """Next state of the same family by Cardano in Python floats, with
+    ``math.cbrt``: the real root of ``t**3 + 3*b*t = q`` as the difference
+    of two cube roots, the smaller one's argument formed through its
+    conjugate, and the state ``kappa*(a + t)``.  Within a few ulps of the
+    package's step where ``a + t`` does not cancel."""
+    a, b, c = model.rate.a, model.rate.b, model.flow.c
+    u = float(z) - a
+    q = 3.0 * c * float(e) + u * u * u + 3.0 * b * u
+    r = math.sqrt(4.0 * b ** 3 + q * q)
+    if q >= 0.0:
+        s = q + r
+        # s = 0 only when q = b = 0, whose root is t = 0
+        t = math.cbrt(s / 2.0) - math.cbrt(2.0 * b ** 3 / s) if s else 0.0
+    else:
+        s = r - q
+        t = math.cbrt(2.0 * b ** 3 / s) - math.cbrt(s / 2.0)
+    return model.jump.kappa * (a + t)
+
+
+def quadratic_increment_oracle(model, z, e):
+    """Next state of the same family, exact but for its last rounding.
+
+    With ``u = z - a``, the increment ``d = y/kappa - z`` solves
+    ``d*(u*u + u*d + d*d/3 + b) = c*e``, whose left side increases in
+    ``d >= 0``; bisection in exact rationals brackets it to 2**-90 of its
+    size, and ``kappa*(z + d)`` is rounded once.
+    """
+    a, b, c, kappa, z, e = (Fraction(v) for v in (
+        model.rate.a, model.rate.b, model.flow.c, model.jump.kappa, z, e))
+    u = z - a
+    target = c * e
+
+    def lhs(d):
+        return d * (u * u + u * d + d * d / 3 + b)
+
+    lo, hi = Fraction(0), Fraction(int(target > 0))
+    while lhs(hi) < target:
+        lo, hi = hi, 2 * hi
+    while hi - lo > hi * Fraction(1, 2 ** 90):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if lhs(mid) < target else (lo, mid)
+    return float(kappa * (z + (lo + hi) / 2))
 
 
 def power_log_step_oracle(model, z, e):

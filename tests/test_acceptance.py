@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from scipy import signal, stats
 
-from oracles import cumulative, design_oracle
-from pdmprate import (Basis, ExperimentConfig, GenericSampler, contrast,
+from oracles import contrast, cumulative, design_oracle
+from pdmprate import (Basis, ExperimentConfig, GenericSampler,
                       convergence_diagnostics, make_grid, rate_grid,
                       rows_to_csv, run_experiment, sample_next,
                       select_model, simulate_chain, tail_assumption_ok,

@@ -442,6 +442,38 @@ def test_squared_rate_overflow_exit_code(tmp_path, caplog, capsys):
     assert np.all(np.isfinite(np.loadtxt(rows)))
 
 
+@pytest.mark.parametrize("times", [[], ["--times"]])
+def test_travel_time_overflow_exit_code(tmp_path, caplog, capsys, times):
+    # from z0 = 1e300 a pre-jump position lies up to an ulp, about 1e284,
+    # past the state before it, a travel time of 1e584 at c = 1e-300: it
+    # was a RuntimeWarning, and inf without warnings as errors
+    doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
+    doc["model"].update(flow={"variant": "additive", "c": 1e-300}, z0=1e300)
+    doc["model"]["rate"]["delta"] = 1.0
+    path = write_config(tmp_path, doc, out_dir=str(tmp_path / "o"))
+    assert main(["--config", path, "simulate", "--n", "20", *times]) == 3
+    assert ("numerical failure: a travel time exceeds double range"
+            in caplog.text)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_exponential_weight_underflow_estimate(tmp_path):
+    # c*y overflows on the grid's jump images for c = 1.7e308; the weight
+    # 1/(c*y) is subnormal, where it was a RuntimeWarning, and 0 without
+    # warnings as errors
+    doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
+    doc["model"]["flow"] = {"variant": "exponential", "c": 1.0}
+    path = write_config(tmp_path, doc, out_dir=str(tmp_path / "o"))
+    assert main(["--config", path, "simulate", "--n", "200"]) == 0
+    doc["model"]["flow"]["c"] = 1.7e308
+    path = write_config(tmp_path, doc, out_dir=str(tmp_path / "o"))
+    assert main(["--config", path, "estimate", "--chain",
+                 str(tmp_path / "o" / "chain.tsv")]) == 0
+    rows = (tmp_path / "o" / "grid.tsv").read_text().splitlines()[1:]
+    d_hat = np.loadtxt(rows)[:, 4]
+    assert np.all(np.isfinite(d_hat)) and np.any(d_hat > 0.0)
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_exit_code(tmp_path, caplog, threads):
     doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))

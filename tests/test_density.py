@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from oracles import design_oracle, fit_from_text, penalty
-from pdmprate import (Basis, ChainTooShortError, ConfigError, contrast,
-                      select_model, simulate_chain, tcp_model)
+from oracles import contrast, design_oracle, fit_from_text, penalty
+from pdmprate import (Basis, ChainTooShortError, ConfigError, select_model,
+                      simulate_chain, tcp_model)
 from pdmprate.density import fit_to_text
 
 

@@ -6,8 +6,9 @@ from scipy import integrate
 
 from oracles import advance, cumulative, hazard, transition_weight_numeric
 from pdmprate import (ConfigError, CustomRate, Flow, JumpMap, Model,
-                      PowerRate, ShiftedQuadraticRate, UnreachableStateError,
-                      bacterial_model, tcp_model, tcp_quadratic_model)
+                      PowerRate, ShiftedQuadraticRate, StateRangeError,
+                      UnreachableStateError, bacterial_model, tcp_model,
+                      tcp_quadratic_model)
 
 finite_pos = st.floats(min_value=0.01, max_value=50.0,
                        allow_nan=False, allow_infinity=False)
@@ -38,6 +39,20 @@ class TestFlow:
     def test_unreachable(self):
         with pytest.raises(UnreachableStateError):
             Flow("additive", 1.0).travel_time(3.0, 1.0)
+
+    def test_travel_time_overflow_raises(self):
+        # (y - x)/c = 1e284/1e-300 is past the largest double (it was a
+        # RuntimeWarning, then inf)
+        with pytest.raises(StateRangeError,
+                           match="travel time exceeds double range"):
+            Flow("additive", 1e-300).travel_time(1e300, [1e300, 1.0001e300])
+
+    def test_travel_time_from_subnormal_start(self):
+        # y/x overflows from x = 5e-324, but its log, 744.4, does not
+        flow = Flow("exponential", 1e-300)
+        got = flow.travel_time([5e-324, 1.0], [1.0, 2.0])
+        assert got[0] == pytest.approx(-np.log(5e-324) / 1e-300, rel=1e-15)
+        assert got[1] == np.log(2.0) / 1e-300
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -97,6 +112,16 @@ class TestTransitionWeight:
     def test_bacterial_value(self):
         m = bacterial_model(c=1.0)
         assert m.transition_weight(2.0) == pytest.approx(0.5)
+
+    def test_exponential_weight_where_c_y_overflows(self):
+        # c*y = 3.4e308 overflows; the weight 1/(c*y) is subnormal but not 0
+        # (it was a RuntimeWarning, then 0)
+        m = Model(Flow("exponential", 1.7e308), JumpMap(0.5),
+                  PowerRate(1.0, 1.0))
+        got = m.transition_weight(np.array([2.0, 1e-300]))
+        assert got[0] == pytest.approx(1.0 / 3.4e308, rel=1e-14)
+        assert got[1] == 1.0 / (1.7e308 * 1e-300)
+        assert m.transition_weight(2.0) == got[0]
 
     @pytest.mark.parametrize("c", [1e-308, 5e-324])
     def test_additive_weight_not_finite_rejected(self, c):

@@ -9,6 +9,7 @@ import warnings
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from scipy import integrate, optimize, stats
 
 from oracles import (advance, chain_draws, cumulative, generic_draw_oracle,
                      perpetuity_cdf, perpetuity_density,
-                     power_log_step_oracle, sample_next_generic,
+                     power_log_step_oracle, quadratic_increment_oracle,
+                     quadratic_step_cardano, sample_next_generic,
                      simulate_chain_oracle)
 import pdmprate
 import pdmprate.simulate as simulate
@@ -34,8 +36,9 @@ from pdmprate.numeric import (CAP_FACTOR, _CAPPED_MAX, _clenshaw, _fit_panel,
                               _generic_chain, _generic_next, _invert,
                               _panel_edge, _panel_index, _scalar_integrand,
                               _store)
-from pdmprate.simulate import (_family_samplers, _power_chain, _power_step,
-                               _quadratic_steps)
+from pdmprate.simulate import (_block_steps, _cardano, _cardano_loop,
+                               _cardano_terms, _family_samplers, _power_chain,
+                               _power_step)
 
 
 class TestTcpPowerSampler:
@@ -230,6 +233,8 @@ FIRST_STEP_MODELS = {
     # z**201 overflows past z = 34.2, z**300 past 10.6
     "tcp_p201": tcp_model(delta=200.0),
     "bacterial_p300": bacterial_model(delta=300.0),
+    # the draw factor r*p*c/lam is 7.6e351, though every state fits
+    "tcp_factor_overflow": tcp_model(delta=500.0, c=1e200, lam=1e-300),
     "quadratic": tcp_quadratic_model(),
     "mc_generic": MC_GENERIC,
 }
@@ -296,13 +301,12 @@ def test_family_dispatch(model, family):
         assert step is _power_step and chain_kernel is _power_chain
     elif family == "numeric":
         assert step is _generic_next and chain_kernel is _generic_chain
-    else:
-        assert step.args == chain_kernel.args == (_quadratic_steps,)
     # the p = -0.5 model's hazard from z is finite, 2/sqrt(z) in all; from
     # 0.01 down it exceeds every draw.  Its states halve at each step, and
     # the quadrature oracle loses its accuracy below about 1e-6.
     z0, n, seed = 0.01, 12, 3
     got = simulate_chain(model, z0, n, seed).z
+    assert sample_next(model, z0, chain_draws(seed, 1)[0]) == got[1]
     if family == "numeric":
         draws = chain_draws(seed, n)
         want = [generic_draw_oracle(model, got[k], draws[k]) for k in range(n)]
@@ -1074,13 +1078,21 @@ class TestChainKernels:
         # p*c/lam = 201e308 overflows, though r*p*c/lam = 6.2e249 and every
         # z**201 fit
         (tcp_model(delta=200.0, lam=1e-308), 1.0, 5),
+        # r*p*c/lam = 7.6e351 overflows too, so every w does; z is about 5
+        (tcp_model(delta=500.0, c=1e200, lam=1e-300), 1.0, 5),
+        # ... and from z0**501, which overflows as well
+        (tcp_model(delta=500.0, c=1e200, lam=1e-300), 10.0, 5),
+        # r*p*c/lam = 1.0007e308: e*f overflows from the ninth draw, e > 1.8
+        (tcp_model(delta=200.0, c=1e300, lam=6.25e-67), 1.0, 300),
     ], ids=["tcp", "bacterial", "slow", "short", "factor_underflow",
-            "draw_factor"])
+            "draw_factor", "factor_overflow", "factor_overflow_large_z0",
+            "draw_overflow"])
     def test_large_w_matches_step_oracle(self, model, z0, n):
         # z0**p overflows though every state fits: the chain steps in log w
         # until w fits, then scans; in the scan r**s may underflow before
         # r**s * w does, and the draws' factor r*p*c/lam is formed in
-        # another order where p*c/lam overflows
+        # another order where p*c/lam overflows.  Where e*f or w overflows
+        # later, the chain steps in log w from there on
         z = simulate_chain(model, z0, n, 0).z
         want = [z0]
         for e in chain_draws(0, n):
@@ -1129,6 +1141,160 @@ class TestChainKernels:
                   ShiftedQuadraticRate(1.0, 0.5))
         with pytest.raises(StateRangeError, match="at transition 0:"):
             simulate_chain(m, 1e-150, 5, 0)
+
+
+def cardano_steps(model, z0, draws):
+    """States ``z[0..n]`` by the package's vector Cardano step, called on
+    one state at a time."""
+    terms, three_c = _cardano_terms(model)
+    z = np.empty(len(draws) + 1)
+    z[0] = z0
+    with np.errstate(all="ignore"):
+        for k, g in enumerate(draws * three_c):
+            z[k + 1] = _cardano(terms, z[k:k + 1], np.array([g]))[0]
+    return z
+
+
+def block_chain(model, z0, draws, steps):
+    """States by block passes of ``steps`` steps, of one block or more, and
+    then the Python-float loop, as ``simulate_chain`` runs them."""
+    terms, three_c = _cardano_terms(model)
+    g = draws * three_c
+    z = np.empty(len(g) + 1)
+    z[0] = z0
+    with mock.patch.object(simulate, "_BLOCKS", 1), \
+            np.errstate(all="ignore"):
+        done = _block_steps(terms, z, g, 0, steps)
+        z[done + 1:] = _cardano_loop(terms, float(z[done]), g[done:])
+    return z
+
+
+class TestQuadraticChain:
+    """The quadratic chain is the vector step applied state by state, bit for
+    bit, whatever its block length, and the step is accurate."""
+
+    @given(kappa=st.floats(0.05, 0.99), b=st.floats(0.0, 3.0),
+           z0=st.floats(0.05, 5.0), seed=st.integers(0, 2 ** 32 - 1),
+           steps=st.integers(2, 40),
+           length=st.sampled_from(["1", "2", "L-1", "L", "L+1", "5L"]))
+    @example(kappa=0.99, b=0.5, z0=1.0, seed=0, steps=4, length="5L")
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_match_step_loop(self, kappa, b, z0, seed, steps, length):
+        n = {"1": 1, "2": 2, "L-1": steps - 1, "L": steps, "L+1": steps + 1,
+             "5L": 5 * steps}[length]
+        m = tcp_quadratic_model(kappa=kappa, b=b)
+        draws = chain_draws(seed, n)
+        want = cardano_steps(m, z0, draws).tobytes()
+        for block in (steps, steps + 1, 2 * steps + 3):
+            assert block_chain(m, z0, draws, block).tobytes() == want
+
+    def test_unmet_block_resumes_from_exact_states(self):
+        # at kappa = 0.99 a block meets the true chain after about 1,000
+        # steps, so a pass of 4-step blocks leaves blocks unmet; the states
+        # up to the first of them are exact, and the rest is redone
+        m = tcp_quadratic_model(kappa=0.99)
+        draws = chain_draws(5, 400)
+        terms, three_c = _cardano_terms(m)
+        z = np.empty(401)
+        z[0] = 1.0
+        with np.errstate(all="ignore"):
+            end, met = simulate._block_pass(terms, z, draws * three_c, 0, 4)
+        want = cardano_steps(m, 1.0, draws)
+        assert not met and end >= 8
+        assert z[:end + 1].tobytes() == want[:end + 1].tobytes()
+        assert block_chain(m, 1.0, draws, 4).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kappa", [0.2, 0.9])
+    def test_long_chain_takes_blocks(self, kappa):
+        # the public path: a probe, then block passes of twice its meeting
+        # time (64 steps at kappa = 0.2, about 200 at 0.9), then the loop
+        m = tcp_quadratic_model(kappa=kappa)
+        n = 20_000
+        with mock.patch.object(simulate, "_block_pass",
+                               wraps=simulate._block_pass) as passes:
+            z = simulate_chain(m, 1.0, n, 3).z
+        assert passes.call_count >= 1
+        assert z.tobytes() == cardano_steps(m, 1.0,
+                                            chain_draws(3, n)).tobytes()
+
+    def test_sample_next_loop_matches_block_chain(self):
+        m = tcp_quadratic_model()
+        n = 3000
+        want = [1.0]
+        for e in chain_draws(8, n):
+            want.append(sample_next(m, want[-1], e))
+        assert simulate_chain(m, 1.0, n, 8).z.tolist() == want
+
+    @given(z=st.floats(5e-324, 1e200), e=st.floats(0.0, 1e300),
+           a=st.floats(1e-300, 1e100), b=st.sampled_from([0.0, 5e-324,
+                                                          1e-200, 0.5, 3.0,
+                                                          1e120]),
+           c=st.floats(1e-300, 1e300), kappa=st.floats(0.01, 0.99))
+    @example(z=1.3, e=0.0, a=1.3, b=0.0, c=1.0, kappa=0.3)
+    @example(z=0.5, e=1 / 3, a=1.5, b=0.0, c=1.0, kappa=0.5)
+    @example(z=0.5, e=1 / 3, a=1.5, b=1e-200, c=1.0, kappa=0.5)
+    @settings(max_examples=300, deadline=None)
+    def test_python_loop_matches_vector_step(self, z, e, a, b, c, kappa):
+        # the sequential parts of the chain take the vector step's bits,
+        # nan where it is nan, across double range
+        terms, three_c = _cardano_terms(tcp_quadratic_model(kappa, c, a, b))
+        with np.errstate(all="ignore"):
+            g = e * three_c
+            want = _cardano(terms, np.array([z]), np.array([g]))
+        got = np.array(_cardano_loop(terms, z, np.array([g])))
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_vector_step_does_not_depend_on_array_length(self):
+        # numpy's cube root runs SIMD loops of several lanes; a state's next
+        # state is the same in an array of 1 and of 10,001
+        rng = np.random.default_rng(2)
+        terms, three_c = _cardano_terms(tcp_quadratic_model(b=0.3))
+        z = rng.uniform(0.01, 5.0, 10_001)
+        g = rng.exponential(size=z.size) * three_c
+        whole = _cardano(terms, z, g)
+        one = [_cardano(terms, z[k:k + 1], g[k:k + 1])[0]
+               for k in range(0, z.size, 97)]
+        assert whole[::97].tobytes() == np.array(one).tobytes()
+
+    @given(c=st.floats(-8.0, 2.0).map(lambda x: 10.0 ** x),
+           kappa=st.floats(0.05, 0.99), a=st.floats(0.2, 3.0),
+           b=st.floats(0.1, 3.0), z=st.floats(1e-3, 5.0),
+           e=st.floats(0.0, 10.0))
+    @settings(max_examples=150, deadline=None)
+    def test_step_within_1e15_of_increment_oracle(self, c, kappa, a, b, z,
+                                                  e):
+        # kappa*(a + t) lost about log10(a/z) digits where z is far below a
+        # at small c (1.7e-9 at c = 1e-6); the increment form does not.  b
+        # is kept from 0: there the cubic itself is ill-conditioned at t = 0
+        m = tcp_quadratic_model(kappa=kappa, c=c, a=a, b=b)
+        want = quadratic_increment_oracle(m, z, e)
+        assert abs(sample_next(m, z, e) - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize("c", [1e2, 1.0, 1e-2, 1e-4, 1e-6, 1e-8])
+    def test_chain_steps_within_1e15_of_increment_oracle(self, c):
+        m = tcp_quadratic_model(kappa=0.5, c=c, a=1.0, b=0.5)
+        z = simulate_chain(m, 1.0, 400, 1).z
+        draws = chain_draws(1, 400)
+        for k in range(0, 400, 8):
+            want = quadratic_increment_oracle(m, z[k], draws[k])
+            assert abs(z[k + 1] - want) <= 1e-15 * want
+
+    @given(kappa=st.floats(0.05, 0.95), c=st.floats(0.5, 2.0),
+           a=st.floats(0.2, 3.0), b=st.floats(0.0, 3.0),
+           u=st.floats(0.0, 3.0), e=st.floats(0.0, 10.0))
+    @settings(max_examples=200, deadline=None)
+    def test_math_cbrt_step_within_few_ulps(self, kappa, c, a, b, u, e):
+        # the plain-float step with math.cbrt agrees to a few ulps where
+        # a + t does not cancel, from z = a up (5.6 ulps at most in 20,000
+        # random cases)
+        m = tcp_quadratic_model(kappa=kappa, c=c, a=a, b=b)
+        want = quadratic_step_cardano(m, a + u, e)
+        assert abs(sample_next(m, a + u, e) - want) <= 2e-15 * want
+
+    def test_cube_overflow_raises_in_a_block_chain(self):
+        # b**3 overflows: every state is nan, from the probe on
+        with pytest.raises(StateRangeError, match="^at transition 0:"):
+            simulate_chain(tcp_quadratic_model(b=1e300), 1.0, 5000, 0)
 
 
 # Power-rate models with r = kappa**p = 1/2, 1/sqrt(2) (criterion 10's sqrt
@@ -1316,6 +1482,23 @@ class TestReconstructTimes:
         bad = chain.__class__(z=np.array([10.0, 1.0]), model=m)
         with pytest.raises(InconsistentChainError):
             reconstruct_times(bad)
+
+    def test_travel_time_overflow_raises(self):
+        # from z0 = 1e300 a state's pre-jump position lies up to an ulp
+        # (about 1e284) past the state before it, and c = 1e-300
+        chain = simulate_chain(tcp_model(c=1e-300, delta=1.0), 1e300, 20, 0)
+        with pytest.raises(StateRangeError,
+                           match="travel time exceeds double range"):
+            reconstruct_times(chain)
+
+    def test_jump_time_overflow_raises(self):
+        # each duration, 1e8/c = 1e308, fits, but their sum does not
+        z1 = 0.5 * (1.0 + 1e8)
+        chain = JumpChain(z=np.array([1.0, z1, 0.5 * (z1 + 1e8)]),
+                          model=tcp_model(c=1e-300))
+        with pytest.raises(StateRangeError,
+                           match=r"jump time of z\[2\] exceeds double range"):
+            reconstruct_times(chain)
 
 
 class TestSurvivalIdentity:
