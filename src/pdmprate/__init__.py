@@ -1,6 +1,6 @@
 """Simulation and adaptive estimation toolkit for deterministic-jump chains."""
 
-from .basis import Basis, coefficients
+from .basis import Basis
 from .bench import (DiagnosticsReport, ExperimentConfig, ExperimentResult,
                     ExperimentRow, ReplicateResult, convergence_diagnostics,
                     replicate_seed, run_experiment, run_replicate, rows_to_csv,

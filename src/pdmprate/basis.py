@@ -49,23 +49,6 @@ class Basis:
         return int((np.sqrt(n) - 1.0) // 2)
 
 
-def coefficients(samples: np.ndarray, basis: Basis, m: int) -> np.ndarray:
-    """Empirical projection coefficients for the m-th subspace.
-
-    Entry ``l`` is the sample mean of the l-th basis function; prefixes are
-    exactly nested across m because each entry is computed the same way
-    regardless of m.
-    """
-    samples = np.asarray(samples, dtype=float)
-    n = len(samples)
-    if n < 1:
-        raise EmptyModelSetError("empty sample")
-    if basis.dim(m) ** 2 > n:
-        raise EmptyModelSetError(
-            f"dimension {basis.dim(m)} inadmissible for sample size {n}")
-    return design_means(samples, basis, basis.dim(m))
-
-
 def design_means(samples: np.ndarray, basis: Basis, dim: int) -> np.ndarray:
     """Column means of the design matrix, by the Taylor-binned transform.
 

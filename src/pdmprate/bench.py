@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -31,7 +31,12 @@ RATE_REPLICATES = 20
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One table's worth of Monte Carlo settings, and where the CLI writes."""
+    """One table's worth of Monte Carlo settings, and where the CLI writes.
+
+    ``basis`` (window ``[0, a_max]``) and ``ys`` (the read-only evaluation
+    grid on ``interval``) are built here, once, for every replicate,
+    estimate and diagnosis of the config.
+    """
 
     model: Model
     interval: tuple
@@ -44,10 +49,14 @@ class ExperimentConfig:
     z0: float = 1.0
     grid_points: int = DEFAULT_GRID_POINTS
     out_dir: str = "out"
+    basis: Basis = field(init=False, compare=False, repr=False)
+    ys: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        Basis(self.a_max)
+        object.__setattr__(self, "basis", Basis(self.a_max))
         ys = make_grid(self.interval, self.grid_points)
+        ys.flags.writeable = False
+        object.__setattr__(self, "ys", ys)
         rate = self.model.rate
         with np.errstate(over="ignore", divide="ignore"):
             w = self.model.transition_weight(self.model.jump.apply(ys[:1]))[0]
@@ -115,12 +124,10 @@ def run_replicate(config: ExperimentConfig, n: int, index: int) -> ReplicateResu
     start = time.perf_counter()
     ss = replicate_seed(config.base_seed, n, index)
     chain = simulate_chain(config.model, config.z0, n, ss)
-    basis = Basis(a_max=config.a_max)
-    fit = select_model(chain.samples, basis, sigma=config.sigma,
+    fit = select_model(chain.samples, config.basis, sigma=config.sigma,
                        sigma_prime=config.sigma_prime)
-    ys = make_grid(config.interval, config.grid_points)
-    denom = denominator_grid(chain, config.model, ys)
-    risks = risk_sweep(fit, chain, config.model, ys, denom=denom)
+    denom = denominator_grid(chain, config.ys)
+    risks = risk_sweep(fit, chain, config.ys, denom=denom)
     m_opt = int(np.argmin(risks))
     risk_mhat = float(risks[fit.m_hat])
     risk_mopt = float(risks[m_opt])
@@ -128,7 +135,7 @@ def run_replicate(config: ExperimentConfig, n: int, index: int) -> ReplicateResu
     elapsed = time.perf_counter() - start
     return ReplicateResult(
         n=n, index=index,
-        d_mhat=basis.dim(fit.m_hat), d_mopt=basis.dim(m_opt),
+        d_mhat=fit.basis.dim(fit.m_hat), d_mopt=fit.basis.dim(m_opt),
         risk_mhat=risk_mhat, risk_mopt=risk_mopt, ratio=ratio,
         seconds=elapsed, denom_mid=float(denom[len(denom) // 2]))
 
@@ -225,7 +232,7 @@ def convergence_diagnostics(config: ExperimentConfig) -> DiagnosticsReport:
             f"diagnostics need a chain of at least 1000 transitions, got {n}")
     chain = simulate_chain(config.model, config.z0, n,
                            replicate_seed(config.base_seed, n, 0))
-    basis = Basis(a_max=config.a_max)
+    basis = config.basis
     half = chain.n // 2
     first, second = chain.samples[:half], chain.samples[half:2 * half]
     fit1 = select_model(first, basis, config.sigma, config.sigma_prime)
@@ -253,7 +260,7 @@ def convergence_diagnostics(config: ExperimentConfig) -> DiagnosticsReport:
             for r in range(RATE_REPLICATES):
                 ch = simulate_chain(config.model, config.z0, nv,
                                     replicate_seed(config.base_seed + 1, nv, r))
-                vals.append(denominator_grid(ch, config.model, [mid])[0])
+                vals.append(denominator_grid(ch, [mid])[0])
             vals = np.array(vals)
             rmses.append(np.sqrt(np.mean((vals - vals.mean()) ** 2)))
         slope = float(np.polyfit(np.log(np.asarray(config.n_values, dtype=float)),

@@ -7,7 +7,8 @@ to stderr, summaries to stdout, and files are the real interface.
 
 Exit codes: 0 success, 2 configuration error naming the key or flag (among
 them a non-finite number, a negative ``estimation.sigma`` or ``sigma_prime``,
-``--seed`` below 0, ``--n`` or ``--threads`` below 1), 3 numerical failure (a
+``--seed`` below 0, ``--n`` or ``--threads`` below 1, ``--n`` with
+``estimate --chain``), 3 numerical failure (a
 simulated state or jump time out of double range, a numeric sampler's
 hazard overflowing double range, a chain whose states are not all finite
 and positive, a chain file with a state below the jump image of the state
@@ -23,13 +24,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .basis import Basis
 from .bench import (ExperimentConfig, convergence_diagnostics, run_experiment,
                     rows_to_csv)
 from .config import dump_config, load_config_file
 from .density import fit_to_text, select_model
 from .errors import ChainFormatError, ConfigError, PdmpError, at_least
-from .jumprate import denominator_grid, make_grid, rate_grid
+from .jumprate import denominator_grid, rate_grid
 from .simulate import (chain_from_text, chain_to_text, reconstruct_times,
                        simulate_chain)
 
@@ -87,6 +87,9 @@ def _effective_config(args) -> ExperimentConfig:
     n = getattr(args, "n", None)
     if n is not None:
         at_least("--n", n, 1)
+        if getattr(args, "chain", None) is not None:
+            raise ConfigError("--n", "not read with --chain, whose file sets "
+                              "the chain length")
     return config
 
 
@@ -99,9 +102,10 @@ def _out_dir(config: ExperimentConfig) -> Path:
 def cmd_simulate(config: ExperimentConfig, args) -> int:
     n = args.n if args.n is not None else max(config.n_values)
     chain = simulate_chain(config.model, config.z0, n, config.base_seed)
+    # the times first: a chain whose times overflow leaves no file
+    times = reconstruct_times(chain)
     out = _out_dir(config) / "chain.tsv"
     out.write_text(chain_to_text(chain, include_times=args.times))
-    times = reconstruct_times(chain)
     print(f"n={chain.n} z_min={chain.z.min():.6g} z_max={chain.z.max():.6g} "
           f"t_final={times[-1]:.6g} file={out}")
     return EXIT_OK
@@ -113,11 +117,11 @@ def cmd_estimate(config: ExperimentConfig, args) -> int:
     else:
         n = args.n if args.n is not None else max(config.n_values)
         chain = simulate_chain(config.model, config.z0, n, config.base_seed)
-    fit = select_model(chain.samples, Basis(a_max=config.a_max),
-                       sigma=config.sigma, sigma_prime=config.sigma_prime)
-    ys = make_grid(config.interval, config.grid_points)
-    denom = denominator_grid(chain, config.model, ys)
-    rate_hat, nu_f, denom = rate_grid(fit, chain, config.model, ys, denom=denom)
+    fit = select_model(chain.samples, config.basis, sigma=config.sigma,
+                       sigma_prime=config.sigma_prime)
+    ys = config.ys
+    denom = denominator_grid(chain, ys)
+    rate_hat, nu_f, denom = rate_grid(fit, chain, ys, denom=denom)
     rate_true = config.model.rate.rate(ys)
     # imported at call time because perfbench wraps pdmprate.jumprate.grid_to_tsv
     from .jumprate import grid_to_tsv

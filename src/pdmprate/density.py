@@ -78,7 +78,10 @@ def select_model(samples: np.ndarray, basis: Basis,
     """Fit all admissible models and pick the penalized-contrast minimizer.
 
     Ties break toward the smallest index.  Requires at least 9 observations
-    so the downstream log-threshold is well defined.
+    so the downstream log-threshold is well defined.  ``sigma_prime`` adds
+    the same ``sigma_prime/n`` to every model's criterion, so it does not
+    change ``m_hat`` (rounding could at most flip a near-tie); it shows only
+    in ``penalties`` and the fit record.
     """
     samples = np.asarray(samples, dtype=float)
     n = len(samples)

@@ -8,7 +8,6 @@ density estimate must be nonnegative and the denominator must clear the
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -16,7 +15,6 @@ import numpy as np
 from .basis import series_terms
 from .density import DensityFit
 from .errors import ChainTooShortError, StateRangeError, is_integer, require
-from .model import Model
 from .simulate import JumpChain, text_rows
 
 DEFAULT_GRID_POINTS = 513
@@ -29,9 +27,8 @@ def threshold(n: int) -> float:
     return 1.0 / np.log(n)
 
 
-def denominator_grid(chain: JumpChain, model: Model,
-                     ys: np.ndarray) -> np.ndarray:
-    """Empirical denominator at each grid point.
+def denominator_grid(chain: JumpChain, ys: np.ndarray) -> np.ndarray:
+    """Empirical denominator at each grid point, under the chain's model.
 
     Averages the change-of-variable weight over transitions whose previous
     state is at most ``y`` and whose next state is at least the jump image
@@ -44,6 +41,7 @@ def denominator_grid(chain: JumpChain, model: Model,
     both implications, as ``f`` rounds monotonically.
     """
     ys = np.asarray(ys, dtype=float)
+    model = chain.model
     prev = chain.z[:-1]
     nxt = chain.z[1:]
     fy = model.jump.apply(ys)
@@ -53,8 +51,8 @@ def denominator_grid(chain: JumpChain, model: Model,
     return model.transition_weight(fy) * count / chain.n
 
 
-def rate_grid(fit: DensityFit, chain: JumpChain, model: Model,
-              ys: np.ndarray, denom: Optional[np.ndarray] = None):
+def rate_grid(fit: DensityFit, chain: JumpChain, ys: np.ndarray,
+              denom: Optional[np.ndarray] = None):
     """Thresholded quotient estimate of the rate on a grid.
 
     Returns ``(rate_hat, density_at_image, denominator)`` of the selected
@@ -62,8 +60,8 @@ def rate_grid(fit: DensityFit, chain: JumpChain, model: Model,
     """
     ys = np.asarray(ys, dtype=float)
     if denom is None:
-        denom = denominator_grid(chain, model, ys)
-    nu_f = fit.evaluate(model.jump.apply(ys))
+        denom = denominator_grid(chain, ys)
+    nu_f = fit.evaluate(chain.model.jump.apply(ys))
     return _quotient(nu_f, denom, chain.n), nu_f, denom
 
 
@@ -111,32 +109,24 @@ def make_grid(interval: tuple,
     lo, hi = interval
     require(0 < lo < hi < np.inf, "interval",
             "need 0 < lo < hi < inf", interval)
-    ys = _grid(float(lo), float(hi), int(grid_points))
-    require(ys is not None, "interval", f"too narrow for {grid_points} "
+    ys = np.linspace(float(lo), float(hi), int(grid_points))
+    require(_equispaced(ys), "interval", f"too narrow for {grid_points} "
             "equispaced points in double precision", interval)
-    return ys.copy()
+    return ys
 
 
-@lru_cache(maxsize=16)
-def _grid(lo: float, hi: float, grid_points: int) -> Optional[np.ndarray]:
-    """``make_grid``'s grid, or None where it is not equispaced; kept, as a
-    Monte Carlo replicate asks for the same grid each time."""
-    ys = np.linspace(lo, hi, grid_points)
-    return ys if _equispaced(ys) else None
-
-
-def risk_sweep(fit: DensityFit, chain: JumpChain, model: Model,
-               ys: np.ndarray,
+def risk_sweep(fit: DensityFit, chain: JumpChain, ys: np.ndarray,
                denom: Optional[np.ndarray] = None) -> np.ndarray:
-    """L2 risk against the model's own rate for every admissible model index.
+    """L2 risk against the chain model's rate for every admissible model index.
 
     One cumulative sum over the rows of :func:`series_terms` at the jump
     images gives the density of every model, and one product with the
     Simpson weights every risk.
     """
     ys = np.asarray(ys, dtype=float)
+    model = chain.model
     if denom is None:
-        denom = denominator_grid(chain, model, ys)
+        denom = denominator_grid(chain, ys)
     lam_true = np.asarray(model.rate.rate(ys), dtype=float)
     nu_f = series_terms(fit.coeffs, fit.basis, model.jump.apply(ys))
     np.cumsum(nu_f, axis=0, out=nu_f)

@@ -21,8 +21,8 @@ finds its root by Brent's method, one transition at a time, and
 ``sample_next_generic`` takes numeric draws for any model through the public
 ``GenericSampler``.  The stationary law of a power-rate chain is the
 perpetuity of its AR(1) step in ``w = z**p``, summed in closed form.  The
-flow map,
-the hazard pair and the fit-record reader are used only by tests.
+flow map, the hazard pair, the fit-record reader and the coefficients of
+one model alone are used only by tests.
 """
 
 import math
@@ -32,10 +32,10 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate, optimize
 
-from pdmprate.basis import PHASE_BLOCK, Basis, _phase_table
+from pdmprate.basis import PHASE_BLOCK, Basis, _phase_table, design_means
 from pdmprate.density import DensityFit, _criterion
 from pdmprate.errors import CapExceededError, EmptyModelSetError
-from pdmprate.jumprate import denominator_grid, risk_sweep, threshold
+from pdmprate.jumprate import risk_sweep, threshold
 from pdmprate.model import ADDITIVE, PowerRate, ShiftedQuadraticRate
 from pdmprate.numeric import CAP_FACTOR, GenericSampler, _scalar_integrand
 from pdmprate.simulate import sample_next
@@ -45,6 +45,23 @@ def contrast(coeffs):
     """Minimized contrast value: minus the squared norm of the coefficients."""
     coeffs = np.asarray(coeffs, dtype=float)
     return -float(np.sum(coeffs ** 2))
+
+
+def coefficients(samples, basis, m):
+    """Empirical projection coefficients of model ``m`` alone.
+
+    Entry ``l`` is the sample mean of the l-th basis function, from the
+    package's ``design_means`` at dimension ``D_m``; ``select_model`` sums at
+    the largest dimension, so its prefixes are checked against this.
+    """
+    samples = np.asarray(samples, dtype=float)
+    n = len(samples)
+    if n < 1:
+        raise EmptyModelSetError("empty sample")
+    if basis.dim(m) ** 2 > n:
+        raise EmptyModelSetError(
+            f"dimension {basis.dim(m)} inadmissible for sample size {n}")
+    return design_means(samples, basis, basis.dim(m))
 
 
 def design_oracle(basis, x, dim):
@@ -129,9 +146,9 @@ def penalty(m, n, sigma=2.0, sigma_prime=0.0):
     return sigma * Basis.dim(m) / n + sigma_prime / n
 
 
-def oracle_dimension(fit, chain, model, ys, denom=None):
+def oracle_dimension(fit, chain, ys, denom=None):
     """Best model index in hindsight and its risk; ties to the smallest index."""
-    risks = risk_sweep(fit, chain, model, ys, denom=denom)
+    risks = risk_sweep(fit, chain, ys, denom=denom)
     if len(risks) == 0:
         raise EmptyModelSetError("no admissible model index")
     m_opt = int(np.argmin(risks))
@@ -147,7 +164,7 @@ def rate_at_model(fit, chain, model, ys, m, denom=None):
     """
     ys = np.asarray(ys, dtype=float)
     if denom is None:
-        denom = denominator_grid(chain, model, ys)
+        denom = denominator_mask_oracle(chain, model, ys)
     dim = fit.basis.dim(m)
     nu_f = fit.coeffs[:dim] @ design_oracle(fit.basis, model.jump.apply(ys),
                                             dim)
@@ -160,7 +177,7 @@ def rate_at_model(fit, chain, model, ys, m, denom=None):
 def risk_sweep_oracle(fit, chain, model, ys, denom=None):
     """L2 risk against the model's rate of every model index, one at a time."""
     if denom is None:
-        denom = denominator_grid(chain, model, ys)
+        denom = denominator_mask_oracle(chain, model, ys)
     lam_true = model.rate.rate(ys)
     return np.array([
         integrate.simpson(

@@ -12,14 +12,13 @@ import numpy as np
 import pytest
 from scipy import signal, stats
 
-from oracles import contrast, cumulative, design_oracle
+from oracles import coefficients, contrast, cumulative, design_oracle
 from pdmprate import (Basis, ExperimentConfig, GenericSampler,
                       convergence_diagnostics, make_grid, rate_grid,
                       rows_to_csv, run_experiment, sample_next,
                       select_model, simulate_chain, tail_assumption_ok,
                       tcp_model, tcp_quadratic_model, bacterial_model,
                       threshold)
-from pdmprate.basis import coefficients
 
 REPLICATES = 50
 
@@ -230,7 +229,7 @@ class TestCriterion9InvariantSuite:
             np.array_equal(fit.coeffs[:len(small)], small))
 
         ys = make_grid((0.2, 4.0))
-        rate_hat, nu_f, denom = rate_grid(fit, chain, model, ys)
+        rate_hat, nu_f, denom = rate_grid(fit, chain, ys)
         checks["rate_nonnegative"] = bool(np.all(rate_hat >= 0))
         fire = (nu_f >= 0) & (denom >= threshold(chain.n))
         checks["quotient_identity"] = bool(np.allclose(

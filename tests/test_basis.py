@@ -4,9 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from oracles import (design_means_blocked, design_means_oracle,
+from oracles import (coefficients, design_means_blocked, design_means_oracle,
                      design_oracle, eval_one, series_error_bound)
-from pdmprate import Basis, EmptyModelSetError, coefficients, select_model
+from pdmprate import Basis, EmptyModelSetError, select_model
 from pdmprate.basis import (PHASE_BLOCK, SAMPLE_CHUNK, design_means,
                             series_terms)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from oracles import null_distance_oracle
 from pdmprate import (Basis, CustomRate, ExperimentConfig, Flow, JumpMap,
                       Model, PowerRate, ShiftedQuadraticRate,
                       bacterial_model,
-                      convergence_diagnostics, replicate_seed, rows_to_csv,
-                      run_experiment, run_replicate, select_model,
+                      convergence_diagnostics, make_grid, replicate_seed,
+                      rows_to_csv, run_experiment, run_replicate, select_model,
                       simulate_chain, tail_assumption_ok, tcp_model,
                       tcp_quadratic_model)
 
@@ -49,6 +51,43 @@ class TestConfigRate:
             small_config(model=model)
         assert err.value.field == field
         assert str(err.value).endswith(f"got {value!r}")
+
+
+class TestConfigBuilt:
+    def test_grid_is_make_grid_read_only(self):
+        cfg = small_config()
+        assert np.array_equal(cfg.ys, make_grid(cfg.interval, cfg.grid_points))
+        assert not cfg.ys.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.ys[0] = 0.0
+        assert cfg.basis == Basis(cfg.a_max)
+
+    def test_replace_rebuilds_grid_and_basis(self):
+        cfg = small_config()
+        wider = dataclasses.replace(cfg, grid_points=33, a_max=8.0)
+        assert np.array_equal(wider.ys, make_grid(cfg.interval, 33))
+        assert not wider.ys.flags.writeable
+        assert wider.basis == Basis(8.0)
+        assert len(cfg.ys) == 129 and cfg.basis == Basis(6.0)
+        with pytest.raises(ValueError, match="ys"):
+            dataclasses.replace(cfg, ys=cfg.ys)
+
+    def test_built_fields_left_out_of_equality(self):
+        assert small_config() == small_config()
+        assert small_config() != small_config(grid_points=33)
+
+    def test_pipeline_reads_built_fields(self, monkeypatch):
+        # after the config is made, a replicate and a diagnosis build no
+        # basis and no grid of their own
+        cfg = small_config(n_values=[1000, 2000])
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("built outside ExperimentConfig")
+
+        monkeypatch.setattr("pdmprate.bench.Basis", forbidden)
+        monkeypatch.setattr("pdmprate.bench.make_grid", forbidden)
+        run_replicate(cfg, 500, 0)
+        convergence_diagnostics(cfg)
 
 
 class TestReplicate:

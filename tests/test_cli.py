@@ -23,6 +23,36 @@ BASE_DOC = {
     "experiment": {"n_values": [200], "replicates": 2, "base_seed": 11},
 }
 
+DUMPED_BASE_DOC = """\
+estimation:
+  a_max: 6.0
+  interval:
+  - 0.2
+  - 4.0
+  sigma: 2.0
+  sigma_prime: 0.0
+experiment:
+  base_seed: 11
+  n_values:
+  - 200
+  replicates: 2
+io:
+  grid_points: 513
+  out_dir: out
+model:
+  f:
+    kappa: 0.5
+  flow:
+    c: 1.0
+    variant: additive
+  name: ''
+  rate:
+    delta: 0.0
+    lam: 1.0
+    variant: power
+  z0: 1.0
+"""
+
 
 def write_config(tmp_path, doc=None, **io):
     doc = dict(doc or BASE_DOC)
@@ -47,6 +77,10 @@ class TestConfig:
         dumped = dump_config(cfg)
         cfg2 = load_config(yaml.safe_load(dumped))
         assert dump_config(cfg2) == dumped
+
+    def test_dump_leaves_out_built_fields(self):
+        # the basis and the grid a config builds are not keys
+        assert dump_config(load_config(BASE_DOC)) == DUMPED_BASE_DOC
 
     def test_invalid_kappa_names_field(self):
         doc = dict(BASE_DOC)
@@ -296,6 +330,8 @@ def test_int_rule(field, build, rule, values, data):
     (["simulate", "--n", "-4"], "--n"),
     (["estimate", "--n", "0"], "--n"),
     (["--grid-points", "4", "estimate"], "--grid-points"),
+    # a chain file sets its own length, so --n would go unread
+    (["estimate", "--chain", "chain.tsv", "--n", "10"], "--n"),
 ])
 def test_bad_flag_exit_code(tmp_path, caplog, argv, flag):
     path = write_config(tmp_path, out_dir=str(tmp_path / "o"))
@@ -455,6 +491,9 @@ def test_travel_time_overflow_exit_code(tmp_path, caplog, capsys, times):
     assert ("numerical failure: a travel time exceeds double range"
             in caplog.text)
     assert "Traceback" not in capsys.readouterr().err
+    # the times are computed before the file is written, so a failed
+    # simulate leaves no chain behind
+    assert not (tmp_path / "o" / "chain.tsv").exists()
 
 
 def test_exponential_weight_underflow_estimate(tmp_path):

@@ -3,8 +3,9 @@ import pytest
 from scipy import integrate
 
 from oracles import contrast, design_oracle, fit_from_text, penalty
-from pdmprate import (Basis, ChainTooShortError, ConfigError, select_model,
-                      simulate_chain, tcp_model)
+from pdmprate import (Basis, ChainTooShortError, ConfigError,
+                      bacterial_model, select_model, simulate_chain, tcp_model,
+                      tcp_quadratic_model)
 from pdmprate.density import fit_to_text
 
 
@@ -73,6 +74,23 @@ class TestSelectModel:
         crit = fit.contrasts + fit.penalties
         best = crit[fit.m_hat]
         assert np.all(best <= crit + 1e-15)
+
+    @pytest.mark.parametrize("model", [tcp_model(), tcp_quadratic_model(),
+                                       bacterial_model()],
+                             ids=["tcp", "quadratic", "bacterial"])
+    def test_sigma_prime_never_changes_m_hat(self, model):
+        # sigma_prime/n is the same for every model, so only the penalties
+        # move, each by that constant
+        b = Basis()
+        for seed, n in enumerate((1000, 3000, 10_000, 30_000)):
+            samples = simulate_chain(model, 1.0, n, seed).samples
+            base = select_model(samples, b)
+            for sigma_prime in (0.1, 1.5, 100.0):
+                fit = select_model(samples, b, sigma_prime=sigma_prime)
+                assert fit.m_hat == base.m_hat, (seed, sigma_prime)
+                assert np.array_equal(fit.contrasts, base.contrasts)
+                np.testing.assert_allclose(fit.penalties - base.penalties,
+                                           sigma_prime / n, rtol=1e-12)
 
     def test_selected_dimension_shrinks_with_sigma(self, chain_samples):
         selected = [select_model(chain_samples, Basis(), sigma=s).m_hat

@@ -39,17 +39,35 @@ class TestDenominator:
         model = tcp_model(kappa=0.5, c=1.0)
         chain = JumpChain(z=np.array([1.0, 3.0]), model=model)
         # weight is 2, both indicators fire at y = 2
-        assert denominator_grid(chain, model, [2.0])[0] == pytest.approx(2.0)
+        assert denominator_grid(chain, [2.0])[0] == pytest.approx(2.0)
 
     def test_below_support(self):
         model = tcp_model(kappa=0.5, c=1.0)
         chain = JumpChain(z=np.array([1.0, 3.0]), model=model)
-        assert denominator_grid(chain, model, [0.5])[0] == 0.0
-        assert denominator_grid(chain, model, [-1.0])[0] == 0.0
+        assert denominator_grid(chain, [0.5])[0] == 0.0
+        assert denominator_grid(chain, [-1.0])[0] == 0.0
+
+    def test_reads_chain_model(self, tcp_setup):
+        # the same states under another model: its flow, jump map and rate
+        model, chain, fit, ys = tcp_setup
+        other = Model(Flow("exponential", 2.0), JumpMap(0.25),
+                      PowerRate(2.0, 1.0))
+        rebuilt = JumpChain(chain.z, other)
+        denom = denominator_grid(rebuilt, ys)
+        assert np.array_equal(denom, denominator_mask_oracle(rebuilt, other, ys))
+        assert not np.array_equal(denom, denominator_grid(chain, ys))
+        rate_hat, nu_f, _ = rate_grid(fit, rebuilt, ys)
+        assert np.array_equal(nu_f, fit.evaluate(other.jump.apply(ys)))
+        fire = (nu_f >= 0.0) & (denom >= threshold(chain.n))
+        assert np.array_equal(rate_hat, np.divide(
+            nu_f, denom, out=np.zeros_like(nu_f), where=fire))
+        np.testing.assert_allclose(risk_sweep(fit, rebuilt, ys),
+                                   risk_sweep_oracle(fit, rebuilt, other, ys),
+                                   rtol=1e-12, atol=0.0)
 
     def test_grid_matches_bruteforce(self, tcp_setup):
         model, chain, _, ys = tcp_setup
-        grid_vals = denominator_grid(chain, model, ys[:50])
+        grid_vals = denominator_grid(chain, ys[:50])
         for i, y in enumerate(ys[:50]):
             acc = 0.0
             for k in range(chain.n):
@@ -60,13 +78,13 @@ class TestDenominator:
     def test_zero_beyond_max(self, tcp_setup):
         model, chain, _, _ = tcp_setup
         y_big = model.jump.invert(chain.z[1:].max()) * 1.01
-        assert denominator_grid(chain, model, [y_big])[0] == 0.0
+        assert denominator_grid(chain, [y_big])[0] == 0.0
 
     def test_bacterial_weight_depends_on_grid_point(self):
         model = bacterial_model(c=1.0, delta=2.0)
         chain = simulate_chain(model, 1.0, 1000, 12)
         ys = np.array([0.8, 1.6])
-        vals = denominator_grid(chain, model, ys)
+        vals = denominator_grid(chain, ys)
         for i, y in enumerate(ys):
             fy = model.jump.apply(y)
             hits = np.sum((chain.z[:-1] <= y) & (chain.z[1:] >= fy))
@@ -99,7 +117,7 @@ class TestDenominator:
             for k in range(n):
                 z[k + 1] = max(z[k + 1], model.jump.apply(z[k]))
         chain = JumpChain(z=z, model=model)
-        assert np.array_equal(denominator_grid(chain, model, ys),
+        assert np.array_equal(denominator_grid(chain, ys),
                               denominator_mask_oracle(chain, model, ys))
 
     def test_montecarlo_agreement(self):
@@ -107,8 +125,8 @@ class TestDenominator:
         model = tcp_model(kappa=0.5, c=1.0, lam=1.0, delta=0.0)
         chain = simulate_chain(model, 1.0, 100_000, 60)
         big = simulate_chain(model, 1.0, 1_000_000, 61)
-        d_small = denominator_grid(chain, model, [1.0])[0]
-        d_big = denominator_grid(big, model, [1.0])[0]
+        d_small = denominator_grid(chain, [1.0])[0]
+        d_big = denominator_grid(big, [1.0])[0]
         # summand is bounded by 2; 3 standard errors of the n=1e5 average
         se = 2.0 * 3.0 / np.sqrt(chain.n)
         assert abs(d_small - d_big) < 3 * se
@@ -117,19 +135,19 @@ class TestDenominator:
 class TestRateEstimate:
     def test_negativity_indicator(self, tcp_setup):
         model, chain, fit, ys = tcp_setup
-        rate_hat, nu_f, denom = rate_grid(fit, chain, model, ys)
+        rate_hat, nu_f, denom = rate_grid(fit, chain, ys)
         neg = nu_f < 0
         assert np.all(rate_hat[neg] == 0.0)
 
     def test_threshold_indicator(self, tcp_setup):
         model, chain, fit, ys = tcp_setup
-        rate_hat, nu_f, denom = rate_grid(fit, chain, model, ys)
+        rate_hat, nu_f, denom = rate_grid(fit, chain, ys)
         low = denom < threshold(chain.n)
         assert np.all(rate_hat[low] == 0.0)
 
     def test_quotient_arithmetic(self, tcp_setup):
         model, chain, fit, ys = tcp_setup
-        rate_hat, nu_f, denom = rate_grid(fit, chain, model, ys)
+        rate_hat, nu_f, denom = rate_grid(fit, chain, ys)
         fire = (nu_f >= 0) & (denom >= threshold(chain.n))
         # division followed by multiplication costs at most a couple of ulps
         assert np.allclose(rate_hat[fire] * denom[fire], nu_f[fire],
@@ -137,20 +155,20 @@ class TestRateEstimate:
 
     def test_nonnegative_everywhere(self, tcp_setup):
         model, chain, fit, ys = tcp_setup
-        rate_hat, _, _ = rate_grid(fit, chain, model, ys)
+        rate_hat, _, _ = rate_grid(fit, chain, ys)
         assert np.all(rate_hat >= 0.0)
 
     def test_scalar_wrapper(self, tcp_setup):
         # a one-point grid gives the value of that point on the full grid
         model, chain, fit, ys = tcp_setup
-        grid_val = rate_grid(fit, chain, model, ys)[0][0]
-        one_point = rate_grid(fit, chain, model, ys[:1])[0][0]
+        grid_val = rate_grid(fit, chain, ys)[0][0]
+        one_point = rate_grid(fit, chain, ys[:1])[0][0]
         assert one_point == pytest.approx(grid_val)
 
     def test_threshold_zeroset_shrinks_with_n(self, tcp_setup):
         # same chain and denominator, lower threshold => fewer masked points
         model, chain, fit, ys = tcp_setup
-        denom = denominator_grid(chain, model, ys)
+        denom = denominator_grid(chain, ys)
         masked_small_n = denom < 1.0 / np.log(1000)
         masked_large_n = denom < 1.0 / np.log(100_000)
         assert np.all(masked_large_n <= masked_small_n)
@@ -197,15 +215,16 @@ class TestOracle:
         m0 = max(0, fit.m_hat - 1)
         synth = rate_at_model(fit, chain, model, ys, m0)
         truth = CustomRate(lambda y: np.interp(y, ys, synth))
-        m_opt, risk_opt = oracle_dimension(
-            fit, chain, Model(model.flow, model.jump, truth), ys)
+        # the risks are against the rate of the chain's own model
+        scored = JumpChain(chain.z, Model(model.flow, model.jump, truth))
+        m_opt, risk_opt = oracle_dimension(fit, scored, ys)
         assert m_opt == m0
         assert risk_opt == pytest.approx(0.0, abs=1e-18)
 
     def test_oracle_never_worse(self, tcp_setup):
         model, chain, fit, ys = tcp_setup
-        risks = risk_sweep(fit, chain, model, ys)
-        m_opt, risk_opt = oracle_dimension(fit, chain, model, ys)
+        risks = risk_sweep(fit, chain, ys)
+        m_opt, risk_opt = oracle_dimension(fit, chain, ys)
         assert risk_opt <= risks[fit.m_hat]
         assert np.all(risk_opt <= risks + 1e-18)
 
@@ -225,16 +244,16 @@ class TestOracle:
         chain = simulate_chain(model, 1.0, n, seed)
         fit = select_model(chain.samples, Basis())
         ys = make_grid((lo, lo + width), grid_points)
-        risks = risk_sweep(fit, chain, model, ys)
+        risks = risk_sweep(fit, chain, ys)
         expected = risk_sweep_oracle(fit, chain, model, ys)
         assert risks.shape == (fit.m_max + 1,)
         np.testing.assert_allclose(risks, expected, rtol=1e-12, atol=0.0)
 
     def test_sweep_matches_individual_models(self, tcp_setup):
         model, chain, fit, ys = tcp_setup
-        denom = denominator_grid(chain, model, ys)
+        denom = denominator_grid(chain, ys)
         truth_vals = model.rate.rate(ys)
-        risks = risk_sweep(fit, chain, model, ys, denom=denom)
+        risks = risk_sweep(fit, chain, ys, denom=denom)
         for m in (0, 2, fit.m_hat, fit.m_max):
             rate_hat = rate_at_model(fit, chain, model, ys, m, denom)
             risk = integrate.simpson((rate_hat - truth_vals) ** 2, x=ys)
@@ -242,7 +261,7 @@ class TestOracle:
         # rate_grid is the estimate of the selected model: its density is
         # row m_hat of the sweep's, bit for bit, and within the derived bound
         # of the design-matrix oracle (oracles.series_error_bound)
-        rate_hat, nu_f, _ = rate_grid(fit, chain, model, ys, denom=denom)
+        rate_hat, nu_f, _ = rate_grid(fit, chain, ys, denom=denom)
         fy = model.jump.apply(ys)
         sweep = np.cumsum(series_terms(fit.coeffs, fit.basis, fy), axis=0)
         assert np.array_equal(nu_f, sweep[fit.m_hat])
@@ -267,7 +286,7 @@ class TestOracle:
         ys = make_grid((0.05, 4.0), 129)
         sweep = np.cumsum(series_terms(fit.coeffs, fit.basis,
                                        model.jump.apply(ys)), axis=0)
-        assert np.array_equal(rate_grid(fit, chain, model, ys)[1],
+        assert np.array_equal(rate_grid(fit, chain, ys)[1],
                               sweep[fit.m_hat])
 
 
@@ -301,7 +320,7 @@ class TestGridTsv:
 
     def test_columns(self, tcp_setup):
         model, chain, fit, ys = tcp_setup
-        rate_hat, nu_f, denom = rate_grid(fit, chain, model, ys)
+        rate_hat, nu_f, denom = rate_grid(fit, chain, ys)
         text = grid_to_tsv(ys, rate_hat, nu_f, denom,
                            rate_true=model.rate.rate(ys))
         lines = text.strip().split("\n")
