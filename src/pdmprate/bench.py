@@ -79,6 +79,7 @@ class ExperimentConfig:
         require(n and all(map(is_integer, n)) and n == sorted(set(n))
                 and n[0] >= 9, "n_values",
                 "expected a nonempty increasing list of integers >= 9", n)
+        object.__setattr__(self, "n_values", tuple(n))   # so configs hash
         at_least("replicates", self.replicates, 1)
         at_least("base_seed", self.base_seed, 0)
 

@@ -105,7 +105,7 @@ def cmd_simulate(config: ExperimentConfig, args) -> int:
     # the times first: a chain whose times overflow leaves no file
     times = reconstruct_times(chain)
     out = _out_dir(config) / "chain.tsv"
-    out.write_text(chain_to_text(chain, include_times=args.times))
+    out.write_text(chain_to_text(chain, times if args.times else None))
     print(f"n={chain.n} z_min={chain.z.min():.6g} z_max={chain.z.max():.6g} "
           f"t_final={times[-1]:.6g} file={out}")
     return EXIT_OK

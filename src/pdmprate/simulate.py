@@ -28,7 +28,6 @@ from .model import ADDITIVE, Model, ShiftedQuadraticRate
 from .numeric import GenericSampler, _generic_chain, _generic_next
 
 _FLOAT_TINY = float(np.finfo(float).tiny)
-_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -111,76 +110,75 @@ def _power_chain(model: Model, z0: float, draws: np.ndarray) -> np.ndarray:
     terms are positive, so each state carries O(log n) roundings.  Where
     ``r**s`` is below the smallest normal double, ``r**s * w`` need not be,
     so a pass multiplies by ``r**(s/2)`` twice; the passes stop once they
-    would add only zeros.  While ``z0**p`` and the ``w`` after it overflow,
-    the chain steps in ``log w' = p*log(kappa) + log w + log1p(x/w)``
-    instead, and the scan starts from the first ``w`` that fits.  From a
-    ``w`` that overflows later, as where ``r*x`` does, the rest of the chain
-    steps in ``log w`` (:func:`_log_w_steps`).
+    would add only zeros.  Where ``z0**p`` overflows, the scan starts from
+    ``w_0 = 0``: ``log z_k`` is the log-sum of ``p*log(h_k)`` and ``log w_k``
+    over ``p``, with the head term ``r**k * z0**p = h_k**p``, while
+    ``h_k = z0*kappa**k > 1``; then ``h_k**p`` joins ``v_k``, and the scan
+    carries it.  From the first state still not finite, as where ``r*x``
+    overflows, the chain is :func:`_log_w_chain`'s.
     """
     p, r, f = _power_terms(model)
-    n = len(draws)
-    w = np.empty(n + 1)
-    w[0] = z0
+    kappa = model.jump.kappa
+    w = np.empty(len(draws) + 1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # an overflow leaves inf states (and a pass's test 0*inf) to report
-        np.power(w[:1], p, out=w[:1])
+        w[0] = np.power(z0, p)
         np.multiply(draws, f, out=w[1:])
-        logs = [p * math.log(z0)] if w[0] == math.inf else []
-        while logs and logs[-1] >= _LOG_MAX and len(logs) <= n:
-            k = len(logs)
-            if w[k] == math.inf:
-                logs += _log_w_steps(model, logs[-1], draws[k - 1:k])
-                continue
-            # log(r*w) + log1p(r*x / (r*w))
-            a = logs[-1] + p * math.log(model.jump.kappa)
-            logs.append(a + math.log1p(w[k] * math.exp(-a)))
-        scan = w[max(len(logs) - 1, 0):]
-        if logs:
-            scan[0] = np.exp(logs[-1])
+        k = 1
+        if w[0] == math.inf:   # so z0 > 1, and z0 * kappa**k falls to 1
+            k = min(math.ceil(math.log(z0) / -math.log(kappa)), len(w))
+            w[0] = 0.0
+            if k < len(w):
+                w[k] += (z0 * kappa ** k) ** p
         s = 1
-        while s < len(scan):
+        while s < len(w):
             if r ** s >= _FLOAT_TINY:
-                scan[s:] += r ** s * scan[:-s]
-            elif r ** (s // 2) * (r ** (s // 2) * scan.max()) > 0.0:
-                terms = scan[:-s] * r ** (s // 2)
+                w[s:] += r ** s * w[:-s]
+            elif r ** (s // 2) * (r ** (s // 2) * w.max()) > 0.0:
+                terms = w[:-s] * r ** (s // 2)
                 terms *= r ** (s // 2)
-                scan[s:] += terms
+                w[s:] += terms
             else:
                 break
             s *= 2
-        k = max(len(logs), 1)
-        over = np.flatnonzero(w[k:] == math.inf)
-        tail = []
-        if len(over):
-            k += int(over[0])
-            lw = logs[-1] if k == len(logs) else float(np.log(w[k - 1]))
-            tail = _log_w_steps(model, lw, draws[k - 1:])
         if p != 1.0:
-            np.power(w, 1.0 / p, out=w)
-        if logs:
-            w[:len(logs)] = np.exp(np.array(logs) / p)
-        if tail:
-            w[k:] = np.exp(np.array(tail) / p)
-    w[0] = z0
+            np.power(w[k:], 1.0 / p, out=w[k:])
+        w[0] = z0
+        if k > 1:   # in log z, which rounds p times finer than log w
+            a = np.log(z0 * np.power(kappa, np.arange(1, k)))
+            b = np.log(w[1:k]) / p
+            w[1:k] = np.exp(np.maximum(a, b)
+                            + np.log1p(np.exp(-p * np.abs(a - b))) / p)
+        k = int(np.argmax(w == math.inf))   # 0 where no state is
+        if k:
+            w[k:] = _log_w_chain(model, w[k - 1], draws[k - 1:])
     return w
 
 
-def _log_w_steps(model: Model, lw: float, draws: np.ndarray) -> list:
-    """``log w`` after ``lw`` for the draws in turn: each is the log-sum of
-    ``log(r*w)`` and ``log(e*f)``, so that neither ``w`` nor ``e*f``, both
-    of which may overflow while ``z = w**(1/p)`` fits, is formed."""
+def _log_w_chain(model: Model, z0: float, draws: np.ndarray) -> np.ndarray:
+    """The states after ``z0`` by :func:`_power_chain`'s scan on ``log w``.
+
+    ``v_0 = p*log(z0)``, ``v_k = log(e_k) + log(f)``; pass ``s`` takes the
+    log-sum of ``v_k`` and ``v_{k-s} + s*log(r)``, so neither ``w`` nor
+    ``e*f``, which may overflow where ``z`` fits, is formed.  The passes stop
+    once each would add less than ``2**-54 * |v_k|``, half a rounding, to
+    every ``v_k``, so the states are the full scan's bit for bit, whatever
+    the chain's length.  A state past double range is ``inf``; the caller
+    sets errstate.
+    """
     p, r, f = _power_terms(model)
-    c, lam = model.flow.c, model.rate.lam
     log_r = p * math.log(model.jump.kappa)
-    log_f = math.log(f) if f < math.inf else (
-        log_r + math.log(p) + math.log(c) - math.log(lam))
-    out = []
-    for e in draws.tolist():
-        a = lw + log_r
-        b = math.log(e) + log_f if e > 0.0 else -math.inf
-        lw = max(a, b) + math.log1p(math.exp(-abs(a - b)))
-        out.append(lw)
-    return out
+    log_f = math.log(f) if f < math.inf else log_r + math.log(p) + (
+        math.log(model.flow.c) - math.log(model.rate.lam))
+    v = np.log(np.concatenate(([z0], draws)))
+    v[0] *= p
+    v[1:] += log_f
+    s = 1
+    while s < len(v) and (v[:-s].max() + s * log_r - v[s:].min()
+                          >= np.log(np.abs(v[s:]).min()) - 38.0):
+        np.logaddexp(v[s:], v[:-s] + s * log_r, out=v[s:])
+        s *= 2
+    return np.exp(v[1:] / p)
 
 
 # --- shifted quadratic rate, additive flow -----------------------------------
@@ -457,14 +455,14 @@ def reconstruct_times(chain: JumpChain) -> np.ndarray:
 
 # --- chain serialization -----------------------------------------------------
 
-def chain_to_text(chain: JumpChain, include_times: bool = False) -> str:
-    """Columnar text format: comment header, then one state per line."""
-    columns = [chain.z[1:]]
-    if include_times:
-        columns.append(reconstruct_times(chain))
+def chain_to_text(chain: JumpChain, times=None) -> str:
+    """Columnar text: comment header, then one state (and its time) per line."""
+    columns = [chain.z[1:]] + ([] if times is None else [times])
+    if times is not None and len(times) != chain.n:
+        raise ValueError(f"times: {len(times)} jump times for {chain.n} jumps")
     lines = [f"# model: {chain.model.name}",
              f"# seed: {chain.seed}",
-             "# columns: z" + ("\tt" if include_times else "")]
+             "# columns: z" + ("\tt" if times is not None else "")]
     lines += text_rows(chain.z[:1]) + text_rows(*columns)
     return "\n".join(lines) + "\n"
 

@@ -11,6 +11,7 @@ from pdmprate import (Basis, CustomRate, ExperimentConfig, Flow, JumpMap,
                       rows_to_csv, run_experiment, run_replicate, select_model,
                       simulate_chain, tail_assumption_ok, tcp_model,
                       tcp_quadratic_model)
+from pdmprate.config import dump_config
 
 
 def small_config(**kwargs):
@@ -75,6 +76,16 @@ class TestConfigBuilt:
     def test_built_fields_left_out_of_equality(self):
         assert small_config() == small_config()
         assert small_config() != small_config(grid_points=33)
+
+    def test_list_of_n_values_hashes(self):
+        # n_values is kept as a tuple, so a config built from a list hashes,
+        # equals its tuple-built twin and dumps the same text
+        listed = small_config(n_values=[200, 500])
+        tupled = small_config(n_values=(200, 500))
+        assert listed.n_values == (200, 500)
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert dump_config(listed) == dump_config(tupled)
+        assert "  n_values:\n  - 200\n  - 500\n" in dump_config(listed)
 
     def test_pipeline_reads_built_fields(self, monkeypatch):
         # after the config is made, a replicate and a diagnosis build no

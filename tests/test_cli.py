@@ -12,6 +12,7 @@ from pdmprate import (Basis, ExperimentConfig, Flow, JumpMap, PowerRate,
 from pdmprate.cli import main
 from pdmprate.config import dump_config, load_config
 from pdmprate.errors import ConfigError, PdmpError
+from pdmprate.simulate import chain_to_text, reconstruct_times
 
 
 BASE_DOC = {
@@ -217,6 +218,50 @@ def test_bad_config_value_exit_code(tmp_path, caplog, key, value):
     assert main(["--config", path, "--out", str(tmp_path / "o"),
                  "estimate"]) == 2
     assert key in caplog.text
+
+
+def _doc_with(key, value):
+    doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
+    *parents, leaf = key.split(".")
+    node = doc
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[leaf] = value
+    return doc
+
+
+# The loader's own rejections, before any constructor sees a value; None is
+# the document of an empty file
+@pytest.mark.parametrize("doc, message", [
+    (_doc_with("model.flow.c", None),
+     "model.flow.c: expected a number, got None"),
+    (_doc_with("model.flow.c", "one"),
+     "model.flow.c: expected a number, got 'one'"),
+    (_doc_with("model.flow.c", True),
+     "model.flow.c: expected a number, got True"),
+    (_doc_with("model.rate.variant", "cubic"), "model.rate.variant: "
+     "expected 'power' or 'quadratic', got 'cubic'"),
+    ([BASE_DOC], "top level: expected a mapping"),
+    ("model", "top level: expected a mapping"),
+    (None, "top level: expected a mapping"),
+    (_doc_with("estimation.interval", [0.2, 1.0, 4.0]),
+     "estimation.interval: expected [lo, hi]"),
+    (_doc_with("estimation.interval", "0.2, 4.0"),
+     "estimation.interval: expected [lo, hi]"),
+    (_doc_with("experiment.n_values", [100, 200.5]),
+     "experiment.n_values: expected a list of integers, got [100, 200.5]"),
+], ids=["c_null", "c_string", "c_bool", "rate_variant", "top_list",
+        "top_string", "top_empty", "interval_three", "interval_string",
+        "n_values_float"])
+def test_loader_rejection_exit_code(tmp_path, caplog, doc, message):
+    with pytest.raises(ConfigError) as exc:
+        load_config(doc)
+    assert str(exc.value) == message
+    path = tmp_path / "config.yaml"
+    path.write_text("" if doc is None else yaml.safe_dump(doc))
+    assert main(["--config", str(path), "--out", str(tmp_path / "o"),
+                 "simulate", "--n", "10"]) == 2
+    assert message in caplog.text
 
 
 def _experiment(**fields):
@@ -534,6 +579,25 @@ class TestSimulateCommand:
         first = chain_file.read_text()
         main(["--config", path, "simulate", "--n", "100"])
         assert chain_file.read_text() == first
+
+    def test_times_reconstructed_once(self, tmp_path, monkeypatch):
+        # --times writes the jump times the summary reads, computed once, and
+        # the states as the file without times has them
+        calls = []
+        times = reconstruct_times
+        for module in ("cli", "simulate"):
+            monkeypatch.setattr(f"pdmprate.{module}.reconstruct_times",
+                                lambda c: calls.append(c) or times(c))
+        path = write_config(tmp_path, out_dir=str(tmp_path / "o"))
+        chain_file = tmp_path / "o" / "chain.tsv"
+        assert main(["--config", path, "simulate", "--n", "100"]) == 0
+        plain = chain_file.read_text()
+        assert main(["--config", path, "simulate", "--n", "100",
+                     "--times"]) == 0
+        assert len(calls) == 2
+        assert chain_file.read_text() == chain_to_text(calls[1],
+                                                       times(calls[1]))
+        assert plain == chain_to_text(calls[0])
 
     def test_seed_header(self, tmp_path):
         path = write_config(tmp_path, out_dir=str(tmp_path / "o"))

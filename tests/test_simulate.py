@@ -474,6 +474,22 @@ class TestGenericSampler:
         assert walker.g_evals <= 0.5 * n
         assert walker.fallback_draws == 0
 
+    def test_states_in_a_flagged_piece_take_the_scalar_solve(self):
+        # the integrand vanishes at u = kappa*a = 0.5, the left edge of its
+        # panel, where the inverse of the first sub-panel is one flagged
+        # piece; a pair inside it is the scalar solve's state, bit for bit
+        model = Model(Flow("exponential", 2.0), JumpMap(0.5),
+                      ShiftedQuadraticRate(1.0, 0.0))
+        sampler = GenericSampler(model, 1.0)
+        k = _panel_index(0.5)
+        edges, bases, _, _ = sampler._panel(k)
+        assert edges[0] == 0.5 and not any(sampler._inverse(k, 1)[1])
+        hs = np.linspace(0.0, bases[1], 7)[1:-1]
+        before = sampler.exact_states
+        got = sampler.states(np.full(5, k), hs)
+        assert sampler.exact_states == before + 5
+        assert got.tolist() == [sampler._state(k, h) for h in hs.tolist()]
+
     @pytest.mark.parametrize("model, z, draws, kinks, flagged", [
         # the kink's sub-panel about kappa*1 = 0.3, where the hazard from
         # 0.15 reaches 0.05: its hazard series is one polynomial across the
@@ -1068,10 +1084,13 @@ class TestChainKernels:
     @pytest.mark.parametrize("model, z0, n", [
         (tcp_model(delta=200.0), 40.0, 50),
         (bacterial_model(delta=300.0), 20.0, 50),
-        # log(kappa**p) = -2.02: about 16 steps in log w before w fits
+        # 40*0.99**k > 1 up to k = 367: the head term joins in logs all
+        # along the chain, ...
         (tcp_model(kappa=0.99, delta=200.0), 40.0, 60),
-        # ... and all of a short chain
+        # ... all along a short one, ...
         (tcp_model(kappa=0.99, delta=200.0), 40.0, 5),
+        # ... and the scan carries it from k = 368
+        (tcp_model(kappa=0.99, delta=200.0), 40.0, 10000),
         # w0 = 1e300 fits, but r**4 = 0.5**1204 underflows while r**4 * w0
         # is 5.8e-62, the hazard-free part of z4**300
         (bacterial_model(delta=300.0), 10.0, 50),
@@ -1084,20 +1103,42 @@ class TestChainKernels:
         (tcp_model(delta=500.0, c=1e200, lam=1e-300), 10.0, 5),
         # r*p*c/lam = 1.0007e308: e*f overflows from the ninth draw, e > 1.8
         (tcp_model(delta=200.0, c=1e300, lam=6.25e-67), 1.0, 300),
-    ], ids=["tcp", "bacterial", "slow", "short", "factor_underflow",
-            "draw_factor", "factor_overflow", "factor_overflow_large_z0",
-            "draw_overflow"])
+        # long enough for the log scan's later passes and its stop rule
+        (tcp_model(delta=200.0, c=1e300, lam=6.25e-67), 1.0, 10000),
+        (tcp_model(delta=500.0, c=1e200, lam=1e-300), 1.0, 10000),
+        (tcp_model(delta=500.0, c=1e200, lam=1e-300), 10.0, 10000),
+        # r = 0.13 and e*f overflows: the log scan takes five passes
+        (tcp_model(kappa=0.99, delta=200.0, c=1e300, lam=1e-10), 1.0, 10000),
+    ], ids=["tcp", "bacterial", "slow", "short", "slow_long",
+            "factor_underflow", "draw_factor", "factor_overflow",
+            "factor_overflow_large_z0", "draw_overflow", "draw_overflow_long",
+            "factor_overflow_long", "factor_overflow_large_z0_long",
+            "slow_draw_overflow"])
     def test_large_w_matches_step_oracle(self, model, z0, n):
-        # z0**p overflows though every state fits: the chain steps in log w
-        # until w fits, then scans; in the scan r**s may underflow before
+        # z0**p overflows though every state fits: the scan starts from
+        # w0 = 0, and the head term r**k * z0**p joins in logs until it is
+        # at most 1, then in the scan; in the scan r**s may underflow before
         # r**s * w does, and the draws' factor r*p*c/lam is formed in
-        # another order where p*c/lam overflows.  Where e*f or w overflows
-        # later, the chain steps in log w from there on
+        # another order where p*c/lam overflows.  From a w that still
+        # overflows, as where e*f does, the chain is the scan in log w
         z = simulate_chain(model, z0, n, 0).z
         want = [z0]
         for e in chain_draws(0, n):
             want.append(power_log_step_oracle(model, want[-1], e))
         np.testing.assert_allclose(z, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("model, z0", [
+        (tcp_model(delta=200.0, c=1e300, lam=6.25e-67), 1.0),
+        (tcp_model(kappa=0.99, delta=200.0, c=1e300, lam=1e-10), 1.0),
+        (tcp_model(kappa=0.99, delta=200.0), 40.0),
+    ], ids=["draw_overflow", "slow_draw_overflow", "slow"])
+    def test_long_chain_starts_with_sample_next(self, model, z0):
+        # the log scan stops its passes only where they would change no bit,
+        # and the head term joins in logs at any length, so a long chain's
+        # first state is sample_next's, as a one-transition chain's is
+        for seed in range(20):
+            z = simulate_chain(model, z0, 2000, seed).z
+            assert z[1] == sample_next(model, z0, chain_draws(seed, 1)[0])
 
     def test_overflow_names_first_transition(self):
         # c/lam = 1e310: the first state, about 5e309 * e, is out of range;
@@ -1470,7 +1511,7 @@ class TestReconstructTimes:
 
     def test_state_rounded_below_jump_image_roundtrip(self):
         chain = simulate_chain(tcp_model(delta=20.0), 20.0, 5, 0)
-        text = chain_to_text(chain, include_times=True)
+        text = chain_to_text(chain, reconstruct_times(chain))
         back = chain_from_text(text, chain.model)
         assert np.array_equal(back.z, chain.z)
         assert np.array_equal(reconstruct_times(back),
@@ -1523,6 +1564,11 @@ class TestSurvivalIdentity:
             assert abs(emp - p) < max(3 * se, 1e-3)
 
 
+def _times(chain, times):
+    """The ``times`` argument of ``chain_to_text``: the jump times, or None."""
+    return reconstruct_times(chain) if times else None
+
+
 class TestSerialization:
     def test_roundtrip_bits(self):
         m = tcp_model()
@@ -1534,7 +1580,7 @@ class TestSerialization:
     def test_roundtrip_with_times(self):
         m = bacterial_model(delta=2.0)
         chain = simulate_chain(m, 1.0, 50, 8)
-        text = chain_to_text(chain, include_times=True)
+        text = chain_to_text(chain, reconstruct_times(chain))
         back = chain_from_text(text, m)
         assert np.array_equal(back.z, chain.z)
 
@@ -1543,7 +1589,7 @@ class TestSerialization:
         # such lines make the fast reader fail; the exact reader skips them
         m = bacterial_model(delta=2.0)
         chain = simulate_chain(m, 1.0, 30, 9)
-        lines = chain_to_text(chain, include_times=times).splitlines()
+        lines = chain_to_text(chain, _times(chain, times)).splitlines()
         lines[10:10] = ["", "   ", "# note"]
         back = chain_from_text("\n".join(lines), m)
         assert np.array_equal(back.z, chain.z)
@@ -1576,8 +1622,16 @@ class TestSerialization:
         t = reconstruct_times(chain)
         lines += [f"{chain.z[k]:.17g}" + (f"\t{t[k - 1]:.17g}" if times else "")
                   for k in range(1, len(chain.z))]
-        assert chain_to_text(chain, include_times=times) == \
+        assert chain_to_text(chain, _times(chain, times)) == \
             "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("k", [-1, 1])
+    def test_times_of_another_length_rejected(self, k):
+        chain = simulate_chain(tcp_model(), 1.0, 20, 5)
+        times = np.arange(1.0, 21.0 + k)
+        with pytest.raises(ValueError,
+                           match=f"^times: {20 + k} jump times for 20 jumps$"):
+            chain_to_text(chain, times)
 
     def test_time_column_on_first_state_rejected(self):
         with pytest.raises(ChainFormatError, match="line 2:"):
@@ -1603,7 +1657,7 @@ class TestChainFileConsistency:
              "generic": Model(Flow("exponential", 2.0), JumpMap(kappa),
                               ShiftedQuadraticRate(1.0, 0.5))}[family]
         chain = simulate_chain(m, 1.0, n, seed)
-        lines = chain_to_text(chain, include_times=times).splitlines()
+        lines = chain_to_text(chain, _times(chain, times)).splitlines()
         assert np.array_equal(chain_from_text("\n".join(lines), m).z, chain.z)
         # z[k] is on line k + 4, after three header lines
         k = data.draw(st.integers(1, n))
@@ -1626,7 +1680,7 @@ class TestChainFileConsistency:
         # z[5] on line 9, moved to line 11 by a blank and a comment line
         m = tcp_model()
         chain = simulate_chain(m, 1.0, 10, 3)
-        lines = chain_to_text(chain, include_times=times).splitlines()
+        lines = chain_to_text(chain, _times(chain, times)).splitlines()
         lines[8] = "\t".join([bad] + lines[8].split("\t")[1:])
         lines[5:5] = ["", "# note"]
         with pytest.raises(InconsistentChainError,
@@ -1781,7 +1835,7 @@ class TestBulkDecode:
         monkeypatch.setattr(simulate, "_parse_rows",
                             lambda *a, **k: calls.append(a) or parse(*a, **k))
         chain = simulate_chain(tcp_model(), 1.0, 300, 4)
-        back = chain_from_text(chain_to_text(chain, include_times=times),
+        back = chain_from_text(chain_to_text(chain, _times(chain, times)),
                                chain.model)
         assert np.array_equal(back.z, chain.z)
         assert len(calls) == 1
