@@ -63,12 +63,13 @@ def nonnegative(field: str, value) -> None:
 
 
 def is_integer(value) -> bool:
-    """True for Python and numpy integers, whatever their value."""
+    """True for Python and numpy integers, whatever their value; a bool is
+    not one, though ``operator.index`` takes it."""
     try:
         operator.index(value)
     except TypeError:
         return False
-    return True
+    return not isinstance(value, bool)
 
 
 def at_least(field: str, value, least: int) -> None:

@@ -782,22 +782,25 @@ def _fit_panel(g, k: int):
 
 
 
-def _generic_chain(model: Model, z0: float, draws: np.ndarray) -> np.ndarray:
-    """States ``z[0..n]`` by numeric draws: :meth:`GenericSampler.chain`."""
-    z = np.empty(len(draws) + 1)
-    z[0] = z0
-    z[1:] = GenericSampler(model, z0).chain(memoryview(draws))
-    return z
-
-
-def _generic_next(model: Model, z: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Numeric draws from the flat arrays ``z`` for ``e``: the chain's exact
-    step from each state, on one sampler; a failure names its index."""
-    out, sampler = np.empty(len(z)), GenericSampler(model, 1.0)
-    for k, (zk, ek) in enumerate(zip(z.tolist(), e.tolist())):
+def _generic_chain(model: Model, z0: np.ndarray,
+                   draws: np.ndarray) -> np.ndarray:
+    """States ``z[:, 0..n]`` by numeric draws, on one sampler moved from row
+    to row: :meth:`GenericSampler.chain`, or for one transition
+    :meth:`GenericSampler.draw`, the chain's own first step at a fraction of
+    its cost.  A failure of a draw names its flat index."""
+    z = np.empty((len(z0), draws.shape[1] + 1))
+    z[:, 0] = z0
+    if draws.shape[1] > 1:
+        sampler = GenericSampler(model, z0[0])
+        for i, zi in enumerate(z0.tolist()):
+            sampler.move_to(zi)
+            z[i, 1:] = sampler.chain(memoryview(draws[i]))
+        return z
+    sampler = GenericSampler(model, 1.0)
+    for i, (zi, e) in enumerate(zip(z0.tolist(), draws[:, 0].tolist())):
         try:
-            sampler.move_to(zk)
-            out[k] = sampler.draw(ek)
+            sampler.move_to(zi)
+            z[i, 1] = sampler.draw(e)
         except (CapExceededError, StateRangeError) as exc:
-            raise sampler._at(k, exc) from exc
-    return out
+            raise sampler._at(i, exc) from exc
+    return z

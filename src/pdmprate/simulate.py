@@ -6,9 +6,9 @@ numeric sampler of :mod:`pdmprate.numeric` handles every other rate.
 ``simulate_chain`` draws all exponentials first and runs its family's chain
 kernel over them: a linear scan for power rates, block passes of one
 vectorized Cardano step for the quadratic rate, and for the rest the numeric
-sampler's walk in hazard coordinates.  ``sample_next`` takes a chain's first
-step from each state.  Chains are reproducible bit-exactly from their seed
-record.
+sampler's walk in hazard coordinates.  A kernel runs a batch of starts, one
+chain per row; ``sample_next`` runs it for one transition from each state.
+Chains are reproducible bit-exactly from their seed record.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import (ChainFormatError, InconsistentChainError, StateRangeError,
 from .model import ADDITIVE, Model, ShiftedQuadraticRate
 # GenericSampler belongs to this module's interface too: the package and
 # the benchmark's tracing reach it here
-from .numeric import GenericSampler, _generic_chain, _generic_next
+from .numeric import GenericSampler, _generic_chain
 
 _FLOAT_TINY = float(np.finfo(float).tiny)
 
@@ -87,20 +87,9 @@ def _power_terms(model: Model) -> tuple:
     return p, r, f
 
 
-def _power_step(model: Model, z: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """The first pass of :func:`_power_chain`, ``(e*f + r*z**p)**(1/p)``,
-    from each state; one where it overflows, as where ``z**p`` or ``e*f``
-    does, takes the chain itself."""
-    p, r, f = _power_terms(model)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.power(e * f + r * np.power(z, p), 1.0 / p)
-    for i in np.flatnonzero(out == math.inf).tolist():
-        out[i] = _power_chain(model, z[i], e[i:i + 1])[1]
-    return out
-
-
-def _power_chain(model: Model, z0: float, draws: np.ndarray) -> np.ndarray:
-    """States ``z[0..n]`` of a power-rate chain, by a linear scan.
+def _power_chain(model: Model, z0: np.ndarray,
+                 draws: np.ndarray) -> np.ndarray:
+    """States ``z[:, 0..n]`` of power-rate chains, by a linear scan per row.
 
     In ``w = z**p`` (``p`` is :attr:`Model.power_exponent`) one transition
     is the AR(1) step ``w_k = r * (w_{k-1} + x_k)`` with ``r = kappa**p`` and
@@ -110,75 +99,69 @@ def _power_chain(model: Model, z0: float, draws: np.ndarray) -> np.ndarray:
     terms are positive, so each state carries O(log n) roundings.  Where
     ``r**s`` is below the smallest normal double, ``r**s * w`` need not be,
     so a pass multiplies by ``r**(s/2)`` twice; the passes stop once they
-    would add only zeros.  Where ``z0**p`` overflows, the scan starts from
-    ``w_0 = 0``: ``log z_k`` is the log-sum of ``p*log(h_k)`` and ``log w_k``
-    over ``p``, with the head term ``r**k * z0**p = h_k**p``, while
-    ``h_k = z0*kappa**k > 1``; then ``h_k**p`` joins ``v_k``, and the scan
-    carries it.  From the first state still not finite, as where ``r*x``
-    overflows, the chain is :func:`_log_w_chain`'s.
+    would add only zeros.  From a row's first infinite state, as where
+    ``z0**p``, ``r*x`` or a sum overflows, the row is :func:`_log_w_chain`'s,
+    in one call for all rows that share that column.
     """
     p, r, f = _power_terms(model)
-    kappa = model.jump.kappa
-    w = np.empty(len(draws) + 1)
+    # column-major, so that a batch of one transition per row, as
+    # sample_next runs, works on contiguous columns
+    w = np.empty((len(z0), draws.shape[1] + 1), order="F")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # an overflow leaves inf states (and a pass's test 0*inf) to report
-        w[0] = np.power(z0, p)
-        np.multiply(draws, f, out=w[1:])
-        k = 1
-        if w[0] == math.inf:   # so z0 > 1, and z0 * kappa**k falls to 1
-            k = min(math.ceil(math.log(z0) / -math.log(kappa)), len(w))
-            w[0] = 0.0
-            if k < len(w):
-                w[k] += (z0 * kappa ** k) ** p
+        np.power(z0, p, out=w[:, 0])
+        np.multiply(draws, f, out=w[:, 1:])
         s = 1
-        while s < len(w):
+        while s < w.shape[1]:
             if r ** s >= _FLOAT_TINY:
-                w[s:] += r ** s * w[:-s]
+                w[:, s:] += r ** s * w[:, :-s]
             elif r ** (s // 2) * (r ** (s // 2) * w.max()) > 0.0:
-                terms = w[:-s] * r ** (s // 2)
+                terms = w[:, :-s] * r ** (s // 2)
                 terms *= r ** (s // 2)
-                w[s:] += terms
+                w[:, s:] += terms
             else:
                 break
             s *= 2
         if p != 1.0:
-            np.power(w[k:], 1.0 / p, out=w[k:])
-        w[0] = z0
-        if k > 1:   # in log z, which rounds p times finer than log w
-            a = np.log(z0 * np.power(kappa, np.arange(1, k)))
-            b = np.log(w[1:k]) / p
-            w[1:k] = np.exp(np.maximum(a, b)
-                            + np.log1p(np.exp(-p * np.abs(a - b))) / p)
-        k = int(np.argmax(w == math.inf))   # 0 where no state is
-        if k:
-            w[k:] = _log_w_chain(model, w[k - 1], draws[k - 1:])
+            np.power(w[:, 1:], 1.0 / p, out=w[:, 1:])
+        w[:, 0] = z0
+        over = w == math.inf
+        if over.any():
+            first = np.argmax(over, axis=1)   # 0 where no state is
+            for k in set(first.tolist()) - {0}:
+                rows = first == k   # a slice, copying nothing, if all do
+                rows = slice(None) if rows.all() else rows
+                w[rows, k:] = _log_w_chain(model, w[rows, k - 1],
+                                           draws[rows, k - 1:])
     return w
 
 
-def _log_w_chain(model: Model, z0: float, draws: np.ndarray) -> np.ndarray:
-    """The states after ``z0`` by :func:`_power_chain`'s scan on ``log w``.
+def _log_w_chain(model: Model, z0: np.ndarray,
+                 draws: np.ndarray) -> np.ndarray:
+    """The states after each of ``z0`` by :func:`_power_chain`'s scan on
+    ``log w``, one row per start.
 
     ``v_0 = p*log(z0)``, ``v_k = log(e_k) + log(f)``; pass ``s`` takes the
     log-sum of ``v_k`` and ``v_{k-s} + s*log(r)``, so neither ``w`` nor
     ``e*f``, which may overflow where ``z`` fits, is formed.  The passes stop
     once each would add less than ``2**-54 * |v_k|``, half a rounding, to
-    every ``v_k``, so the states are the full scan's bit for bit, whatever
-    the chain's length.  A state past double range is ``inf``; the caller
-    sets errstate.
+    every ``v_k`` of every row, so the states are the full scan's bit for
+    bit, whatever the chain's length.  A state past double range is
+    ``inf``; the caller sets errstate.
     """
     p, r, f = _power_terms(model)
     log_r = p * math.log(model.jump.kappa)
     log_f = math.log(f) if f < math.inf else log_r + math.log(p) + (
         math.log(model.flow.c) - math.log(model.rate.lam))
-    v = np.log(np.concatenate(([z0], draws)))
-    v[0] *= p
-    v[1:] += log_f
+    v = np.log(np.column_stack((z0, draws)))
+    v[:, 0] *= p
+    v[:, 1:] += log_f
     s = 1
-    while s < len(v) and (v[:-s].max() + s * log_r - v[s:].min()
-                          >= np.log(np.abs(v[s:]).min()) - 38.0):
-        np.logaddexp(v[s:], v[:-s] + s * log_r, out=v[s:])
+    while s < v.shape[1] and (v[:, :-s].max() + s * log_r - v[:, s:].min()
+                              >= np.log(np.abs(v[:, s:]).min()) - 38.0):
+        np.logaddexp(v[:, s:], v[:, :-s] + s * log_r, out=v[:, s:])
         s *= 2
-    return np.exp(v[1:] / p)
+    return np.exp(v[:, 1:] / p)
 
 
 # --- shifted quadratic rate, additive flow -----------------------------------
@@ -267,18 +250,21 @@ def _cardano_loop(terms: tuple, z: float, g: np.ndarray) -> list:
     return out
 
 
-def _quadratic_step(model: Model, z: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """:func:`_cardano` from each state, for the draws ``e``."""
-    terms, three_c = _cardano_terms(model)
-    with np.errstate(all="ignore"):
-        return _cardano(terms, z, e * three_c)
+def _lockstep(terms: tuple, x: np.ndarray, g: np.ndarray,
+              out: np.ndarray) -> None:
+    """The states after each of ``x`` for its row of the scaled draws ``g``
+    into ``out``, all rows stepping at once through :func:`_cardano`."""
+    for i in range(g.shape[1]):
+        x = _cardano(terms, x, g[:, i], out=out[:, i])
 
 
-def _quadratic_chain(model: Model, z0: float,
+def _quadratic_chain(model: Model, z0: np.ndarray,
                      draws: np.ndarray) -> np.ndarray:
-    """States ``z[0..n]``, each :func:`_cardano`'s step from the one before.
+    """States ``z[:, 0..n]``, each :func:`_cardano`'s step from the one
+    before.
 
-    A chain too short for a block pass runs :func:`_cardano_loop`.  A longer
+    A batch of other than one row steps in :func:`_lockstep`.  A single
+    chain too short for a block pass runs :func:`_cardano_loop`.  A longer
     one first runs the loop with a second chain from ``z0`` one transition
     behind (:func:`_coalescence`), and then block passes of twice the steps
     the two took to meet (:func:`_block_steps`); the loop takes the rest.
@@ -287,16 +273,19 @@ def _quadratic_chain(model: Model, z0: float,
     """
     terms, three_c = _cardano_terms(model)
     g = draws * three_c
-    z = np.empty(len(g) + 1)
-    z[0] = z0
-    done = 0
+    z = np.empty((len(g), g.shape[1] + 1), order="F")   # as _power_chain's
+    z[:, 0] = z0
     with np.errstate(all="ignore"):
+        if len(z) != 1:
+            _lockstep(terms, z[:, 0], g, z[:, 1:])
+            return z
+        row, g, done = z[0], g[0], 0
         if len(g) >= _BLOCKS * _BLOCK_STEPS:
-            done, met = _coalescence(terms, z, g, len(g) // (2 * _BLOCKS))
+            done, met = _coalescence(terms, row, g, len(g) // (2 * _BLOCKS))
             if met is not None:
-                done = _block_steps(terms, z, g, done,
+                done = _block_steps(terms, row, g, done,
                                     max(_BLOCK_STEPS, 2 * met))
-        z[done + 1:] = _cardano_loop(terms, float(z[done]), g[done:])
+        row[done + 1:] = _cardano_loop(terms, float(row[done]), g[done:])
     return z
 
 
@@ -353,9 +342,7 @@ def _block_pass(terms: tuple, z: np.ndarray, g: np.ndarray, start: int,
     blocks = (len(g) - start) // steps
     zs = z[start + 1:start + 1 + blocks * steps].reshape(blocks, steps)
     gs = g[start:start + blocks * steps].reshape(blocks, steps)
-    x = np.full(blocks, z[start])
-    for i in range(steps):
-        x = _cardano(terms, x, gs[:, i], out=zs[:, i])
+    _lockstep(terms, np.full(blocks, z[start]), gs, zs)
     x = zs[:-1, -1]
     for i in range(steps):
         y = _cardano(terms, x, gs[1:, i])
@@ -367,20 +354,22 @@ def _block_pass(terms: tuple, z: np.ndarray, g: np.ndarray, start: int,
     return start + (int(np.argmin(met)) + 2) * steps, False
 
 
-def _family_samplers(model: Model):
-    """The one family dispatch: ``(one-step sampler, chain kernel)``.
+def _family_kernel(model: Model):
+    """The one family dispatch: the chain kernel ``kernel(model, z0,
+    draws)``, which takes starts of shape ``(B,)`` and draws of shape
+    ``(B, n)`` to states of shape ``(B, n + 1)``.
 
     A power rate with ``p > 0`` (:attr:`Model.power_exponent`) under either
-    flow takes the power step and scan, the shifted quadratic rate under the
-    additive flow the Cardano step, and every other model numeric draws.
+    flow takes the power scan, the shifted quadratic rate under the additive
+    flow the Cardano step, and every other model numeric draws.
     """
     p = model.power_exponent
     if p is not None and p > 0:
-        return _power_step, _power_chain
+        return _power_chain
     if (model.flow.variant == ADDITIVE
             and isinstance(model.rate, ShiftedQuadraticRate)):
-        return _quadratic_step, _quadratic_chain
-    return _generic_next, _generic_chain
+        return _quadratic_chain
+    return _generic_chain
 
 
 def sample_next(model: Model, z, e):
@@ -398,7 +387,7 @@ def sample_next(model: Model, z, e):
     good = (z > 0.0) & (z < math.inf)
     if not good.all():
         positive("z", float(z[~good][0]))   # raises, naming the first bad z
-    out = _family_samplers(model)[0](model, z.ravel(), e.ravel())
+    out = _family_kernel(model)(model, z.ravel(), e.reshape(-1, 1))[:, 1]
     _check_next(out)
     return out.reshape(z.shape) if z.ndim else float(out[0])
 
@@ -421,7 +410,7 @@ def simulate_chain(model: Model, z0: float, n: int, seed) -> JumpChain:
         else np.random.SeedSequence(seed)
     rng = np.random.default_rng(ss)
     draws = rng.exponential(1.0, size=n)
-    z = _family_samplers(model)[1](model, float(z0), draws)
+    z = _family_kernel(model)(model, np.array([float(z0)]), draws[None])[0]
     _check_next(z[1:])
     record = (tuple(map(int, np.atleast_1d(ss.entropy))),
               tuple(map(int, ss.spawn_key)))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import null_distance_oracle
-from pdmprate import (Basis, CustomRate, ExperimentConfig, Flow, JumpMap,
-                      Model, PowerRate, ShiftedQuadraticRate,
+from pdmprate import (Basis, ConfigError, CustomRate, ExperimentConfig, Flow,
+                      JumpMap, Model, PowerRate, ShiftedQuadraticRate,
                       bacterial_model,
                       convergence_diagnostics, make_grid, replicate_seed,
                       rows_to_csv, run_experiment, run_replicate, select_model,
@@ -173,6 +173,22 @@ class TestExperiment:
     def test_unsorted_n_rejected(self):
         with pytest.raises(ValueError):
             small_config(n_values=[500, 200])
+
+
+# operator.index takes a bool, but a bool is no count or seed: dumped as
+# YAML `true`, it would not load back
+@pytest.mark.parametrize("field, build", [
+    ("n", lambda: simulate_chain(tcp_model(), 1.0, True, 0)),
+    ("seed", lambda: simulate_chain(tcp_model(), 1.0, 3, True)),
+    ("replicates", lambda: small_config(replicates=True)),
+    ("base_seed", lambda: small_config(base_seed=False)),
+    ("grid_points", lambda: small_config(grid_points=True)),
+    ("n_values", lambda: small_config(n_values=[200, True])),
+], ids=["n", "seed", "replicates", "base_seed", "grid_points", "n_values"])
+def test_bool_is_not_an_integer(field, build):
+    with pytest.raises(ConfigError, match=f"^{field}: ") as err:
+        build()
+    assert err.value.field == field
 
 
 class TestTailAssumption:

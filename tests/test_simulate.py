@@ -33,12 +33,12 @@ from pdmprate import (CapExceededError, ChainFormatError, ConfigError,
 from pdmprate.model import (CustomRate, Flow, JumpMap, Model, PowerRate,
                             ShiftedQuadraticRate)
 from pdmprate.numeric import (CAP_FACTOR, _CAPPED_MAX, _clenshaw, _fit_panel,
-                              _generic_chain, _generic_next, _invert,
+                              _generic_chain, _invert,
                               _panel_edge, _panel_index, _scalar_integrand,
                               _store)
 from pdmprate.simulate import (_block_steps, _cardano, _cardano_loop,
-                               _cardano_terms, _family_samplers, _power_chain,
-                               _power_step)
+                               _cardano_terms, _family_kernel, _power_chain,
+                               _quadratic_chain)
 
 
 class TestTcpPowerSampler:
@@ -294,13 +294,11 @@ DISPATCH_MODELS = [
 
 @pytest.mark.parametrize("model, family", DISPATCH_MODELS)
 def test_family_dispatch(model, family):
-    # sample_next and simulate_chain take the family's kernels, and the chain
+    # sample_next and simulate_chain take the family's kernel, and the chain
     # matches its oracle
-    step, chain_kernel = _family_samplers(model)
-    if family == "power":
-        assert step is _power_step and chain_kernel is _power_chain
-    elif family == "numeric":
-        assert step is _generic_next and chain_kernel is _generic_chain
+    assert _family_kernel(model) is {"power": _power_chain,
+                                     "quadratic": _quadratic_chain,
+                                     "numeric": _generic_chain}[family]
     # the p = -0.5 model's hazard from z is finite, 2/sqrt(z) in all; from
     # 0.01 down it exceeds every draw.  Its states halve at each step, and
     # the quadrature oracle loses its accuracy below about 1e-6.
@@ -392,6 +390,18 @@ class TestGenericSampler:
         with pytest.raises(StateRangeError, match="jump image"):
             GenericSampler(m, 2.2250738585072014e-308 / 0.7 * 0.999)
         GenericSampler(m, 2.2250738585072014e-308 / 0.7 * 1.001)
+
+    def test_subnormal_jump_image_message(self):
+        # sample_next names the flat index of the failing draw; a chain's
+        # start fails before any transition, so its message has no index
+        # (the CLI prints it as it is)
+        with pytest.raises(StateRangeError, match=(
+                r"^at transition 1: the jump image of z = 5e-324 ")):
+            sample_next(MC_GENERIC, [1.0, 5e-324], [1.0, 1.0])
+        with pytest.raises(StateRangeError, match=(
+                r"^the jump image of z = 5e-324 is below the smallest normal "
+                r"double$")):
+            simulate_chain(MC_GENERIC, 5e-324, 5, 0)
 
     def test_overflowing_cap_is_no_cap(self):
         # CAP_FACTOR * z0 overflows: the chain's cap check used to raise a
@@ -1140,6 +1150,21 @@ class TestChainKernels:
             z = simulate_chain(model, z0, 2000, seed).z
             assert z[1] == sample_next(model, z0, chain_draws(seed, 1)[0])
 
+    def test_sample_next_overflowing_starts_in_one_call(self):
+        # z0**p overflows from 40 (p = 201): every row takes the log scan
+        # from its start, in the one kernel call that all rows share
+        model = tcp_model(delta=200.0)
+        zs = np.full(10_000, 40.0)
+        draws = np.random.default_rng(4).exponential(1.0, len(zs))
+        with mock.patch.object(simulate, "_power_chain",
+                               wraps=simulate._power_chain) as kernel:
+            got = sample_next(model, zs, draws)
+        assert kernel.call_count == 1
+        assert np.array_equal(got, [sample_next(model, 40.0, e)
+                                    for e in draws])
+        want = [power_log_step_oracle(model, 40.0, e) for e in draws]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
     def test_overflow_names_first_transition(self):
         # c/lam = 1e310: the first state, about 5e309 * e, is out of range;
         # in a chain of 5000 the scan's factor r**2048 underflows to 0, and
@@ -1398,6 +1423,8 @@ def test_sample_next_broadcasts(family):
     got = sample_next(model, zs[:, None], es)
     assert got.shape == (3, 4)
     assert np.array_equal(got, one)
+    # an empty batch is no chain, in any family
+    assert sample_next(model, np.zeros((0, 3)), 1.0).shape == (0, 3)
 
 
 class TestSimulateChain:
