@@ -33,7 +33,10 @@ DEFAULT_INTERVALS = {
     (EXPONENTIAL, "power", 0.5, 2.0): (0.5, 2.0),
 }
 FALLBACK_INTERVAL = (0.5, 2.5)
-RATE_VARIANTS = {PowerRate: "power", ShiftedQuadraticRate: "quadratic"}
+# Rate variant -> class, and its fields' defaults in order (None: required).
+RATES = {"power": (PowerRate, {"lam": 1.0, "delta": 0.0}),
+         "quadratic": (ShiftedQuadraticRate, {"a": None, "b": 0.0})}
+RATE_VARIANTS = {cls: variant for variant, (cls, _) in RATES.items()}
 
 # Constructor field -> YAML key path.  load_config reads each field from its
 # key and reports a field a constructor rejects under it; dump_config writes
@@ -50,9 +53,6 @@ KEYS = {
     "base_seed": "experiment.base_seed",
     "out_dir": "io.out_dir", "grid_points": "io.grid_points",
 }
-# The rate fields each rate variant reads; under another variant their keys
-# are not read.
-RATE_FIELDS = {"power": ("lam", "delta"), "quadratic": ("a", "b")}
 # The ExperimentConfig fields read as they stand; a key left out keeps the
 # field's default.
 SCALARS = {"a_max": float, "sigma": float, "sigma_prime": float, "z0": float,
@@ -97,9 +97,9 @@ def _check_keys(doc: dict) -> None:
     must be mappings (or empty).
     """
     variant = _get(doc, "model.rate.variant")
-    known = isinstance(variant, str) and variant in RATE_FIELDS
-    unread = {KEYS[field] for v, names in RATE_FIELDS.items()
-              if known and v != variant for field in names}
+    known = isinstance(variant, str) and variant in RATES
+    unread = {KEYS[field] for v, (_, defaults) in RATES.items()
+              if known and v != variant for field in defaults}
     read = (set(KEYS.values()) - unread) | {"model.rate.variant"}
     sections = {path.rsplit(".", i)[0] for path in read
                 for i in range(1, path.count(".") + 1)}
@@ -124,15 +124,12 @@ def _build_model(doc: dict) -> Model:
                 _typed(doc, "c", float, 1.0))
     jump = JumpMap(_typed(doc, "kappa", float, 0.5))
     rvariant = _get(doc, "model.rate.variant", required=True)
-    if rvariant == "power":
-        rate = PowerRate(_typed(doc, "lam", float, 1.0),
-                         _typed(doc, "delta", float, 0.0))
-    elif rvariant == "quadratic":
-        rate = ShiftedQuadraticRate(_typed(doc, "a", float, required=True),
-                                    _typed(doc, "b", float, 0.0))
-    else:
-        raise ConfigError("model.rate.variant", "expected 'power' or "
-                          f"'quadratic', got {rvariant!r}")
+    if not (isinstance(rvariant, str) and rvariant in RATES):
+        raise ConfigError("model.rate.variant", "expected " + " or ".join(
+            map(repr, RATES)) + f", got {rvariant!r}")
+    cls, defaults = RATES[rvariant]
+    rate = cls(*[_typed(doc, field, float, default, required=default is None)
+                 for field, default in defaults.items()])
     name = _get(doc, KEYS["name"])
     return Model(flow, jump, rate, name="" if name is None else name)
 

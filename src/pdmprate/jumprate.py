@@ -32,22 +32,24 @@ def denominator_grid(chain: JumpChain, ys: np.ndarray) -> np.ndarray:
 
     Averages the change-of-variable weight over transitions whose previous
     state is at most ``y`` and whose next state is at least the jump image
-    ``f(y)``.  A transition with ``next >= f(prev)`` has ``prev <= y``
-    whenever ``next < f(y)``, so among those transitions the count is the
-    number of previous states up to ``y`` minus the number of next states
-    below ``f(y)``: two binary searches per grid point.  A transition with
-    ``next < f(prev)`` (none in a chain the model can produce) never counts,
-    because ``prev <= y`` would put ``next`` below ``f(y)``; rounding keeps
-    both implications, as ``f`` rounds monotonically.
+    ``f(y)``.  Among transitions with ``next >= f(prev)``, ``next < f(y)``
+    implies ``prev <= y``, so the count is ``#{prev <= y} - #{next < f(y)}``:
+    ``#{z <= y} - [z_n <= y]`` less ``#{z < f(y)} - [z_0 < f(y)]``, from one
+    sort of ``z``.  One with ``next < f(prev)`` (none in a chain the model
+    can produce) never counts, as ``prev <= y`` would put ``next`` below
+    ``f(y)``: it comes off both numbers, from its own sorted states.
+    Rounding keeps both implications, as ``f`` rounds monotonically.
     """
     ys = np.asarray(ys, dtype=float)
     model = chain.model
-    prev = chain.z[:-1]
-    nxt = chain.z[1:]
+    z = chain.z
     fy = model.jump.apply(ys)
-    ok = nxt >= model.jump.apply(prev)
-    count = (np.searchsorted(np.sort(prev[ok]), ys, side="right")
-             - np.searchsorted(np.sort(nxt[ok]), fy, side="left"))
+    below = z[1:] < model.jump.apply(z[:-1])
+    zs = np.sort(z)
+    count = (np.searchsorted(zs, ys, side="right") - (z[-1] <= ys)
+             - np.searchsorted(zs, fy, side="left") + (z[0] < fy)
+             - np.searchsorted(np.sort(z[:-1][below]), ys, side="right")
+             + np.searchsorted(np.sort(z[1:][below]), fy, side="left"))
     return model.transition_weight(fy) * count / chain.n
 
 

@@ -98,6 +98,9 @@ class PowerRate:
                 "must be finite and exceed -1", self.delta)
 
     def rate(self, x):
+        # Python floats raise OverflowError; numpy takes x <= 0, where ** fails
+        if type(x) is float and x > 0.0:
+            return self.lam * x ** self.delta
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore"):
             out = self.lam * np.power(x, self.delta)
@@ -116,6 +119,8 @@ class ShiftedQuadraticRate:
         nonnegative("b", self.b)
 
     def rate(self, x):
+        if type(x) is float:    # as in PowerRate.rate
+            return (x - self.a) ** 2 + self.b
         x = np.asarray(x, dtype=float)
         out = (x - self.a) ** 2 + self.b
         return out if out.ndim else float(out)

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import CapExceededError, StateRangeError, positive
-from .model import ADDITIVE, Model, PowerRate, ShiftedQuadraticRate
+from .model import ADDITIVE, Model
 
 
 # GenericSampler: a draw gives up at the state cap CAP_FACTOR * max(z, 1).
@@ -63,24 +63,13 @@ _CAPPED_MAX = float(np.finfo(float).max) / CAP_FACTOR   # above it, no cap
 def _scalar_integrand(model: Model):
     """Scalar hazard integrand ``rate(f^{-1}(u)) * weight(u)``.
 
-    The hazard table and Newton's method evaluate this point by point, so the
-    weight of :meth:`Model.transition_weight` is written out in plain float
-    arithmetic.
+    The hazard table and Newton's method evaluate this point by point: the
+    rate's own ``rate`` at one Python float, and the weight of
+    :meth:`Model.transition_weight` written out in plain float arithmetic.
     """
     inv_k = 1.0 / model.jump.kappa
     c = model.flow.c
-    rate = model.rate
-    if isinstance(rate, PowerRate):
-        lam, delta = rate.lam, rate.delta
-        if delta == 0:
-            rate_of = lambda x: lam
-        else:
-            rate_of = lambda x: lam * x ** delta
-    elif isinstance(rate, ShiftedQuadraticRate):
-        a, b = rate.a, rate.b
-        rate_of = lambda x: (x - a) ** 2 + b
-    else:
-        rate_of = rate.rate
+    rate_of = model.rate.rate
     if model.flow.variant == ADDITIVE:
         w = inv_k / c
         return lambda u: rate_of(u * inv_k) * w
@@ -784,19 +773,21 @@ def _fit_panel(g, k: int):
 
 def _generic_chain(model: Model, z0: np.ndarray,
                    draws: np.ndarray) -> np.ndarray:
-    """States ``z[:, 0..n]`` by numeric draws, on one sampler moved from row
-    to row: :meth:`GenericSampler.chain`, or for one transition
-    :meth:`GenericSampler.draw`, the chain's own first step at a fraction of
-    its cost.  A failure of a draw names its flat index."""
+    """States ``z[:, 0..n]`` by numeric draws, on one sampler made at the
+    first start and moved from row to row: :meth:`GenericSampler.chain`, or
+    for one transition :meth:`GenericSampler.draw`, the chain's own first
+    step at a fraction of its cost.  A later row's failed draw names its
+    flat index."""
     z = np.empty((len(z0), draws.shape[1] + 1))
     z[:, 0] = z0
+    if not len(z0):
+        return z
+    sampler = GenericSampler(model, z0[0])
     if draws.shape[1] > 1:
-        sampler = GenericSampler(model, z0[0])
         for i, zi in enumerate(z0.tolist()):
             sampler.move_to(zi)
             z[i, 1:] = sampler.chain(memoryview(draws[i]))
         return z
-    sampler = GenericSampler(model, 1.0)
     for i, (zi, e) in enumerate(zip(z0.tolist(), draws[:, 0].tolist())):
         try:
             sampler.move_to(zi)

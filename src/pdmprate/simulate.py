@@ -171,6 +171,10 @@ def _log_w_chain(model: Model, z0: np.ndarray,
 # so a pass over fewer blocks is no faster than the sequential loop.
 _BLOCK_STEPS = 64
 _BLOCKS = 32
+# A pass runs at most about _MAX_BLOCKS blocks: a step reads one state and one
+# draw per block from strided columns, whose cache lines past a few thousand
+# blocks do not last to the next step (BENCH_rate_owner.json, "block_floor").
+_MAX_BLOCKS = 4096
 
 
 def _cardano_terms(model: Model) -> tuple:
@@ -266,10 +270,10 @@ def _quadratic_chain(model: Model, z0: np.ndarray,
     A batch of other than one row steps in :func:`_lockstep`.  A single
     chain too short for a block pass runs :func:`_cardano_loop`.  A longer
     one first runs the loop with a second chain from ``z0`` one transition
-    behind (:func:`_coalescence`), and then block passes of twice the steps
-    the two took to meet (:func:`_block_steps`); the loop takes the rest.
-    Each part computes the states the loop would, so the chain does not
-    depend on the block length.
+    behind (:func:`_coalescence`), then block passes (:func:`_block_steps`)
+    of twice the steps the two took to meet, at least ``n // _MAX_BLOCKS``;
+    the loop takes the rest.  Each part computes the states the loop would,
+    so the chain does not depend on the block length.
     """
     terms, three_c = _cardano_terms(model)
     g = draws * three_c
@@ -283,8 +287,8 @@ def _quadratic_chain(model: Model, z0: np.ndarray,
         if len(g) >= _BLOCKS * _BLOCK_STEPS:
             done, met = _coalescence(terms, row, g, len(g) // (2 * _BLOCKS))
             if met is not None:
-                done = _block_steps(terms, row, g, done,
-                                    max(_BLOCK_STEPS, 2 * met))
+                done = _block_steps(terms, row, g, done, max(
+                    _BLOCK_STEPS, 2 * met, len(g) // _MAX_BLOCKS))
         row[done + 1:] = _cardano_loop(terms, float(row[done]), g[done:])
     return z
 

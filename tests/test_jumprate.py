@@ -120,6 +120,24 @@ class TestDenominator:
         assert np.array_equal(denominator_grid(chain, ys),
                               denominator_mask_oracle(chain, model, ys))
 
+    @pytest.mark.parametrize("below", [False, True])
+    def test_end_states_on_grid(self, below):
+        # the previous states are z less z[n], the next states z less z[0]:
+        # grid points on z[0] and z[n], and grid points whose jump images
+        # are z[0] and z[n], meet both end corrections of the one sort
+        model = tcp_model(kappa=0.5)
+        z = simulate_chain(model, 1.0, 60, 4).z.copy()
+        if below:
+            z[10::7] *= 0.25    # next states below the jump image
+        chain = JumpChain(z=z, model=model)
+        ends = np.array([z[0], z[-1]])
+        ys = np.concatenate([ends, model.jump.invert(ends),
+                             np.linspace(0.1, 4.0, 9)])
+        assert np.array_equal(model.jump.apply(ys[2:4]), ends)
+        assert chain.model.below_support(z[:-1], z[1:]).any() == below
+        assert np.array_equal(denominator_grid(chain, ys),
+                              denominator_mask_oracle(chain, model, ys))
+
     def test_montecarlo_agreement(self):
         # long-chain value at y=1 vs an independent much longer run
         model = tcp_model(kappa=0.5, c=1.0, lam=1.0, delta=0.0)

@@ -181,6 +181,58 @@ class TestHazard:
             hazard(PowerRate(1.0, 0.0), -1.0)
 
 
+FLOAT_RATES = [PowerRate(1.3, 0.0), PowerRate(1.2, -0.5), PowerRate(0.7, 2.5),
+               ShiftedQuadraticRate(1.0, 0.5), ShiftedQuadraticRate(2.0, 0.0)]
+
+
+def numpy_rate(rate, x):
+    """The rate's expression in numpy, as ``rate`` evaluates an array."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if isinstance(rate, PowerRate):
+            return rate.lam * np.power(x, rate.delta)
+        return (x - rate.a) ** 2 + rate.b
+
+
+class TestRateFloats:
+    """A Python float takes the rate's Python-float expression, the one the
+    numeric sampler evaluates; every other input keeps numpy's."""
+
+    @pytest.mark.parametrize("rate", FLOAT_RATES)
+    def test_float_gives_python_float(self, rate):
+        for x in (1e-300, 0.3, 1.0, 7.5, 1e10):
+            got = rate.rate(x)
+            assert type(got) is float
+            if isinstance(rate, PowerRate):
+                assert got == rate.lam * x ** rate.delta
+            else:
+                assert got == (x - rate.a) ** 2 + rate.b
+        if rate == PowerRate(1.3, 0.0):
+            assert rate.rate(1e-300) == rate.rate(1e300) == 1.3
+
+    def test_float_overflow_raises(self):
+        # numpy would return inf with a RuntimeWarning
+        with pytest.raises(OverflowError):
+            PowerRate(1.0, 200.0).rate(1e300)
+        with pytest.raises(OverflowError):
+            ShiftedQuadraticRate(1.0, 0.5).rate(1e200)
+
+    @pytest.mark.parametrize("rate", FLOAT_RATES)
+    def test_other_inputs_keep_numpy(self, rate):
+        # arrays and numpy scalars, and for a power rate 0.0 and x < 0,
+        # where Python's ** raises or gives a complex number
+        xs = np.array([0.0, -0.5, -2.0, 0.3, 7.5, 1e10])
+        want = numpy_rate(rate, xs)
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(rate.rate(xs), want, equal_nan=True)
+            for x, w in zip(xs, want.tolist()):
+                got = rate.rate(x)
+                assert type(got) is float
+                assert np.array_equal(got, w, equal_nan=True)
+                if isinstance(rate, PowerRate) and x <= 0.0:
+                    assert np.array_equal(rate.rate(float(x)), w,
+                                          equal_nan=True)
+
+
 class TestFamilies:
     @pytest.mark.parametrize("kappa", [0.05, 0.3, 0.5, 0.95])
     def test_exponential_flow_power_rate_any_kappa(self, kappa):

@@ -403,6 +403,28 @@ class TestGenericSampler:
                 r"double$")):
             simulate_chain(MC_GENERIC, 5e-324, 5, 0)
 
+    def test_sampler_made_at_first_start(self):
+        # a batch's one sampler is made at its first start, not at z = 1.0:
+        # with kappa = 1e-310 the jump image of 1e300 is a normal double, so
+        # the draw from it fails on its hazard, as a two-step chain does; and
+        # a first start the sampler refuses fails as a chain's start does
+        m = Model(Flow("exponential", 2.0), JumpMap(1e-310),
+                  ShiftedQuadraticRate(1.0, 0.5))
+        overflow = (r"^at transition 0: the hazard from z = 1e\+300 overflows "
+                    r"double precision before reaching the draw$")
+        for run in (lambda: sample_next(m, 1e300, 1.0),
+                    lambda: simulate_chain(m, 1e300, 1, 0),
+                    lambda: simulate_chain(m, 1e300, 2, 0)):
+            with pytest.raises(StateRangeError, match=overflow):
+                run()
+        refused = (r"^the jump image of z = 5e-324 is below the smallest "
+                   r"normal double$")
+        for run in (lambda: simulate_chain(MC_GENERIC, 5e-324, 1, 0),
+                    lambda: simulate_chain(MC_GENERIC, 5e-324, 2, 0),
+                    lambda: sample_next(MC_GENERIC, [5e-324, 1.0], 1.0)):
+            with pytest.raises(StateRangeError, match=refused):
+                run()
+
     def test_overflowing_cap_is_no_cap(self):
         # CAP_FACTOR * z0 overflows: the chain's cap check used to raise a
         # RuntimeWarning, which warnings as errors made a traceback
@@ -1283,6 +1305,21 @@ class TestQuadraticChain:
         assert z.tobytes() == cardano_steps(m, 1.0,
                                             chain_draws(3, n)).tobytes()
 
+    def test_long_chain_blocks_have_n_floor(self):
+        # at kappa = 0.2 twice the meeting time is 64 steps, below the floor
+        # n // _MAX_BLOCKS, so every pass runs blocks of the floor or longer
+        m = tcp_quadratic_model(kappa=0.2)
+        n = 300_000
+        floor = n // simulate._MAX_BLOCKS
+        assert floor > 64
+        with mock.patch.object(simulate, "_block_pass",
+                               wraps=simulate._block_pass) as passes:
+            z = simulate_chain(m, 1.0, n, 3).z
+        steps = [call.args[4] for call in passes.call_args_list]
+        assert steps and min(steps) >= floor
+        assert z.tobytes() == block_chain(m, 1.0, chain_draws(3, n),
+                                          64).tobytes()
+
     def test_sample_next_loop_matches_block_chain(self):
         m = tcp_quadratic_model()
         n = 3000
@@ -1407,6 +1444,32 @@ class TestStationaryLaw:
 SHAPE_MODELS = {"tcp": tcp_model(kappa=0.3, delta=1.0),
                 "bacterial": bacterial_model(delta=2.0),
                 "quadratic": tcp_quadratic_model(), "generic": MC_GENERIC}
+
+
+# built-in rates of numeric models, and CustomRates of the same expressions
+SAME_RATE_MODELS = [
+    (MC_GENERIC, Model(MC_GENERIC.flow, MC_GENERIC.jump,
+                       CustomRate(lambda x: (x - 1.0) ** 2 + 0.5))),
+    (Model(Flow("exponential", 1.5), JumpMap(0.5), PowerRate(1.3, 0.0)),
+     Model(Flow("exponential", 1.5), JumpMap(0.5),
+           CustomRate(lambda x: 1.3 * x ** 0.0))),
+]
+
+
+@pytest.mark.parametrize("builtin, custom", SAME_RATE_MODELS,
+                         ids=["quadratic", "power_delta_0"])
+def test_builtin_rate_samples_as_custom_rate(builtin, custom):
+    # the numeric sampler evaluates every rate through its rate(), one
+    # Python float at a time, so a built-in rate and a CustomRate of its
+    # expression give the same chains and next states, bit for bit
+    for z0 in (1.0, 50.0):
+        for n in (1, 7, 500):
+            assert (simulate_chain(builtin, z0, n, 2).z.tobytes()
+                    == simulate_chain(custom, z0, n, 2).z.tobytes())
+    zs = np.geomspace(0.05, 50.0, 60)
+    es = chain_draws(4, 60)
+    assert (sample_next(builtin, zs, es).tobytes()
+            == sample_next(custom, zs, es).tobytes())
 
 
 @pytest.mark.parametrize("family", SHAPE_MODELS)
