@@ -221,7 +221,8 @@ def convergence_diagnostics(config: ExperimentConfig) -> DiagnosticsReport:
     The stationarity check compares density fits on the two halves of one
     long chain against the dispersion expected if both halves sampled the
     same law.  The rate check regresses the log RMSE of the mid-interval
-    denominator, over ``RATE_REPLICATES`` chains per length, on log n.
+    denominator, over ``RATE_REPLICATES`` chains per length, on log n; a
+    zero RMSE leaves no slope, with a warning that says why.
     """
     warnings = []
     tail_ok, tail_msg = tail_assumption_ok(config.model)
@@ -264,8 +265,13 @@ def convergence_diagnostics(config: ExperimentConfig) -> DiagnosticsReport:
                 vals.append(denominator_grid(ch, [mid])[0])
             vals = np.array(vals)
             rmses.append(np.sqrt(np.mean((vals - vals.mean()) ** 2)))
-        slope = float(np.polyfit(np.log(np.asarray(config.n_values, dtype=float)),
-                                 np.log(np.array(rmses)), 1)[0])
+        if min(rmses) > 0:
+            slope = float(np.polyfit(np.log(np.asarray(config.n_values, dtype=float)),
+                                     np.log(np.array(rmses)), 1)[0])
+        else:
+            warnings.append(f"no denominator rate slope: at y = {mid:.6g} every "
+                            f"n = {config.n_values[rmses.index(0.0)]} replicate "
+                            "has the same denominator, and 0 RMSE has no log")
     return DiagnosticsReport(half_distance_sq=dist_sq,
                              half_distance_null=null_sq,
                              stationarity_ok=stationarity_ok,

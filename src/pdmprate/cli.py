@@ -30,7 +30,7 @@ from .config import dump_config, load_config_file
 from .density import fit_to_text, select_model
 from .errors import ChainFormatError, ConfigError, PdmpError, at_least
 from .jumprate import denominator_grid, rate_grid
-from .simulate import (chain_from_text, chain_to_text, reconstruct_times,
+from .simulate import (chain_from_text, chain_text_blocks, reconstruct_times,
                        simulate_chain)
 
 log = logging.getLogger("pdmprate")
@@ -105,7 +105,8 @@ def cmd_simulate(config: ExperimentConfig, args) -> int:
     # the times first: a chain whose times overflow leaves no file
     times = reconstruct_times(chain)
     out = _out_dir(config) / "chain.tsv"
-    out.write_text(chain_to_text(chain, times if args.times else None))
+    with out.open("wb") as fh:
+        fh.writelines(chain_text_blocks(chain, times if args.times else None))
     print(f"n={chain.n} z_min={chain.z.min():.6g} z_max={chain.z.max():.6g} "
           f"t_final={times[-1]:.6g} file={out}")
     return EXIT_OK
@@ -113,7 +114,7 @@ def cmd_simulate(config: ExperimentConfig, args) -> int:
 
 def cmd_estimate(config: ExperimentConfig, args) -> int:
     if args.chain is not None:
-        chain = chain_from_text(Path(args.chain).read_text(), config.model)
+        chain = chain_from_text(Path(args.chain).read_bytes(), config.model)
     else:
         n = args.n if args.n is not None else max(config.n_values)
         chain = simulate_chain(config.model, config.z0, n, config.base_seed)

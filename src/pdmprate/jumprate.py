@@ -15,7 +15,7 @@ import numpy as np
 from .basis import series_terms
 from .density import DensityFit
 from .errors import ChainTooShortError, StateRangeError, is_integer, require
-from .simulate import JumpChain, text_rows
+from .simulate import JumpChain, text_blocks
 
 DEFAULT_GRID_POINTS = 513
 
@@ -145,6 +145,5 @@ def risk_sweep(fit: DensityFit, chain: JumpChain, ys: np.ndarray,
 def grid_to_tsv(ys: np.ndarray, rate_hat: np.ndarray, nu_f: np.ndarray,
                 denom: np.ndarray, rate_true: np.ndarray) -> str:
     """TSV with the curves usually plotted together."""
-    lines = ["y\tlambda_hat\tlambda_true\tnu_hat_of_f\td_hat"]
-    lines += text_rows(ys, rate_hat, rate_true, nu_f, denom)
-    return "\n".join(lines) + "\n"
+    return "y\tlambda_hat\tlambda_true\tnu_hat_of_f\td_hat\n" + b"".join(
+        text_blocks(ys, rate_hat, rate_true, nu_f, denom)).decode()

@@ -22,7 +22,10 @@ finds its root by Brent's method, one transition at a time, and
 ``GenericSampler``.  The stationary law of a power-rate chain is the
 perpetuity of its AR(1) step in ``w = z**p``, summed in closed form.  The
 flow map, the hazard pair, the fit-record reader and the coefficients of
-one model alone are used only by tests.
+one model alone are used only by tests.  A chain or grid file's rows are
+written one ``%`` format at a time, and a block of a chain file is decoded
+in every field, the times too, with a midpoint found from the gap between
+a double and its neighbour.
 """
 
 import math
@@ -38,7 +41,7 @@ from pdmprate.errors import CapExceededError, EmptyModelSetError
 from pdmprate.jumprate import risk_sweep, threshold
 from pdmprate.model import ADDITIVE, PowerRate, ShiftedQuadraticRate
 from pdmprate.numeric import CAP_FACTOR, GenericSampler, _scalar_integrand
-from pdmprate.simulate import sample_next
+from pdmprate.simulate import _POW10, _PLAIN, _ZEROS, sample_next
 
 
 def contrast(coeffs):
@@ -519,3 +522,46 @@ def fit_from_text(text):
     return DensityFit(basis=basis, coeffs=coeffs, contrasts=contrasts,
                       penalties=penalties, m_hat=int(fields["m_hat"][0]),
                       n=n, sigma=sigma, sigma_prime=sigma_prime)
+
+
+def text_rows(*columns):
+    """One line per row: the columns' values to 17 significant digits, tabbed,
+    each formatted by Python's ``%``; ``pdmprate.simulate.text_blocks`` is its
+    vectorized form."""
+    row = "\t".join(["%.17g"] * len(columns))
+    return [row % r for r in zip(*(np.asarray(c, dtype=float).tolist()
+                                  for c in columns))]
+
+
+def decode_block_oracle(b, width):
+    """The first fields of the ``width``-field rows of ``b``, which holds no
+    comment or blank line: every field, the times too, as ``M/10**k`` in a
+    long double, a midpoint found from the gap between the double it casts
+    to and that double's neighbour, and ``float()`` where M or k is out of
+    range or the field has a sign, an exponent, inf or nan."""
+    odd = b.translate(None, _PLAIN)
+    if odd.translate(None, b"+-_eEaAfFiInNtTyY"):
+        raise ValueError("not a sign, an exponent, inf or nan: a space, a #")
+    a = np.frombuffer(b, np.uint8)
+    ends = np.flatnonzero((a == 9) | (a == 10))
+    if width > 2 or len(ends) % width or (a[ends].reshape(-1, width)
+                                          != (9, 10)[2 - width:]).any():
+        raise ValueError("a row not of width - 1 tabs and a newline")
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    dots = np.flatnonzero(a == 46)
+    at = np.searchsorted(ends, dots)
+    k = np.full(len(ends), -1)
+    k[at] = ends[at] - dots - 1
+    if (ends - starts <= (k >= 0)).any() or (k >= 0).sum() < len(dots):
+        raise ValueError("a field without digits, or with two dots")
+    m = np.fromstring(b.translate(_ZEROS, b"."), np.uint64, sep="\n")
+    bad = (m >= 10 ** 19) | (k > 27)
+    if odd:
+        bad[np.searchsorted(ends, np.flatnonzero(
+            (a > 57) | (a == 43) | (a == 45)))] = True
+    q = m.astype(np.longdouble) / _POW10[np.clip(k, 0, 27)]
+    x = q.astype(float)
+    r = (q - x).astype(float)
+    bad |= 2 * r == np.nextafter(x, np.copysign(np.inf, r)) - x
+    x[bad] = [float(a[i:j].tobytes()) for i, j in zip(starts[bad], ends[bad])]
+    return x[::width]

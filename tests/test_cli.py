@@ -717,6 +717,52 @@ class TestEstimateCommand:
         assert "chain line 21: z[17]" in caplog.text
 
 
+class TestMalformedFiles:
+    """Files that are not YAML, not text or not LF-ended exit as documented."""
+
+    @pytest.mark.parametrize("data, line", [
+        (b"model: [1, 2\n", 2),
+        (b"model:\n  z0: [\n", 3),
+        (b"experiment:\n  n_values: [200]\n  base_seed: \xff\n", 3),
+        (b"experiment:\n  replicates: \x00\n", 2),
+    ])
+    def test_config_exit_code(self, tmp_path, caplog, capsys, data, line):
+        path = tmp_path / "config.yaml"
+        path.write_bytes(data)
+        assert main(["--config", str(path), "simulate", "--n", "5"]) == 2
+        assert f"config: {path}: line {line}: " in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_chain_not_utf8_exit_code(self, tmp_path, caplog):
+        path = write_config(tmp_path, out_dir=str(tmp_path / "o"))
+        main(["--config", path, "simulate", "--n", "50"])
+        chain_file = tmp_path / "o" / "chain.tsv"
+        lines = chain_file.read_bytes().splitlines()
+        lines[20] = b"0.5\xff"
+        chain_file.write_bytes(b"\n".join(lines) + b"\n")
+        assert main(["--config", path, "estimate", "--chain",
+                     str(chain_file)]) == 4
+        assert "chain line 21: not UTF-8 text" in caplog.text
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    @pytest.mark.parametrize("times", [[], ["--times"]])
+    def test_chain_line_ends_read_as_lf(self, tmp_path, newline, times):
+        # universal newlines, as Path.read_text reads them: the same fit
+        path = write_config(tmp_path, out_dir=str(tmp_path / "o"))
+        main(["--config", path, "simulate", "--n", "500"] + times)
+        chain_file = tmp_path / "o" / "chain.tsv"
+        other = tmp_path / "other.tsv"
+        other.write_bytes(chain_file.read_bytes().replace(b"\n", newline))
+        outputs = []
+        for name, chain in (("lf", chain_file), ("other", other)):
+            out = str(tmp_path / name)
+            assert main(["--config", path, "--out", out, "estimate",
+                         "--chain", str(chain)]) == 0
+            outputs.append([(tmp_path / name / f).read_bytes()
+                            for f in ("fit.tsv", "grid.tsv")])
+        assert outputs[0] == outputs[1]
+
+
 class TestBenchCommand:
     def test_smoke(self, tmp_path, capsys):
         doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
@@ -748,6 +794,22 @@ class TestDiagnoseCommand:
         assert main(["--config", path, "diagnose"]) == 0
         out = capsys.readouterr().out
         assert "tail_ok=True" in out
+
+    def test_zero_rmse_reports_no_slope(self, tmp_path, capsys, caplog):
+        # from z0 = 40 every replicate's delta = 200 chain has the same
+        # denominator at the interval's midpoint, 1.5: the RMSE whose log
+        # the slope regresses is 0
+        doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
+        doc["model"]["rate"]["delta"] = 200.0
+        doc["model"]["z0"] = 40.0
+        doc["experiment"] = {"n_values": [1000, 3000], "replicates": 1,
+                             "base_seed": 0}
+        path = write_config(tmp_path, doc, out_dir=str(tmp_path / "o"))
+        assert main(["--config", path, "diagnose"]) == 0
+        out = capsys.readouterr().out
+        assert "tail_ok=True" in out
+        assert "denominator_rate_slope" not in out
+        assert "no denominator rate slope" in caplog.text
 
     def test_short_chain_exit_code(self, tmp_path, caplog):
         # BASE_DOC's largest chain length, 200, is below the 1000 needed

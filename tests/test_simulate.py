@@ -17,11 +17,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
 
-from oracles import (advance, chain_draws, cumulative, generic_draw_oracle,
-                     perpetuity_cdf, perpetuity_density,
+from oracles import (advance, chain_draws, cumulative, decode_block_oracle,
+                     generic_draw_oracle, perpetuity_cdf, perpetuity_density,
                      power_log_step_oracle, quadratic_increment_oracle,
                      quadratic_step_cardano, sample_next_generic,
-                     simulate_chain_oracle)
+                     simulate_chain_oracle, text_rows)
 import pdmprate
 import pdmprate.simulate as simulate
 from pdmprate import (CapExceededError, ChainFormatError, ConfigError,
@@ -1363,15 +1363,30 @@ class TestQuadraticChain:
            kappa=st.floats(0.05, 0.99), a=st.floats(0.2, 3.0),
            b=st.floats(0.1, 3.0), z=st.floats(1e-3, 5.0),
            e=st.floats(0.0, 10.0))
+    # two draws that missed a flat 1e-15 relative bound, by 1.10e-15 and
+    # 1.24e-15: z far below a, where the rounding of u = z - a tells
+    @example(c=1.0, kappa=0.140625, a=2.375, b=0.25, z=0.15316007763023953,
+             e=4.0)
+    @example(c=1.0, kappa=0.5, a=2.5, b=0.125, z=0.05, e=5.0)
     @settings(max_examples=150, deadline=None)
     def test_step_within_1e15_of_increment_oracle(self, c, kappa, a, b, z,
                                                   e):
         # kappa*(a + t) lost about log10(a/z) digits where z is far below a
         # at small c (1.7e-9 at c = 1e-6); the increment form does not.  b
-        # is kept from 0: there the cubic itself is ill-conditioned at t = 0
+        # is kept from 0: there the cubic itself is ill-conditioned at t = 0.
+        # The bound: the step rounds u = z - a once, by up to 2**-53 |u|,
+        # and solves F(d, u) = d*(u*u + u*d + d*d/3 + b) - c*e = 0 for the
+        # increment d of y = kappa*(z + d).  To first order that rounding
+        # moves y by kappa |dd/du| 2**-53 |u|, where dd/du = -F_u/F_d =
+        # -d*(2u + d)/((u + d)**2 + b); at the first example above that is
+        # 2.7e-16, about 1.1e-15 of y.  The step's own rounding stays within
+        # the 1e-15 floor.
         m = tcp_quadratic_model(kappa=kappa, c=c, a=a, b=b)
         want = quadratic_increment_oracle(m, z, e)
-        assert abs(sample_next(m, z, e) - want) <= 1e-15 * want
+        u, d = z - a, want / kappa - z
+        from_u = kappa * abs(d * (2 * u + d)) / ((u + d) ** 2 + b) \
+            * 2.0 ** -53 * abs(u)
+        assert abs(sample_next(m, z, e) - want) <= 1e-15 * want + from_u
 
     @pytest.mark.parametrize("c", [1e2, 1.0, 1e-2, 1e-4, 1e-6, 1e-8])
     def test_chain_steps_within_1e15_of_increment_oracle(self, c):
@@ -1676,7 +1691,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("times", [False, True])
     def test_blank_and_comment_lines_in_body(self, times):
-        # such lines make the fast reader fail; the exact reader skips them
+        # both readers skip them
         m = bacterial_model(delta=2.0)
         chain = simulate_chain(m, 1.0, 30, 9)
         lines = chain_to_text(chain, _times(chain, times)).splitlines()
@@ -1778,8 +1793,7 @@ class TestChainFileConsistency:
             chain_from_text("\n".join(lines), m)
 
     def test_line_named_past_comment_lines(self):
-        # blank and comment lines send the parse through the exact reader;
-        # the line number still counts them
+        # the line number counts blank and comment lines
         m = tcp_model()
         lines = chain_to_text(simulate_chain(m, 1.0, 10, 3)).splitlines()
         lines[8] = f"{0.4 * float(lines[7]):.17g}"    # z[5] on line 9
@@ -1929,6 +1943,176 @@ class TestBulkDecode:
                                chain.model)
         assert np.array_equal(back.z, chain.z)
         assert len(calls) == 1
+
+
+BULK_ONLY = pytest.mark.skipif(not simulate._BULK_DECODE,
+                               reason="no long double for the bulk decoder")
+
+
+def outcome(text, model, bulk):
+    """The states ``chain_from_text`` reads from ``text``, or the type and
+    message of its error, with the bulk decoder on or off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_BULK_DECODE", bulk and simulate._BULK_DECODE)
+        try:
+            return chain_from_text(text, model).z.tolist()
+        except (ChainFormatError, InconsistentChainError) as exc:
+            return type(exc), str(exc)
+
+
+class TestBulkDecodeOfEditedFiles:
+    """Comment lines, blank lines and CR line ends on the bulk decoder."""
+
+    @staticmethod
+    def edited(times, edit):
+        # 4,000 rows span several 64 KB blocks; z[0] is on line 4
+        chain = simulate_chain(tcp_model(), 1.0, 4000, 4)
+        lines = chain_to_text(chain, _times(chain, times)).splitlines()
+        extra = {"comment": ["# note"], "blank": [""],
+                 "spaces": ["  ", "\t", " # indented note"]}.get(edit, [])
+        lines[3000:3000] = extra
+        lines[4:4] = extra
+        newline = {"crlf": "\r\n", "cr": "\r"}.get(edit, "\n")
+        return chain, newline.join(lines) + newline
+
+    @BULK_ONLY
+    @pytest.mark.parametrize("edit", ["comment", "blank", "spaces", "crlf",
+                                      "cr"])
+    @pytest.mark.parametrize("times", [False, True])
+    def test_takes_the_bulk_decoder(self, monkeypatch, times, edit):
+        # the exact reader reads z[0] alone; a second call would be the body
+        parse = simulate._parse_rows
+
+        def z0_only(lines, first_lineno, max_width):
+            assert max_width == 1, "the exact reader ran"
+            return parse(lines, first_lineno, max_width)
+        monkeypatch.setattr(simulate, "_parse_rows", z0_only)
+        chain, text = self.edited(times, edit)
+        for data in (text, text.encode()):
+            assert np.array_equal(chain_from_text(data, chain.model).z,
+                                  chain.z)
+
+    @pytest.mark.parametrize("bad", [
+        "0.7x", "1.2.3", ".", "0.7\t1.0\t2.0", "0.5\t", "\t", "1;2", "nan",
+        "inf", "-0.5", "0", "1e-300", "0.5 # note", " 0.5", "+1e1", "",
+        "# 0.5"])
+    @pytest.mark.parametrize("times", [False, True])
+    def test_line_named_as_by_the_exact_reader(self, bad, times):
+        # the bulk decoder refuses what it cannot read, and the exact reader
+        # names the line, counting comment and blank lines
+        m = tcp_model()
+        chain, text = self.edited(times, "comment")
+        lines = text.splitlines()
+        lines[2500] = "\t".join([bad] + lines[2500].split("\t")[1:])
+        text = "\n".join(lines) + "\n"
+        bulk = outcome(text.encode(), m, True)
+        assert bulk == outcome(text, m, False)
+
+    @pytest.mark.parametrize("data, line", [
+        (b"# h\n1\n0.5\n\xff\n", 4),
+        (b"# h\r\n1\r\n0.5\xe9\r\n0.7\r\n", 3),
+        (b"# \xc3\n1\n", 1),
+    ])
+    def test_not_utf8_named(self, data, line):
+        with pytest.raises(ChainFormatError,
+                           match=f"^chain line {line}: not UTF-8 text$"):
+            chain_from_text(data, tcp_model(kappa=1e-30))
+
+    def test_non_ascii_text_takes_the_exact_reader(self):
+        # a non-breaking space and a line separator: str.strip and
+        # str.splitlines know them, the bulk decoder does not
+        text = "# h\n1\n0.5\u00a0\n0.7\u20282\n"
+        want = [1.0, 0.5, 0.7, 2.0]
+        m = tcp_model(kappa=1e-30)
+        assert chain_from_text(text, m).z.tolist() == want
+        assert chain_from_text(text.encode(), m).z.tolist() == want
+
+
+class TestDecoderAgainstFloat:
+    """The bulk decoder against ``float()`` and its long-way oracle, on
+    random decimals of up to 19 digits and 27 decimals."""
+
+    @BULK_ONLY
+    @given(seed=st.integers(0, 2 ** 32 - 1), times=st.booleans())
+    @settings(max_examples=6, deadline=None)
+    def test_random_decimals(self, seed, times):
+        rng = np.random.default_rng(seed)
+        n = 30_000   # about 15 long-double midpoints, 1 in 2,048 draws
+        m = rng.integers(0, 10 ** rng.integers(1, 20, n, dtype=np.uint64),
+                         dtype=np.uint64)
+        k = rng.integers(0, 28, n)
+        rows = []
+        for mi, ki in zip(m.tolist(), k.tolist()):
+            digits = str(mi).rjust(ki + 1, "0")
+            rows.append(f"{digits[:-ki]}.{digits[-ki:]}" if ki else digits)
+        want = [float(r) for r in rows]
+        body = "".join(r + ("\t%.17g\n" % (i + 0.5) if times else "\n")
+                       for i, r in enumerate(rows))
+        assert np.array_equal(states_of(rows, times)[1:], want)
+        assert np.array_equal(decode_block_oracle(body.encode(), 1 + times),
+                              want)
+        q = m.astype(np.longdouble) / simulate._POW10[k]
+        lo = q.astype(float)
+        up = np.nextafter(lo, np.where(q > lo, np.inf, -np.inf))
+        assert (q == (lo.astype(np.longdouble) + up) / 2).sum() > 0
+
+
+class TestTextWriter:
+    """``text_blocks`` against ``"%.17g" %`` of each value, row by row in
+    its oracle ``text_rows``."""
+
+    # signed zeros, both ends of double range and of its normal range,
+    # 2**60, where "%.17g" switches between fixed and exponent form (1e-5
+    # and 1e-4, 1e16 and 1e17), the fast path's own ends, and non-finites
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+             1.7976931348623157e308, -1.7976931348623157e308, 2.0 ** 60,
+             1e-5, 1e-4, 1e16, 1e17, 1e-280, 1e280, 1.0, 0.1, -2.5,
+             math.inf, -math.inf, math.nan]
+
+    @staticmethod
+    def check(*columns):
+        got = b"".join(simulate.text_blocks(*columns)).decode()
+        assert got == "".join(line + "\n" for line in text_rows(*columns))
+
+    def test_edges_and_their_neighbours(self):
+        near = [np.array(self.EDGES)]
+        with np.errstate(over="ignore"):
+            for way in (np.inf, -np.inf):
+                x = near[0]
+                for _ in range(3):
+                    x = np.nextafter(x, way)
+                    near.append(x)
+        x = np.concatenate(near)
+        self.check(x)
+        self.check(x, -x, x[::-1])
+
+    def test_exact_ties(self):
+        # doubles of 18 digits that end in 5, halfway between two 17-digit
+        # decimals: n + j/8 on [2**49, 1e15), n + j/4 on [2**50, 2**51)
+        rng = np.random.default_rng(7)
+        x = np.concatenate([
+            rng.integers(2 ** 49, 10 ** 15, 5000)
+            + rng.choice([0.125, 0.375, 0.625, 0.875], 5000),
+            rng.integers(2 ** 50, 2 ** 51, 5000) + rng.choice([0.25, 0.75], 5000)])
+        assert all(len(d := str(decimal.Decimal(v)).replace(".", "")) == 18
+                   and d.endswith("5") for v in x.tolist())
+        self.check(x, -x)
+
+    @given(bits=st.lists(st.integers(0, 2 ** 64 - 1), max_size=300),
+           floats=st.lists(st.floats(), max_size=100),
+           width=st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_random_bit_patterns(self, bits, floats, width):
+        x = np.concatenate([np.array(bits, dtype=np.uint64).view(float),
+                            np.array(floats, dtype=float)])
+        self.check(*x[:len(x) // width * width].reshape(-1, width).T)
+
+    def test_many_random_bit_patterns(self):
+        # several blocks of 8,192 values
+        x = np.random.default_rng(3).integers(
+            0, 2 ** 64, 60_000, dtype=np.uint64).view(float)
+        self.check(x)
+        self.check(*x.reshape(-1, 3).T)
 
 
 @pytest.mark.usefixtures("exact_reader")
