@@ -269,9 +269,8 @@ def convergence_diagnostics(config: ExperimentConfig) -> DiagnosticsReport:
             slope = float(np.polyfit(np.log(np.asarray(config.n_values, dtype=float)),
                                      np.log(np.array(rmses)), 1)[0])
         else:
-            warnings.append(f"no denominator rate slope: at y = {mid:.6g} every "
-                            f"n = {config.n_values[rmses.index(0.0)]} replicate "
-                            "has the same denominator, and 0 RMSE has no log")
+            warnings.append(f"no denominator rate slope: at y = {mid:.6g} the "
+                            f"RMSE is 0 for n = {config.n_values[rmses.index(0.0)]}")
     return DiagnosticsReport(half_distance_sq=dist_sq,
                              half_distance_null=null_sq,
                              stationarity_ok=stationarity_ok,

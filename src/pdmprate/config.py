@@ -11,7 +11,6 @@ offending key path.
 from __future__ import annotations
 
 from dataclasses import fields
-from pathlib import Path
 
 import yaml
 
@@ -174,21 +173,16 @@ def load_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(KEYS.get(exc.field, exc.field), exc.reason) from None
 
 
-# libyaml's parser where PyYAML has it: the same documents, parsed in C
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
 def load_config_file(path: str) -> ExperimentConfig:
-    """The config of the YAML file at ``path``; :class:`ConfigError` names
-    the file and the line where its bytes are not UTF-8 text or not YAML."""
-    data = Path(path).read_bytes()
-    try:
-        doc = yaml.load(data, Loader=_LOADER)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:   # through libyaml where PyYAML has it
+        doc = yaml.load(data, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:   # a parser's, with its mark, or a reader's
         mark = getattr(exc, "problem_mark", None)
         lineno = mark.line + 1 if mark else data.count(b"\n", 0, exc.position) + 1
-        problem = getattr(exc, "problem", None) or exc.reason
-        raise ConfigError(str(path), f"line {lineno}: {problem}") from None
+        raise ConfigError(str(path), f"line {lineno}: "
+                          f"{getattr(exc, 'problem', None) or exc.reason}") from None
     return load_config(doc)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-import sys
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -477,63 +477,45 @@ def text_blocks(*columns):
         yield out.tobytes().translate(None, b"\0")
 
 
-# The writer scales each value to 17 digits as a Dekker two-product (Numer.
-# Math. 1971) with 10**s held as hi + lo, exact to a few 1e-15 of a unit in
-# the last digit; so a value more than 1e-6 of a unit from a rounding tie
-# rounds as "%.17g" does.  The rest, and values outside [1e-280, 1e280) or
-# not finite, go to Python's own formatting.
-_P10 = 290   # 10**s is at index s + _P10 of the tables, s in -290 .. 300
-_FIELD = 45  # sign, "0.000", 17 digits each with a slot for the point after
-             # it, "e-308", and the tab or newline; unused bytes are 0
+# The writer takes a value of [1e-4, 1e17), printed in fixed form, to a
+# 17-digit integer times 10**(16 - e).  That power of ten is a double, so the
+# Dekker two-product (Numer. Math. 1971) p + f is the exact product, and p is
+# even: rint(f) rounds it half to even, as "%.17g" does.  Python's own
+# formatting takes zeros, the exponent form and values that are not finite.
+_FIELD = 41  # sign, "0.000", 17 digits each with a slot for the point after
+             # it, and the tab or newline; unused bytes are 0
 
 
 @functools.cache
 def _g17_tables() -> tuple:
-    """The words "0000" .. "9999"; 10**s as hi + lo, hi in halves of 26
-    bits; and the least double not below 10**s.  Built at first use."""
-    t = np.arange(10000)
-    words = (np.stack([t // 1000, t // 100 % 10, t // 10 % 10, t % 10], 1)
-             + 48).astype(np.uint8).view(np.uint32).ravel()
-    rows = []
-    for s in range(-_P10, 301):
-        num, den = (10 ** s, 1) if s >= 0 else (1, 10 ** -s)
-        hi = num / den   # int / int rounds correctly, and so does lo
-        h_num, h_den = hi.as_integer_ratio()
-        lo = (num * h_den - h_num * den) / (den * h_den)
-        half = 134217729.0 * hi - (134217729.0 * hi - hi)   # Veltkamp's split
-        rows.append((hi, half, hi - half, lo,
-                     hi if lo <= 0 else math.nextafter(hi, math.inf)))
-    return (words,) + tuple(np.array(rows).T.copy())
+    """The words "0000" .. "9999", and 10**k for k in -4 .. 21 as the least
+    double not below it (1e-4 .. 0.1 round up).  Built at first use."""
+    return (np.frombuffer(b"".join(b"%04d" % t for t in range(10000)), np.uint32),
+            np.array([float(f"1e{k}") for k in range(-4, 22)]))
 
 
 def _g17_fields(v: np.ndarray) -> np.ndarray:
     """``"%.17g" % x`` for each ``x`` of ``v``, one row of _FIELD bytes each."""
-    words, hi, hh, hl, lo, least = _g17_tables()
+    words, tens = _g17_tables()
     a = np.abs(v)
-    slow = ~((a >= 1e-280) & (a < 1e280))
-    a[slow] = 1.0
-    e = np.floor(np.log10(a)).astype(np.intp)   # exact after the fix-up
-    e += a >= least[e + _P10 + 1]
-    e -= a < least[e + _P10]
-    i = 16 - e + _P10
-    p = a * hi[i]   # an integer: a * 10**(16 - e) lies in [1e16, 1e17)
-    ah = 134217729.0 * a - (134217729.0 * a - a)
-    al = a - ah
-    f = (((ah * hh[i] - p) + ah * hl[i] + al * hh[i]) + al * hl[i]) + a * lo[i]
-    g = np.rint(f)
-    slow |= np.abs(f - g) > 0.5 - 1e-6
-    n = p.astype(np.int64) + g.astype(np.int64)   # the 17 digits
-    up = n == 10 ** 17   # rounded up to the next power of ten
-    n[up], e[up] = 10 ** 16, e[up] + 1
+    e = np.searchsorted(tens, a, side="right") - 5   # 10**e <= a < 10**(e+1)
+    slow = (e < -4) | (e > 16)
+    a[slow], e[slow] = 1.0, 0
+    s = tens[20 - e]   # 10**(16 - e)
+    p = a * s          # in [1e16, 1e17]
+    ah = 134217729.0 * a - (134217729.0 * a - a)   # Veltkamp's split
+    sh = 134217729.0 * s - (134217729.0 * s - s)
+    f = ((ah * sh - p) + ah * (s - sh) + (a - ah) * sh) + (a - ah) * (s - sh)
+    n = p.astype(np.int64) + np.rint(f).astype(np.int64)   # the 17 digits
+    slow |= n == 10 ** 17   # 10**(e + 1): no double's a is that close
     d = np.empty((len(v), 5), np.uint32)   # "000" and the 17 digits
     d[:, 0] = words[n // 10 ** 16]
     for j in range(1, 5):
         d[:, j] = words[n // 10 ** (16 - 4 * j) % 10000]
     digits = d.view(np.uint8)[:, 3:]
-    fixed = (e >= -4) & (e < 17)   # else the exponent form
-    small = fixed & (e < 0)        # "0." and -1 - e zeros come first
-    point = np.where(fixed & (e > 0), e, 0)   # the digit the point follows
-    last = np.full(len(v), 16)     # the last digit written
+    small = e < 0                # "0." and -1 - e zeros come first
+    point = np.maximum(e, 0)     # else the digit the point follows
+    last = np.full(len(v), 16)   # the last digit written
     z = np.flatnonzero(digits[:, 16] == 48)   # trailing zeros go
     last[z] = 16 - np.argmax(digits[z, ::-1] != 48, axis=1)
     digits[z] *= np.arange(17) <= np.maximum(last[z], point[z])[:, None]
@@ -541,14 +523,9 @@ def _g17_fields(v: np.ndarray) -> np.ndarray:
     out[:, 0] = np.signbit(v) * 45
     out[:, 1:6] = ((np.arange(1, -4, -1) > e[:, None]) * small[:, None]
                    * np.array([48, 46, 48, 48, 48]))
-    out[:, 6:39:2] = digits
+    out[:, 6:40:2] = digits
     dot = np.flatnonzero(~small & (last > point))
     out.reshape(-1)[dot * _FIELD + 7 + 2 * point[dot]] = 46
-    out[:, 39] = ~fixed * 101
-    out[:, 40] = ~fixed * np.where(e < 0, 45, 43)
-    out[:, 41:44] = words[np.abs(e)].view(np.uint8).reshape(-1, 4)[:, 1:] \
-        * ~fixed[:, None]
-    out[:, 41] *= np.abs(e) >= 100
     r = np.flatnonzero(slow)
     out[r, :-1] = np.frombuffer(b"".join(
         ("%.17g" % x).encode().ljust(_FIELD - 1, b"\0")
@@ -560,16 +537,15 @@ def chain_from_text(text, model: Model) -> JumpChain:
     """Parse the columnar format back into a chain (header is informational).
 
     ``text`` is the file's text, or its bytes, read as UTF-8 with universal
-    newlines, as ``Path.read_text`` reads them.  The first data row holds
-    ``z[0]`` alone; every later row holds ``z[k]`` and, in files written with
-    times, the jump time of that state after a tab.  Comment and blank lines
-    may come anywhere.  Times are checked to be numbers, then dropped: the
-    states imply them (:func:`reconstruct_times`).  Raises
-    :class:`ChainFormatError` naming the first line that does not fit or is
-    not UTF-8, or when there is no data row, and
-    :class:`InconsistentChainError` naming the first line whose state is
-    not finite and positive, or else lies below the jump image of the state
-    before it.
+    newlines.  The first data row holds ``z[0]`` alone; every later row holds
+    ``z[k]`` and, in files written with times, the jump time of that state
+    after a tab; comment and blank lines may come anywhere.  Times are
+    checked to be numbers, then dropped: the states imply them
+    (:func:`reconstruct_times`).  Raises :class:`ChainFormatError` naming
+    the first line that does not fit or is not UTF-8, or when there is no
+    data row, and :class:`InconsistentChainError` naming the first line
+    whose state is not finite and positive, or else lies below the jump
+    image of the state before it.
     """
     z = _states_from_text(text)
     try:
@@ -597,20 +573,17 @@ def _states_from_text(text) -> np.ndarray:
     The bulk decoder reads ASCII files as bytes.  The exact reader takes the
     files it refuses, and names the first line it cannot read.
     """
-    if isinstance(text, str) and text.isascii():
-        text = text.encode()
-    if isinstance(text, bytes):
-        if b"\r" in text:   # universal newlines
-            text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        if _BULK_DECODE and text.isascii():
-            with contextlib.suppress(ValueError):
-                return _bulk_states(text)
-        try:
-            text = text.decode()
-        except UnicodeDecodeError as exc:
-            lineno = len((text[:exc.start].decode() + "-").splitlines())
-            raise ChainFormatError(f"chain line {lineno}: not UTF-8 text") \
-                from None
+    text = text.encode() if isinstance(text, str) else text
+    if b"\r" in text:   # universal newlines, as read_text
+        text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if _BULK_DECODE and text.isascii():
+        with contextlib.suppress(ValueError):
+            return _bulk_states(text)
+    try:
+        text = text.decode()
+    except UnicodeDecodeError as exc:
+        lineno = len((text[:exc.start].decode() + "-").splitlines())
+        raise ChainFormatError(f"chain line {lineno}: not UTF-8 text") from None
     lines = text.splitlines()
     first = next((i for i, line in enumerate(lines) if _is_data(line)), None)
     if first is None:
@@ -624,49 +597,45 @@ def _states_from_text(text) -> np.ndarray:
 # k <= 27 decimals, in a long double of 64 (x87) or 113 (IEEE quad) bits:
 # both are exact, so that is one correct rounding (Clinger, PLDI 1990), and
 # so is the cast to a double but from a midpoint, where float() reads it.
-# The quotient is 0 or at least 1e-27, so its cast is never subnormal.
 _BULK_DECODE = np.finfo(np.longdouble).nmant in (63, 112)
 _POW10 = np.cumprod([1] + [10] * 27, dtype=np.longdouble)
 _PLAIN = b"0123456789.\t\n"
 _ZEROS = bytes(c if c in _PLAIN else 48 for c in range(256))
-# The cast drops the low 11 bits of x87's 64, or 60 of IEEE quad's 113: in
-# a little-endian long double of 16 bytes, bits of its first word.
-_DROPPED = sys.byteorder == "little" and {(63, 16): 11, (112, 16): 60}.get(
-    (np.finfo(np.longdouble).nmant, np.dtype(np.longdouble).itemsize))
+# A newline and the blank or comment line after it, as _is_data reads them,
+# but for a comment holding a line break of str.splitlines() other than \n
+_SKIPPED = re.compile(rb"\n[ \t]*(#[^\n\x0b\x0c\x1c-\x1e]*)?(?=\n)")
 
 
 def _bulk_states(data: bytes) -> np.ndarray:
     """The states of an ASCII chain file with ``\\n`` line ends; ValueError
     where the decoder refuses it."""
     data += b"" if data.endswith(b"\n") else b"\n"
-    pos, lineno = _next_row(data, 0)   # past the header
+    pos = lineno = 0   # skip the header
+    while pos < len(data) and not _is_data(
+            data[pos:data.find(b"\n", pos)].decode()):
+        pos, lineno = data.find(b"\n", pos) + 1, lineno + 1
     end = data.find(b"\n", pos)
     if end < 0 or any(c in data[:end] for c in b"\x0b\x0c\x1c\x1d\x1e"):
         raise ValueError("no data, or a line break of str.splitlines() but \\n")
+    # z[0], and room for the rest; numpy counts the newlines in about a
+    # fifth of the time bytes.count takes
     rows = np.count_nonzero(np.frombuffer(data, np.uint8)[end + 1:] == 10)
-    z = np.full(1 + rows,   # z[0], and room for the rest
-                _parse_rows([data[pos:end].decode()], lineno + 1,
-                            max_width=1)[0, 0])
-    pos, k = end + 1, 1
-    row = _next_row(data, pos)[0]   # the first row after z[0] sets the width
+    z = np.full(1 + rows, _parse_rows([data[pos:end].decode()], lineno + 1,
+                                      max_width=1)[0, 0])
+    pos = row = end + 1
+    while m := _SKIPPED.match(data, row - 1):   # the first row after z[0]
+        row = m.end() + 1                       # sets the width
     width = 1 + data.count(b"\t", row, data.find(b"\n", row))
+    k = 1
     while pos < len(data):   # in blocks of about 64 KB
         cut = data.rfind(b"\n", pos, pos + 65536) + 1 or len(data)
         try:
             states = _decode_block(data[pos:cut], width)
         except ValueError:   # once more without comment and blank lines
-            states = _decode_block(_data_rows(data[pos:cut]), width)
+            states = _decode_block(_SKIPPED.sub(b"", data[pos - 1:cut])[1:],
+                                   width)
         z[k:k + len(states)], k, pos = states, k + len(states), cut
     return z[:k]
-
-
-def _next_row(data: bytes, pos: int) -> tuple:
-    """The start of the first data row from ``pos`` on, and the lines before."""
-    lines = 0
-    while pos < len(data) and not _is_data(
-            data[pos:data.find(b"\n", pos)].decode()):
-        pos, lines = data.find(b"\n", pos) + 1, lines + 1
-    return pos, lines
 
 
 def _decode_block(b: bytes, width: int) -> np.ndarray:
@@ -679,7 +648,7 @@ def _decode_block(b: bytes, width: int) -> np.ndarray:
     if width > 2 or len(ends) % width or width == 2 and (
             a[ends].reshape(-1, 2) != (9, 10)).any():
         raise ValueError("a row not of width - 1 tabs and a newline")
-    starts = np.concatenate(([0], ends[:-1] + 1))   # of each field
+    starts = np.r_[0, ends + 1][:-1]   # of each field
     dots = np.flatnonzero(a == 46)
     one = len(dots) == len(ends) and ((dots >= starts) & (dots < ends)).all()
     at = slice(None) if one else np.searchsorted(ends, dots)   # dots' fields
@@ -687,42 +656,20 @@ def _decode_block(b: bytes, width: int) -> np.ndarray:
     k[at] = ends[at] - dots - 1
     if (ends - starts <= (k >= 0)).any() or (k >= 0).sum() < len(dots):
         raise ValueError("a field without digits, or with two dots")
-    bad = k > 27
+    m = np.fromstring(b.translate(_ZEROS, b".") if odd else b.replace(b".", b""),
+                      np.uint64, sep="\n")
+    # np.fromstring saturates at 2**64 - 1: float() reads M of 20 digits
+    bad = (m >= 10 ** 19) | (k > 27)
     if odd:   # a sign, an exponent, inf or nan: float() reads the field
         bad[np.searchsorted(ends, np.flatnonzero(
             (a > 57) | (a == 43) | (a == 45)))] = True
-    if width == 2:   # a time need only parse: decode the states alone
-        for i, j in zip(starts[1::2][bad[1::2]], ends[1::2][bad[1::2]]):
-            float(b[i:j])
-        starts, ends, k, bad = starts[::2], ends[::2], k[::2], bad[::2]
-    # np.fromstring saturates at 2**64 - 1: float() reads M of 20 digits
-    m = np.fromstring(b.translate(_ZEROS, b".") if odd else b.replace(b".", b""),
-                      np.uint64, sep="\n")[::width]
-    bad |= m >= 10 ** 19
     q = m.astype(np.longdouble) / _POW10[np.clip(k, 0, 27)]
     x = q.astype(float)
-    if _DROPPED:   # q is a midpoint where the bits the cast drops read 10...0
-        bad |= (q.view(np.uint64)[::2] & ((1 << _DROPPED) - 1)
-                == 1 << (_DROPPED - 1))
-    else:   # at a midpoint q, q - x is half the gap from x to its
-        # neighbour toward q
-        r = (q - x).astype(float)
-        bad |= 2 * r == np.nextafter(x, np.copysign(np.inf, r)) - x
+    # at a midpoint q, q - x is half the gap from x to its neighbour toward q
+    r = (q - x).astype(float)
+    bad |= 2 * r == np.nextafter(x, np.copysign(np.inf, r)) - x
     x[bad] = [float(a[i:j].tobytes()) for i, j in zip(starts[bad], ends[bad])]
-    return x
-
-
-def _data_rows(b: bytes) -> bytes:
-    """The lines of ``b`` but those whose first byte other than a space or a
-    tab is a newline or a ``#``: its data rows, as :func:`_is_data` reads."""
-    if any(c in b for c in b"\x0b\x0c\x1c\x1d\x1e"):
-        raise ValueError("a line break of str.splitlines() but \\n")
-    a = np.frombuffer(b, np.uint8)
-    ends = np.flatnonzero(a == 10)
-    solid = np.flatnonzero((a != 32) & (a != 9))
-    first = a[solid[np.searchsorted(solid, np.r_[0, ends[:-1] + 1])]]
-    return a[np.repeat((first != 10) & (first != 35),
-                       np.diff(ends, prepend=-1))].tobytes()
+    return x[::width]
 
 
 def _is_data(line: str) -> bool:

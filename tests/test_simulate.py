@@ -2008,6 +2008,27 @@ class TestBulkDecodeOfEditedFiles:
         bulk = outcome(text.encode(), m, True)
         assert bulk == outcome(text, m, False)
 
+    @BULK_ONLY
+    @pytest.mark.parametrize("data", [
+        b"# h\n1.0\n\n", b"# h\n1.0\n# note\n", b"# h\n1\n \t\n0.75\n",
+        # a run of comment lines longer than a 64 KB block
+        b"# h\n1\n0.75\n" + b"# note\n" * 10_000 + b"0.5\n",
+        # a trailing comment that starts at a block cut, and one that fills
+        # a block of its own
+        b"# h\n1\n0.755\n" + b"0.75\n" * 13_106 + b"# note\n",
+        b"# h\n1\n" + b"0.75\n" * 13_106 + b"#" * 70_000 + b"\n",
+    ])
+    def test_blocks_without_data_rows(self, monkeypatch, data):
+        m = tcp_model(kappa=1e-30)
+        want = outcome(data.decode(), m, False)
+        parse = simulate._parse_rows
+
+        def z0_only(lines, first_lineno, max_width):
+            assert max_width == 1, "the exact reader ran"
+            return parse(lines, first_lineno, max_width)
+        monkeypatch.setattr(simulate, "_parse_rows", z0_only)
+        assert chain_from_text(data, m).z.tolist() == want
+
     @pytest.mark.parametrize("data, line", [
         (b"# h\n1\n0.5\n\xff\n", 4),
         (b"# h\r\n1\r\n0.5\xe9\r\n0.7\r\n", 3),
@@ -2063,7 +2084,7 @@ class TestTextWriter:
 
     # signed zeros, both ends of double range and of its normal range,
     # 2**60, where "%.17g" switches between fixed and exponent form (1e-5
-    # and 1e-4, 1e16 and 1e17), the fast path's own ends, and non-finites
+    # and 1e-4, 1e16 and 1e17: the fast path's ends), and non-finites
     EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
              1.7976931348623157e308, -1.7976931348623157e308, 2.0 ** 60,
              1e-5, 1e-4, 1e16, 1e17, 1e-280, 1e280, 1.0, 0.1, -2.5,
@@ -2088,14 +2109,18 @@ class TestTextWriter:
 
     def test_exact_ties(self):
         # doubles of 18 digits that end in 5, halfway between two 17-digit
-        # decimals: n + j/8 on [2**49, 1e15), n + j/4 on [2**50, 2**51)
+        # decimals: n + j/8 on [2**49, 1e15), n + j/4 on [2**50, 2**51),
+        # and odd n / 2**(17 - e) on [10**e, 10**(e + 1)) for e in -4 .. 14
         rng = np.random.default_rng(7)
         x = np.concatenate([
             rng.integers(2 ** 49, 10 ** 15, 5000)
             + rng.choice([0.125, 0.375, 0.625, 0.875], 5000),
-            rng.integers(2 ** 50, 2 ** 51, 5000) + rng.choice([0.25, 0.75], 5000)])
-        assert all(len(d := str(decimal.Decimal(v)).replace(".", "")) == 18
-                   and d.endswith("5") for v in x.tolist())
+            rng.integers(2 ** 50, 2 ** 51, 5000) + rng.choice([0.25, 0.75], 5000)]
+            + [(rng.integers(math.ceil(10.0 ** e * 2 ** (17 - e)),
+                             int(10.0 ** (e + 1) * 2 ** (17 - e)) - 1, 1000)
+                // 2 * 2 + 1) / 2.0 ** (17 - e) for e in range(-4, 15)])
+        assert all(len(d := str(decimal.Decimal(v)).lstrip("0.").replace(
+            ".", "")) == 18 and d.endswith("5") for v in x.tolist())
         self.check(x, -x)
 
     @given(bits=st.lists(st.integers(0, 2 ** 64 - 1), max_size=300),
