@@ -43,11 +43,6 @@ MAX_LEAVES = 256
 INV_TOL = 1e-10
 NEWTON_STEPS = 100
 ROOT_ULPS = 4.0
-# A chain takes the phi table over a panel from its PHI_VISITS-th exact step
-# from it on, so that a chain passing through, as one falling toward 0 does,
-# takes exact steps rather than the phi table's node solves
-# (BENCH_hazard_chain.json, "phi_visits").
-PHI_VISITS = 3
 
 # values of g at the Chebyshev points cos(theta_i), ends included, ->
 # coefficients of the interpolating series (a discrete cosine transform)
@@ -367,16 +362,16 @@ class GenericSampler:
 
         With ``h = G(z)`` a transition is ``h' = phi(h) + e``, where
         ``phi(h) = G(kappa*G^{-1}(h))``: one series of panel ``k``'s phi
-        table (:meth:`_fit_phi`) per step from a state in panel ``k``, from
-        the chain's ``PHI_VISITS``-th exact step from ``k`` on, while the
-        running sums from ``p`` reach past ``h'``; the step extends them no
-        further than the panel of ``CAP_FACTOR * max(edge(k+1), 1)``, above
-        the cap of any state in ``k``.  Any other step is a draw from the
-        state of ``h``, solved for first if a phi step left only ``h``.
-        :meth:`states` inverts the pairs of the phi steps in one pass, and
-        then each state is held to its cap.  No state lands below the jump
-        image of the one before.  A failure names transition ``k``, or an
-        earlier state past its cap.
+        table (:meth:`_fit_phi`) per step from a pair in panel ``k``, while
+        the running sums from ``p`` reach past ``h'``; the step extends them
+        no further than the panel of ``CAP_FACTOR * max(edge(k+1), 1)``,
+        above the cap of any state in ``k``.  Any other step is a draw from
+        the state of its pair, and the first a draw from ``z0``.  So each
+        step is a function of its pair and its draw alone, and two chains
+        that reach one pair go on together.  :meth:`states` inverts the
+        pairs of the phi steps in one pass, and then each state is held to
+        its cap.  No state lands below the jump image of the one before.  A
+        failure names transition ``k``, or an earlier state past its cap.
         """
         # the states the draws solved for, nan where a phi step left only
         # its pair; the pairs go to buffers, not lists of numbers that
@@ -385,48 +380,43 @@ class GenericSampler:
         z = np.full(n, np.nan)
         ks, hs = np.empty(n, dtype=np.int64), np.empty(n)
         out_k, out_h = memoryview(ks), memoryview(hs)
-        sums, visits, ready = self._sums_from, {}, {}
-        # (q, h) is the pair of the state before transition k, and y that
-        # state unless a phi step left it unsolved; z0's pair is not needed
-        z0, k, q, h, y, solved = self.z, 0, None, 0.0, self.z, True
+        sums, tables = self._sums_from, self._stored_phi
+        # (q, h) is the pair of the state before transition k; z0 has none
+        z0, k, q, h = self.z, 0, None, 0.0
         try:
             for k in range(n):
                 e = draws[k]
-                table = ready.get(q)
-                if table is not None:
-                    rights, records, p, cap = table
-                    record = records[bisect.bisect_right(rights, h)]
-                    if record is not None:
-                        mid, scale, c0, rest = record
-                        # _clenshaw, inlined
-                        x = (h - mid) * scale
-                        x2 = x + x
-                        b1 = b2 = 0.0
-                        for c in rest:
-                            b1, b2 = c + x2 * b1 - b2, b1
-                        after = c0 + x * b1 - b2 + e
-                        s = sums.get(p, (0.0,))
-                        if after >= s[-1]:
-                            try:
-                                s = self._sums(p, after, cap)
-                            except OverflowError:
-                                s = (math.inf,)     # the state's draw raises it
-                        i = bisect.bisect_right(s, after, 1) - 1
-                        if i < len(s) - 1:
-                            out_k[k] = q = p + i
-                            out_h[k] = h = after - s[i]
-                            solved = False
-                            continue
-                if not solved:
-                    z[k - 1] = y = self._state(q, h)
-                self.move_to(y)
-                visits[q] = visits.get(q, 0) + 1
-                if visits[q] == PHI_VISITS:
-                    ready[q] = self._phi_table(q)
+                if q is not None:
+                    if q not in tables:
+                        tables[q] = self._fit_phi(q)
+                    table = tables[q]
+                    if table is not None:
+                        rights, records, p, cap = table
+                        record = records[bisect.bisect_right(rights, h)]
+                        if record is not None:
+                            mid, scale, c0, rest = record
+                            # _clenshaw, inlined
+                            x = (h - mid) * scale
+                            x2 = x + x
+                            b1 = b2 = 0.0
+                            for c in rest:
+                                b1, b2 = c + x2 * b1 - b2, b1
+                            after = c0 + x * b1 - b2 + e
+                            s = sums.get(p, (0.0,))
+                            if after >= s[-1]:
+                                try:
+                                    s = self._sums(p, after, cap)
+                                except OverflowError:
+                                    s = (math.inf,)  # the draw raises it
+                            i = bisect.bisect_right(s, after, 1) - 1
+                            if i < len(s) - 1:
+                                out_k[k] = q = p + i
+                                out_h[k] = h = after - s[i]
+                                continue
+                    self.move_to(self._state(q, h))
                 q, h = self._reach(e)
                 out_k[k], out_h[k] = q, h
-                z[k] = y = self._root(q, h, e) if e else self.lo
-                solved = True
+                z[k] = self._root(q, h, e) if e else self.lo
                 self.exact_steps += 1
             k, error = n, None
         except (OverflowError, CapExceededError, StateRangeError) as exc:
@@ -436,36 +426,25 @@ class GenericSampler:
         # would have, ahead of transition k
         walked = np.isnan(z[:k])
         z[:k][walked] = self.states(ks[:k][walked], hs[:k][walked])
-        prev = np.concatenate(([z0], z[:-1]))
+        w = np.concatenate(([z0], z))
+        z, prev = w[1:], w[:-1]
         base = np.where(prev > _CAPPED_MAX, np.inf, np.maximum(prev, 1.0))
         for m in np.flatnonzero(z > CAP_FACTOR * base)[:1]:
             self.move_to(prev[m])
             k, error = int(m), self._cap_error(draws[m])
         if error is not None:
             raise self._at(k, error) from error
-        np.maximum(z, self._kappa * prev, out=z)
+        _hold_at_jump_image(w[np.newaxis], self._kappa)
         return z
 
-    def _phi_table(self, k: int):
-        """Panel ``k``'s phi table from the store (:meth:`_fit_phi` when
-        missing), the panel ``p`` its values are measured from, and the cap
-        to which a phi step from ``k`` extends ``p``'s sums; ``None`` where
-        the jump image of the panel underflows."""
-        lo = self._kappa * _panel_edge(k)
-        if not lo > 0.0:
-            return None
-        if k not in self._stored_phi:
-            self._stored_phi[k] = self._fit_phi(k)
-        return (*self._stored_phi[k], _panel_index(lo),
-                CAP_FACTOR * max(_panel_edge(k + 1), 1.0))
-
-    def _fit_phi(self, k: int) -> tuple:
-        """The phi sub-panels over the hazards of panel ``k``, a function of
-        the model and ``k`` alone: their right ends, in the hazard from the
-        panel's left edge, with ``inf`` last, and a record ``(midpoint,
-        1/half-width, c0, (c_N, ..., c_1))`` for each, ``None`` for a flagged
-        one and the last.  A record gives the hazard from the left edge of
-        the panel ``p`` holding ``kappa * _panel_edge(k)``.
+    def _fit_phi(self, k: int):
+        """Panel ``k``'s phi table, a function of the model and ``k`` alone:
+        its sub-panels' right ends, in the hazard from the panel's left edge,
+        with ``inf`` last; a record ``(midpoint, 1/half-width, c0, (c_N, ...,
+        c_1))`` for each, ``None`` for a flagged one and the last; the panel
+        ``p`` of ``kappa * _panel_edge(k)``, from whose left edge a record
+        measures; and the cap to which a phi step extends ``p``'s sums.
+        ``None`` where that jump image is below the smallest normal double.
 
         ``phi(h) = G(kappa*G^{-1}(h))`` is interpolated at the
         ``CHEB_NODES`` Chebyshev points of a sub-panel, each from one node
@@ -477,8 +456,10 @@ class GenericSampler:
         flagged piece of ``G``'s inverse, or one that stops halving short of
         the test or is narrower than ``PANEL_FLOOR``.
         """
-        p = _panel_index(self._kappa * _panel_edge(k))
         left, right = _panel_edge(k), _panel_edge(k + 1)
+        if not self._kappa * left >= 2.0 ** -1022:
+            return None
+        p = _panel_index(self._kappa * left)
         todo = [(0.0, self._panel(k)[1][-1], 0)]
         rights, records = [], []
         while todo:
@@ -512,7 +493,8 @@ class GenericSampler:
             rights.append(b)
             records.append(record)
         self.phi_built += len(records)
-        return rights + [math.inf], records + [None]
+        return (rights + [math.inf], records + [None], p,
+                CAP_FACTOR * max(right, 1.0))
 
     def states(self, ks, hs) -> np.ndarray:
         """The states of the pairs ``(ks[i], hs[i])``, panel and hazard from
@@ -769,6 +751,21 @@ def _fit_panel(g, k: int):
     edges.append(_panel_edge(k + 1))
     return edges, bases, series, [None] * len(series)
 
+
+
+def _hold_at_jump_image(w: np.ndarray, kappa: float) -> None:
+    """Hold each state of the rows of ``w`` (column 0 their starts) at the
+    jump image of the one before, in order; an infinite state lifts none."""
+    low = w[:, 1:] < kappa * w[:, :-1]
+    if not low.any():
+        return
+    rows, cols = np.nonzero(low & np.isfinite(w[:, :-1]))
+    last = w.shape[1] - 1
+    while len(rows):
+        cols += 1
+        w[rows, cols] = kappa * w[rows, cols - 1]
+        low = w[rows, np.minimum(cols + 1, last)] < kappa * w[rows, cols]
+        rows, cols = rows[low], cols[low]
 
 
 def _generic_chain(model: Model, z0: np.ndarray,

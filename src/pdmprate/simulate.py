@@ -27,7 +27,7 @@ from .errors import (ChainFormatError, InconsistentChainError, StateRangeError,
 from .model import ADDITIVE, Model, ShiftedQuadraticRate
 # GenericSampler belongs to this module's interface too: the package and
 # the benchmark's tracing reach it here
-from .numeric import GenericSampler, _generic_chain
+from .numeric import GenericSampler, _generic_chain, _hold_at_jump_image
 
 _FLOAT_TINY = float(np.finfo(float).tiny)
 
@@ -103,7 +103,8 @@ def _power_chain(model: Model, z0: np.ndarray,
     so a pass multiplies by ``r**(s/2)`` twice; the passes stop once they
     would add only zeros.  From a row's first infinite state, as where
     ``z0**p``, ``r*x`` or a sum overflows, the row is :func:`_log_w_chain`'s,
-    in one call for all rows that share that column.
+    in one call for all rows that share that column.  Last, each state is
+    held at its jump image, which the scan's roundings may undercut.
     """
     p, r, f = _power_terms(model)
     # column-major, so that a batch of one transition per row, as
@@ -135,6 +136,7 @@ def _power_chain(model: Model, z0: np.ndarray,
                 rows = slice(None) if rows.all() else rows
                 w[rows, k:] = _log_w_chain(model, w[rows, k - 1],
                                            draws[rows, k - 1:])
+    _hold_at_jump_image(w, model.jump.kappa)
     return w
 
 

@@ -633,7 +633,9 @@ class TestSimulateCommand:
         assert "overflows" in caplog.text
 
     def test_state_rounded_below_jump_image_exit_code(self, tmp_path, capsys):
-        # the chain's z[1] is one ulp below kappa*z[0] = 10
+        # the power scan lands z[1] within an ulp of kappa*z[0] = 10, and
+        # the chain holds it there; a chain with a state an ulp below its
+        # jump image is read back in test_simulate's TestReconstructTimes
         doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
         doc["model"]["rate"]["delta"] = 20.0
         doc["model"]["z0"] = 20.0

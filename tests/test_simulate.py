@@ -33,7 +33,7 @@ from pdmprate import (CapExceededError, ChainFormatError, ConfigError,
 from pdmprate.model import (CustomRate, Flow, JumpMap, Model, PowerRate,
                             ShiftedQuadraticRate)
 from pdmprate.numeric import (CAP_FACTOR, _CAPPED_MAX, _clenshaw, _fit_panel,
-                              _generic_chain, _invert,
+                              _generic_chain, _hold_at_jump_image, _invert,
                               _panel_edge, _panel_index, _scalar_integrand,
                               _store)
 from pdmprate.simulate import (_block_steps, _cardano, _cardano_loop,
@@ -926,6 +926,21 @@ np.save(sys.argv[1], [simulate_chain(model, z0, 3000, 4).z
 class TestHazardStore:
     """The hazard tables a process keeps per model (``numeric._store``)."""
 
+    @pytest.mark.parametrize("model, meet", [
+        (MC_GENERIC, 200),
+        (Model(Flow("exponential", 1.0), JumpMap(0.9),
+               ShiftedQuadraticRate(1.0, 0.5)), 500)],
+        ids=["mc_generic", "slow"])
+    def test_chains_that_meet_stay_together(self, model, meet):
+        # a step is a function of its pair and its draw alone, so chains on
+        # one seed from any start, once at one pair, stay there bit for bit:
+        # these meet the chain from 1 by step 30 (mc_generic) and 178 (slow)
+        for seed in range(5):
+            ref = simulate_chain(model, 1.0, 2000, seed).z
+            for z0 in (0.2, 1.5, 3.0, 10.0, 50.0):
+                z = simulate_chain(model, z0, 2000, seed).z
+                assert np.array_equal(z[meet:], ref[meet:]), (seed, z0)
+
     def test_chain_depends_only_on_its_arguments(self, tmp_path):
         # a fresh interpreter simulates the chains from empty tables; here
         # each comes after other seeds and starts of its model, whose tables
@@ -1158,6 +1173,38 @@ class TestChainKernels:
         for e in chain_draws(0, n):
             want.append(power_log_step_oracle(model, want[-1], e))
         np.testing.assert_allclose(z, want, rtol=1e-13, atol=0)
+
+    def test_power_states_held_at_jump_image(self):
+        # from z0 = 40 the hazard of delta = 200 moves a state less than an
+        # ulp off its jump image, where the scan's roundings land it up to an
+        # ulp below; each state is held there, in order along the chain
+        model = tcp_model(delta=200.0)
+        draws = chain_draws(0, 5)
+        assert sample_next(model, np.full(5, 40.0), draws).tolist() == \
+            [20.0] * 5
+        for kappa in (0.5, 0.99):
+            model = tcp_model(kappa=kappa, delta=200.0)
+            z = simulate_chain(model, 40.0, 100_000, 0).z
+            assert np.all(z[1:] >= kappa * z[:-1])
+
+    def test_hold_leaves_states_after_an_overflow(self):
+        # an infinite state lifts none after it: lifting kappa*inf would
+        # carry inf down the row, one pass per state, before the chain
+        # reports it out of range
+        w = np.array([[40.0, 19.9, math.inf, 3.0, 1.0],
+                      [40.0, math.inf, 2.0, 0.5, 0.1]])
+        _hold_at_jump_image(w, 0.5)
+        assert w.tolist() == [[40.0, 20.0, math.inf, 3.0, 1.5],
+                              [40.0, math.inf, 2.0, 1.0, 0.5]]
+        # test_overflow_midway_names_first_transition's chain at n = 2e5
+        # hovers at the largest double: its states overflow from z[19] on
+        # and now and then, and the rest stay finite and held
+        z = _power_chain(tcp_model(lam=1e-308), np.array([1e8]),
+                         chain_draws(6, 200_000)[np.newaxis])[0]
+        finite = np.isfinite(z)
+        assert np.isinf(z[19]) and finite[20:].mean() > 0.8, finite.mean()
+        ok = finite[:-1]
+        assert np.all(z[1:][ok] >= 0.5 * z[:-1][ok])
 
     @pytest.mark.parametrize("model, z0", [
         (tcp_model(delta=200.0, c=1e300, lam=6.25e-67), 1.0),
@@ -1606,16 +1653,22 @@ class TestReconstructTimes:
         times = reconstruct_times(chain)
         assert np.all(np.diff(times) > 0)
 
+    # a chain file may hold a state an ulp below its jump image, inside the
+    # support tolerance, though the samplers hold theirs at the image: here
+    # z[1], one ulp below kappa*z[0] = 10
+    BELOW = JumpChain(z=np.array([20.0, 9.999999999999998, 4.999999999999999,
+                                  2.5, 1.2500000000124758, 0.6280218341276934]),
+                      model=tcp_model(delta=20.0))
+
     def test_state_rounded_below_jump_image(self):
-        # z[1] is one ulp below kappa*z[0] = 10, inside the support tolerance
-        chain = simulate_chain(tcp_model(delta=20.0), 20.0, 5, 0)
+        chain = self.BELOW
         assert chain.z[1] < chain.model.jump.apply(chain.z[0])
         times = reconstruct_times(chain)
         assert np.all(np.isfinite(times))
         assert np.all(np.diff(times) >= 0) and times[0] >= 0
 
     def test_state_rounded_below_jump_image_roundtrip(self):
-        chain = simulate_chain(tcp_model(delta=20.0), 20.0, 5, 0)
+        chain = self.BELOW
         text = chain_to_text(chain, reconstruct_times(chain))
         back = chain_from_text(text, chain.model)
         assert np.array_equal(back.z, chain.z)
