@@ -13,7 +13,6 @@ Chains are reproducible bit-exactly from their seed record.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import re
@@ -538,16 +537,16 @@ def _g17_fields(v: np.ndarray) -> np.ndarray:
 def chain_from_text(text, model: Model) -> JumpChain:
     """Parse the columnar format back into a chain (header is informational).
 
-    ``text`` is the file's text, or its bytes, read as UTF-8 with universal
-    newlines.  The first data row holds ``z[0]`` alone; every later row holds
-    ``z[k]`` and, in files written with times, the jump time of that state
-    after a tab; comment and blank lines may come anywhere.  Times are
-    checked to be numbers, then dropped: the states imply them
-    (:func:`reconstruct_times`).  Raises :class:`ChainFormatError` naming
-    the first line that does not fit or is not UTF-8, or when there is no
-    data row, and :class:`InconsistentChainError` naming the first line
-    whose state is not finite and positive, or else lies below the jump
-    image of the state before it.
+    ``text`` is the file's text, or its bytes, read as UTF-8; CR and CRLF
+    become LF, and a line ends at LF.  The first data row holds ``z[0]``
+    alone; every later row holds ``z[k]`` and, in files written with times,
+    the jump time of that state after a tab; comment and blank lines may
+    come anywhere.  Times are checked to be numbers, then dropped: the
+    states imply them (:func:`reconstruct_times`).  Raises
+    :class:`ChainFormatError` naming the first line that does not fit or is
+    not UTF-8, or when there is no data row, and
+    :class:`InconsistentChainError` naming the first line whose state is not
+    finite and positive, or else lies below the jump image of the one before.
     """
     z = _states_from_text(text)
     try:
@@ -563,36 +562,72 @@ def chain_from_text(text, model: Model) -> JumpChain:
         k = int(np.argmax(below)) + 1
         reason = (f"z[{k}] = {float(z[k])!r} is below kappa*z[{k - 1}] = "
                   f"{model.jump.apply(z[k - 1])!r}, where no jump lands")
-    text = text if isinstance(text, str) else text.decode()
-    lineno = [i for i, line in enumerate(text.splitlines(), start=1)
-              if _is_data(line)][k]
+    lines = _lf_bytes(text).decode().split("\n")
+    lineno = [i for i, line in enumerate(lines, start=1) if _is_data(line)][k]
     raise InconsistentChainError(f"chain line {lineno}: {reason}")
+
+
+def _lf_bytes(text) -> bytes:
+    """``text`` as bytes, with CR and CRLF line ends made LF."""
+    data = text.encode() if isinstance(text, str) else text
+    if b"\r" in data:   # bytes.replace scans slowly for a two-byte pattern
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
 
 
 def _states_from_text(text) -> np.ndarray:
     """States of a chain file, one per data row; see :func:`chain_from_text`.
 
-    The bulk decoder reads ASCII files as bytes.  The exact reader takes the
-    files it refuses, and names the first line it cannot read.
+    A scan line by line reads the header, ``z[0]`` and the row after it,
+    whose fields set the width.  From there the bulk decoder takes blocks of
+    about 64 KB; a block it refuses even without its comment and blank
+    lines, or every block without its long double, goes to the exact reader.
     """
-    text = text.encode() if isinstance(text, str) else text
-    if b"\r" in text:   # universal newlines, as read_text
-        text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    if _BULK_DECODE and text.isascii():
-        with contextlib.suppress(ValueError):
-            return _bulk_states(text)
-    try:
-        text = text.decode()
-    except UnicodeDecodeError as exc:
-        lineno = len((text[:exc.start].decode() + "-").splitlines())
-        raise ChainFormatError(f"chain line {lineno}: not UTF-8 text") from None
-    lines = text.splitlines()
-    first = next((i for i, line in enumerate(lines) if _is_data(line)), None)
-    if first is None:
+    data = _lf_bytes(text)
+    if not data.isascii():
+        try:
+            data.decode()
+        except UnicodeDecodeError as exc:
+            lineno = data.count(b"\n", 0, exc.start) + 1
+            raise ChainFormatError(
+                f"chain line {lineno}: not UTF-8 text") from None
+    data += b"" if data.endswith(b"\n") else b"\n"
+    # the start, number and text of z[0]'s line and of the next data line
+    rows, pos, lineno = [], 0, 0
+    while len(rows) < 2 and pos < len(data):
+        end = data.find(b"\n", pos)
+        lineno += 1
+        if _is_data(line := data[pos:end].decode()):
+            rows.append((pos, lineno, line))
+        pos = end + 1
+    if not rows:
         raise ChainFormatError("chain file has no data rows")
-    z0 = _parse_rows(lines[first:first + 1], first + 1, max_width=1)[0, 0]
-    table = _parse_rows(lines[first + 1:], first + 2, max_width=2)
-    return np.concatenate(([z0], table[:, 0]))
+    z = _parse_rows([rows[0][2]], rows[0][1], 1)
+    if len(rows) == 1:
+        return z
+    pos, lineno, line = rows[1]
+    width = min(len(line.strip().split("\t")), 2)
+    # z[0], and room for the rows; numpy counts the newlines in about a
+    # fifth of the time bytes.count takes
+    n = np.count_nonzero(np.frombuffer(data, np.uint8)[pos:] == 10)
+    z = np.full(1 + n, z[0])
+    k, counted = 1, pos   # lineno is the number of the line at counted
+    while pos < len(data):   # in blocks of about 64 KB
+        cut = data.rfind(b"\n", pos, pos + 65536) + 1 or len(data)
+        try:
+            if not _BULK_DECODE:
+                raise ValueError("no long double for the bulk decoder")
+            try:
+                states = _decode_block(data[pos:cut], width)
+            except ValueError:   # once more without comment and blank lines
+                states = _decode_block(
+                    _SKIPPED.sub(b"", data[pos - 1:cut])[1:], width)
+        except ValueError:   # the exact reader
+            lineno, counted = lineno + data.count(b"\n", counted, pos), pos
+            states = _parse_rows(data[pos:cut].decode().split("\n"), lineno,
+                                 width)
+        z[k:k + len(states)], k, pos = states, k + len(states), cut
+    return z[:k]
 
 
 # The bulk decoder reads a field as M/10**k, its digits M < 10**19 over its
@@ -603,41 +638,8 @@ _BULK_DECODE = np.finfo(np.longdouble).nmant in (63, 112)
 _POW10 = np.cumprod([1] + [10] * 27, dtype=np.longdouble)
 _PLAIN = b"0123456789.\t\n"
 _ZEROS = bytes(c if c in _PLAIN else 48 for c in range(256))
-# A newline and the blank or comment line after it, as _is_data reads them,
-# but for a comment holding a line break of str.splitlines() other than \n
-_SKIPPED = re.compile(rb"\n[ \t]*(#[^\n\x0b\x0c\x1c-\x1e]*)?(?=\n)")
-
-
-def _bulk_states(data: bytes) -> np.ndarray:
-    """The states of an ASCII chain file with ``\\n`` line ends; ValueError
-    where the decoder refuses it."""
-    data += b"" if data.endswith(b"\n") else b"\n"
-    pos = lineno = 0   # skip the header
-    while pos < len(data) and not _is_data(
-            data[pos:data.find(b"\n", pos)].decode()):
-        pos, lineno = data.find(b"\n", pos) + 1, lineno + 1
-    end = data.find(b"\n", pos)
-    if end < 0 or any(c in data[:end] for c in b"\x0b\x0c\x1c\x1d\x1e"):
-        raise ValueError("no data, or a line break of str.splitlines() but \\n")
-    # z[0], and room for the rest; numpy counts the newlines in about a
-    # fifth of the time bytes.count takes
-    rows = np.count_nonzero(np.frombuffer(data, np.uint8)[end + 1:] == 10)
-    z = np.full(1 + rows, _parse_rows([data[pos:end].decode()], lineno + 1,
-                                      max_width=1)[0, 0])
-    pos = row = end + 1
-    while m := _SKIPPED.match(data, row - 1):   # the first row after z[0]
-        row = m.end() + 1                       # sets the width
-    width = 1 + data.count(b"\t", row, data.find(b"\n", row))
-    k = 1
-    while pos < len(data):   # in blocks of about 64 KB
-        cut = data.rfind(b"\n", pos, pos + 65536) + 1 or len(data)
-        try:
-            states = _decode_block(data[pos:cut], width)
-        except ValueError:   # once more without comment and blank lines
-            states = _decode_block(_SKIPPED.sub(b"", data[pos - 1:cut])[1:],
-                                   width)
-        z[k:k + len(states)], k, pos = states, k + len(states), cut
-    return z[:k]
+# A newline and the blank or comment line after it, as _is_data reads them
+_SKIPPED = re.compile(rb"\n[ \t]*(#[^\n]*)?(?=\n)")
 
 
 def _decode_block(b: bytes, width: int) -> np.ndarray:
@@ -647,7 +649,7 @@ def _decode_block(b: bytes, width: int) -> np.ndarray:
         raise ValueError("not a sign, an exponent, inf or nan: a space, a #")
     a = np.frombuffer(b, np.uint8)
     ends = np.flatnonzero((a == 9) | (a == 10) if width > 1 else a == 10)
-    if width > 2 or len(ends) % width or width == 2 and (
+    if len(ends) % width or width == 2 and (
             a[ends].reshape(-1, 2) != (9, 10)).any():
         raise ValueError("a row not of width - 1 tabs and a newline")
     starts = np.r_[0, ends + 1][:-1]   # of each field
@@ -679,22 +681,20 @@ def _is_data(line: str) -> bool:
     return bool(line) and not line.startswith("#")
 
 
-def _parse_rows(lines: list, first_lineno: int, max_width: int) -> np.ndarray:
-    """Data rows of ``lines`` as a table; every row must have the same width."""
-    rows = []
-    width = None
+def _parse_rows(lines: list, first_lineno: int, width: int) -> np.ndarray:
+    """First fields of the data rows of ``lines``, ``width`` numbers each."""
+    z = []
     for lineno, line in enumerate(lines, start=first_lineno):
         if not _is_data(line):
             continue
         parts = line.strip().split("\t")
-        width = width or min(len(parts), max_width)
         if len(parts) != width:
             raise ChainFormatError(
                 f"chain line {lineno}: {len(parts)} tab-separated fields, "
                 f"expected {width}: {line!r}")
         try:
-            rows.append([float(v) for v in parts])
+            z.append([float(v) for v in parts][0])
         except ValueError:
             raise ChainFormatError(
                 f"chain line {lineno}: not a number: {line!r}") from None
-    return np.array(rows, dtype=float).reshape(len(rows), width or 1)
+    return np.array(z, dtype=float)

@@ -64,6 +64,8 @@ class TestBasisFunctions:
         assert b.max_model_index(8) == 0
         assert b.max_model_index(100) == 4   # D_4 = 9, 81 <= 100 < 121
         assert b.max_model_index(10_000) == 49
+        with pytest.raises(EmptyModelSetError, match="n < 1"):
+            b.max_model_index(0)
 
     def test_bad_index(self):
         with pytest.raises(ValueError):

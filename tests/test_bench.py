@@ -254,6 +254,17 @@ class TestDiagnostics:
         # crude window: more data should not increase the spread
         assert report.denominator_rate_slope < 0.0
 
+    def test_slow_chain_warns_of_stationarity(self):
+        # kappa = 0.99 and c = 0.01: 1,000 transitions are far from
+        # equilibrium, and the halves' squared distance is about 70 times
+        # its sampling noise
+        cfg = small_config(model=tcp_model(kappa=0.99, c=0.01),
+                           n_values=[1000], replicates=1)
+        report = convergence_diagnostics(cfg)
+        assert not report.stationarity_ok
+        assert report.half_distance_sq > 10.0 * report.half_distance_null
+        assert any("equilibrium" in w for w in report.warnings)
+
     def test_bacterial_sqrt_warns(self):
         cfg = small_config(model=bacterial_model(delta=0.5),
                            interval=(0.5, 3.0), n_values=[1000],

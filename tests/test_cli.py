@@ -797,6 +797,18 @@ class TestDiagnoseCommand:
         out = capsys.readouterr().out
         assert "tail_ok=True" in out
 
+    def test_two_lengths_print_the_slope(self, tmp_path, capsys):
+        doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
+        doc["experiment"] = {"n_values": [1000, 3000], "replicates": 1,
+                             "base_seed": 3}
+        path = write_config(tmp_path, doc, out_dir=str(tmp_path / "o"))
+        assert main(["--config", path, "diagnose"]) == 0
+        assert capsys.readouterr().out == (
+            "half_distance_sq=0.00579686 null=0.00741534 "
+            "stationarity_ok=True\n"
+            "denominator_rate_slope=-0.606\n"
+            "tail_ok=True\n")
+
     def test_zero_rmse_reports_no_slope(self, tmp_path, capsys, caplog):
         # from z0 = 40 every replicate's delta = 200 chain has the same
         # denominator at the interval's midpoint, 1.5: the RMSE whose log

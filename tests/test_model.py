@@ -40,6 +40,11 @@ class TestFlow:
         with pytest.raises(UnreachableStateError):
             Flow("additive", 1.0).travel_time(3.0, 1.0)
 
+    @pytest.mark.parametrize("x", [0.0, -1.0])
+    def test_exponential_travel_from_nonpositive_rejected(self, x):
+        with pytest.raises(ValueError, match="needs a positive start state"):
+            Flow("exponential", 1.0).travel_time(x, 1.0)
+
     def test_travel_time_overflow_raises(self):
         # (y - x)/c = 1e284/1e-300 is past the largest double (it was a
         # RuntimeWarning, then inf)

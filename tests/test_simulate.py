@@ -32,7 +32,8 @@ from pdmprate import (CapExceededError, ChainFormatError, ConfigError,
                       tcp_quadratic_model)
 from pdmprate.model import (CustomRate, Flow, JumpMap, Model, PowerRate,
                             ShiftedQuadraticRate)
-from pdmprate.numeric import (CAP_FACTOR, _CAPPED_MAX, _clenshaw, _fit_panel,
+from pdmprate.numeric import (CAP_FACTOR, NEWTON_STEPS, _CAPPED_MAX,
+                              _clenshaw, _fit_panel,
                               _generic_chain, _hold_at_jump_image, _invert,
                               _panel_edge, _panel_index, _scalar_integrand,
                               _store)
@@ -331,6 +332,36 @@ class TestGenericSampler:
         gs = GenericSampler(m, 1.0)
         draws = [gs.draw(e) for e in (0.1, 0.5, 1.0, 2.0, 5.0)]
         assert all(a < b for a, b in zip(draws, draws[1:]))
+
+    def test_hazard_zero_at_and_below_jump_image(self):
+        gs = GenericSampler(MC_GENERIC, 1.0)
+        assert gs.hazard_to(gs.lo) == gs.hazard_to(0.5 * gs.lo) == 0.0
+        assert gs.hazard_to(1.01 * gs.lo) > 0.0
+
+    def test_newton_bisects_where_the_slope_vanishes(self):
+        # the rate is 0 below x = 2: from z = 1, with jump image 0.5, the
+        # hazard is flat up to y = 1 and 2*(y - 1)**2 past it, so a start
+        # at 0.75 has no slope to step along
+        m = Model(Flow("additive", 1.0), JumpMap(0.5),
+                  CustomRate(lambda x: max(x - 2.0, 0.0)))
+        gs = GenericSampler(m, 1.0)
+        y, steps = gs._newton(1.0, 0.75, gs.lo, 4.0, math.inf, 1.0)
+        assert y == pytest.approx(1.0 + math.sqrt(0.5), rel=1e-15)
+        assert y == gs.draw(1.0)
+
+    def test_newton_stops_after_its_step_limit(self):
+        # a slope a million times too steep makes each step a millionth of
+        # the way to the root: the loop ends at its limit, inside the
+        # bracket.  The model is the test's own, and its table is fitted
+        # before the slope changes, so no other sampler reads that table
+        gs = GenericSampler(Model(Flow("additive", 1.0), JumpMap(0.5),
+                                  CustomRate(lambda x: 1.0 + x)), 1.0)
+        assert gs.hazard_to(4.0) > 1.0
+        g = gs._integrand
+        gs._integrand = lambda u: 1e6 * g(u)
+        y, steps = gs._newton(1.0, 0.6, gs.lo, 4.0, math.inf, 1.0)
+        assert steps == NEWTON_STEPS
+        assert 0.6 < y < 0.61 and 0.0 < gs.hazard_to(y) < 1.0
 
     def test_cap_exceeded(self):
         # a rate that dies off: hazard integral converges, cannot reach e
@@ -1447,14 +1478,29 @@ class TestQuadraticChain:
     @given(kappa=st.floats(0.05, 0.95), c=st.floats(0.5, 2.0),
            a=st.floats(0.2, 3.0), b=st.floats(0.0, 3.0),
            u=st.floats(0.0, 3.0), e=st.floats(0.0, 10.0))
+    # a draw where the oracle's own t = v - b/v cancels, at small q: its
+    # state is 16 ulps from the increment oracle's, beyond the flat bound,
+    # and sample_next's is that one, bit for bit
+    @example(kappa=0.5, c=1.5, a=0.21875, b=1.732978037109194,
+             u=6.32991338719197e-09, e=6.32991338719197e-09)
     @settings(max_examples=200, deadline=None)
     def test_math_cbrt_step_within_few_ulps(self, kappa, c, a, b, u, e):
         # the plain-float step with math.cbrt agrees to a few ulps where
         # a + t does not cancel, from z = a up (5.6 ulps at most in 20,000
-        # random cases)
+        # random cases).  The oracle takes t as the difference of the cube
+        # roots v of s/2 and b/v of 2*b**3/s, s = |q| + r: s is formed with
+        # up to about 3 roundings, 2*b**3/s with about 6, and a cube root
+        # takes a third of its argument's error and adds up to an ulp, so
+        # the two roots are off by up to about 3 and 4 units of 2**-53 of
+        # their size.  Where t is small, that error does not shrink with t,
+        # and the state takes kappa times it.
         m = tcp_quadratic_model(kappa=kappa, c=c, a=a, b=b)
         want = quadratic_step_cardano(m, a + u, e)
-        assert abs(sample_next(m, a + u, e) - want) <= 2e-15 * want
+        w = a + u - a
+        q = 3.0 * c * e + w * w * w + 3.0 * b * w
+        v = math.cbrt((abs(q) + math.sqrt(4.0 * b ** 3 + q * q)) / 2.0)
+        roots = kappa * 2.0 ** -51 * (v + b / v) if v else 0.0
+        assert abs(sample_next(m, a + u, e) - want) <= 2e-15 * want + roots
 
     def test_cube_overflow_raises_in_a_block_chain(self):
         # b**3 overflows: every state is nan, from the probe on
@@ -1625,6 +1671,12 @@ class TestReconstructTimes:
         chain = chain.__class__(z=np.array([1.0, 1.0]), model=m)
         times = reconstruct_times(chain)
         assert times[0] == pytest.approx(1.0)
+
+    def test_no_transition_rejected(self):
+        chain = JumpChain(z=np.array([1.0]), model=tcp_model())
+        with pytest.raises(InconsistentChainError,
+                           match="^need at least one transition$"):
+            reconstruct_times(chain)
 
     def test_bacterial_direct_formula(self):
         m = bacterial_model(c=1.0, delta=2.0)
@@ -1873,12 +1925,24 @@ def field_format(fmt):
 def exact_reader():
     """Every chain file through the exact reader, as on a platform without
     the bulk decoder's long double."""
-    def refuse(text):
+    def refuse(block, width):
         raise AssertionError("the bulk decoder ran")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "_BULK_DECODE", False)
-        mp.setattr(simulate, "_bulk_states", refuse)
+        mp.setattr(simulate, "_decode_block", refuse)
         yield
+
+
+@pytest.fixture
+def z0_only(monkeypatch):
+    """The exact reader allowed to read ``z[0]``'s line alone: any block
+    of rows sent to it fails the test."""
+    parse = simulate._parse_rows
+
+    def one_line(lines, *args, **kwargs):
+        assert len(lines) == 1, "the exact reader read rows"
+        return parse(lines, *args, **kwargs)
+    monkeypatch.setattr(simulate, "_parse_rows", one_line)
 
 
 class TestBulkDecode:
@@ -2029,17 +2093,11 @@ class TestBulkDecodeOfEditedFiles:
         return chain, newline.join(lines) + newline
 
     @BULK_ONLY
+    @pytest.mark.usefixtures("z0_only")
     @pytest.mark.parametrize("edit", ["comment", "blank", "spaces", "crlf",
                                       "cr"])
     @pytest.mark.parametrize("times", [False, True])
-    def test_takes_the_bulk_decoder(self, monkeypatch, times, edit):
-        # the exact reader reads z[0] alone; a second call would be the body
-        parse = simulate._parse_rows
-
-        def z0_only(lines, first_lineno, max_width):
-            assert max_width == 1, "the exact reader ran"
-            return parse(lines, first_lineno, max_width)
-        monkeypatch.setattr(simulate, "_parse_rows", z0_only)
+    def test_takes_the_bulk_decoder(self, times, edit):
         chain, text = self.edited(times, edit)
         for data in (text, text.encode()):
             assert np.array_equal(chain_from_text(data, chain.model).z,
@@ -2071,16 +2129,46 @@ class TestBulkDecodeOfEditedFiles:
         b"# h\n1\n0.755\n" + b"0.75\n" * 13_106 + b"# note\n",
         b"# h\n1\n" + b"0.75\n" * 13_106 + b"#" * 70_000 + b"\n",
     ])
-    def test_blocks_without_data_rows(self, monkeypatch, data):
+    def test_blocks_without_data_rows(self, request, data):
         m = tcp_model(kappa=1e-30)
         want = outcome(data.decode(), m, False)
-        parse = simulate._parse_rows
-
-        def z0_only(lines, first_lineno, max_width):
-            assert max_width == 1, "the exact reader ran"
-            return parse(lines, first_lineno, max_width)
-        monkeypatch.setattr(simulate, "_parse_rows", z0_only)
+        request.getfixturevalue("z0_only")
         assert chain_from_text(data, m).z.tolist() == want
+
+    @BULK_ONLY
+    @pytest.mark.usefixtures("z0_only")
+    @pytest.mark.parametrize("edit", ["name", "header", "body"])
+    @pytest.mark.parametrize("times", [False, True])
+    def test_non_ascii_comments_take_the_bulk_decoder(self, times, edit):
+        # a model name as simulate writes it, a header comment line, or a
+        # comment line among the rows
+        m = tcp_model(name="bactérie κ=0.5" if edit == "name" else "")
+        chain = simulate_chain(m, 1.0, 4000, 4)
+        lines = chain_to_text(chain, _times(chain, times)).splitlines()
+        if edit != "name":
+            lines.insert(1 if edit == "header" else 3000, "# modèle κ")
+        text = "\n".join(lines) + "\n"
+        assert not text.isascii()
+        for data in (text, text.encode()):
+            assert np.array_equal(chain_from_text(data, m).z, chain.z)
+
+    @BULK_ONLY
+    @pytest.mark.parametrize("times", [False, True])
+    def test_indented_row_sends_its_block_alone(self, monkeypatch, times):
+        # the bulk decoder refuses the block of one row of 1e5 that starts
+        # with a space; the exact reader reads z[0]'s line and that block
+        x = 10.0 ** np.random.default_rng(5).uniform(-3, 3, 100_000)
+        rows = ["%.17g" % v for v in x.tolist()]
+        rows[60_000] = " " + rows[60_000]
+        calls = []
+        parse = simulate._parse_rows
+        monkeypatch.setattr(simulate, "_parse_rows", lambda lines, *a, **k:
+                            calls.append(lines) or parse(lines, *a, **k))
+        z = states_of(rows, times)
+        assert np.array_equal(z[1:], [float(r) for r in rows])
+        assert [len(lines) > 1 for lines in calls] == [False, True]
+        block = "\n".join(calls[1])
+        assert f"\n{rows[60_000]}" in block and len(block.encode()) <= 65536
 
     @pytest.mark.parametrize("data, line", [
         (b"# h\n1\n0.5\n\xff\n", 4),
@@ -2093,13 +2181,17 @@ class TestBulkDecodeOfEditedFiles:
             chain_from_text(data, tcp_model(kappa=1e-30))
 
     def test_non_ascii_text_takes_the_exact_reader(self):
-        # a non-breaking space and a line separator: str.strip and
-        # str.splitlines know them, the bulk decoder does not
-        text = "# h\n1\n0.5\u00a0\n0.7\u20282\n"
-        want = [1.0, 0.5, 0.7, 2.0]
+        # a non-breaking space: str.strip knows it, the bulk decoder does
+        # not.  A line separator ends no line: only LF does
         m = tcp_model(kappa=1e-30)
-        assert chain_from_text(text, m).z.tolist() == want
-        assert chain_from_text(text.encode(), m).z.tolist() == want
+        text = "# h\n1\n0.5\u00a0\n"
+        assert chain_from_text(text, m).z.tolist() == [1.0, 0.5]
+        assert chain_from_text(text.encode(), m).z.tolist() == [1.0, 0.5]
+        text += "0.7\u20282\n"
+        for data in (text, text.encode()):
+            with pytest.raises(ChainFormatError, match=(
+                    r"^chain line 4: not a number: '0\.7\\u20282'$")):
+                chain_from_text(data, m)
 
 
 class TestDecoderAgainstFloat:
