@@ -4,11 +4,12 @@ Each closed-form sampler inverts the conditional survival function of the
 next state given the current one, driven by a unit-exponential draw; the
 numeric sampler of :mod:`pdmprate.numeric` handles every other rate.
 ``simulate_chain`` draws all exponentials first and runs its family's chain
-kernel over them: a linear scan for power rates, block passes of one
-vectorized Cardano step for the quadratic rate, and for the rest the numeric
-sampler's walk in hazard coordinates.  A kernel runs a batch of starts, one
-chain per row; ``sample_next`` runs it for one transition from each state.
-Chains are reproducible bit-exactly from their seed record.
+kernel over them: a linear scan for power rates, the Cardano step for the
+quadratic rate in block passes, whose driver takes any step that is a
+function of its state and draw alone, and for the rest the numeric sampler's
+walk in hazard coordinates.  A kernel runs a batch of starts, one chain per
+row; ``sample_next`` runs it for one transition from each state.  Chains are
+reproducible bit-exactly from their seed record.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ def _log_w_chain(model: Model, z0: np.ndarray,
     return np.exp(v[:, 1:] / p)
 
 
-# --- shifted quadratic rate, additive flow -----------------------------------
+# --- block passes over a sequential step ------------------------------------
 
 # A block pass runs at least _BLOCKS blocks of at least _BLOCK_STEPS steps:
 # a vector step over a few hundred states costs about 20 Python-float steps,
@@ -179,6 +180,95 @@ _BLOCKS = 32
 # blocks do not last to the next step (BENCH_rate_owner.json, "block_floor").
 _MAX_BLOCKS = 4096
 
+
+def _block_chain(step, loop, z: np.ndarray, g: np.ndarray) -> None:
+    """The states ``z[:, 1:]`` after ``z[:, 0]`` for the draws ``g``, one
+    chain per row, by any ``step(x, g, out=None)`` that is a function of
+    its state and draw alone, and ``loop(x, g)``, the list of the states
+    after the scalar ``x`` for the draws in turn, bit for bit the step's.
+
+    A batch of other than one row steps in :func:`_lockstep`, and a chain
+    too short for a block pass runs the loop.  A longer one first runs the
+    loop with a second chain from ``z[0, 0]`` one transition behind
+    (:func:`_coalescence`), then block passes (:func:`_block_pass`) of
+    twice the steps the two took to meet, at least ``n // _MAX_BLOCKS``,
+    and four times as many after a pass that leaves a block unmet; the loop
+    takes the rest.  Each part computes the states the loop would, so the
+    chain does not depend on the block length.
+    """
+    if len(z) != 1:
+        return _lockstep(step, z[:, 0], g, z[:, 1:])
+    z, g, done = z[0], g[0], 0
+    if len(g) >= _BLOCKS * _BLOCK_STEPS:
+        done, met = _coalescence(loop, z, g, len(g) // (2 * _BLOCKS))
+        if met is not None:
+            steps = max(_BLOCK_STEPS, 2 * met, len(g) // _MAX_BLOCKS)
+            while len(g) - done >= _BLOCKS * steps:
+                done, met = _block_pass(step, z, g, done, steps)
+                if met:
+                    break
+                steps *= 4
+    z[done + 1:] = loop(z[done].item(), g[done:])
+
+
+def _lockstep(step, x: np.ndarray, g: np.ndarray, out: np.ndarray) -> None:
+    """The states after each of ``x`` for its row of the draws ``g`` into
+    ``out``, all rows stepping at once."""
+    for i in range(g.shape[1]):
+        x = step(x, g[:, i], out=out[:, i])
+
+
+def _coalescence(loop, z: np.ndarray, g: np.ndarray, cap: int) -> tuple:
+    """``(p, k)``: the states ``z[1..p]`` by the loop, and the steps ``k``
+    after which a chain from ``z[0]`` that starts one transition late takes
+    the same state as the chain, bit for bit; ``k`` is None if that takes
+    more than ``cap`` steps.  A block pass starts its blocks from such a
+    guess, so ``k`` is about the steps a block needs.
+    """
+    p, late = 1, z[0].item()
+    z[1] = loop(late, g[:1])[0]
+    while p < cap:
+        c = min(_BLOCK_STEPS, cap - p)
+        z[p + 1:p + c + 1] = loop(z[p].item(), g[p:p + c])
+        path = loop(late, g[p:p + c])
+        met = np.flatnonzero(np.equal(path, z[p + 1:p + c + 1]))
+        if len(met):
+            return p + c, p + int(met[0])
+        p, late = p + c, path[-1]
+    return p, None
+
+
+def _block_pass(step, z: np.ndarray, g: np.ndarray, start: int,
+                steps: int) -> tuple:
+    """One block pass over ``z[start + 1:]``: ``(end, met)``, with the
+    states up to ``z[end]`` exact.
+
+    The draws split into blocks of ``steps``, and all blocks step at once,
+    each from the guess ``z[start]`` but the first, which starts there.
+    Then every later block restarts from the end of the block before it,
+    and all step again in lockstep until each takes a state it took before,
+    bit for bit: from there on its states are those of its new start.  Each
+    block then holds the states from the exact end of the block before it,
+    and ``met`` is True.  A block that meets no old state within its
+    length changes its end, so the block after it may have restarted from a
+    wrong state; then ``end`` is the end of the first such block, and
+    ``met`` is False.
+    """
+    blocks = (len(g) - start) // steps
+    zs = z[start + 1:start + 1 + blocks * steps].reshape(blocks, steps)
+    gs = g[start:start + blocks * steps].reshape(blocks, steps)
+    _lockstep(step, np.full(blocks, z[start]), gs, zs)
+    x = zs[:-1, -1]
+    for i in range(steps):
+        x = step(x, gs[1:, i])
+        met = x == zs[1:, i]
+        zs[1:, i] = x
+        if met.all():
+            return start + blocks * steps, True
+    return start + (int(np.argmin(met)) + 2) * steps, False
+
+
+# --- shifted quadratic rate, additive flow -----------------------------------
 
 def _cardano_terms(model: Model) -> tuple:
     """``(a, b, 3*b, 4*b**3, r_min, kappa)`` of :func:`_cardano`, and the
@@ -257,108 +347,18 @@ def _cardano_loop(terms: tuple, z: float, g: np.ndarray) -> list:
     return out
 
 
-def _lockstep(terms: tuple, x: np.ndarray, g: np.ndarray,
-              out: np.ndarray) -> None:
-    """The states after each of ``x`` for its row of the scaled draws ``g``
-    into ``out``, all rows stepping at once through :func:`_cardano`."""
-    for i in range(g.shape[1]):
-        x = _cardano(terms, x, g[:, i], out=out[:, i])
-
-
 def _quadratic_chain(model: Model, z0: np.ndarray,
                      draws: np.ndarray) -> np.ndarray:
     """States ``z[:, 0..n]``, each :func:`_cardano`'s step from the one
-    before.
-
-    A batch of other than one row steps in :func:`_lockstep`.  A single
-    chain too short for a block pass runs :func:`_cardano_loop`.  A longer
-    one first runs the loop with a second chain from ``z0`` one transition
-    behind (:func:`_coalescence`), then block passes (:func:`_block_steps`)
-    of twice the steps the two took to meet, at least ``n // _MAX_BLOCKS``;
-    the loop takes the rest.  Each part computes the states the loop would,
-    so the chain does not depend on the block length.
-    """
+    before, in :func:`_block_chain`."""
     terms, three_c = _cardano_terms(model)
     g = draws * three_c
     z = np.empty((len(g), g.shape[1] + 1), order="F")   # as _power_chain's
     z[:, 0] = z0
     with np.errstate(all="ignore"):
-        if len(z) != 1:
-            _lockstep(terms, z[:, 0], g, z[:, 1:])
-            return z
-        row, g, done = z[0], g[0], 0
-        if len(g) >= _BLOCKS * _BLOCK_STEPS:
-            done, met = _coalescence(terms, row, g, len(g) // (2 * _BLOCKS))
-            if met is not None:
-                done = _block_steps(terms, row, g, done, max(
-                    _BLOCK_STEPS, 2 * met, len(g) // _MAX_BLOCKS))
-        row[done + 1:] = _cardano_loop(terms, float(row[done]), g[done:])
+        _block_chain(functools.partial(_cardano, terms),
+                     functools.partial(_cardano_loop, terms), z, g)
     return z
-
-
-def _coalescence(terms: tuple, z: np.ndarray, g: np.ndarray,
-                 cap: int) -> tuple:
-    """``(p, k)``: the states ``z[1..p]`` by :func:`_cardano_loop`, and the
-    steps ``k`` after which a chain from ``z[0]`` that starts one transition
-    late takes the same state as the chain, bit for bit; ``k`` is None if
-    that takes more than ``cap`` steps.  A block pass starts its blocks
-    from such a guess, so ``k`` is about the steps a block needs.
-    """
-    z[1] = _cardano_loop(terms, float(z[0]), g[:1])[0]
-    p, late = 1, float(z[0])
-    while p < cap:
-        c = min(_BLOCK_STEPS, cap - p)
-        z[p + 1:p + c + 1] = _cardano_loop(terms, float(z[p]), g[p:p + c])
-        path = _cardano_loop(terms, late, g[p:p + c])
-        met = np.flatnonzero(np.equal(path, z[p + 1:p + c + 1]))
-        if len(met):
-            return p + c, p + int(met[0])
-        p, late = p + c, path[-1]
-    return p, None
-
-
-def _block_steps(terms: tuple, z: np.ndarray, g: np.ndarray, start: int,
-                 steps: int) -> int:
-    """Block passes from ``z[start]`` while ``_BLOCKS`` blocks of ``steps``
-    fit; a pass that leaves a block unmet is followed by one of four times
-    the steps.  Returns the end of the states that are exact."""
-    while len(g) - start >= _BLOCKS * steps:
-        start, met = _block_pass(terms, z, g, start, steps)
-        if met:
-            break
-        steps *= 4
-    return start
-
-
-def _block_pass(terms: tuple, z: np.ndarray, g: np.ndarray, start: int,
-                steps: int) -> tuple:
-    """One block pass over ``z[start + 1:]``: ``(end, met)``, with the
-    states up to ``z[end]`` exact.
-
-    The draws split into blocks of ``steps``, and all blocks step at once,
-    each from the guess ``z[start]`` but the first, which starts there.
-    Then every later block restarts from the end of the block before it,
-    and all step again in lockstep until each takes a state it took before,
-    bit for bit: from there on its states are those of its new start.  Each
-    block then holds the states from the exact end of the block before it,
-    and ``met`` is True.  A block that meets no old state within its
-    length changes its end, so the block after it may have restarted from a
-    wrong state; then ``end`` is the end of the first such block, and
-    ``met`` is False.
-    """
-    blocks = (len(g) - start) // steps
-    zs = z[start + 1:start + 1 + blocks * steps].reshape(blocks, steps)
-    gs = g[start:start + blocks * steps].reshape(blocks, steps)
-    _lockstep(terms, np.full(blocks, z[start]), gs, zs)
-    x = zs[:-1, -1]
-    for i in range(steps):
-        y = _cardano(terms, x, gs[1:, i])
-        met = y == zs[1:, i]
-        zs[1:, i] = y
-        if met.all():
-            return start + blocks * steps, True
-        x = y
-    return start + (int(np.argmin(met)) + 2) * steps, False
 
 
 def _family_kernel(model: Model):
@@ -431,17 +431,26 @@ def reconstruct_times(chain: JumpChain) -> np.ndarray:
     to the pre-jump position of the next one.  A state up to the support
     tolerance below the jump image of the previous one, as a sampler's
     rounding leaves (:meth:`Model.below_support`), gets a zero duration.
-    A duration or a time beyond double range raises :class:`StateRangeError`.
+    Where the pre-jump position ``z/kappa`` overflows, the duration is
+    formed without it.  A duration or a time beyond double range raises
+    :class:`StateRangeError`.
     """
     model = chain.model
     if chain.n < 1:
         raise InconsistentChainError("need at least one transition")
-    prev = chain.z[:-1]
-    if np.any(model.below_support(prev, chain.z[1:])):
+    prev, z = chain.z[:-1], chain.z[1:]
+    if np.any(model.below_support(prev, z)):
         raise InconsistentChainError("pre-jump state behind previous state")
-    pre_jump = np.maximum(model.jump.invert(chain.z[1:]), prev)
-    gaps = model.flow.travel_time(prev, pre_jump)
     with np.errstate(over="ignore"):
+        pre_jump = np.maximum(model.jump.invert(z), prev)
+        far = pre_jump == math.inf   # z/kappa overflows; the time may fit
+        pre_jump[far] = prev[far]
+        gaps = model.flow.travel_time(prev, pre_jump)
+        if far.any():
+            x, y, kappa, c = prev[far], z[far], model.jump.kappa, model.flow.c
+            gaps[far] = (y / (kappa * c) - x / c
+                         if model.flow.variant == ADDITIVE else
+                         (np.log(y) - math.log(kappa) - np.log(x)) / c)
         times = np.cumsum(np.atleast_1d(gaps))
     if times[-1] == math.inf:
         k = int(np.argmax(times == math.inf)) + 1

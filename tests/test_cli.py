@@ -541,6 +541,24 @@ def test_travel_time_overflow_exit_code(tmp_path, caplog, capsys, times):
     assert not (tmp_path / "o" / "chain.tsv").exists()
 
 
+@pytest.mark.parametrize("times", [[], ["--times"]])
+@pytest.mark.parametrize("variant, delta", [("exponential", 1.0),
+                                            ("additive", 0.0)])
+def test_overflowing_pre_jump_position_simulates(tmp_path, times, variant,
+                                                 delta):
+    # with kappa = 1e-300 every pre-jump position z/kappa overflows, though
+    # every jump time fits; simulate refused the chain with exit 3
+    doc = yaml.safe_load(yaml.safe_dump(BASE_DOC))
+    doc["model"].update(flow={"variant": variant, "c": 1e300}, z0=1e9,
+                        f={"kappa": 1e-300})
+    doc["model"]["rate"].update(lam=1e-300, delta=delta)
+    path = write_config(tmp_path, doc, out_dir=str(tmp_path / "o"))
+    assert main(["--config", path, "simulate", "--n", "20", *times]) == 0
+    rows = (tmp_path / "o" / "chain.tsv").read_text().splitlines()[3:]
+    assert len(rows) == 21
+    assert np.all(np.isfinite(np.loadtxt(rows[1:], ndmin=2)))
+
+
 def test_exponential_weight_underflow_estimate(tmp_path):
     # c*y overflows on the grid's jump images for c = 1.7e308; the weight
     # 1/(c*y) is subnormal, where it was a RuntimeWarning, and 0 without

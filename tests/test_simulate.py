@@ -1,4 +1,5 @@
 import decimal
+import functools
 import gc
 import math
 import os
@@ -37,9 +38,9 @@ from pdmprate.numeric import (CAP_FACTOR, NEWTON_STEPS, _CAPPED_MAX,
                               _generic_chain, _hold_at_jump_image, _invert,
                               _panel_edge, _panel_index, _scalar_integrand,
                               _store)
-from pdmprate.simulate import (_block_steps, _cardano, _cardano_loop,
-                               _cardano_terms, _family_kernel, _power_chain,
-                               _quadratic_chain)
+from pdmprate.simulate import (_BLOCK_STEPS, _BLOCKS, _block_chain, _cardano,
+                               _cardano_loop, _cardano_terms, _family_kernel,
+                               _power_chain, _quadratic_chain)
 
 
 class TestTcpPowerSampler:
@@ -1321,18 +1322,28 @@ def cardano_steps(model, z0, draws):
     return z
 
 
+def cardano_step_and_loop(model):
+    """The vector step and the Python-float loop of the quadratic family,
+    as ``_quadratic_chain`` hands them to the driver."""
+    terms, _ = _cardano_terms(model)
+    return (functools.partial(_cardano, terms),
+            functools.partial(_cardano_loop, terms))
+
+
 def block_chain(model, z0, draws, steps):
     """States by block passes of ``steps`` steps, of one block or more, and
-    then the Python-float loop, as ``simulate_chain`` runs them."""
-    terms, three_c = _cardano_terms(model)
-    g = draws * three_c
-    z = np.empty(len(g) + 1)
-    z[0] = z0
+    then the Python-float loop, as ``simulate_chain`` runs them: the
+    driver without its probe, whose passes start at ``steps``."""
+    g = draws * _cardano_terms(model)[1]
+    z = np.empty((1, len(g) + 1))
+    z[0, 0] = z0
     with mock.patch.object(simulate, "_BLOCKS", 1), \
+            mock.patch.object(simulate, "_BLOCK_STEPS", steps), \
+            mock.patch.object(simulate, "_MAX_BLOCKS", len(g) + 1), \
+            mock.patch.object(simulate, "_coalescence", return_value=(0, 0)), \
             np.errstate(all="ignore"):
-        done = _block_steps(terms, z, g, 0, steps)
-        z[done + 1:] = _cardano_loop(terms, float(z[done]), g[done:])
-    return z
+        _block_chain(*cardano_step_and_loop(model), z, g[None])
+    return z[0]
 
 
 class TestQuadraticChain:
@@ -1360,11 +1371,12 @@ class TestQuadraticChain:
         # up to the first of them are exact, and the rest is redone
         m = tcp_quadratic_model(kappa=0.99)
         draws = chain_draws(5, 400)
-        terms, three_c = _cardano_terms(m)
+        step, _ = cardano_step_and_loop(m)
         z = np.empty(401)
         z[0] = 1.0
         with np.errstate(all="ignore"):
-            end, met = simulate._block_pass(terms, z, draws * three_c, 0, 4)
+            end, met = simulate._block_pass(
+                step, z, draws * _cardano_terms(m)[1], 0, 4)
         want = cardano_steps(m, 1.0, draws)
         assert not met and end >= 8
         assert z[:end + 1].tobytes() == want[:end + 1].tobytes()
@@ -1506,6 +1518,85 @@ class TestQuadraticChain:
         # b**3 overflows: every state is nan, from the probe on
         with pytest.raises(StateRangeError, match="^at transition 0:"):
             simulate_chain(tcp_quadratic_model(b=1e300), 1.0, 5000, 0)
+
+
+def affine_step_and_loop(kappa):
+    """A contracting step other than Cardano's, ``kappa*(x + g)``, as a
+    vector step and as its loop in Python floats, bit for bit the same."""
+    def step(x, g, out=None):
+        return np.multiply(x + g, kappa, out=out)
+
+    def loop(x, g):
+        out = []
+        for e in g.tolist():
+            x = kappa * (x + e)
+            out.append(x)
+        return out
+    return step, loop
+
+
+def driven_chain(step, loop, z0, g):
+    """States ``z[:, 0..n]`` of ``_block_chain`` from the starts ``z0``,
+    with the results of its block passes."""
+    z = np.empty((len(g), g.shape[1] + 1), order="F")
+    z[:, 0] = z0
+    passes, real = [], simulate._block_pass
+
+    def record(*args):
+        passes.append(real(*args))
+        return passes[-1]
+    with mock.patch.object(simulate, "_block_pass", side_effect=record):
+        _block_chain(step, loop, z, g)
+    return z, passes
+
+
+class TestBlockDriver:
+    """The block-pass driver knows no family: with any step that is a
+    function of its state and draw alone it gives the loop's chain."""
+
+    @given(kappa=st.floats(0.05, 0.9) | st.floats(0.99, 0.999),
+           z0=st.floats(0.0, 50.0), seed=st.integers(0, 2 ** 32 - 1),
+           n=st.sampled_from([1, 2, 5 * _BLOCKS * _BLOCK_STEPS + 17])
+           | st.integers(_BLOCKS * _BLOCK_STEPS - 1,
+                         _BLOCKS * _BLOCK_STEPS + 3 * _BLOCK_STEPS),
+           rows=st.sampled_from([1, 3]), hold=st.booleans())
+    @example(kappa=0.99, z0=5.0, seed=0,
+             n=_BLOCKS * _BLOCK_STEPS + 2 * _BLOCK_STEPS, rows=1, hold=True)
+    @settings(max_examples=60, deadline=None)
+    def test_affine_step_matches_loop(self, kappa, z0, seed, n, rows, hold):
+        # a single chain passes once n exceeds _BLOCKS * _BLOCK_STEPS by the
+        # probe's steps.  With hold, the first draw keeps z[1] at about z[0],
+        # so the probe meets at once, and the passes start from 64-step
+        # blocks, which near kappa = 1 they leave unmet
+        step, loop = affine_step_and_loop(kappa)
+        g = np.random.default_rng(seed).exponential(size=(rows, n))
+        if hold:
+            g[:, 0] = z0 / kappa - z0
+        z, _ = driven_chain(step, loop, z0, g)
+        for row, draws in zip(z, g):
+            assert row.tobytes() == np.array([z0] + loop(z0, draws)).tobytes()
+
+    def test_unmet_blocks_near_kappa_one(self):
+        # the probe meets at once, so the first pass runs 64-step blocks;
+        # at kappa = 0.99 a guess 64 steps on is still off, so the pass
+        # leaves a block unmet, and so does the next, of 256-step blocks,
+        # and the chain is still the loop's
+        step, loop = affine_step_and_loop(0.99)
+        g = np.random.default_rng(1).exponential(
+            size=(1, 5 * _BLOCKS * _BLOCK_STEPS + 17))
+        g[0, 0] = 5.0 / 0.99 - 5.0
+        z, passes = driven_chain(step, loop, 5.0, g)
+        assert [met for _, met in passes] == [False, False]
+        assert z[0].tobytes() == np.array([5.0] + loop(5.0, g[0])).tobytes()
+
+    def test_fast_chain_meets_in_passes(self):
+        # at kappa = 0.2 every block meets in the first pass
+        step, loop = affine_step_and_loop(0.2)
+        g = np.random.default_rng(2).exponential(
+            size=(1, 4 * _BLOCKS * _BLOCK_STEPS))
+        z, passes = driven_chain(step, loop, 1.0, g)
+        assert passes == [(passes[0][0], True)]
+        assert z[0].tobytes() == np.array([1.0] + loop(1.0, g[0])).tobytes()
 
 
 # Power-rate models with r = kappa**p = 1/2, 1/sqrt(2) (criterion 10's sqrt
@@ -1741,6 +1832,42 @@ class TestReconstructTimes:
         with pytest.raises(StateRangeError,
                            match="travel time exceeds double range"):
             reconstruct_times(chain)
+
+    # kappa = 1e-300, so every pre-jump position z/kappa of these chains
+    # overflows, though each jump time fits
+    FAR = [Model(Flow("exponential", 1e300), JumpMap(1e-300),
+                 PowerRate(1e-300, 1.0)),
+           Model(Flow("additive", 1e300), JumpMap(1e-300),
+                 PowerRate(1e-300, 0.0))]
+
+    @pytest.mark.parametrize("model", FAR, ids=["exponential", "additive"])
+    def test_overflowing_pre_jump_position(self, model):
+        # the time where z/kappa is made: (log z' - log kappa - log z)/c
+        # and z'/(kappa*c) - z/c; it was a RuntimeWarning, and then a
+        # travel time out of double range
+        chain = simulate_chain(model, 1e9, 20, 0)
+        with np.errstate(over="ignore"):
+            assert np.all(chain.z[1:] / 1e-300 == math.inf)
+        times = reconstruct_times(chain)
+        ctx = decimal.Context(prec=40)
+        x = [decimal.Decimal(v) for v in chain.z.tolist()]
+        kappa, c = decimal.Decimal(1e-300), decimal.Decimal(1e300)
+        if model.flow.variant == "additive":
+            gaps = [(y / kappa - z) / c for z, y in zip(x, x[1:])]
+        else:
+            gaps = [(y.ln(ctx) - kappa.ln(ctx) - z.ln(ctx)) / c
+                    for z, y in zip(x, x[1:])]
+        want = np.cumsum([float(ctx.plus(g)) for g in gaps])
+        np.testing.assert_allclose(times, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("model", FAR, ids=["exponential", "additive"])
+    def test_times_that_fit_keep_their_bits(self, model):
+        # z[1]/kappa = 1e50 fits and z[2]/kappa does not: the first time
+        # is the travel time to the pre-jump position, as before
+        chain = JumpChain(z=np.array([1e9, 1e-250, 1e9]), model=model)
+        times = reconstruct_times(chain)
+        assert times[0] == model.flow.travel_time(1e9, 1e-250 / 1e-300)
+        assert np.isfinite(times[1]) and times[1] > times[0]
 
     def test_jump_time_overflow_raises(self):
         # each duration, 1e8/c = 1e308, fits, but their sum does not
