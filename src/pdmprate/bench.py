@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -157,6 +156,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
                         for r in range(config.replicates)])
     configs = [config] * len(ns)
     if threads > 1:
+        # imported here: the pool's 28 modules serve no other command
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
             details = list(pool.map(run_replicate, configs, ns, indices,
                                     chunksize=1))

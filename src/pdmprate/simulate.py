@@ -199,8 +199,9 @@ def _block_chain(step, loop, z: np.ndarray, g: np.ndarray) -> None:
     if len(z) != 1:
         return _lockstep(step, z[:, 0], g, z[:, 1:])
     z, g, done = z[0], g[0], 0
-    if len(g) >= _BLOCKS * _BLOCK_STEPS:
-        done, met = _coalescence(loop, z, g, len(g) // (2 * _BLOCKS))
+    cap = len(g) // (2 * _BLOCKS)
+    if len(g) - cap >= _BLOCKS * _BLOCK_STEPS:
+        done, met = _coalescence(loop, z, g, cap)
         if met is not None:
             steps = max(_BLOCK_STEPS, 2 * met, len(g) // _MAX_BLOCKS)
             while len(g) - done >= _BLOCKS * steps:

@@ -1331,19 +1331,23 @@ def cardano_step_and_loop(model):
 
 
 def block_chain(model, z0, draws, steps):
-    """States by block passes of ``steps`` steps, of one block or more, and
-    then the Python-float loop, as ``simulate_chain`` runs them: the
-    driver without its probe, whose passes start at ``steps``."""
+    """States by block passes from ``z[0]``, of one block or more, and then
+    the Python-float loop, as the driver runs them after its probe: the
+    first pass of ``steps`` steps wherever a block fits, four times as many
+    after a pass that leaves a block unmet."""
     g = draws * _cardano_terms(model)[1]
-    z = np.empty((1, len(g) + 1))
-    z[0, 0] = z0
-    with mock.patch.object(simulate, "_BLOCKS", 1), \
-            mock.patch.object(simulate, "_BLOCK_STEPS", steps), \
-            mock.patch.object(simulate, "_MAX_BLOCKS", len(g) + 1), \
-            mock.patch.object(simulate, "_coalescence", return_value=(0, 0)), \
-            np.errstate(all="ignore"):
-        _block_chain(*cardano_step_and_loop(model), z, g[None])
-    return z[0]
+    z = np.empty(len(g) + 1)
+    z[0] = z0
+    step, loop = cardano_step_and_loop(model)
+    done = 0
+    with np.errstate(all="ignore"):
+        while len(g) - done >= steps:
+            done, met = simulate._block_pass(step, z, g, done, steps)
+            if met:
+                break
+            steps *= 4
+        z[done + 1:] = loop(z[done].item(), g[done:])
+    return z
 
 
 class TestQuadraticChain:
@@ -1363,7 +1367,13 @@ class TestQuadraticChain:
         draws = chain_draws(seed, n)
         want = cardano_steps(m, z0, draws).tobytes()
         for block in (steps, steps + 1, 2 * steps + 3):
-            assert block_chain(m, z0, draws, block).tobytes() == want
+            with mock.patch.object(simulate, "_block_pass",
+                                   wraps=simulate._block_pass) as passes:
+                assert block_chain(m, z0, draws, block).tobytes() == want
+            # a chain of a block or more runs a pass; with block = steps,
+            # "L" and "L+1" run one of a single block, whose restart loop
+            # sees no later block
+            assert passes.called == (n >= block)
 
     def test_unmet_block_resumes_from_exact_states(self):
         # at kappa = 0.99 a block meets the true chain after about 1,000
@@ -1596,6 +1606,22 @@ class TestBlockDriver:
             size=(1, 4 * _BLOCKS * _BLOCK_STEPS))
         z, passes = driven_chain(step, loop, 1.0, g)
         assert passes == [(passes[0][0], True)]
+        assert z[0].tobytes() == np.array([1.0] + loop(1.0, g[0])).tobytes()
+
+    @pytest.mark.parametrize("n, probed", [(2048, False), (2079, False),
+                                           (2080, True)])
+    def test_probe_only_where_a_pass_can_follow(self, n, probed):
+        # the probe runs to its cap, n // 64, below n = 4,224, and a pass
+        # needs _BLOCKS * _BLOCK_STEPS = 2,048 draws after it: from n = 2,080
+        # on.  At kappa = 0.2 the probe meets within 32 steps, so there a
+        # pass of 64-step blocks follows
+        step, loop = affine_step_and_loop(0.2)
+        g = np.random.default_rng(3).exponential(size=(1, n))
+        with mock.patch.object(simulate, "_coalescence",
+                               wraps=simulate._coalescence) as probe:
+            z, passes = driven_chain(step, loop, 1.0, g)
+        assert probe.called == probed
+        assert bool(passes) == probed
         assert z[0].tobytes() == np.array([1.0] + loop(1.0, g[0])).tobytes()
 
 
