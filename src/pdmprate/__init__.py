@@ -8,7 +8,7 @@ from .bench import (DiagnosticsReport, ExperimentConfig, ExperimentResult,
 from .density import DensityFit, select_model
 from .errors import (CapExceededError, ChainFormatError, ChainTooShortError,
                      ConfigError, EmptyModelSetError, InconsistentChainError,
-                     PdmpError, StateRangeError, UnreachableStateError)
+                     PdmpError, StateRangeError)
 from .jumprate import (denominator_grid, make_grid, rate_grid, risk_sweep,
                        threshold)
 from .model import (Flow, JumpMap, Model, PowerRate, ShiftedQuadraticRate,

@@ -8,10 +8,6 @@ class PdmpError(Exception):
     """Base class for all package errors."""
 
 
-class UnreachableStateError(PdmpError):
-    """Target state lies behind the current state along the flow."""
-
-
 class CapExceededError(PdmpError):
     """Accumulated hazard failed to reach the target before the state cap."""
 

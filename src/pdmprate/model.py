@@ -13,8 +13,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import (StateRangeError, UnreachableStateError, nonnegative,
-                     positive, require)
+from .errors import nonnegative, positive, require
 
 ADDITIVE = "additive"
 EXPONENTIAL = "exponential"
@@ -39,34 +38,6 @@ class Flow:
         require(self.variant in (ADDITIVE, EXPONENTIAL), "variant",
                 f"expected {ADDITIVE!r} or {EXPONENTIAL!r}", self.variant)
         positive("c", self.c)
-
-    def travel_time(self, x, y):
-        """Time needed to move from ``x`` to ``y`` along the flow.
-
-        Raises :class:`UnreachableStateError` when ``y`` lies behind ``x``,
-        and :class:`StateRangeError` when the time exceeds double range.
-        """
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if np.any(y < x):
-            raise UnreachableStateError("target state precedes current state")
-        with np.errstate(over="ignore"):
-            if self.variant == ADDITIVE:
-                out = (y - x) / self.c
-            else:
-                if np.any(x <= 0):
-                    raise ValueError(
-                        "exponential flow needs a positive start state")
-                out = np.log(y / x) / self.c
-                # y/x overflows for a subnormal x, though its log may fit
-                far = out == np.inf
-                if np.any(far):
-                    out = np.where(far, (np.log(y) - np.log(x)) / self.c, out)
-        if np.any(out == np.inf):
-            raise StateRangeError(
-                f"a travel time exceeds double range (flow speed c = "
-                f"{self.c!r})")
-        return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)

@@ -428,31 +428,42 @@ def simulate_chain(model: Model, z0: float, n: int, seed) -> JumpChain:
 def reconstruct_times(chain: JumpChain) -> np.ndarray:
     """Jump times implied by the states, taking the first jump at time T_1.
 
-    Each inter-jump duration is the flow travel time from the previous state
-    to the pre-jump position of the next one.  A state up to the support
-    tolerance below the jump image of the previous one, as a sampler's
-    rounding leaves (:meth:`Model.below_support`), gets a zero duration.
-    Where the pre-jump position ``z/kappa`` overflows, the duration is
-    formed without it.  A duration or a time beyond double range raises
-    :class:`StateRangeError`.
+    From each state ``x`` the flow runs to the pre-jump position ``y =
+    max(z/kappa, x)`` of the next state ``z``, which is ``x`` for a state up
+    to the support tolerance below the jump image, as a sampler's rounding
+    leaves (:meth:`Model.below_support`): ``(y - x)/c`` under the additive
+    flow, ``log(y/x)/c`` under the exponential one.  Where that overflows,
+    one fallback per flow forms the duration from ``z``, ``kappa`` and
+    ``x``, so no time is NaN.  A duration whose ``y`` fits and a time beyond
+    double range raise :class:`StateRangeError`.
     """
     model = chain.model
     if chain.n < 1:
         raise InconsistentChainError("need at least one transition")
-    prev, z = chain.z[:-1], chain.z[1:]
-    if np.any(model.below_support(prev, z)):
+    x, z = chain.z[:-1], chain.z[1:]
+    if np.any(model.below_support(x, z)):
         raise InconsistentChainError("pre-jump state behind previous state")
-    with np.errstate(over="ignore"):
-        pre_jump = np.maximum(model.jump.invert(z), prev)
-        far = pre_jump == math.inf   # z/kappa overflows; the time may fit
-        pre_jump[far] = prev[far]
-        gaps = model.flow.travel_time(prev, pre_jump)
-        if far.any():
-            x, y, kappa, c = prev[far], z[far], model.jump.kappa, model.flow.c
-            gaps[far] = (y / (kappa * c) - x / c
-                         if model.flow.variant == ADDITIVE else
-                         (np.log(y) - math.log(kappa) - np.log(x)) / c)
-        times = np.cumsum(np.atleast_1d(gaps))
+    kappa, c = model.jump.kappa, model.flow.c
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.maximum(model.jump.invert(z), x)
+        far = y == math.inf
+        if model.flow.variant == ADDITIVE:
+            gaps = (y - x) / c
+            xf, zf = x[far], z[far]
+            g = zf / (kappa * c) - xf / c     # NaN where both terms overflow
+            gaps[far] = np.where(np.isnan(g),
+                                 (zf - kappa * xf) / (kappa * c), g)
+        else:
+            gaps = np.log(y / x) / c
+            over = gaps == math.inf   # as from a subnormal x, or y = inf
+            xo, zo, yo = x[over], z[over], y[over]
+            log_y = np.where(yo == math.inf,
+                             np.log(zo) - math.log(kappa), np.log(yo))
+            gaps[over] = (log_y - np.log(xo)) / c
+        if np.any(gaps[~far] == math.inf):
+            raise StateRangeError(
+                f"a travel time exceeds double range (flow speed c = {c!r})")
+        times = np.cumsum(gaps)
     if times[-1] == math.inf:
         k = int(np.argmax(times == math.inf)) + 1
         raise StateRangeError(f"the jump time of z[{k}] exceeds double range")

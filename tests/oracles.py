@@ -21,11 +21,13 @@ finds its root by Brent's method, one transition at a time, and
 ``sample_next_generic`` takes numeric draws for any model through the public
 ``GenericSampler``.  The stationary law of a power-rate chain is the
 perpetuity of its AR(1) step in ``w = z**p``, summed in closed form.  The
-flow map, the hazard pair, the fit-record reader and the coefficients of
-one model alone are used only by tests.  A chain or grid file's rows are
-written one ``%`` format at a time, and a block of a chain file is decoded
-in every field, the times too, with a midpoint found from the gap between
-a double and its neighbour.
+flow map and its travel time, the hazard pair, the fit-record reader and
+the coefficients of one model alone are used only by tests, and the jump
+times' durations are spelled out as the flow's travel time plus the
+formulas where the pre-jump position overflows.  A chain or grid file's
+rows are written one ``%`` format at a time, and a block of a chain file
+is decoded in every field, the times too, with a midpoint found from the
+gap between a double and its neighbour.
 """
 
 import math
@@ -37,7 +39,8 @@ from scipy import integrate, optimize
 
 from pdmprate.basis import PHASE_BLOCK, Basis, _phase_table, design_means
 from pdmprate.density import DensityFit, _criterion
-from pdmprate.errors import CapExceededError, EmptyModelSetError
+from pdmprate.errors import (CapExceededError, EmptyModelSetError,
+                             StateRangeError)
 from pdmprate.jumprate import risk_sweep, threshold
 from pdmprate.model import ADDITIVE, PowerRate, ShiftedQuadraticRate
 from pdmprate.numeric import CAP_FACTOR, GenericSampler, _scalar_integrand
@@ -137,7 +140,7 @@ def transition_weight_numeric(model, x, y):
     h = 1e-6 * max(1.0, y)
 
     def inv_time(v):
-        return model.flow.travel_time(x, model.jump.invert(v))
+        return travel_time(model.flow, x, model.jump.invert(v))
 
     return (inv_time(y + h) - inv_time(y - h)) / (2.0 * h)
 
@@ -484,6 +487,58 @@ def advance(flow, x, t):
     else:
         out = x * np.exp(flow.c * t)
     return out if out.ndim else float(out)
+
+
+def travel_time(flow, x, y):
+    """Time needed to move from ``x`` to ``y`` along the flow.
+
+    Raises ``ValueError`` when ``y`` lies behind ``x``, and
+    :class:`StateRangeError` when the time exceeds double range.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if np.any(y < x):
+        raise ValueError("target state precedes current state")
+    with np.errstate(over="ignore"):
+        if flow.variant == ADDITIVE:
+            out = (y - x) / flow.c
+        else:
+            if np.any(x <= 0):
+                raise ValueError(
+                    "exponential flow needs a positive start state")
+            out = np.log(y / x) / flow.c
+            # y/x overflows for a subnormal x, though its log may fit
+            far = out == np.inf
+            if np.any(far):
+                out = np.where(far, (np.log(y) - np.log(x)) / flow.c, out)
+    if np.any(out == np.inf):
+        raise StateRangeError(
+            f"a travel time exceeds double range (flow speed c = "
+            f"{flow.c!r})")
+    return out if out.ndim else float(out)
+
+
+def jump_gaps_oracle(chain):
+    """Inter-jump durations of ``chain`` as ``reconstruct_times`` forms them
+    before their sum: :func:`travel_time` to the pre-jump position
+    ``max(z/kappa, x)``, and where ``z/kappa`` overflows, ``z/(kappa*c) -
+    x/c`` under the additive flow and ``(log z - log kappa - log x)/c``
+    under the exponential one.  The additive formula is NaN where both of
+    its terms overflow; the package forms ``(z - kappa*x)/(kappa*c)`` there.
+    """
+    model = chain.model
+    prev, z = chain.z[:-1], chain.z[1:]
+    with np.errstate(over="ignore"):
+        pre_jump = np.maximum(model.jump.invert(z), prev)
+        far = pre_jump == math.inf
+        pre_jump[far] = prev[far]
+        gaps = travel_time(model.flow, prev, pre_jump)
+        if far.any():
+            x, y, kappa, c = prev[far], z[far], model.jump.kappa, model.flow.c
+            gaps[far] = (y / (kappa * c) - x / c
+                         if model.flow.variant == ADDITIVE else
+                         (np.log(y) - math.log(kappa) - np.log(x)) / c)
+    return np.atleast_1d(gaps)
 
 
 def cumulative(rate, x):

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from oracles import advance, cumulative, hazard, transition_weight_numeric
-from pdmprate import (ConfigError, CustomRate, Flow, JumpMap, Model,
-                      PowerRate, ShiftedQuadraticRate, StateRangeError,
-                      UnreachableStateError, bacterial_model, tcp_model,
+from pdmprate import (ConfigError, CustomRate, Flow, JumpChain, JumpMap,
+                      Model, PowerRate, ShiftedQuadraticRate, StateRangeError,
+                      bacterial_model, reconstruct_times, tcp_model,
                       tcp_quadratic_model)
 
 finite_pos = st.floats(min_value=0.01, max_value=50.0,
@@ -26,38 +26,37 @@ class TestFlow:
     def test_exponential_advance(self):
         assert advance(Flow("exponential", 1.0), 2.0, np.log(2.0)) == pytest.approx(4.0)
 
+    # a chain [x, kappa*y] holds one jump, whose time is the flow's travel
+    # time from x to y
+    @staticmethod
+    def _jump_time(flow, x, y, kappa=0.5):
+        model = Model(flow, JumpMap(kappa), PowerRate(1.0, 1.0))
+        return reconstruct_times(JumpChain(z=np.array([x, kappa * y]),
+                                           model=model))[0]
+
     def test_travel_time_additive(self):
-        assert Flow("additive", 2.0).travel_time(1.0, 5.0) == 2.0
+        assert self._jump_time(Flow("additive", 2.0), 1.0, 5.0) == 2.0
 
     def test_travel_time_exponential(self):
-        assert Flow("exponential", 1.0).travel_time(1.0, np.e) == pytest.approx(1.0)
+        assert self._jump_time(Flow("exponential", 1.0), 1.0, np.e) == \
+            pytest.approx(1.0)
 
     def test_travel_time_identity(self):
         for flow in (Flow("additive", 1.5), Flow("exponential", 0.7)):
-            assert flow.travel_time(2.0, 2.0) == 0.0
-
-    def test_unreachable(self):
-        with pytest.raises(UnreachableStateError):
-            Flow("additive", 1.0).travel_time(3.0, 1.0)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0])
-    def test_exponential_travel_from_nonpositive_rejected(self, x):
-        with pytest.raises(ValueError, match="needs a positive start state"):
-            Flow("exponential", 1.0).travel_time(x, 1.0)
+            assert self._jump_time(flow, 2.0, 2.0) == 0.0
 
     def test_travel_time_overflow_raises(self):
-        # (y - x)/c = 1e284/1e-300 is past the largest double (it was a
-        # RuntimeWarning, then inf)
+        # (y - x)/c = 1e296/1e-300 is past the largest double
         with pytest.raises(StateRangeError,
                            match="travel time exceeds double range"):
-            Flow("additive", 1e-300).travel_time(1e300, [1e300, 1.0001e300])
+            self._jump_time(Flow("additive", 1e-300), 1e300, 1.0001e300)
 
     def test_travel_time_from_subnormal_start(self):
         # y/x overflows from x = 5e-324, but its log, 744.4, does not
         flow = Flow("exponential", 1e-300)
-        got = flow.travel_time([5e-324, 1.0], [1.0, 2.0])
-        assert got[0] == pytest.approx(-np.log(5e-324) / 1e-300, rel=1e-15)
-        assert got[1] == np.log(2.0) / 1e-300
+        assert self._jump_time(flow, 5e-324, 1.0) == \
+            pytest.approx(-np.log(5e-324) / 1e-300, rel=1e-15)
+        assert self._jump_time(flow, 1.0, 2.0) == np.log(2.0) / 1e-300
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -79,14 +78,15 @@ class TestFlow:
             rhs = advance(flow, x, s + t)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    @given(x=finite_pos, t=finite_time, c=st.floats(min_value=0.1, max_value=5.0))
+    @given(x=finite_pos, t=finite_time, c=st.floats(min_value=0.1, max_value=5.0),
+           kappa=st.floats(min_value=0.01, max_value=0.99))
     @settings(max_examples=200)
-    def test_travel_time_inverts_advance(self, x, t, c):
+    def test_travel_time_inverts_advance(self, x, t, c, kappa):
         for variant in ("additive", "exponential"):
             flow = Flow(variant, c)
             y = advance(flow, x, t)
-            assert advance(flow, x, flow.travel_time(x, y)) == \
-                pytest.approx(y, rel=1e-12)
+            assert self._jump_time(flow, x, y, kappa) == \
+                pytest.approx(t, rel=1e-12)
 
 
 class TestJumpMap:

@@ -21,8 +21,9 @@ from scipy import integrate, optimize, stats
 from oracles import (advance, chain_draws, cumulative, decode_block_oracle,
                      generic_draw_oracle, perpetuity_cdf, perpetuity_density,
                      power_log_step_oracle, quadratic_increment_oracle,
-                     quadratic_step_cardano, sample_next_generic,
-                     simulate_chain_oracle, text_rows)
+                     jump_gaps_oracle, quadratic_step_cardano,
+                     sample_next_generic, simulate_chain_oracle, text_rows,
+                     travel_time)
 import pdmprate
 import pdmprate.simulate as simulate
 from pdmprate import (CapExceededError, ChainFormatError, ConfigError,
@@ -31,8 +32,8 @@ from pdmprate import (CapExceededError, ChainFormatError, ConfigError,
                       chain_from_text, chain_to_text, reconstruct_times,
                       sample_next, simulate_chain, tcp_model,
                       tcp_quadratic_model)
-from pdmprate.model import (CustomRate, Flow, JumpMap, Model, PowerRate,
-                            ShiftedQuadraticRate)
+from pdmprate.model import (SUPPORT_RTOL, CustomRate, Flow, JumpMap, Model,
+                            PowerRate, ShiftedQuadraticRate)
 from pdmprate.numeric import (CAP_FACTOR, NEWTON_STEPS, _CAPPED_MAX,
                               _clenshaw, _fit_panel,
                               _generic_chain, _hold_at_jump_image, _invert,
@@ -1892,8 +1893,81 @@ class TestReconstructTimes:
         # is the travel time to the pre-jump position, as before
         chain = JumpChain(z=np.array([1e9, 1e-250, 1e9]), model=model)
         times = reconstruct_times(chain)
-        assert times[0] == model.flow.travel_time(1e9, 1e-250 / 1e-300)
+        assert times[0] == travel_time(model.flow, 1e9, 1e-250 / 1e-300)
         assert np.isfinite(times[1]) and times[1] > times[0]
+
+    # both terms of z/(kappa*c) - x/c overflow, and the duration is
+    # (z - kappa*x)/(kappa*c): 2.0e301 here, and 1e319, past double range,
+    # in the test after
+    BOTH_FAR = JumpChain(
+        z=np.array([np.finfo(float).max,
+                    np.nextafter(0.5 * np.finfo(float).max, math.inf)]),
+        model=Model(Flow("additive", 1e-9), JumpMap(0.5), PowerRate(1.0, 0.0)))
+
+    def test_additive_far_terms_overflow(self):
+        chain = self.BOTH_FAR
+        times = reconstruct_times(chain)
+        # z/kappa - x cancels 16 digits, so the context keeps 40
+        with decimal.localcontext(decimal.Context(prec=40)):
+            x, z = (decimal.Decimal(v) for v in chain.z.tolist())
+            want = float((z / decimal.Decimal(0.5) - x)
+                         / decimal.Decimal(1e-9))
+        np.testing.assert_allclose(times, [want], rtol=1e-13, atol=0)
+
+    def test_additive_far_duration_overflow_raises(self):
+        chain = JumpChain(z=np.array([1e300, 1e300]),
+                          model=Model(Flow("additive", 1e-9), JumpMap(1e-10),
+                                      PowerRate(1.0, 0.0)))
+        with pytest.raises(StateRangeError,
+                           match=r"^the jump time of z\[1\] exceeds double "
+                                 r"range$"):
+            reconstruct_times(chain)
+
+    @staticmethod
+    def _edge_chains():
+        """Chains with each state on, or up to the support tolerance below,
+        the jump image of the state before, or far above it, under either
+        flow."""
+        for variant in ("additive", "exponential"):
+            for kappa, c in ((0.5, 1.0), (0.3, 1e-300), (1e-300, 1e300)):
+                model = Model(Flow(variant, c), JumpMap(kappa),
+                              PowerRate(1.0, 1.0))
+                for x in (5e-324, 1e-300, 1.0, 3.7, 1e300, 1e308,
+                          np.finfo(float).max):
+                    image = kappa * x
+                    below = image - SUPPORT_RTOL * image
+                    for z in (image, np.nextafter(image, 0.0), below,
+                              np.nextafter(below, math.inf), 2.0 * image,
+                              1e-3, 1e100, 3e256):
+                        if 0 < z < math.inf and not model.below_support(x, z):
+                            yield JumpChain(z=np.array([x, z]), model=model)
+
+    def test_matches_oracle_composition_bit_for_bit(self):
+        # the oracle composes the flow's travel time to max(z/kappa, x)
+        # with the formulas where z/kappa overflows; every time that is
+        # finite there, and every error, must be the package's too
+        chains = [simulate_chain(model, z0, 300, 4)
+                  for model, z0 in CHAIN_MODELS]
+        chains += [simulate_chain(model, 1e9, 20, 0) for model in self.FAR]
+        chains += [simulate_chain(bacterial_model(delta=1.0), 5e-324, 1000, 0),
+                   self.BELOW, *self._edge_chains()]
+        for chain in chains:
+            try:
+                with np.errstate(invalid="ignore"):
+                    want = np.cumsum(jump_gaps_oracle(chain))
+            except StateRangeError as exc:
+                with pytest.raises(StateRangeError) as got:
+                    reconstruct_times(chain)
+                assert str(got.value) == str(exc)
+                continue
+            if np.isnan(want).any():
+                continue    # the oracle's inf - inf, as in BOTH_FAR
+            if want[-1] == math.inf:
+                with pytest.raises(StateRangeError, match="jump time of"):
+                    reconstruct_times(chain)
+                continue
+            got = reconstruct_times(chain)
+            assert got.tobytes() == want.tobytes(), chain.z
 
     def test_jump_time_overflow_raises(self):
         # each duration, 1e8/c = 1e308, fits, but their sum does not
