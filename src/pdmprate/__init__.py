@@ -15,7 +15,6 @@ from .model import (Flow, JumpMap, Model, PowerRate, ShiftedQuadraticRate,
                     CustomRate, bacterial_model, tcp_model,
                     tcp_quadratic_model)
 from .simulate import (GenericSampler, JumpChain, chain_from_text,
-                       chain_to_text, reconstruct_times, sample_next,
-                       simulate_chain)
+                       reconstruct_times, sample_next, simulate_chain)
 
 __version__ = "0.1.0"

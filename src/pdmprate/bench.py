@@ -127,7 +127,7 @@ def run_replicate(config: ExperimentConfig, n: int, index: int) -> ReplicateResu
     fit = select_model(chain.samples, config.basis, sigma=config.sigma,
                        sigma_prime=config.sigma_prime)
     denom = denominator_grid(chain, config.ys)
-    risks = risk_sweep(fit, chain, config.ys, denom=denom)
+    risks = risk_sweep(fit, chain, config.ys, denom)
     m_opt = int(np.argmin(risks))
     risk_mhat = float(risks[fit.m_hat])
     risk_mopt = float(risks[m_opt])

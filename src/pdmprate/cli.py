@@ -122,7 +122,7 @@ def cmd_estimate(config: ExperimentConfig, args) -> int:
                        sigma_prime=config.sigma_prime)
     ys = config.ys
     denom = denominator_grid(chain, ys)
-    rate_hat, nu_f, denom = rate_grid(fit, chain, ys, denom=denom)
+    rate_hat, nu_f = rate_grid(fit, chain, ys, denom)
     rate_true = config.model.rate.rate(ys)
     # imported at call time because perfbench wraps pdmprate.jumprate.grid_to_tsv
     from .jumprate import grid_to_tsv

@@ -8,8 +8,6 @@ density estimate must be nonnegative and the denominator must clear the
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .basis import series_terms
@@ -54,17 +52,14 @@ def denominator_grid(chain: JumpChain, ys: np.ndarray) -> np.ndarray:
 
 
 def rate_grid(fit: DensityFit, chain: JumpChain, ys: np.ndarray,
-              denom: Optional[np.ndarray] = None):
-    """Thresholded quotient estimate of the rate on a grid.
+              denom: np.ndarray):
+    """Thresholded quotient estimate of the rate on a grid, over the
+    denominator ``denom`` (:func:`denominator_grid`) at ``ys``.
 
-    Returns ``(rate_hat, density_at_image, denominator)`` of the selected
-    model.  ``denom`` may be passed in to reuse a computed denominator.
+    Returns ``(rate_hat, density_at_image)`` of the selected model.
     """
-    ys = np.asarray(ys, dtype=float)
-    if denom is None:
-        denom = denominator_grid(chain, ys)
-    nu_f = fit.evaluate(chain.model.jump.apply(ys))
-    return _quotient(nu_f, denom, chain.n), nu_f, denom
+    nu_f = fit.evaluate(chain.model.jump.apply(np.asarray(ys, dtype=float)))
+    return _quotient(nu_f, denom, chain.n), nu_f
 
 
 def _quotient(nu_f: np.ndarray, denom: np.ndarray, n: int) -> np.ndarray:
@@ -118,8 +113,9 @@ def make_grid(interval: tuple,
 
 
 def risk_sweep(fit: DensityFit, chain: JumpChain, ys: np.ndarray,
-               denom: Optional[np.ndarray] = None) -> np.ndarray:
-    """L2 risk against the chain model's rate for every admissible model index.
+               denom: np.ndarray) -> np.ndarray:
+    """L2 risk against the chain model's rate for every admissible model
+    index, over the denominator ``denom`` (:func:`denominator_grid`).
 
     One cumulative sum over the rows of :func:`series_terms` at the jump
     images gives the density of every model, and one product with the
@@ -127,8 +123,6 @@ def risk_sweep(fit: DensityFit, chain: JumpChain, ys: np.ndarray,
     """
     ys = np.asarray(ys, dtype=float)
     model = chain.model
-    if denom is None:
-        denom = denominator_grid(chain, ys)
     lam_true = np.asarray(model.rate.rate(ys), dtype=float)
     nu_f = series_terms(fit.coeffs, fit.basis, model.jump.apply(ys))
     np.cumsum(nu_f, axis=0, out=nu_f)

@@ -211,7 +211,8 @@ class GenericSampler:
             return self.lo
         try:
             # the root may round to an ulp below the jump image
-            return max(self._root(*self._reach(e), e), self.lo)
+            return max(self._root(*self._reach(e), e, self.lo, self.cap,
+                                  self.hazard_to), self.lo)
         except OverflowError as exc:
             raise self._range_error() from exc
 
@@ -245,13 +246,15 @@ class GenericSampler:
                 raise self._cap_error(e)
         return q, h
 
-    def _root(self, q: int, h: float, e: float) -> float:
-        """The root of ``hazard_to(y) = e`` above ``lo``, at the hazard
-        ``h`` from the left edge of panel ``q``."""
+    def _root(self, q: int, h: float, e: float, lo: float, cap: float,
+              hazard) -> float:
+        """The root of ``hazard(y) = e`` in ``(lo, cap)``, at the hazard
+        ``h`` from the left edge of panel ``q``; ``hazard(y)`` is 0 up to
+        ``lo``."""
         edges, bases, _, _ = self._panel(q)
         j = _sub_panel(bases, h)
         # G(lo) may round to below its sub-panel's start, hence the max
-        lo, hi = max(edges[j - 1], self.lo), min(edges[j], self.cap)
+        lo, hi = max(edges[j - 1], lo), min(edges[j], cap)
         if hi <= lo or e <= 0.0:
             # the root is within rounding of the jump image, or on it
             return lo
@@ -274,7 +277,7 @@ class GenericSampler:
             y = (edges[j - 1] + (edges[j] - edges[j - 1]) * (h / rise)
                  if rise > 0.0 else lo)
             curv = math.inf
-        y, steps = self._newton(e, y, lo, hi, curv, half)
+        y, steps = self._newton(hazard, e, y, lo, hi, curv, half)
         self.g_evals += steps
         self.newton_steps += steps
         return y
@@ -293,12 +296,12 @@ class GenericSampler:
             self.inverses_built += 1
         return inverses[j - 1]
 
-    def _newton(self, e: float, y: float, lo: float, hi: float,
+    def _newton(self, hazard, e: float, y: float, lo: float, hi: float,
                 curv: float, half: float) -> tuple:
-        """The root of ``hazard_to(y) = e`` in ``(lo, hi)`` from ``y``, and
-        the number of steps taken.
+        """The root of ``hazard(y) = e`` in ``(lo, hi)`` from ``y``, and the
+        number of steps taken.
 
-        A step ``step = r/g(y)`` from ``y``, with ``r = hazard_to(y) - e``,
+        A step ``step = r/g(y)`` from ``y``, with ``r = hazard(y) - e``,
         leaves out the Taylor term ``G''(xi)*step**2/2`` of the table: to
         first order the root is ``y - step - G''(xi)/(2 g(y)) * step**2``.
         With ``curv/half**2`` at least ``|G''|`` on the sub-panel of
@@ -315,7 +318,7 @@ class GenericSampler:
         for steps in range(1, NEWTON_STEPS + 1):
             if not lo < y < hi:
                 y = 0.5 * (lo + hi)
-            r = self.hazard_to(y) - e
+            r = hazard(y) - e
             if r == 0.0:
                 return y, steps
             if r > 0.0:
@@ -344,17 +347,14 @@ class GenericSampler:
 
     def _state(self, k: int, h: float) -> float:
         """``G^{-1}``: the state in panel ``k`` at the hazard ``h`` from its
-        left edge, the root of a draw of ``h - G(a)`` from the left edge
-        ``a`` of its sub-panel, taken as the jump image for the solve."""
+        left edge: the root above the left edge ``a`` of its sub-panel of
+        the hazard ``h - G(a)`` from ``a``, with no cap."""
         edges, bases, _, _ = self._panel(k)
         j = _sub_panel(bases, h)
-        saved = self.lo, self._p, self._g_lo, self.cap
-        self.lo, self._p, self._g_lo = edges[j - 1], k, bases[j - 1]
-        self.cap = math.inf
-        try:
-            return self._root(k, h, h - bases[j - 1])
-        finally:
-            self.lo, self._p, self._g_lo, self.cap = saved
+        a, g_a = edges[j - 1], bases[j - 1]
+        return self._root(
+            k, h, h - g_a, a, math.inf,
+            lambda y: 0.0 if y <= a else self._hazard(k, y) - g_a)
 
     def chain(self, draws) -> np.ndarray:
         """The states after the current one for one or more unit-exponential
@@ -416,7 +416,8 @@ class GenericSampler:
                     self.move_to(self._state(q, h))
                 q, h = self._reach(e)
                 out_k[k], out_h[k] = q, h
-                z[k] = self._root(q, h, e) if e else self.lo
+                z[k] = self._root(q, h, e, self.lo, self.cap,
+                                  self.hazard_to) if e else self.lo
                 self.exact_steps += 1
             k, error = n, None
         except (OverflowError, CapExceededError, StateRangeError) as exc:

@@ -433,9 +433,11 @@ def reconstruct_times(chain: JumpChain) -> np.ndarray:
     to the support tolerance below the jump image, as a sampler's rounding
     leaves (:meth:`Model.below_support`): ``(y - x)/c`` under the additive
     flow, ``log(y/x)/c`` under the exponential one.  Where that overflows,
-    one fallback per flow forms the duration from ``z``, ``kappa`` and
-    ``x``, so no time is NaN.  A duration whose ``y`` fits and a time beyond
-    double range raise :class:`StateRangeError`.
+    one formula per flow forms the duration from ``x``, ``z``, ``kappa``
+    and ``c`` alone: ``(z - kappa*x)/(kappa*c)`` where ``y`` overflows, and
+    ``(log z - log kappa - log x)/c`` where ``log(y/x)/c`` does.  A
+    duration whose ``y`` fits and a time beyond double range raise
+    :class:`StateRangeError`.
     """
     model = chain.model
     if chain.n < 1:
@@ -444,22 +446,17 @@ def reconstruct_times(chain: JumpChain) -> np.ndarray:
     if np.any(model.below_support(x, z)):
         raise InconsistentChainError("pre-jump state behind previous state")
     kappa, c = model.jump.kappa, model.flow.c
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         y = np.maximum(model.jump.invert(z), x)
         far = y == math.inf
         if model.flow.variant == ADDITIVE:
             gaps = (y - x) / c
-            xf, zf = x[far], z[far]
-            g = zf / (kappa * c) - xf / c     # NaN where both terms overflow
-            gaps[far] = np.where(np.isnan(g),
-                                 (zf - kappa * xf) / (kappa * c), g)
+            gaps[far] = (z[far] - kappa * x[far]) / (kappa * c)
         else:
             gaps = np.log(y / x) / c
             over = gaps == math.inf   # as from a subnormal x, or y = inf
-            xo, zo, yo = x[over], z[over], y[over]
-            log_y = np.where(yo == math.inf,
-                             np.log(zo) - math.log(kappa), np.log(yo))
-            gaps[over] = (log_y - np.log(xo)) / c
+            gaps[over] = (np.log(z[over]) - math.log(kappa)
+                          - np.log(x[over])) / c
         if np.any(gaps[~far] == math.inf):
             raise StateRangeError(
                 f"a travel time exceeds double range (flow speed c = {c!r})")
@@ -472,13 +469,9 @@ def reconstruct_times(chain: JumpChain) -> np.ndarray:
 
 # --- chain serialization -----------------------------------------------------
 
-def chain_to_text(chain: JumpChain, times=None) -> str:
-    """Columnar text: comment header, then one state (and its time) per line."""
-    return b"".join(chain_text_blocks(chain, times)).decode()
-
-
 def chain_text_blocks(chain: JumpChain, times=None):
-    """:func:`chain_to_text` as bytes, in blocks to write one by one."""
+    """Columnar text: comment header, then one state (and its time) per
+    line, as bytes in blocks to write one by one."""
     if times is not None and len(times) != chain.n:
         raise ValueError(f"times: {len(times)} jump times for {chain.n} jumps")
     yield (f"# model: {chain.model.name}\n# seed: {chain.seed}\n# columns: z"

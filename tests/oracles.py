@@ -41,10 +41,11 @@ from pdmprate.basis import PHASE_BLOCK, Basis, _phase_table, design_means
 from pdmprate.density import DensityFit, _criterion
 from pdmprate.errors import (CapExceededError, EmptyModelSetError,
                              StateRangeError)
-from pdmprate.jumprate import risk_sweep, threshold
+from pdmprate.jumprate import denominator_grid, risk_sweep, threshold
 from pdmprate.model import ADDITIVE, PowerRate, ShiftedQuadraticRate
 from pdmprate.numeric import CAP_FACTOR, GenericSampler, _scalar_integrand
-from pdmprate.simulate import _POW10, _PLAIN, _ZEROS, sample_next
+from pdmprate.simulate import (_POW10, _PLAIN, _ZEROS, chain_text_blocks,
+                               sample_next)
 
 
 def contrast(coeffs):
@@ -152,9 +153,9 @@ def penalty(m, n, sigma=2.0, sigma_prime=0.0):
     return sigma * Basis.dim(m) / n + sigma_prime / n
 
 
-def oracle_dimension(fit, chain, ys, denom=None):
+def oracle_dimension(fit, chain, ys):
     """Best model index in hindsight and its risk; ties to the smallest index."""
-    risks = risk_sweep(fit, chain, ys, denom=denom)
+    risks = risk_sweep(fit, chain, ys, denominator_grid(chain, ys))
     if len(risks) == 0:
         raise EmptyModelSetError("no admissible model index")
     m_opt = int(np.argmin(risks))
@@ -518,27 +519,37 @@ def travel_time(flow, x, y):
     return out if out.ndim else float(out)
 
 
+def chain_to_text(chain, times=None) -> str:
+    """The text the chain writer :func:`chain_text_blocks` makes, whole."""
+    return b"".join(chain_text_blocks(chain, times)).decode()
+
+
 def jump_gaps_oracle(chain):
     """Inter-jump durations of ``chain`` as ``reconstruct_times`` forms them
-    before their sum: :func:`travel_time` to the pre-jump position
-    ``max(z/kappa, x)``, and where ``z/kappa`` overflows, ``z/(kappa*c) -
-    x/c`` under the additive flow and ``(log z - log kappa - log x)/c``
-    under the exponential one.  The additive formula is NaN where both of
-    its terms overflow; the package forms ``(z - kappa*x)/(kappa*c)`` there.
+    before their sum: :func:`travel_time` to the pre-jump position ``y =
+    max(z/kappa, x)``, and where that time is out of range, one formula per
+    flow of ``x``, ``z``, ``kappa`` and ``c``: ``(z - kappa*x)/(kappa*c)``
+    under the additive flow where ``y`` overflows, and ``(log z - log kappa
+    - log x)/c`` under the exponential one where ``log(y/x)/c`` does.
     """
     model = chain.model
-    prev, z = chain.z[:-1], chain.z[1:]
+    x, z = chain.z[:-1], chain.z[1:]
+    kappa, c = model.jump.kappa, model.flow.c
     with np.errstate(over="ignore"):
-        pre_jump = np.maximum(model.jump.invert(z), prev)
-        far = pre_jump == math.inf
-        pre_jump[far] = prev[far]
-        gaps = travel_time(model.flow, prev, pre_jump)
-        if far.any():
-            x, y, kappa, c = prev[far], z[far], model.jump.kappa, model.flow.c
-            gaps[far] = (y / (kappa * c) - x / c
-                         if model.flow.variant == ADDITIVE else
-                         (np.log(y) - math.log(kappa) - np.log(x)) / c)
-    return np.atleast_1d(gaps)
+        y = np.maximum(model.jump.invert(z), x)
+        if model.flow.variant == ADDITIVE:
+            out = y == math.inf
+        else:
+            out = np.log(y / x) / c == math.inf
+        gaps = np.empty(len(x))
+        gaps[~out] = travel_time(model.flow, x[~out], y[~out])
+        gaps[out] = ((z[out] - kappa * x[out]) / (kappa * c)
+                     if model.flow.variant == ADDITIVE else
+                     (np.log(z[out]) - math.log(kappa) - np.log(x[out])) / c)
+    if np.any(gaps[y < math.inf] == math.inf):
+        raise StateRangeError(
+            f"a travel time exceeds double range (flow speed c = {c!r})")
+    return gaps
 
 
 def cumulative(rate, x):

@@ -14,8 +14,9 @@ from scipy import signal, stats
 
 from oracles import coefficients, contrast, cumulative, design_oracle
 from pdmprate import (Basis, ExperimentConfig, GenericSampler,
-                      convergence_diagnostics, make_grid, rate_grid,
-                      rows_to_csv, run_experiment, sample_next,
+                      convergence_diagnostics, denominator_grid,
+                      make_grid, rate_grid, rows_to_csv, run_experiment,
+                      sample_next,
                       select_model, simulate_chain, tail_assumption_ok,
                       tcp_model, tcp_quadratic_model, bacterial_model,
                       threshold)
@@ -229,7 +230,8 @@ class TestCriterion9InvariantSuite:
             np.array_equal(fit.coeffs[:len(small)], small))
 
         ys = make_grid((0.2, 4.0))
-        rate_hat, nu_f, denom = rate_grid(fit, chain, ys)
+        denom = denominator_grid(chain, ys)
+        rate_hat, nu_f = rate_grid(fit, chain, ys, denom)
         checks["rate_nonnegative"] = bool(np.all(rate_hat >= 0))
         fire = (nu_f >= 0) & (denom >= threshold(chain.n))
         checks["quotient_identity"] = bool(np.allclose(

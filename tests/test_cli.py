@@ -7,12 +7,13 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import chain_to_text
 from pdmprate import (Basis, ExperimentConfig, Flow, JumpMap, PowerRate,
                       ShiftedQuadraticRate, make_grid, tcp_model)
 from pdmprate.cli import main
 from pdmprate.config import dump_config, load_config
 from pdmprate.errors import ConfigError, PdmpError
-from pdmprate.simulate import chain_to_text, reconstruct_times
+from pdmprate.simulate import reconstruct_times
 
 
 BASE_DOC = {

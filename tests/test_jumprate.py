@@ -56,12 +56,12 @@ class TestDenominator:
         denom = denominator_grid(rebuilt, ys)
         assert np.array_equal(denom, denominator_mask_oracle(rebuilt, other, ys))
         assert not np.array_equal(denom, denominator_grid(chain, ys))
-        rate_hat, nu_f, _ = rate_grid(fit, rebuilt, ys)
+        rate_hat, nu_f = rate_grid(fit, rebuilt, ys, denom)
         assert np.array_equal(nu_f, fit.evaluate(other.jump.apply(ys)))
         fire = (nu_f >= 0.0) & (denom >= threshold(chain.n))
         assert np.array_equal(rate_hat, np.divide(
             nu_f, denom, out=np.zeros_like(nu_f), where=fire))
-        np.testing.assert_allclose(risk_sweep(fit, rebuilt, ys),
+        np.testing.assert_allclose(risk_sweep(fit, rebuilt, ys, denom),
                                    risk_sweep_oracle(fit, rebuilt, other, ys),
                                    rtol=1e-12, atol=0.0)
 
@@ -153,19 +153,22 @@ class TestDenominator:
 class TestRateEstimate:
     def test_negativity_indicator(self, tcp_setup):
         model, chain, fit, ys = tcp_setup
-        rate_hat, nu_f, denom = rate_grid(fit, chain, ys)
+        denom = denominator_grid(chain, ys)
+        rate_hat, nu_f = rate_grid(fit, chain, ys, denom)
         neg = nu_f < 0
         assert np.all(rate_hat[neg] == 0.0)
 
     def test_threshold_indicator(self, tcp_setup):
         model, chain, fit, ys = tcp_setup
-        rate_hat, nu_f, denom = rate_grid(fit, chain, ys)
+        denom = denominator_grid(chain, ys)
+        rate_hat, nu_f = rate_grid(fit, chain, ys, denom)
         low = denom < threshold(chain.n)
         assert np.all(rate_hat[low] == 0.0)
 
     def test_quotient_arithmetic(self, tcp_setup):
         model, chain, fit, ys = tcp_setup
-        rate_hat, nu_f, denom = rate_grid(fit, chain, ys)
+        denom = denominator_grid(chain, ys)
+        rate_hat, nu_f = rate_grid(fit, chain, ys, denom)
         fire = (nu_f >= 0) & (denom >= threshold(chain.n))
         # division followed by multiplication costs at most a couple of ulps
         assert np.allclose(rate_hat[fire] * denom[fire], nu_f[fire],
@@ -173,14 +176,15 @@ class TestRateEstimate:
 
     def test_nonnegative_everywhere(self, tcp_setup):
         model, chain, fit, ys = tcp_setup
-        rate_hat, _, _ = rate_grid(fit, chain, ys)
+        rate_hat, _ = rate_grid(fit, chain, ys, denominator_grid(chain, ys))
         assert np.all(rate_hat >= 0.0)
 
     def test_scalar_wrapper(self, tcp_setup):
         # a one-point grid gives the value of that point on the full grid
         model, chain, fit, ys = tcp_setup
-        grid_val = rate_grid(fit, chain, ys)[0][0]
-        one_point = rate_grid(fit, chain, ys[:1])[0][0]
+        grid_val = rate_grid(fit, chain, ys, denominator_grid(chain, ys))[0][0]
+        one_point = rate_grid(fit, chain, ys[:1],
+                              denominator_grid(chain, ys[:1]))[0][0]
         assert one_point == pytest.approx(grid_val)
 
     def test_threshold_zeroset_shrinks_with_n(self, tcp_setup):
@@ -241,7 +245,7 @@ class TestOracle:
 
     def test_oracle_never_worse(self, tcp_setup):
         model, chain, fit, ys = tcp_setup
-        risks = risk_sweep(fit, chain, ys)
+        risks = risk_sweep(fit, chain, ys, denominator_grid(chain, ys))
         m_opt, risk_opt = oracle_dimension(fit, chain, ys)
         assert risk_opt <= risks[fit.m_hat]
         assert np.all(risk_opt <= risks + 1e-18)
@@ -262,7 +266,7 @@ class TestOracle:
         chain = simulate_chain(model, 1.0, n, seed)
         fit = select_model(chain.samples, Basis())
         ys = make_grid((lo, lo + width), grid_points)
-        risks = risk_sweep(fit, chain, ys)
+        risks = risk_sweep(fit, chain, ys, denominator_grid(chain, ys))
         expected = risk_sweep_oracle(fit, chain, model, ys)
         assert risks.shape == (fit.m_max + 1,)
         np.testing.assert_allclose(risks, expected, rtol=1e-12, atol=0.0)
@@ -271,7 +275,7 @@ class TestOracle:
         model, chain, fit, ys = tcp_setup
         denom = denominator_grid(chain, ys)
         truth_vals = model.rate.rate(ys)
-        risks = risk_sweep(fit, chain, ys, denom=denom)
+        risks = risk_sweep(fit, chain, ys, denom)
         for m in (0, 2, fit.m_hat, fit.m_max):
             rate_hat = rate_at_model(fit, chain, model, ys, m, denom)
             risk = integrate.simpson((rate_hat - truth_vals) ** 2, x=ys)
@@ -279,7 +283,7 @@ class TestOracle:
         # rate_grid is the estimate of the selected model: its density is
         # row m_hat of the sweep's, bit for bit, and within the derived bound
         # of the design-matrix oracle (oracles.series_error_bound)
-        rate_hat, nu_f, _ = rate_grid(fit, chain, ys, denom=denom)
+        rate_hat, nu_f = rate_grid(fit, chain, ys, denom)
         fy = model.jump.apply(ys)
         sweep = np.cumsum(series_terms(fit.coeffs, fit.basis, fy), axis=0)
         assert np.array_equal(nu_f, sweep[fit.m_hat])
@@ -304,8 +308,9 @@ class TestOracle:
         ys = make_grid((0.05, 4.0), 129)
         sweep = np.cumsum(series_terms(fit.coeffs, fit.basis,
                                        model.jump.apply(ys)), axis=0)
-        assert np.array_equal(rate_grid(fit, chain, ys)[1],
-                              sweep[fit.m_hat])
+        assert np.array_equal(
+            rate_grid(fit, chain, ys, denominator_grid(chain, ys))[1],
+            sweep[fit.m_hat])
 
 
 def _grid_to_tsv_per_value(ys, rate_hat, nu_f, denom, rate_true):
@@ -338,7 +343,8 @@ class TestGridTsv:
 
     def test_columns(self, tcp_setup):
         model, chain, fit, ys = tcp_setup
-        rate_hat, nu_f, denom = rate_grid(fit, chain, ys)
+        denom = denominator_grid(chain, ys)
+        rate_hat, nu_f = rate_grid(fit, chain, ys, denom)
         text = grid_to_tsv(ys, rate_hat, nu_f, denom,
                            rate_true=model.rate.rate(ys))
         lines = text.strip().split("\n")

@@ -18,8 +18,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
 
-from oracles import (advance, chain_draws, cumulative, decode_block_oracle,
-                     generic_draw_oracle, perpetuity_cdf, perpetuity_density,
+from oracles import (advance, chain_draws, chain_to_text, cumulative,
+                     decode_block_oracle, generic_draw_oracle,
+                     perpetuity_cdf, perpetuity_density,
                      power_log_step_oracle, quadratic_increment_oracle,
                      jump_gaps_oracle, quadratic_step_cardano,
                      sample_next_generic, simulate_chain_oracle, text_rows,
@@ -28,10 +29,9 @@ import pdmprate
 import pdmprate.simulate as simulate
 from pdmprate import (CapExceededError, ChainFormatError, ConfigError,
                       GenericSampler, InconsistentChainError, JumpChain,
-                      StateRangeError, bacterial_model,
-                      chain_from_text, chain_to_text, reconstruct_times,
-                      sample_next, simulate_chain, tcp_model,
-                      tcp_quadratic_model)
+                      StateRangeError, bacterial_model, chain_from_text,
+                      reconstruct_times, sample_next, simulate_chain,
+                      tcp_model, tcp_quadratic_model)
 from pdmprate.model import (SUPPORT_RTOL, CustomRate, Flow, JumpMap, Model,
                             PowerRate, ShiftedQuadraticRate)
 from pdmprate.numeric import (CAP_FACTOR, NEWTON_STEPS, _CAPPED_MAX,
@@ -347,7 +347,8 @@ class TestGenericSampler:
         m = Model(Flow("additive", 1.0), JumpMap(0.5),
                   CustomRate(lambda x: max(x - 2.0, 0.0)))
         gs = GenericSampler(m, 1.0)
-        y, steps = gs._newton(1.0, 0.75, gs.lo, 4.0, math.inf, 1.0)
+        y, steps = gs._newton(gs.hazard_to, 1.0, 0.75, gs.lo, 4.0, math.inf,
+                              1.0)
         assert y == pytest.approx(1.0 + math.sqrt(0.5), rel=1e-15)
         assert y == gs.draw(1.0)
 
@@ -361,7 +362,8 @@ class TestGenericSampler:
         assert gs.hazard_to(4.0) > 1.0
         g = gs._integrand
         gs._integrand = lambda u: 1e6 * g(u)
-        y, steps = gs._newton(1.0, 0.6, gs.lo, 4.0, math.inf, 1.0)
+        y, steps = gs._newton(gs.hazard_to, 1.0, 0.6, gs.lo, 4.0, math.inf,
+                              1.0)
         assert steps == NEWTON_STEPS
         assert 0.6 < y < 0.61 and 0.0 < gs.hazard_to(y) < 1.0
 
@@ -821,7 +823,8 @@ class TestGenericSampler:
         # here; a chain's states are held there, and so is sample_next's
         z = 0.617422611208365
         sampler = GenericSampler(MC_GENERIC, z)
-        assert sampler._root(*sampler._reach(1e-18), 1e-18) < 0.5 * z
+        assert sampler._root(*sampler._reach(1e-18), 1e-18, sampler.lo,
+                             sampler.cap, sampler.hazard_to) < 0.5 * z
         assert sample_next(MC_GENERIC, z, 1e-18) == 0.5 * z
         assert sample_next(MC_GENERIC, [z], [1e-18])[0] == 0.5 * z
 
@@ -1870,7 +1873,7 @@ class TestReconstructTimes:
     @pytest.mark.parametrize("model", FAR, ids=["exponential", "additive"])
     def test_overflowing_pre_jump_position(self, model):
         # the time where z/kappa is made: (log z' - log kappa - log z)/c
-        # and z'/(kappa*c) - z/c; it was a RuntimeWarning, and then a
+        # and (z' - kappa*z)/(kappa*c); it was a RuntimeWarning, and then a
         # travel time out of double range
         chain = simulate_chain(model, 1e9, 20, 0)
         with np.errstate(over="ignore"):
@@ -1896,23 +1899,33 @@ class TestReconstructTimes:
         assert times[0] == travel_time(model.flow, 1e9, 1e-250 / 1e-300)
         assert np.isfinite(times[1]) and times[1] > times[0]
 
-    # both terms of z/(kappa*c) - x/c overflow, and the duration is
-    # (z - kappa*x)/(kappa*c): 2.0e301 here, and 1e319, past double range,
-    # in the test after
+    # z/kappa overflows by an ulp of max double, and the duration is
+    # ulp/(kappa*c): 2.0e301 at c = 1e-9, where z/(kappa*c) and x/c both
+    # overflow, 2.0e292 at c = 1, where z/(kappa*c) alone does, and 6.7e291
+    # at c = 3, where the two round to one double; 1e319, past double
+    # range, in the test after
     BOTH_FAR = JumpChain(
         z=np.array([np.finfo(float).max,
                     np.nextafter(0.5 * np.finfo(float).max, math.inf)]),
         model=Model(Flow("additive", 1e-9), JumpMap(0.5), PowerRate(1.0, 0.0)))
 
-    def test_additive_far_terms_overflow(self):
-        chain = self.BOTH_FAR
+    def _check_far_time(self, c):
+        chain = JumpChain(z=self.BOTH_FAR.z,
+                          model=Model(Flow("additive", c), JumpMap(0.5),
+                                      PowerRate(1.0, 0.0)))
         times = reconstruct_times(chain)
         # z/kappa - x cancels 16 digits, so the context keeps 40
         with decimal.localcontext(decimal.Context(prec=40)):
             x, z = (decimal.Decimal(v) for v in chain.z.tolist())
-            want = float((z / decimal.Decimal(0.5) - x)
-                         / decimal.Decimal(1e-9))
+            want = float((z / decimal.Decimal(0.5) - x) / decimal.Decimal(c))
         np.testing.assert_allclose(times, [want], rtol=1e-13, atol=0)
+
+    def test_additive_far_terms_overflow(self):
+        self._check_far_time(1e-9)
+
+    @pytest.mark.parametrize("c", [1.0, 3.0])
+    def test_additive_fallback_does_not_cancel(self, c):
+        self._check_far_time(c)
 
     def test_additive_far_duration_overflow_raises(self):
         chain = JumpChain(z=np.array([1e300, 1e300]),
@@ -1922,6 +1935,46 @@ class TestReconstructTimes:
                            match=r"^the jump time of z\[1\] exceeds double "
                                  r"range$"):
             reconstruct_times(chain)
+
+    @pytest.mark.parametrize("variant", ["subnormal_x", "y_overflows"])
+    def test_exponential_fallback_accuracy(self, variant):
+        # rows whose log(y/x)/c overflows take (log z - log kappa - log x)/c:
+        # from a subnormal x, where y/x overflows, and where y = z/kappa does.
+        # Where y/x is past double range too, the three logs cancel little
+        # and the time is within 4e-16 of decimal's.  Where y overflows and
+        # y/x fits, from an x above 1, they may cancel to a small time: that
+        # is held to the rounding of the logs, a few ulps of the largest,
+        # and no closer
+        rng = np.random.default_rng(11)
+        big = np.finfo(float).max
+        ctx = decimal.Context(prec=50)
+        ulp_log = math.ulp(math.log(big))
+        beyond = 0
+        for _ in range(300):
+            kappa = float(10.0 ** rng.uniform(-300, -0.05))
+            c = float(10.0 ** rng.uniform(-3, 3))
+            if variant == "subnormal_x":
+                x = float(rng.integers(1, 2 ** 52)) * 5e-324
+                lo = math.log10(1.01 * kappa * big * x)
+            else:
+                kappa = min(kappa, 1e-10)
+                x = float(10.0 ** rng.uniform(-300, 308))
+                lo = math.log10(max(1.01 * kappa * big, kappa * x))
+            z = float(10.0 ** rng.uniform(lo, max(lo, 300.0)))
+            assert math.log(z / kappa / x) / c == math.inf
+            model = Model(Flow("exponential", c), JumpMap(kappa),
+                          PowerRate(1.0, 1.0))
+            got = reconstruct_times(JumpChain(z=np.array([x, z]),
+                                              model=model))[0]
+            d = [decimal.Decimal(v) for v in (x, z, kappa, c)]
+            log_ratio = d[1].ln(ctx) - d[2].ln(ctx) - d[0].ln(ctx)
+            error = abs(decimal.Decimal(got) - log_ratio / d[3])
+            if log_ratio > decimal.Decimal(big).ln(ctx):
+                beyond += 1
+                assert error <= decimal.Decimal(4e-16) * log_ratio / d[3]
+            else:
+                assert error <= decimal.Decimal(4 * ulp_log / c)
+        assert beyond >= (300 if variant == "subnormal_x" else 100)
 
     @staticmethod
     def _edge_chains():
@@ -1944,24 +1997,21 @@ class TestReconstructTimes:
 
     def test_matches_oracle_composition_bit_for_bit(self):
         # the oracle composes the flow's travel time to max(z/kappa, x)
-        # with the formulas where z/kappa overflows; every time that is
-        # finite there, and every error, must be the package's too
+        # with the fallback formulas where that is out of range; every time
+        # that is finite there, and every error, must be the package's too
         chains = [simulate_chain(model, z0, 300, 4)
                   for model, z0 in CHAIN_MODELS]
         chains += [simulate_chain(model, 1e9, 20, 0) for model in self.FAR]
         chains += [simulate_chain(bacterial_model(delta=1.0), 5e-324, 1000, 0),
-                   self.BELOW, *self._edge_chains()]
+                   self.BELOW, self.BOTH_FAR, *self._edge_chains()]
         for chain in chains:
             try:
-                with np.errstate(invalid="ignore"):
-                    want = np.cumsum(jump_gaps_oracle(chain))
+                want = np.cumsum(jump_gaps_oracle(chain))
             except StateRangeError as exc:
                 with pytest.raises(StateRangeError) as got:
                     reconstruct_times(chain)
                 assert str(got.value) == str(exc)
                 continue
-            if np.isnan(want).any():
-                continue    # the oracle's inf - inf, as in BOTH_FAR
             if want[-1] == math.inf:
                 with pytest.raises(StateRangeError, match="jump time of"):
                     reconstruct_times(chain)
